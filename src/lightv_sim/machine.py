@@ -485,10 +485,10 @@ class Machine:
         self.lightv.deactivate(rule_id)
 
     def mem_read(self, asid: int, va: int) -> int:
-        return self.mmu.mem_read(asid, va)
+        return self.mmu.access(asid, va)
 
     def mem_write(self, asid: int, va: int, value: int):
-        self.mmu.mem_write(asid, va, value)
+        self.mmu.access(asid, va, True, value)
 
     def flush_cache(self):
         self.cci.flush(self.cache)
@@ -512,13 +512,10 @@ class Machine:
         manip0 = self.lightv.lines_manipulated if self.lightv else 0
         faults = []
         record = self.config.fault_policy == FAULT_RECORD
-        mem_read, mem_write = self.mmu.mem_read, self.mmu.mem_write
+        access = self.mmu.access
         for index, (asid, op, va, value) in enumerate(trace):
             try:
-                if op == "W":
-                    mem_write(asid, va, value)
-                else:
-                    mem_read(asid, va)
+                access(asid, va, op == "W", value)
             except TranslationFault as fault:
                 if not record:
                     raise TraceAbort(index, asid, va, fault) from None

@@ -10,9 +10,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import addressing
-from .addressing import PAGE_SHIFT, PTE_BYTES, TranslationFault
+from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
+from .coherence import LINE_SHIFT, CacheState
 
 ALL = object()  # wildcard for tlb_invalidate
+
+_PAGE_MASK = (1 << PAGE_SHIFT) - 1
+_LINE_MASK = (1 << LINE_SHIFT) - 1
+_SHARED, _MODIFIED = CacheState.SHARED, CacheState.MODIFIED
 
 
 @dataclass(frozen=True)
@@ -104,31 +109,43 @@ class Mmu:
         # fresh walk would produce and assert they agree.
         self.debug_tlb_check = debug_tlb_check
         self._expected_translation = expected_translation
+        # Bound once for `access`, which reads them on every data access.
+        self._tlb_entries = tlb._entries
+        self._cache_sets = cache._sets
+        self._set_mask = cache._set_mask
+        self._counters = cci.counters
+        self._clock = cci.clock
+        self._lat = cci.lat
 
     def _walk_indices(self, va: int):
         # Mirrors the hardware bit slicer; kept separate from
         # addressing.split_va so the two derivations stay independent.
         return (va >> 30) & 0x1FF, (va >> 21) & 0x1FF, (va >> PAGE_SHIFT) & 0x1FF
 
-    def translate(self, asid: int, va: int, access: str = "read"):
+    def translate(self, asid: int, va: int):
         """Resolve va to (pa, walk_trace); the trace is empty on a TLB hit."""
-        if va < 0 or va >> addressing.VA_BITS:
+        if va < 0 or va >> VA_BITS:
             raise ValueError(f"virtual address out of range: {va:#x}")
         page = va >> PAGE_SHIFT
         hit = self.tlb.lookup(asid, page)
         if hit is not None:
-            pa = (hit[0] << PAGE_SHIFT) | (va & (1 << PAGE_SHIFT) - 1)
-            if self.debug_tlb_check and self._expected_translation is not None:
-                expected = self._expected_translation(asid, va)
-                if expected != pa:
-                    raise AssertionError(
-                        f"stale TLB entry for {va:#x}: cached {pa:#x},"
-                        f" fresh walk gives {expected:#x}"
-                    )
+            pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)
+            if self.debug_tlb_check:
+                self._check_tlb_hit(asid, va, pa)
             return pa, []
         frame, attrs, trace = self.hardware_walk(asid, va)
         self.tlb.insert(asid, page, frame, attrs)
-        return (frame << PAGE_SHIFT) | (va & (1 << PAGE_SHIFT) - 1), trace
+        return (frame << PAGE_SHIFT) | (va & _PAGE_MASK), trace
+
+    def _check_tlb_hit(self, asid: int, va: int, pa: int):
+        if self._expected_translation is None:
+            return
+        expected = self._expected_translation(asid, va)
+        if expected != pa:
+            raise AssertionError(
+                f"stale TLB entry for {va:#x}: cached {pa:#x},"
+                f" fresh walk gives {expected:#x}"
+            )
 
     def hardware_walk(self, asid: int, va: int):
         """Walk the tables level by level via coherent reads.
@@ -153,14 +170,53 @@ class Mmu:
             base = pfn << PAGE_SHIFT
         return pfn, attrs, trace
 
+    def access(self, asid: int, va: int, write: bool = False, value=None):
+        """One data access: returns the byte read, or stores `value`.
+
+        A TLB hit followed by a PE-cache hit is resolved here, with the
+        same LRU, counter and cycle updates the layers below would make.
+        A TLB miss goes through `translate` and the walker; a cache miss,
+        or a write to a SHARED line (the READ_UNIQUE upgrade), goes to the
+        fabric's miss path.
+        """
+        if write:
+            value &= 0xFF  # a missing value fails here, before any state moves
+        if va < 0 or va >> VA_BITS:
+            raise ValueError(f"virtual address out of range: {va:#x}")
+        entries = self._tlb_entries
+        key = (asid, va >> PAGE_SHIFT)
+        hit = entries.get(key)
+        if hit is None:
+            pa, _ = self.translate(asid, va)
+        else:
+            entries.move_to_end(key)
+            pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)
+            if self.debug_tlb_check:
+                self._check_tlb_hit(asid, va, pa)
+        # Only the fabric fills the cache, so on a hit its `started` flag
+        # is already set.
+        line_addr = pa & ~_LINE_MASK
+        ways = self._cache_sets[(line_addr >> LINE_SHIFT) & self._set_mask]
+        line = ways.get(line_addr)
+        if line is None or (write and line.state is _SHARED):
+            if write:
+                self.cci.write_byte(self.cache, pa, value)
+                return None
+            return self.cci.read_byte(self.cache, pa)[0]
+        ways.move_to_end(line_addr)
+        self._counters.data_hits += 1
+        self._clock.now += self._lat.cache_hit
+        if write:
+            line.payload[pa & _LINE_MASK] = value
+            line.state = _MODIFIED
+            return None
+        return line.payload[pa & _LINE_MASK]
+
     def mem_read(self, asid: int, va: int) -> int:
-        pa, _ = self.translate(asid, va, "read")
-        value, _ = self.cci.read_byte(self.cache, pa)
-        return value
+        return self.access(asid, va)
 
     def mem_write(self, asid: int, va: int, value: int):
-        pa, _ = self.translate(asid, va, "write")
-        self.cci.write_byte(self.cache, pa, value)
+        self.access(asid, va, True, value)
 
     def tlb_invalidate(self, asid=ALL, va_page=ALL):
         self.tlb.invalidate(asid, va_page)

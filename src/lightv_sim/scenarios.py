@@ -184,7 +184,12 @@ class OverheadExperiment:
 
     @property
     def ok(self) -> bool:
-        return self.functional_equal and self.passive_ok and self.active_ok
+        return (
+            self.functional_equal
+            and self.active_original_untouched
+            and self.passive_ok
+            and self.active_ok
+        )
 
     def csv_rows(self, seed, scale):
         return [

@@ -157,6 +157,13 @@ def test_criterion_4_overhead_properties(histogram_experiment):
     active = exp.active_overhead.relative
     assert abs(passive) < 0.005, f"passive overhead {passive:+.4%}"
     assert 0.0 < active < 0.015, f"active overhead {active:+.4%}"
+    # golden simulated results of this run; host-speed work must not move them
+    stats = exp.stats
+    assert stats["baseline"].total_cycles == stats["passive"].total_cycles == 4_372_770
+    assert stats["active"].total_cycles == 4_377_635
+    assert stats["active"].lines_manipulated == 139
+    assert {s.dram_reads for s in stats.values()} == {9_431}
+    assert {s.walk_reads for s in stats.values()} == {423}
     print(f"\nACCEPTANCE 4 (overhead: passive {passive:+.4%},"
           f" active {active:+.4%}): PASS")
 

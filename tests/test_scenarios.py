@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from lightv_sim.machine import MachineConfig
@@ -66,6 +68,12 @@ def test_histogram_overhead_bounds(tiny_experiment):
     assert exp.passive_overhead.relative == 0.0
     assert 0.0 < exp.active_overhead.relative < scenarios.ACTIVE_OVERHEAD_MAX
     assert exp.ok
+
+
+def test_histogram_ok_requires_untouched_original(tiny_experiment):
+    written = dataclasses.replace(tiny_experiment, active_original_untouched=False)
+    assert tiny_experiment.ok
+    assert not written.ok
 
 
 def test_histogram_csv_rows(tiny_experiment):
