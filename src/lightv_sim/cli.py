@@ -10,7 +10,8 @@ Exit codes (stable contract):
   0  success
   1  verify found a mismatch
   2  usage error (unknown scenario, bad flags)
-  3  unreadable or invalid configuration / input file
+  3  unreadable or invalid configuration / input file, a mapping to a
+     frame nothing backs, or rules that overflow the context cache
   4  a trace access faulted under the abort policy
   5  a scenario's own assertions failed
 """
@@ -24,13 +25,13 @@ import sys
 
 from . import addressing, machine, scenarios
 from .addressing import TranslationFault
-from .lightv import parse_rules
+from .coherence import FabricGap
+from .lightv import ContextCapacityError, parse_rules
 from .machine import (
     ConfigError,
     Machine,
     MachineConfig,
     TraceAbort,
-    TraceError,
     load_config,
 )
 
@@ -41,21 +42,7 @@ EXIT_CONFIG = 3
 EXIT_FAULT = 4
 EXIT_ASSERTION = 5
 
-CSV_COLUMNS = (
-    "scenario",
-    "mode",
-    "seed",
-    "scale",
-    "total_cycles",
-    "data_hits",
-    "data_misses",
-    "walk_reads",
-    "snoops_issued",
-    "snoops_acked",
-    "dram_reads",
-    "dram_writes",
-    "lines_manipulated",
-)
+CSV_COLUMNS = ("scenario", "mode", "seed", "scale") + machine.STATS_COLUMNS
 
 SCENARIOS = ("histogram", "demand-paging", "isolation", "migration", "custom-trace")
 
@@ -144,80 +131,52 @@ def cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.scenario == "custom-trace" and not (args.trace and args.mappings):
+        print("error: custom-trace needs --trace and --mappings", file=sys.stderr)
+        return EXIT_USAGE
 
+    modes = scenarios.MODES if args.mode == "all" else (args.mode,)
     try:
         if args.scenario == "histogram":
-            modes = scenarios.MODES if args.mode == "all" else (args.mode,)
             if "baseline" not in modes:
-                modes = ("baseline",) + tuple(modes)
+                modes = ("baseline",) + modes
             workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
             if args.export_trace:
                 with open(args.export_trace, "w") as f:
                     f.write(machine.format_trace(scenarios.gen_histogram_trace(workload)))
             result = scenarios.run_overhead_experiment(config, workload, modes=modes)
-            rows = result.csv_rows(args.seed, args.scale)
-            ok = result.ok if args.mode in ("all", "active") else True
         elif args.scenario == "demand-paging":
-            result = scenarios.run_demand_paging_hazard(config, seed=args.seed)
-            rows, ok = result.csv_rows(args.seed, args.scale), result.ok
+            result = scenarios.run_demand_paging_hazard(config)
         elif args.scenario == "isolation":
-            result = scenarios.run_isolation_hazard(config, seed=args.seed)
-            rows, ok = result.csv_rows(args.seed, args.scale), result.ok
+            result = scenarios.run_isolation_hazard(config)
         elif args.scenario == "migration":
-            plan = scenarios.MigrationPlan(seed=args.seed)
-            result = scenarios.run_migration(plan, config)
-            rows, ok = result.csv_rows(args.seed, args.scale), result.ok
+            result = scenarios.run_migration(scenarios.MigrationPlan(seed=args.seed), config)
         else:
-            return _run_custom_trace(args, config)
+            result = scenarios.run_custom_trace(config, *_read_custom_trace(args), modes)
     except TraceAbort as exc:
         print(f"fault abort: {exc}", file=sys.stderr)
         return EXIT_FAULT
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FabricGap, ContextCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    ok = result.ok or (args.scenario == "histogram" and args.mode in ("baseline", "passive"))
+    rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
     _emit(args, _render(args, rows, result.text()))
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _run_custom_trace(args, config: MachineConfig) -> int:
-    if not args.trace or not args.mappings:
-        print("error: custom-trace needs --trace and --mappings", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with open(args.trace) as f:
-            trace = machine.parse_trace(f.read())
-        with open(args.mappings) as f:
-            mappings = addressing.parse_mappings(f.read())
-        rules = []
-        if args.rules:
-            with open(args.rules) as f:
-                rules = parse_rules(f.read())
-    except (TraceError, addressing.MappingError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    modes = scenarios.MODES if args.mode == "all" else (args.mode,)
-    digest = machine.trace_digest(trace)
-    rows, texts = [], []
-    try:
-        for mode in modes:
-            m = Machine(config.with_mode(scenarios._MACHINE_MODE[mode]))
-            m.register_space(0, mappings)
-            if mode == "active" and rules:
-                m.activate_rules(rules)
-            stats = m.run_trace(trace, digest)
-            rows.append(scenarios._stats_row("custom-trace", mode, args.seed,
-                                             args.scale, stats))
-            texts.append(f"[{mode}]\n" + stats.text())
-    except TraceAbort as exc:
-        print(f"fault abort: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit(args, _render(args, rows, "\n".join(texts)))
-    return EXIT_OK
+def _read_custom_trace(args):
+    """(mappings, rules, trace) from the files custom-trace names."""
+    with open(args.trace) as f:
+        trace = machine.parse_trace(f.read())
+    with open(args.mappings) as f:
+        mappings = addressing.parse_mappings(f.read())
+    rules = []
+    if args.rules:
+        with open(args.rules) as f:
+            rules = parse_rules(f.read())
+    return mappings, rules, trace
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ class FabricGap(RuntimeError):
 class SnoopRequest:
     line_addr: int
     kind: SnoopKind
-    origin: int
 
     def __post_init__(self):
         if self.line_addr & _LINE_MASK:
@@ -260,7 +259,7 @@ class CoherentInterconnect:
         payload = None
         if self.agents:
             c.snoops_issued += 1
-            req = SnoopRequest(line_addr, kind, 0)
+            req = SnoopRequest(line_addr, kind)
             for agent in self.agents:
                 resp = agent(req)
                 if resp.verdict is Verdict.ACK:

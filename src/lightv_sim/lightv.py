@@ -43,7 +43,6 @@ _FRAME_OFF_MASK = PAGE_SIZE - 1
 
 
 class LightVMode(Enum):
-    ABSENT = "absent"
     PASSIVE = "passive"
     ACTIVE = "active"
 

@@ -9,7 +9,7 @@ bit-identical statistics and memory images.
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import addressing
@@ -28,18 +28,6 @@ _LINE_MASK = LINE_BYTES - 1
 
 FAULT_ABORT = "abort"
 FAULT_RECORD = "record"
-
-STATS_COLUMNS = (
-    "total_cycles",
-    "data_hits",
-    "data_misses",
-    "walk_reads",
-    "snoops_issued",
-    "snoops_acked",
-    "dram_reads",
-    "dram_writes",
-    "lines_manipulated",
-)
 
 
 class ConfigError(ValueError):
@@ -323,6 +311,9 @@ class FaultRecord:
 
 @dataclass
 class RunStats:
+    """One run's statistics.  The fields before `trace_digest` are the
+    reported statistics, in report order (`STATS_COLUMNS`)."""
+
     total_cycles: int
     data_hits: int
     data_misses: int
@@ -346,12 +337,16 @@ class RunStats:
         return "\n".join(lines)
 
 
+STATS_COLUMNS = tuple(
+    f.name for f in fields(RunStats) if f.name not in ("trace_digest", "faults")
+)
+
+
 @dataclass
 class OverheadReport:
     cycles_base: int
     cycles_other: int
     relative: float
-    counter_deltas: dict
 
     def text(self, label: str) -> str:
         return (
@@ -364,16 +359,12 @@ def compare_runs(stats_a: RunStats, stats_b: RunStats) -> OverheadReport:
     """Relative cycle overhead of run b over run a (same trace required)."""
     if stats_a.trace_digest != stats_b.trace_digest:
         raise ValueError("runs executed different traces")
-    deltas = {
-        name: getattr(stats_b, name) - getattr(stats_a, name)
-        for name in STATS_COLUMNS
-    }
     relative = (
         (stats_b.total_cycles - stats_a.total_cycles) / stats_a.total_cycles
         if stats_a.total_cycles
         else 0.0
     )
-    return OverheadReport(stats_a.total_cycles, stats_b.total_cycles, relative, deltas)
+    return OverheadReport(stats_a.total_cycles, stats_b.total_cycles, relative)
 
 
 def trace_digest(trace) -> str:
@@ -500,16 +491,34 @@ class Machine:
     def read_frame(self, pfn: int) -> bytes:
         return self.dram.read_bytes(pfn << PAGE_SHIFT, PAGE_SIZE)
 
+    def tally(self) -> dict:
+        """Running totals of every reported statistic, and of the other
+        fabric counters; `stats_since` turns two of them into a RunStats."""
+        totals = self.counters.snapshot()
+        totals.update(
+            total_cycles=self.clock.now,
+            dram_reads=self.dram.reads,
+            dram_writes=self.dram.writes,
+            lines_manipulated=self.lightv.lines_manipulated if self.lightv else 0,
+        )
+        return totals
+
+    def stats_since(self, before: dict, digest: str, faults=()) -> RunStats:
+        """Statistics of the work done since `before = self.tally()`."""
+        now = self.tally()
+        return RunStats(
+            **{name: now[name] - before[name] for name in STATS_COLUMNS},
+            trace_digest=digest,
+            faults=tuple(faults),
+        )
+
     def run_trace(self, trace, digest: Optional[str] = None) -> RunStats:
         """Execute accesses in order, returning this run's statistics.
 
         Faults follow the configured policy: `abort` raises TraceAbort,
         `record` logs a FaultRecord and continues.
         """
-        counters0 = self.counters.snapshot()
-        cycles0 = self.clock.now
-        dram_reads0, dram_writes0 = self.dram.reads, self.dram.writes
-        manip0 = self.lightv.lines_manipulated if self.lightv else 0
+        before = self.tally()
         faults = []
         record = self.config.fault_policy == FAULT_RECORD
         access = self.mmu.access
@@ -522,19 +531,6 @@ class Machine:
                 faults.append(
                     FaultRecord(index, asid, va, fault.level, fault.pte_address)
                 )
-        c = self.counters
-        return RunStats(
-            total_cycles=self.clock.now - cycles0,
-            data_hits=c.data_hits - counters0["data_hits"],
-            data_misses=c.data_misses - counters0["data_misses"],
-            walk_reads=c.walk_reads - counters0["walk_reads"],
-            snoops_issued=c.snoops_issued - counters0["snoops_issued"],
-            snoops_acked=c.snoops_acked - counters0["snoops_acked"],
-            dram_reads=self.dram.reads - dram_reads0,
-            dram_writes=self.dram.writes - dram_writes0,
-            lines_manipulated=(self.lightv.lines_manipulated - manip0)
-            if self.lightv
-            else 0,
-            trace_digest=digest if digest is not None else trace_digest(trace),
-            faults=tuple(faults),
-        )
+        if digest is None:
+            digest = trace_digest(trace)
+        return self.stats_since(before, digest, faults)

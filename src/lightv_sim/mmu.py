@@ -212,12 +212,6 @@ class Mmu:
             return None
         return line.payload[pa & _LINE_MASK]
 
-    def mem_read(self, asid: int, va: int) -> int:
-        return self.access(asid, va)
-
-    def mem_write(self, asid: int, va: int, value: int):
-        self.access(asid, va, True, value)
-
     def tlb_invalidate(self, asid=ALL, va_page=ALL):
         self.tlb.invalidate(asid, va_page)
 

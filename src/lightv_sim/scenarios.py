@@ -1,10 +1,11 @@
 """Reproducible workloads and end-to-end demonstrations.
 
-Four scenarios: a histogram-style workload compared across the three
-agent modes, two hazard reproductions (demand paging and isolation), and
-chunked page migration with live accessors.  Each returns a report object
-carrying machine statistics, pass/fail verdicts, CSV rows, and a text
-rendering.  All randomness is seeded.
+Five scenarios: a histogram-style workload and a user-supplied trace, each
+compared across the three agent modes by `run_modes`, two hazard
+reproductions (demand paging and isolation), and chunked page migration
+with live accessors.  Each returns a report object carrying labelled
+machine statistics (rendered by `csv_rows`), a pass/fail verdict and a
+text rendering.  All randomness is seeded.
 """
 
 import random
@@ -23,13 +24,13 @@ from .machine import (
     FAULT_RECORD,
     Machine,
     MachineConfig,
-    RunStats,
     compare_runs,
     trace_digest,
 )
 
+# Scenario mode labels, in report order, and the machine mode each runs in.
 MODES = ("baseline", "passive", "active")
-_MACHINE_MODE = {"baseline": "absent", "passive": "passive", "active": "active"}
+MACHINE_MODE = {"baseline": "absent", "passive": "passive", "active": "active"}
 
 DEFAULT_IMAGE_BYTES = 55_600_000
 
@@ -45,10 +46,29 @@ PASSIVE_OVERHEAD_EPSILON = 0.005
 ACTIVE_OVERHEAD_MAX = 0.015
 
 
-def _stats_row(scenario, mode, seed, scale, stats: RunStats) -> dict:
-    row = {"scenario": scenario, "mode": mode, "seed": seed, "scale": scale}
-    row.update(stats.to_dict())
-    return row
+def csv_rows(scenario: str, stats: dict, seed, scale) -> list:
+    """One report row per labelled run in `stats`, in its order."""
+    return [
+        {"scenario": scenario, "mode": label, "seed": seed, "scale": scale, **s.to_dict()}
+        for label, s in stats.items()
+    ]
+
+
+def run_modes(config: MachineConfig, modes, trace, prepare):
+    """Run one trace on a fresh machine per mode label, in order.
+
+    `prepare(machine)` maps the address spaces and returns the rewrite
+    rules; they are activated in active mode only.  Yields
+    (mode, machine, RunStats).  A generator, so that a caller need not keep
+    every mode's machine alive at once.
+    """
+    digest = trace_digest(trace)
+    for mode in modes:
+        m = Machine(config.with_mode(MACHINE_MODE[mode]))
+        rules = prepare(m)
+        if mode == "active" and rules:
+            m.activate_rules(rules)
+        yield mode, m, m.run_trace(trace, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +152,9 @@ def expected_hot_content(w: HistogramWorkload) -> bytes:
     return bytes(c & 0xFF for c in counts)
 
 
-def _build_histogram_machine(config: MachineConfig, w: HistogramWorkload, mode: str):
-    m = Machine(config.with_mode(_MACHINE_MODE[mode]))
+def _layout_histogram(m: Machine, w: HistogramWorkload):
+    """Map the workload on `m`; return the hot page's frame and the rule
+    that redirects the hot page."""
     rw = ATTR_WRITABLE | ATTR_CACHEABLE
     mappings = []
     for k in range(w.image_pages):
@@ -149,7 +170,8 @@ def _build_histogram_machine(config: MachineConfig, w: HistogramWorkload, mode: 
     replacement_pfn = m.allocator.alloc()
     while (replacement_pfn & 3) != (hot_pfn & 3):
         replacement_pfn = m.allocator.alloc()
-    return m, hot_pfn, replacement_pfn
+    rule = RewriteRule(1, w.asid, w.hot_page_va, w.hot_page_va + PAGE_SIZE, replacement_pfn)
+    return hot_pfn, rule
 
 
 @dataclass
@@ -191,20 +213,11 @@ class OverheadExperiment:
             and self.active_ok
         )
 
-    def csv_rows(self, seed, scale):
-        return [
-            _stats_row("histogram", mode, seed, scale, self.stats[mode])
-            for mode in MODES
-            if mode in self.stats
-        ]
-
     def text(self) -> str:
         lines = []
-        for mode in MODES:
-            if mode not in self.stats:
-                continue
+        for mode, stats in self.stats.items():
             lines.append(f"[{mode}]")
-            lines.append(self.stats[mode].text())
+            lines.append(stats.text())
         if self.passive_overhead is not None:
             lines.append(self.passive_overhead.text("passive vs baseline"))
         if self.active_overhead is not None:
@@ -236,20 +249,18 @@ def run_overhead_experiment(
     byte, while the cycle overheads stay within the shipped bounds.
     """
     w = workload if workload is not None else histogram_workload()
-    trace = gen_histogram_trace(w)
-    digest = trace_digest(trace)
     stats, hot_frames, hot_contents = {}, {}, {}
     original_untouched = True
-    for mode in modes:
-        m, hot_pfn, replacement_pfn = _build_histogram_machine(config, w, mode)
-        frame = hot_pfn
-        if mode == "active":
-            rule = RewriteRule(
-                1, w.asid, w.hot_page_va, w.hot_page_va + PAGE_SIZE, replacement_pfn
-            )
-            m.activate_rules([rule])
-            frame = replacement_pfn
-        stats[mode] = m.run_trace(trace, digest)
+    hot_pfn = rule = None
+
+    def prepare(m):
+        nonlocal hot_pfn, rule
+        hot_pfn, rule = _layout_histogram(m, w)
+        return [rule]
+
+    for mode, m, run in run_modes(config, modes, gen_histogram_trace(w), prepare):
+        stats[mode] = run
+        frame = rule.replacement_base_pfn if mode == "active" else hot_pfn
         m.flush_cache()
         hot_frames[mode] = frame
         hot_contents[mode] = m.read_frame(frame)
@@ -307,12 +318,6 @@ class DemandPagingReport:
             and not self.passive_in_window
         )
 
-    def csv_rows(self, seed, scale):
-        return [
-            _stats_row("demand-paging", label, seed, scale, s)
-            for label, s in self.stats.items()
-        ]
-
     def text(self) -> str:
         lines = [
             f"control (pre-populated) faults: {self.control_faults}",
@@ -325,7 +330,7 @@ class DemandPagingReport:
         return "\n".join(lines)
 
 
-def run_demand_paging_hazard(config: MachineConfig, seed: int = 0) -> DemandPagingReport:
+def run_demand_paging_hazard(config: MachineConfig) -> DemandPagingReport:
     target_va = (8 << 30) | (5 << 21) | (7 << PAGE_SHIFT)
     sibling_va = target_va + PAGE_SIZE  # keeps the intermediate tables populated
     rw = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -400,12 +405,6 @@ class IsolationReport:
     def ok(self) -> bool:
         return self.strict_rejected and self.deviated and self.control_unaffected
 
-    def csv_rows(self, seed, scale):
-        return [
-            _stats_row("isolation", label, seed, scale, s)
-            for label, s in self.stats.items()
-        ]
-
     def text(self) -> str:
         return "\n".join(
             [
@@ -419,7 +418,7 @@ class IsolationReport:
         )
 
 
-def run_isolation_hazard(config: MachineConfig, seed: int = 0) -> IsolationReport:
+def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
     """Demonstrate why the target range must own its level-0 slot.
 
     A neighbour page sharing the target's first index mistranslates (here:
@@ -538,12 +537,6 @@ class MigrationReport:
             and self.source_clean
         )
 
-    def csv_rows(self, seed, scale):
-        return [
-            _stats_row("migration", label, seed, scale, s)
-            for label, s in self.stats.items()
-        ]
-
     def text(self) -> str:
         return "\n".join(
             [
@@ -587,7 +580,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     init = bytes(rng.randrange(256) for _ in range(PAGE_SIZE))
     m.dram.write_bytes(src << PAGE_SHIFT, init)
     shadow = bytearray(init)
-    token = _stats_token(m)
+    before = m.tally()
 
     reads_checked = stale_reads = 0
     for _ in range(4):
@@ -657,7 +650,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     source_clean = not any(
         src_lo <= line.tag < src_hi for line in m.cache.iter_lines()
     )
-    stats = {"active": _collect_stats(m, token, f"migration-seed{plan.seed}")}
+    stats = {"active": m.stats_since(before, f"migration-seed{plan.seed}")}
 
     return MigrationReport(
         plan=plan,
@@ -672,28 +665,30 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     )
 
 
-def _stats_token(m: Machine):
-    return (
-        m.counters.snapshot(),
-        m.clock.now,
-        m.dram.reads,
-        m.dram.writes,
-        m.lightv.lines_manipulated if m.lightv else 0,
-    )
+# ---------------------------------------------------------------------------
+# custom trace
+# ---------------------------------------------------------------------------
 
 
-def _collect_stats(m: Machine, token, label: str) -> RunStats:
-    counters0, cycles0, reads0, writes0, manip0 = token
-    c = m.counters
-    return RunStats(
-        total_cycles=m.clock.now - cycles0,
-        data_hits=c.data_hits - counters0["data_hits"],
-        data_misses=c.data_misses - counters0["data_misses"],
-        walk_reads=c.walk_reads - counters0["walk_reads"],
-        snoops_issued=c.snoops_issued - counters0["snoops_issued"],
-        snoops_acked=c.snoops_acked - counters0["snoops_acked"],
-        dram_reads=m.dram.reads - reads0,
-        dram_writes=m.dram.writes - writes0,
-        lines_manipulated=(m.lightv.lines_manipulated - manip0) if m.lightv else 0,
-        trace_digest=label,
+@dataclass
+class CustomTraceReport:
+    """Statistics of a user-supplied trace, per mode; it has no verdict."""
+
+    stats: dict
+    ok = True
+
+    def text(self) -> str:
+        return "\n".join(f"[{mode}]\n{s.text()}" for mode, s in self.stats.items())
+
+
+def run_custom_trace(config: MachineConfig, mappings, rules, trace, modes=MODES):
+    """Replay `trace` in address space 0, mapped by `mappings`, under each
+    mode; `rules` are activated in active mode."""
+
+    def prepare(m):
+        m.register_space(0, mappings)
+        return rules
+
+    return CustomTraceReport(
+        {mode: run for mode, _, run in run_modes(config, modes, trace, prepare)}
     )

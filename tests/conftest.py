@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+sys.path.insert(0, str(Path(__file__).parent))  # make oracles and helpers importable
 
-from lightv_sim.coherence import Cache, CoherentInterconnect, Counters, LatencyConfig
-from lightv_sim.machine import Dram, Machine, MachineConfig, SimClock
+from helpers import Fabric, make_machine
+from lightv_sim.machine import MachineConfig
 
 
 @pytest.fixture
@@ -14,26 +14,9 @@ def config():
     return MachineConfig()
 
 
-def make_machine(mode="absent", **overrides):
-    cfg = MachineConfig(mode=mode, **overrides)
-    return Machine(cfg)
-
-
 @pytest.fixture
 def machine():
     return make_machine()
-
-
-class Fabric:
-    """Bare interconnect + one cache over a small DRAM, for unit tests."""
-
-    def __init__(self, sets=16, ways=2, base=0x8000_0000, size=1 << 22):
-        self.dram = Dram(base, size)
-        self.clock = SimClock()
-        self.counters = Counters()
-        self.lat = LatencyConfig()
-        self.cache = Cache(sets, ways)
-        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters, self.clock)
 
 
 @pytest.fixture

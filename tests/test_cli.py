@@ -4,8 +4,16 @@ import json
 import pytest
 
 from lightv_sim import cli
-from lightv_sim.machine import MachineConfig
+from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, reference_walk
+from lightv_sim.machine import Machine, MachineConfig, parse_trace
 from lightv_sim.mmu import Mmu
+from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
+
+
+CSV_HEADER = (
+    "scenario,mode,seed,scale,total_cycles,data_hits,data_misses,walk_reads,"
+    "snoops_issued,snoops_acked,dram_reads,dram_writes,lines_manipulated\n"
+)
 
 
 def run_cli(*argv):
@@ -96,6 +104,27 @@ def test_custom_trace_with_rules(tmp_path):
     assert int(rows["active"]["lines_manipulated"]) > 0
     assert int(rows["passive"]["lines_manipulated"]) == 0
     assert int(rows["baseline"]["snoops_issued"]) == 0
+    assert out.read_text() == CSV_HEADER + (
+        "custom-trace,baseline,0,0.01,882,1,2,6,0,0,8,0,0\n"
+        "custom-trace,passive,0,0.01,882,1,2,6,8,0,8,0,0\n"
+        "custom-trace,active,0,0.01,1022,1,2,6,8,4,8,0,4\n"
+    )
+
+
+@pytest.mark.parametrize("scenario, rows", [
+    ("demand-paging",
+     "demand-paging,control,4,0.01,545,0,1,3,4,3,4,0,3\n"
+     "demand-paging,active,4,0.01,435,0,0,3,3,3,3,0,3\n"
+     "demand-paging,passive,4,0.01,330,0,0,3,3,0,3,0,0\n"),
+    ("isolation",
+     "isolation,baseline,4,0.01,0,0,0,0,0,0,0,0,0\n"
+     "isolation,permissive,4,0.01,765,0,1,5,6,3,6,0,3\n"),
+    ("migration",
+     "migration,active,4,0.01,4424,7,29,6,35,16,99,78,3\n"),
+])
+def test_small_scenario_csv_is_pinned(scenario, rows, capsys):
+    assert run_cli("run", "--scenario", scenario, "--seed", "4", "--format", "csv") == 0
+    assert capsys.readouterr().out == CSV_HEADER + rows
 
 
 def test_custom_trace_missing_inputs():
@@ -104,21 +133,50 @@ def test_custom_trace_missing_inputs():
 
 def test_exported_trace_replays_identically(tmp_path):
     # the scenario's generated trace, replayed through custom-trace against
-    # an equivalent address space, produces the same access-class counts
+    # an equivalent address space, produces the same statistics in every mode
     trace_path = tmp_path / "hist.trace"
-    out_a = tmp_path / "a.csv"
-    run_cli(
-        "run", "--scenario", "histogram", "--mode", "baseline", "--seed", "6",
-        "--scale", "0.0001", "--format", "csv", "--out", str(out_a),
+    hist_csv = tmp_path / "hist.csv"
+    assert run_cli(
+        "run", "--scenario", "histogram", "--mode", "all", "--seed", "6",
+        "--scale", "0.0001", "--format", "csv", "--out", str(hist_csv),
         "--export-trace", str(trace_path),
-    )
-    text = trace_path.read_text()
-    assert text.splitlines()[0].split()[1] == "R"
-    from lightv_sim.machine import parse_trace
-    from lightv_sim.scenarios import gen_histogram_trace, histogram_workload
-
+    ) == 0
     w = histogram_workload(scale=0.0001, seed=6)
-    assert parse_trace(text) == gen_histogram_trace(w)
+    assert parse_trace(trace_path.read_text()) == gen_histogram_trace(w)
+
+    # Each page sits at its histogram frame + SHIFT: a multiple of the
+    # 4-page cache span keeps every line in its set, and it clears the
+    # table frames custom-trace allocates from the bottom of DRAM.
+    SHIFT = 0x1000
+    layout = Machine(MachineConfig())
+    _, rule = _layout_histogram(layout, w)
+    space = layout.spaces[w.asid]
+    pages = [w.image_base_va + k * PAGE_SIZE for k in range(w.image_pages)]
+    pages += [w.hot_page_va] + [w.code_base_va + k * PAGE_SIZE for k in range(w.code_pages)]
+    mappings = []
+    for va in pages:
+        pfn = reference_walk(space, va, layout.dram) >> PAGE_SHIFT
+        flags = "c" if va < w.hot_page_va else "wc"  # code pages are read-only
+        mappings.append(f"{va:#x} {pfn + SHIFT:#x} {flags}\n")
+    (tmp_path / "map.txt").write_text("".join(mappings))
+    (tmp_path / "rules.txt").write_text(
+        f"{w.asid} {rule.va_start:#x} {rule.va_end:#x} {rule.replacement_base_pfn + SHIFT:#x}\n"
+    )
+    replay_csv = tmp_path / "replay.csv"
+    assert run_cli(
+        "run", "--scenario", "custom-trace", "--mode", "all", "--seed", "6",
+        "--scale", "0.0001", "--format", "csv", "--out", str(replay_csv),
+        "--trace", str(trace_path), "--mappings", str(tmp_path / "map.txt"),
+        "--rules", str(tmp_path / "rules.txt"),
+    ) == 0
+
+    def stats(path):
+        with open(path) as f:
+            return {r["mode"]: [r[c] for c in cli.CSV_COLUMNS[4:]] for r in csv.DictReader(f)}
+
+    hist, replay = stats(hist_csv), stats(replay_csv)
+    assert list(hist) == list(replay) == ["baseline", "passive", "active"]
+    assert hist == replay
 
 
 def test_custom_trace_fault_abort(tmp_path):
@@ -131,6 +189,38 @@ def test_custom_trace_fault_abort(tmp_path):
         "--trace", str(trace), "--mappings", str(mappings),
     )
     assert code == cli.EXIT_FAULT
+
+
+def test_unbacked_mapping_is_a_config_error(tmp_path, capsys):
+    # the page maps frame 0x1, below the DRAM aperture
+    (tmp_path / "map.txt").write_text("0x0 0x1 wc\n")
+    (tmp_path / "trace.txt").write_text("0x0 R 0x10\n")
+    code = run_cli(
+        "run", "--scenario", "custom-trace", "--mode", "baseline",
+        "--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt"),
+    )
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: no backing for line 0x1000\n" and "Traceback" not in err
+
+
+def test_context_cache_overflow_is_a_config_error(tmp_path, capsys):
+    # five 2 GiB rules need more intermediate contexts than the cache holds
+    config = tmp_path / "loose.json"
+    config.write_text(json.dumps({"strict_isolation": False}))
+    (tmp_path / "map.txt").write_text(
+        "".join(f"{k << 31:#x} {0x90000 + k:#x} wc\n" for k in range(5)))
+    (tmp_path / "rules.txt").write_text(
+        "".join(f"0 {k << 31:#x} {(k + 1) << 31:#x} 0x80000\n" for k in range(5)))
+    (tmp_path / "trace.txt").write_text("0 R 0x0\n")
+    code = run_cli(
+        "run", "--scenario", "custom-trace", "--mode", "active", "--config", str(config),
+        "--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt"),
+        "--rules", str(tmp_path / "rules.txt"),
+    )
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: context cache full\n" and "Traceback" not in err
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -12,7 +12,7 @@ from lightv_sim.coherence import (
     Verdict,
 )
 
-from conftest import Fabric
+from helpers import Fabric
 from oracles import LruShadow
 
 LINE = 64

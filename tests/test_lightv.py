@@ -15,7 +15,7 @@ from lightv_sim.lightv import (
     parse_rules,
 )
 
-from conftest import make_machine
+from helpers import make_machine
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 WINDOW = WatermarkWindow(0x20_0000)
@@ -37,7 +37,7 @@ def one_rule_machine(target=8 << 30, pages_extra=(), rule_pages=1, **overrides):
 
 
 def snoop(line_addr):
-    return SnoopRequest(line_addr, SnoopKind.READ_SHARED, 0)
+    return SnoopRequest(line_addr, SnoopKind.READ_SHARED)
 
 
 # -- watermark codec ---------------------------------------------------------

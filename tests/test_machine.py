@@ -21,7 +21,7 @@ from lightv_sim.machine import (
     trace_digest,
 )
 
-from conftest import make_machine
+from helpers import make_machine
 
 RW = ATTR_WRITABLE
 PAGE_VA = 8 << 30

@@ -5,7 +5,7 @@ import pytest
 from lightv_sim.addressing import ATTR_WRITABLE, TranslationFault, reference_walk
 from lightv_sim.mmu import Tlb, format_walk_trace
 
-from conftest import make_machine
+from helpers import make_machine
 
 RW = ATTR_WRITABLE
 

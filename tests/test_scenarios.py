@@ -77,7 +77,7 @@ def test_histogram_ok_requires_untouched_original(tiny_experiment):
 
 
 def test_histogram_csv_rows(tiny_experiment):
-    rows = tiny_experiment.csv_rows(seed=5, scale=0.001)
+    rows = scenarios.csv_rows("histogram", tiny_experiment.stats, seed=5, scale=0.001)
     assert [r["mode"] for r in rows] == ["baseline", "passive", "active"]
     assert all(r["scenario"] == "histogram" for r in rows)
 
