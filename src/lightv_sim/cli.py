@@ -141,10 +141,11 @@ def cmd_run(args) -> int:
             if "baseline" not in modes:
                 modes = ("baseline",) + modes
             workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
+            trace = scenarios.gen_histogram_trace(workload)
             if args.export_trace:
                 with open(args.export_trace, "w") as f:
-                    f.write(machine.format_trace(scenarios.gen_histogram_trace(workload)))
-            result = scenarios.run_overhead_experiment(config, workload, modes=modes)
+                    f.write(machine.format_trace(trace))
+            result = scenarios.run_overhead_experiment(config, workload, modes, trace)
         elif args.scenario == "demand-paging":
             result = scenarios.run_demand_paging_hazard(config)
         elif args.scenario == "isolation":

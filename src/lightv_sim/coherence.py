@@ -68,7 +68,7 @@ class SnoopRequest:
             raise ValueError(f"snoop address not line-aligned: {self.line_addr:#x}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnoopResponse:
     verdict: Verdict
     payload: Optional[bytes] = None
@@ -80,6 +80,8 @@ class SnoopResponse:
                 raise ValueError("ACK requires a full line payload")
         elif self.payload is not None:
             raise ValueError("NACK carries no payload")
+        if self.serve_cycles < 0:
+            raise ValueError("serve cycles must be >= 0")
 
     @classmethod
     def ack(cls, payload: bytes, serve_cycles: int = 0) -> "SnoopResponse":
@@ -87,7 +89,10 @@ class SnoopResponse:
 
     @classmethod
     def nack(cls) -> "SnoopResponse":
-        return cls(Verdict.NACK)
+        return _NACK
+
+
+_NACK = SnoopResponse(Verdict.NACK)
 
 
 @dataclass
@@ -170,7 +175,8 @@ class Cache:
         return line
 
     def fill(self, line_addr: int, payload: bytearray, state: CacheState):
-        """Install (or refresh) a line; returns the evicted line, if any."""
+        """Install (or refresh) a line; returns (the installed line, the
+        evicted line or None)."""
         if len(payload) != LINE_BYTES:
             raise ValueError("payload must be one full line")
         s = self._set_for(line_addr)
@@ -179,12 +185,12 @@ class Cache:
             existing.payload = payload
             existing.state = state
             s.move_to_end(line_addr)
-            return None
+            return existing, None
         evicted = None
         if len(s) >= self.ways:
             _, evicted = s.popitem(last=False)
-        s[line_addr] = CacheLine(line_addr, state, payload)
-        return evicted
+        line = s[line_addr] = CacheLine(line_addr, state, payload)
+        return line, evicted
 
     def drop(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line without any writeback; returns it if present."""
@@ -234,9 +240,12 @@ class CoherentInterconnect:
 
         Returns (CacheLine, source, cycles).  Cycles are also charged to
         the clock here, the single accounting point for fabric traffic.
+        `probe`'s answer holds for the whole transaction: no agent touches
+        the requester's cache while it serves a snoop.
         """
         self.started = True
         c = self.counters
+        lat = self.lat
         line = cache.probe(line_addr)
         if line is not None and not (
             kind is SnoopKind.READ_UNIQUE and line.state is CacheState.SHARED
@@ -246,8 +255,8 @@ class CoherentInterconnect:
                 c.walk_hits += 1
             else:
                 c.data_hits += 1
-            self.clock.advance(self.lat.cache_hit)
-            return line, SOURCE_CACHE, self.lat.cache_hit
+            self.clock.now += lat.cache_hit
+            return line, SOURCE_CACHE, lat.cache_hit
 
         if klass == KLASS_WALK:
             c.walk_reads += 1
@@ -255,7 +264,7 @@ class CoherentInterconnect:
         else:
             c.data_misses += 1
 
-        cycles = self.lat.cci
+        cycles = lat.cci
         payload = None
         if self.agents:
             c.snoops_issued += 1
@@ -265,13 +274,13 @@ class CoherentInterconnect:
                 if resp.verdict is Verdict.ACK:
                     c.snoops_acked += 1
                     payload = resp.payload
-                    cycles += self.lat.snoop + resp.serve_cycles
+                    cycles += lat.snoop + resp.serve_cycles
                     break
         if payload is None:
             if not self.dram.contains_line(line_addr):
                 raise FabricGap(line_addr)
             payload = self.dram.read_line(line_addr)
-            cycles += self.lat.dram
+            cycles += lat.dram
             source = SOURCE_DRAM
             state = CacheState.EXCLUSIVE
         else:
@@ -282,14 +291,14 @@ class CoherentInterconnect:
                 else CacheState.EXCLUSIVE
             )
 
-        self.clock.advance(cycles)
+        self.clock.now += cycles
         buf = bytearray(payload)
-        if allocate or cache.lookup(line_addr) is not None:
-            evicted = cache.fill(line_addr, buf, state)
-            if evicted is not None and evicted.state is CacheState.MODIFIED:
-                self._writeback(evicted)
-            return cache.lookup(line_addr), source, cycles
-        return CacheLine(line_addr, state, buf), source, cycles
+        if not (allocate or line is not None):
+            return CacheLine(line_addr, state, buf), source, cycles
+        line, evicted = cache.fill(line_addr, buf, state)
+        if evicted is not None and evicted.state is CacheState.MODIFIED:
+            self._writeback(evicted)
+        return line, source, cycles
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)

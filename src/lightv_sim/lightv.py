@@ -25,6 +25,7 @@ scenarios reproduce.
 """
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -171,26 +172,19 @@ class LightV:
         self.spaces = spaces
         self.mode = LightVMode.PASSIVE
         self.rules = {}
-        self._rules_by_asid = {}
+        self._rules_by_slot = {}  # (asid, index0) -> rules meeting that slot
         self.watch = {}
         self._ctx_by_key = {}
         self._ctx_by_id = {}
         self._free_ids = []
         self._next_id = 0
         self._mirror = {}
-        # wired by the machine
-        self._tlb_invalidate_range = lambda asid, lo, hi: None
-        self._invalidate_cache_line = lambda line: None
         # diagnostics
         self.snoops_seen = 0
         self.matches = 0
         self.lines_manipulated = 0
         self.context_lost = 0
         self.data_captures = 0
-
-    def wire(self, tlb_invalidate_range, invalidate_cache_line):
-        self._tlb_invalidate_range = tlb_invalidate_range
-        self._invalidate_cache_line = invalidate_cache_line
 
     def diagnostics(self) -> dict:
         return {
@@ -207,16 +201,24 @@ class LightV:
     def activate(self, rules, strict: bool = True):
         """Install rewrite rules and seed the watch set.
 
-        Validates ranges, disjointness, and (in strict mode) that each
-        target range is pre-mapped and owns its level-0 slots outright.
-        TLB entries and PE-cached copies of the watched lines are
-        invalidated so the next walk is observed from level 0.
+        Validates ranges, disjointness, (in strict mode) that each target
+        range is pre-mapped and owns its level-0 slots outright, and that
+        the context cache has room for every new path, before it changes
+        anything: a call that raises leaves the agent as it found it.
+
+        Returns (tlb_ranges, lines): the (asid, va_start, va_end) ranges
+        whose TLB entries and the watched lines whose PE-cached copies the
+        caller must invalidate, so the next walk is observed from level 0.
         """
         rules = list(rules)
+        ids = set(self.rules)
         for rule in rules:
             rule.validate()
             if rule.rule_id in self.rules:
                 raise RuleError(f"rule id {rule.rule_id} already active")
+            if rule.rule_id in ids:
+                raise RuleError(f"rule id {rule.rule_id} given twice")
+            ids.add(rule.rule_id)
             if rule.asid not in self.spaces:
                 raise RuleError(f"rule {rule.rule_id}: unknown asid {rule.asid}")
             last_pfn = rule.replacement_base_pfn + rule.page_count - 1
@@ -236,18 +238,23 @@ class LightV:
                         f"rules {rule.rule_id} and {other.rule_id} overlap"
                     )
         if strict:
-            all_after = list(self.rules.values()) + rules
-            for rule in rules:
-                self._check_premapped(rule)
-                self._check_isolated(rule, all_after)
+            self._check_strict(rules)
+        new_paths = {}  # insertion-ordered set: ids go out in rule order
+        for rule in rules:
+            for prefix in self._prefixes(rule):
+                if (rule.asid, prefix) not in self._ctx_by_key:
+                    new_paths[rule.asid, prefix] = None
+        free = len(self._free_ids) + max(0, CONTEXT_CAPACITY - self._next_id)
+        if len(new_paths) > free:
+            raise ContextCapacityError("context cache full")
 
-        new_lines = []
         for rule in rules:
             self.rules[rule.rule_id] = rule
         self._reindex_rules()
+        for asid, prefix in new_paths:
+            self._add_context(asid, prefix)
+        new_lines = []
         for rule in rules:
-            for prefix in self._prefixes(rule):
-                self._ensure_context(rule.asid, prefix)
             pgd_base = self.spaces[rule.asid].pgd_base
             for i0 in self._index0_span(rule):
                 line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
@@ -260,13 +267,13 @@ class LightV:
                 if slot not in entry.slots:
                     entry.slots.append(slot)
         self.mode = LightVMode.ACTIVE
-        for rule in rules:
-            self._tlb_invalidate_range(rule.asid, rule.va_start, rule.va_end)
-        for line in new_lines:
-            self._invalidate_cache_line(line)
+        return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines
 
     def deactivate(self, rule_id: int):
-        """Remove a rule; future walks of its range see the true tables."""
+        """Remove a rule; future walks of its range see the true tables.
+
+        Returns (tlb_ranges, lines) to invalidate, as `activate` does.
+        """
         rule = self.rules.pop(rule_id, None)
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
@@ -291,10 +298,7 @@ class LightV:
             ]
             if not entry.slots:
                 del self.watch[line]
-
-        self._tlb_invalidate_range(rule.asid, rule.va_start, rule.va_end)
-        for line in sorted(stale_lines):
-            self._invalidate_cache_line(line)
+        return [(rule.asid, rule.va_start, rule.va_end)], sorted(stale_lines)
 
     # -- snoop handling -------------------------------------------------------
 
@@ -370,51 +374,51 @@ class LightV:
 
     def _synthesize_wm_chunk(self, line_addr: int, ctx: TranslationContext) -> bytearray:
         buf = bytearray(LINE_BYTES)
-        real = None
-        if ctx.original_table_addr is not None:
-            real = self.dram.read_line(
-                ctx.original_table_addr + (line_addr & _FRAME_OFF_MASK)
-            )
-        first_index = (line_addr & _FRAME_OFF_MASK) >> 3
+        if ctx.original_table_addr is None:
+            return buf  # no real table behind the path: every slot blank
+        real = self.dram.read_line(
+            ctx.original_table_addr + (line_addr & _FRAME_OFF_MASK)
+        )
         asid = ctx.asid
-        for slot in range(8):
-            index = first_index + slot
+        i0 = ctx.prefix[0]
+        # The chunk's 8 entries map 8 consecutive spans of `span` bytes.
+        span = 1 << (21 if ctx.level == 1 else PAGE_SHIFT)
+        first_index = (line_addr & _FRAME_OFF_MASK) >> 3
+        if ctx.level == 1:
+            chunk_lo = (i0 << 30) | (first_index << 21)
+        else:
+            chunk_lo = (i0 << 30) | (ctx.prefix[1] << 21) | (first_index << PAGE_SHIFT)
+        chunk_hi = chunk_lo + 8 * span
+        rules = [
+            r
+            for r in self._rules_by_slot.get((asid, i0), ())
+            if r.va_start < chunk_hi and chunk_lo < r.va_end
+        ]
+        for slot in range(8 if rules else 0):
+            lo = chunk_lo + slot * span
+            rule = None
+            for r in rules:
+                if r.va_start < lo + span and lo < r.va_end:
+                    rule = r
+                    break
+            if rule is None:
+                continue
             off = slot * 8
+            present, pfn, attrs = decode_pte(int.from_bytes(real[off : off + 8], "little"))
+            if not present:
+                buf[off : off + 8] = real[off : off + 8]
+                continue
             if ctx.level == 1:
-                i0 = ctx.prefix[0]
-                lo = (i0 << 30) | (index << 21)
-                if not self._region_covered(asid, lo, lo + (1 << 21)):
-                    continue
-                if real is None:
-                    continue
-                raw = int.from_bytes(real[off : off + 8], "little")
-                present, pfn, attrs = decode_pte(raw)
-                if not present:
-                    buf[off : off + 8] = real[off : off + 8]
-                    continue
-                child = self._ctx_by_key.get((asid, (i0, index)))
+                child = self._ctx_by_key.get((asid, (i0, first_index + slot)))
                 if child is None:
                     continue
                 child.original_table_addr = pfn << PAGE_SHIFT
-                marked = encode_pte(True, self.window.encode(2, child.context_id), attrs)
-                buf[off : off + 8] = marked.to_bytes(8, "little")
+                entry = encode_pte(True, self.window.encode(2, child.context_id), attrs)
             else:
-                i0, i1 = ctx.prefix
-                va = (i0 << 30) | (i1 << 21) | (index << PAGE_SHIFT)
-                rule = self._rule_for(asid, va)
-                if rule is None:
-                    continue
-                if real is None:
-                    continue
-                raw = int.from_bytes(real[off : off + 8], "little")
-                present, _, attrs = decode_pte(raw)
-                if not present:
-                    buf[off : off + 8] = real[off : off + 8]
-                    continue
                 if rule.attr_overrides is not None:
                     attrs |= rule.attr_overrides
-                leaf = encode_pte(True, rule.replacement_pfn_for(va), attrs)
-                buf[off : off + 8] = leaf.to_bytes(8, "little")
+                entry = encode_pte(True, rule.replacement_pfn_for(lo), attrs)
+            buf[off : off + 8] = entry.to_bytes(8, "little")
         return buf
 
     # -- migration data capture ------------------------------------------------
@@ -471,26 +475,29 @@ class LightV:
         return (rule.replacement_pfn_for(va) << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
 
     def _reindex_rules(self):
-        self._rules_by_asid = {}
+        """List each rule under every level-0 slot its range meets, in
+        activation order, so a lookup reads only one slot's rules."""
+        self._rules_by_slot = {}
         for rule in self.rules.values():
-            self._rules_by_asid.setdefault(rule.asid, []).append(rule)
+            for i0 in self._index0_span(rule):
+                self._rules_by_slot.setdefault((rule.asid, i0), []).append(rule)
 
     def _rule_for(self, asid: int, va: int):
-        for rule in self._rules_by_asid.get(asid, ()):
+        for rule in self._rules_by_slot.get((asid, va >> 30), ()):
             if rule.covers(va):
                 return rule
         return None
 
     def _region_covered(self, asid: int, lo: int, hi: int) -> bool:
-        for rule in self._rules_by_asid.get(asid, ()):
+        """Whether a rule meets [lo, hi), a range inside one level-0 slot."""
+        for rule in self._rules_by_slot.get((asid, lo >> 30), ()):
             if rule.va_start < hi and lo < rule.va_end:
                 return True
         return False
 
     def _prefix_covered(self, asid: int, prefix: tuple) -> bool:
         if len(prefix) == 1:
-            lo = prefix[0] << 30
-            return self._region_covered(asid, lo, lo + (1 << 30))
+            return (asid, prefix[0]) in self._rules_by_slot
         lo = (prefix[0] << 30) | (prefix[1] << 21)
         return self._region_covered(asid, lo, lo + (1 << 21))
 
@@ -510,18 +517,13 @@ class LightV:
             for i1 in range(first_i1, last_i1 + 1):
                 yield (i0, i1)
 
-    def _ensure_context(self, asid: int, prefix: tuple) -> TranslationContext:
-        key = (asid, prefix)
-        ctx = self._ctx_by_key.get(key)
-        if ctx is not None:
-            return ctx
+    def _add_context(self, asid: int, prefix: tuple):
+        # `activate` has checked that a context id is free.
         if self._free_ids:
             context_id = heapq.heappop(self._free_ids)
-        elif self._next_id < CONTEXT_CAPACITY:
+        else:
             context_id = self._next_id
             self._next_id += 1
-        else:
-            raise ContextCapacityError("context cache full")
         ctx = TranslationContext(
             context_id=context_id,
             asid=asid,
@@ -529,9 +531,8 @@ class LightV:
             prefix=prefix,
             original_table_addr=self._real_table_base(asid, prefix),
         )
-        self._ctx_by_key[key] = ctx
+        self._ctx_by_key[asid, prefix] = ctx
         self._ctx_by_id[context_id] = ctx
-        return ctx
 
     def _real_table_base(self, asid: int, prefix: tuple):
         base = self.spaces[asid].pgd_base
@@ -554,36 +555,50 @@ class LightV:
                     f" (level {fault.level} non-present)"
                 ) from None
 
-    def _check_isolated(self, rule: RewriteRule, all_rules):
-        """Every mapped page under the rule's level-0 slots must belong to
-        some active rule's range: no unrelated neighbour may share them."""
-        space = self.spaces[rule.asid]
-        ranges = [
-            (r.va_start, r.va_end) for r in all_rules if r.asid == rule.asid
-        ]
-        for i0 in self._index0_span(rule):
-            pud = self._read_present(space.pgd_base, i0)
-            if pud is None:
-                continue
-            for i1 in range(addressing.ENTRIES_PER_TABLE):
-                pmd = self._read_present(pud, i1)
-                if pmd is None:
-                    continue
-                for i2 in range(addressing.ENTRIES_PER_TABLE):
-                    raw = self.dram.read_qword(pmd + i2 * 8)
-                    if not raw & addressing.PTE_PRESENT:
-                        continue
-                    va = (i0 << 30) | (i1 << 21) | (i2 << PAGE_SHIFT)
-                    if not any(lo <= va < hi for lo, hi in ranges):
-                        raise IsolationError(
-                            f"rule {rule.rule_id}: neighbour mapping {va:#x}"
-                            f" shares level-0 slot {i0}"
-                        )
+    def _check_strict(self, rules):
+        """Strict activation: every rule is pre-mapped, and every mapped
+        page under its level-0 slots belongs to some rule's range once the
+        call has activated, so no unrelated neighbour shares them.
 
-    def _read_present(self, table_base: int, index: int):
-        raw = self.dram.read_qword(table_base + index * 8)
-        present, pfn, _ = decode_pte(raw)
-        return (pfn << PAGE_SHIFT) if present else None
+        Each slot is scanned once, for the first rule (in call order) that
+        meets it, and the error names that rule.
+        """
+        ranges = {}
+        for r in sorted(list(self.rules.values()) + rules, key=lambda r: r.va_start):
+            starts, ends = ranges.setdefault(r.asid, ([], []))
+            starts.append(r.va_start)
+            ends.append(r.va_end)
+        scanned = set()
+        for rule in rules:
+            self._check_premapped(rule)
+            for i0 in self._index0_span(rule):
+                if (rule.asid, i0) not in scanned:
+                    scanned.add((rule.asid, i0))
+                    self._check_isolated(rule, i0, *ranges[rule.asid])
+
+    def _check_isolated(self, rule: RewriteRule, i0: int, starts, ends):
+        """Every mapped page under level-0 slot `i0` must lie in one of the
+        sorted, disjoint ranges [starts[k], ends[k])."""
+        pud = self._real_table_base(rule.asid, (i0,))
+        if pud is None:
+            return
+        read = self.dram.read_qword
+        for i1 in range(addressing.ENTRIES_PER_TABLE):
+            raw = read(pud + i1 * 8)
+            if not raw & addressing.PTE_PRESENT:
+                continue
+            pmd = decode_pte(raw)[1] << PAGE_SHIFT
+            for i2 in range(addressing.ENTRIES_PER_TABLE):
+                raw = read(pmd + i2 * 8)
+                if not raw & addressing.PTE_PRESENT:
+                    continue
+                va = (i0 << 30) | (i1 << 21) | (i2 << PAGE_SHIFT)
+                k = bisect_right(starts, va) - 1
+                if k < 0 or va >= ends[k]:
+                    raise IsolationError(
+                        f"rule {rule.rule_id}: neighbour mapping {va:#x}"
+                        f" shares level-0 slot {i0}"
+                    )
 
 
 def parse_rules(text: str):

@@ -6,6 +6,7 @@ Runs are deterministic: the same configuration and trace produce
 bit-identical statistics and memory images.
 """
 
+import functools
 import hashlib
 import json
 import struct
@@ -57,15 +58,10 @@ class AllocatorExhausted(RuntimeError):
 
 
 class SimClock:
-    """Monotonic cycle counter."""
+    """Cycle counter; the fabric and the MMU add their charges to `now`."""
 
     def __init__(self):
         self.now = 0
-
-    def advance(self, cycles: int):
-        if cycles < 0:
-            raise ValueError("clock cannot move backwards")
-        self.now += cycles
 
 
 class Dram:
@@ -129,17 +125,11 @@ class Dram:
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         self._check(addr, n)
-        out = bytearray(n)
-        i = 0
-        while i < n:
-            a = addr + i
-            line = self._lines.get(a & ~_LINE_MASK)
-            off = a & _LINE_MASK
-            take = min(LINE_BYTES - off, n - i)
-            if line is not None:
-                out[i : i + take] = line[off : off + take]
-            i += take
-        return bytes(out)
+        first = addr & ~_LINE_MASK
+        get = self._lines.get
+        zero = bytes(LINE_BYTES)
+        data = b"".join(get(a) or zero for a in range(first, addr + n, LINE_BYTES))
+        return data[addr - first : addr - first + n]
 
     def write_bytes(self, addr: int, data: bytes):
         self._check(addr, len(data))
@@ -410,6 +400,14 @@ def format_trace(trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _real_translation(spaces: dict, dram: Dram, asid: int, va: int):
+    """Physical address a fresh walk of the real tables gives, or None."""
+    try:
+        return addressing.reference_walk(spaces[asid], va, dram)
+    except TranslationFault:
+        return None
+
+
 class Machine:
     """One fully wired simulator instance."""
 
@@ -438,23 +436,14 @@ class Machine:
             self.spaces,
             cache_ptes=config.cache_ptes,
             debug_tlb_check=config.debug_tlb_check,
-            expected_translation=self._expected_translation,
+            # Neither refers back to the machine, so dropping the last
+            # reference to a machine frees it without a cyclic collection.
+            expected_translation=(
+                self.lightv.expected_pa
+                if self.lightv is not None
+                else functools.partial(_real_translation, self.spaces, self.dram)
+            ),
         )
-        if self.lightv is not None:
-            self.lightv.wire(
-                tlb_invalidate_range=self.mmu.tlb_invalidate_range,
-                invalidate_cache_line=lambda line: self.cci.invalidate_line(
-                    self.cache, line
-                ),
-            )
-
-    def _expected_translation(self, asid: int, va: int):
-        if self.lightv is not None:
-            return self.lightv.expected_pa(asid, va)
-        try:
-            return addressing.reference_walk(self.spaces[asid], va, self.dram)
-        except TranslationFault:
-            return None
 
     @property
     def agent_count(self) -> int:
@@ -470,10 +459,16 @@ class Machine:
             raise RuntimeError(f"machine mode is {self.config.mode!r}, not active")
         if strict is None:
             strict = self.config.strict_isolation
-        self.lightv.activate(rules, strict=strict)
+        self._invalidate(*self.lightv.activate(rules, strict=strict))
 
     def deactivate_rule(self, rule_id: int):
-        self.lightv.deactivate(rule_id)
+        self._invalidate(*self.lightv.deactivate(rule_id))
+
+    def _invalidate(self, tlb_ranges, lines):
+        for asid, va_start, va_end in tlb_ranges:
+            self.mmu.tlb_invalidate_range(asid, va_start, va_end)
+        for line in lines:
+            self.cci.invalidate_line(self.cache, line)
 
     def mem_read(self, asid: int, va: int) -> int:
         return self.mmu.access(asid, va)

@@ -7,7 +7,7 @@ a configuration switch (`cache_ptes`).
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import addressing
 from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
@@ -20,8 +20,7 @@ _LINE_MASK = (1 << LINE_SHIFT) - 1
 _SHARED, _MODIFIED = CacheState.SHARED, CacheState.MODIFIED
 
 
-@dataclass(frozen=True)
-class WalkStep:
+class WalkStep(NamedTuple):
     level: int
     pte_address: int
     pte_raw: int

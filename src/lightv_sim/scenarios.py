@@ -241,14 +241,18 @@ def run_overhead_experiment(
     config: MachineConfig,
     workload: Optional[HistogramWorkload] = None,
     modes=MODES,
+    trace=None,
 ) -> OverheadExperiment:
     """Run the identical histogram trace under the requested modes.
 
     The active run redirects the hot page to a replacement frame; its
     aggregation output must land there and match the other modes byte for
     byte, while the cycle overheads stay within the shipped bounds.
+    `trace` is the workload's trace when the caller has generated it.
     """
     w = workload if workload is not None else histogram_workload()
+    if trace is None:
+        trace = gen_histogram_trace(w)
     stats, hot_frames, hot_contents = {}, {}, {}
     original_untouched = True
     hot_pfn = rule = None
@@ -258,7 +262,7 @@ def run_overhead_experiment(
         hot_pfn, rule = _layout_histogram(m, w)
         return [rule]
 
-    for mode, m, run in run_modes(config, modes, gen_histogram_trace(w), prepare):
+    for mode, m, run in run_modes(config, modes, trace, prepare):
         stats[mode] = run
         frame = rule.replacement_base_pfn if mode == "active" else hot_pfn
         m.flush_cache()

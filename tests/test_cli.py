@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lightv_sim import cli
+from lightv_sim import cli, scenarios
 from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, reference_walk
 from lightv_sim.machine import Machine, MachineConfig, parse_trace
 from lightv_sim.mmu import Mmu
@@ -177,6 +177,21 @@ def test_exported_trace_replays_identically(tmp_path):
     hist, replay = stats(hist_csv), stats(replay_csv)
     assert list(hist) == list(replay) == ["baseline", "passive", "active"]
     assert hist == replay
+
+
+def test_export_generates_the_trace_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return gen_histogram_trace(w)
+
+    monkeypatch.setattr(scenarios, "gen_histogram_trace", counted)
+    assert run_cli(
+        "run", "--scenario", "histogram", "--scale", "0.0001", "--format", "csv",
+        "--out", str(tmp_path / "hist.csv"), "--export-trace", str(tmp_path / "hist.trace"),
+    ) == 0
+    assert len(calls) == 1
 
 
 def test_custom_trace_fault_abort(tmp_path):

@@ -104,6 +104,20 @@ def test_agent_ack_short_circuits_dram(fabric):
     assert fabric.counters.snoops_acked == 1
 
 
+def test_unique_read_refreshes_a_shared_line_even_without_allocate(fabric):
+    answers = iter([bytes([1]) * 64, bytes([2]) * 64])
+    fabric.cci.register_agent(lambda req: SnoopResponse.ack(next(answers)))
+    fabric.cci.coherent_read(fabric.cache, line_of(2))
+    assert fabric.cache.lookup(line_of(2)).state is CacheState.SHARED
+    payload, source, _ = fabric.cci.coherent_read(
+        fabric.cache, line_of(2), SnoopKind.READ_UNIQUE, allocate=False
+    )
+    line = fabric.cache.lookup(line_of(2))
+    assert (payload, source) == (bytes([2]) * 64, "SNOOPED")
+    assert line.state is CacheState.EXCLUSIVE and bytes(line.payload) == payload
+    assert fabric.counters.data_misses == 2 and fabric.counters.snoops_acked == 2
+
+
 def test_first_ack_wins_in_registration_order(fabric):
     calls = []
 

@@ -147,9 +147,13 @@ def test_overlapping_rules_rejected():
 
 def test_duplicate_rule_id_rejected():
     m, rule, _ = one_rule_machine()
+    twin = RewriteRule(1, 0, 9 << 30, (9 << 30) + 4096, 0xA8000)
+    with pytest.raises(RuleError, match="given twice"):
+        m.activate_rules([rule, twin], strict=False)
+    assert m.lightv.rules == {} and m.lightv.diagnostics()["contexts_live"] == 0
     m.activate_rules([rule])
     with pytest.raises(RuleError, match="already active"):
-        m.activate_rules([RewriteRule(1, 0, 9 << 30, (9 << 30) + 4096, 0xA8000)])
+        m.activate_rules([twin])
 
 
 def test_strict_rejects_unmapped_target():
@@ -166,6 +170,45 @@ def test_strict_rejects_shared_level0_slot():
     rule = RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000)
     with pytest.raises(IsolationError, match="shares level-0"):
         m.activate_rules([rule], strict=True)
+
+
+def test_strict_error_names_first_rule_in_call_order():
+    # three rules share slot 8 with one unruled neighbour; slot 9 is clean
+    ruled = [(8 << 30) | (i1 << 21) for i1 in (0, 1, 2)]
+    neighbour = (8 << 30) | (5 << 21) | (3 << 12)
+    pages = [(va, 0x90000 + k) for k, va in enumerate(ruled + [neighbour, 9 << 30])]
+    m = active_machine(pages)
+    rules = [RewriteRule(4, 0, 9 << 30, (9 << 30) + 4096, 0xA0004)]
+    rules += [
+        RewriteRule(3 - k, 0, va, va + 4096, 0xA0000 + k) for k, va in enumerate(ruled)
+    ]
+    with pytest.raises(IsolationError) as err:
+        m.activate_rules(rules, strict=True)
+    assert str(err.value) == "rule 3: neighbour mapping 0x200a03000 shares level-0 slot 8"
+    assert m.lightv.rules == {} and m.lightv.watch == {}
+
+
+def test_strict_scans_each_level0_slot_once(monkeypatch):
+    # 16 rules of 2 pages in 2 slots, 2 level-2 tables per slot
+    TABLES, RULES_PER_TABLE, RULE_PAGES = 2, 4, 2
+    rules, pages = [], []
+    for i0 in (8, 9):
+        for i1 in range(TABLES):
+            for r in range(RULES_PER_TABLE):
+                va = (i0 << 30) | (i1 << 21) | (r * 16 << 12)
+                pfn = 0x90000 + len(pages)
+                pages += [(va + k * 4096, pfn + k) for k in range(RULE_PAGES)]
+                rules.append(RewriteRule(len(rules) + 1, 0, va, va + RULE_PAGES * 4096,
+                                         0xA0000 + len(pages)))
+    m = active_machine(pages)
+    reads = []
+    raw_read = type(m.dram).read_qword
+    monkeypatch.setattr(type(m.dram), "read_qword", lambda d, a: reads.append(a) or raw_read(d, a))
+    m.activate_rules(rules, strict=True)
+    per_slot_scan = 1 + 512 + 512 * TABLES  # level-0 entry, level-1 table, level-2 tables
+    premapped = 3 * len(pages)  # one reference walk per page
+    contexts = 2 * 1 + 2 * TABLES * 2  # table-base reads of the new contexts
+    assert len(reads) <= 2 * per_slot_scan + premapped + contexts
 
 
 def test_strict_accepts_joint_coverage():
@@ -295,7 +338,50 @@ def test_context_capacity_bound(monkeypatch):
         m.activate_rules(rules)
 
 
+def test_failed_activation_leaves_no_trace():
+    # five 2 GiB rules need 5 x 2 x 513 contexts, more than the cache holds
+    m = active_machine([(k << 31, 0x90000 + k) for k in range(5)] + [(11 << 30, 0x91000)])
+    big = [RewriteRule(k + 1, 0, k << 31, (k + 1) << 31, 0x80000) for k in range(5)]
+    with pytest.raises(lv.ContextCapacityError):
+        m.activate_rules(big, strict=False)
+    assert m.lightv.rules == {} and m.lightv.watch == {}
+    assert m.lightv.mode is LightVMode.PASSIVE
+    assert m.lightv.diagnostics()["contexts_live"] == 0
+    assert m.lightv._rule_for(0, 0) is None
+    m.activate_rules([RewriteRule(9, 0, 11 << 30, (11 << 30) + 4096, 0xA0000)])
+    assert m.mmu.translate(0, 11 << 30)[0] == 0xA0000 << 12
+
+
 # -- end-to-end redirection, transparency, deactivation -------------------------
+
+
+def test_rule_across_a_level0_boundary():
+    # one rule over 4 pages each side of the slot 8 / slot 9 boundary
+    lo = (9 << 30) - 4 * 4096
+    pages = [(lo + k * 4096, 0x90000 + k) for k in range(8)]
+    m = active_machine(pages, tlb_entries=4)
+    repl = 0xA0000
+    m.activate_rules([RewriteRule(1, 0, lo, lo + 8 * 4096, repl)], strict=True)
+    assert {i0 for _, i0, _ in m.lightv.watch[next(iter(m.lightv.watch))].slots} == {8, 9}
+    trace = [(0, "W", va + k, k + 1) for k, (va, _) in enumerate(pages)]
+    trace += [(0, "R", va + k, None) for k, (va, _) in enumerate(pages)]
+    stats = m.run_trace(trace)
+    assert stats.lines_manipulated > 0
+    for k, (va, pfn) in enumerate(pages):
+        assert m.lightv.expected_pa(0, va + k) == ((repl + k) << 12) + k
+        assert m.mmu.translate(0, va + k)[0] == ((repl + k) << 12) + k
+    m.flush_cache()
+    for k, (va, pfn) in enumerate(pages):
+        assert m.read_frame(repl + k)[k] == k + 1
+        assert not any(m.read_frame(pfn))
+    m.deactivate_rule(1)
+    for k, (va, pfn) in enumerate(pages):
+        assert m.mmu.translate(0, va + k)[0] == (pfn << 12) + k
+        assert m.lightv.expected_pa(0, va + k) == (pfn << 12) + k
+    m.run_trace([(0, "W", va, 0x5A) for va, _ in pages])
+    m.flush_cache()
+    assert all(m.read_frame(pfn)[0] == 0x5A for _, pfn in pages)
+
 
 
 def test_redirection_and_transparency():

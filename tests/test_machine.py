@@ -1,10 +1,13 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
 from lightv_sim.addressing import ATTR_WRITABLE
 from lightv_sim.coherence import LatencyConfig
+from lightv_sim.lightv import RewriteRule
 from lightv_sim.machine import (
     AllocatorExhausted,
     ConfigError,
@@ -86,6 +89,23 @@ def test_activate_requires_active_mode():
     m = simple_machine("passive")
     with pytest.raises(RuntimeError, match="mode"):
         m.activate_rules([])
+
+
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_machine_is_freed_without_the_cycle_collector(mode):
+    m = simple_machine(mode, debug_tlb_check=True)
+    if mode == "active":
+        m.activate_rules([RewriteRule(1, 0, PAGE_VA, PAGE_VA + 4096, 0xA0000)])
+    m.run_trace([(0, "W", PAGE_VA, 1), (0, "R", PAGE_VA, None), (0, "R", PAGE_VA, None)])
+    if mode == "active":
+        m.deactivate_rule(1)
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- dram and allocator ----------------------------------------------------------
