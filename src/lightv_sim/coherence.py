@@ -1,11 +1,16 @@
 """MESI cache and the snoop-broadcast interconnect it hangs off.
 
 One PE-side cache is modeled; additional coherent agents (the translation
-rewriter, test doubles) register snoop callbacks with the interconnect.
-On a miss the interconnect broadcasts a snoop request; the first agent to
-ACK supplies the line, otherwise the line comes from DRAM.
+rewriter, test doubles) register with the interconnect.  An agent is a
+plain callable, `agent(line_addr)`, that returns None to NACK the snoop or
+`(payload, serve_cycles)` to ACK it with a full 64-byte line.  On a miss
+the interconnect polls the agents in registration order; the first ACK
+supplies the line, otherwise the line comes from DRAM.  The interconnect
+is the one place that checks an ACK: it rejects a payload that is not a
+full line and a negative serve time before it counts the ACK.
 
-Cycle model (flat per-event costs from LatencyConfig):
+Cycle model (flat per-event costs from LatencyConfig), charged to the
+shared clock, which is the single accounting point:
   * cache hit: `cache_hit`
   * miss, all agents NACK: `cci + dram` -- the DRAM fetch is launched
     speculatively alongside the broadcast, so NACK resolution is hidden
@@ -36,11 +41,6 @@ class SnoopKind(Enum):
     READ_UNIQUE = "read-unique"
 
 
-class Verdict(Enum):
-    ACK = "ACK"
-    NACK = "NACK"
-
-
 SOURCE_CACHE = "CACHE"
 SOURCE_SNOOPED = "SNOOPED"
 SOURCE_DRAM = "DRAM"
@@ -56,43 +56,6 @@ class FabricGap(RuntimeError):
     def __init__(self, line_addr: int):
         super().__init__(f"no backing for line {line_addr:#x}")
         self.line_addr = line_addr
-
-
-@dataclass(frozen=True)
-class SnoopRequest:
-    line_addr: int
-    kind: SnoopKind
-
-    def __post_init__(self):
-        if self.line_addr & _LINE_MASK:
-            raise ValueError(f"snoop address not line-aligned: {self.line_addr:#x}")
-
-
-@dataclass(frozen=True)
-class SnoopResponse:
-    verdict: Verdict
-    payload: Optional[bytes] = None
-    serve_cycles: int = 0
-
-    def __post_init__(self):
-        if self.verdict is Verdict.ACK:
-            if self.payload is None or len(self.payload) != LINE_BYTES:
-                raise ValueError("ACK requires a full line payload")
-        elif self.payload is not None:
-            raise ValueError("NACK carries no payload")
-        if self.serve_cycles < 0:
-            raise ValueError("serve cycles must be >= 0")
-
-    @classmethod
-    def ack(cls, payload: bytes, serve_cycles: int = 0) -> "SnoopResponse":
-        return cls(Verdict.ACK, bytes(payload), serve_cycles)
-
-    @classmethod
-    def nack(cls) -> "SnoopResponse":
-        return _NACK
-
-
-_NACK = SnoopResponse(Verdict.NACK)
 
 
 @dataclass
@@ -238,10 +201,12 @@ class CoherentInterconnect:
     def _ensure_line(self, cache, line_addr, kind, allocate, klass):
         """Resolve a line into the requester's cache (or transiently).
 
-        Returns (CacheLine, source, cycles).  Cycles are also charged to
-        the clock here, the single accounting point for fabric traffic.
-        `probe`'s answer holds for the whole transaction: no agent touches
-        the requester's cache while it serves a snoop.
+        Returns (CacheLine, source).  The cycles are charged to the clock
+        here, the single accounting point for fabric traffic.  `probe`'s
+        answer holds for the whole transaction: no agent touches the
+        requester's cache while it serves a snoop.  An agent's ACK is
+        checked here, before it is counted: its payload must be one full
+        line and its serve cycles must be >= 0.
         """
         self.started = True
         c = self.counters
@@ -256,7 +221,7 @@ class CoherentInterconnect:
             else:
                 c.data_hits += 1
             self.clock.now += lat.cache_hit
-            return line, SOURCE_CACHE, lat.cache_hit
+            return line, SOURCE_CACHE
 
         if klass == KLASS_WALK:
             c.walk_reads += 1
@@ -268,13 +233,16 @@ class CoherentInterconnect:
         payload = None
         if self.agents:
             c.snoops_issued += 1
-            req = SnoopRequest(line_addr, kind)
             for agent in self.agents:
-                resp = agent(req)
-                if resp.verdict is Verdict.ACK:
+                ack = agent(line_addr)
+                if ack is not None:
+                    payload, serve_cycles = ack
+                    if payload is None or len(payload) != LINE_BYTES:
+                        raise ValueError("ACK requires a full line payload")
+                    if serve_cycles < 0:
+                        raise ValueError("serve cycles must be >= 0")
                     c.snoops_acked += 1
-                    payload = resp.payload
-                    cycles += lat.snoop + resp.serve_cycles
+                    cycles += lat.snoop + serve_cycles
                     break
         if payload is None:
             if not self.dram.contains_line(line_addr):
@@ -294,11 +262,11 @@ class CoherentInterconnect:
         self.clock.now += cycles
         buf = bytearray(payload)
         if not (allocate or line is not None):
-            return CacheLine(line_addr, state, buf), source, cycles
+            return CacheLine(line_addr, state, buf), source
         line, evicted = cache.fill(line_addr, buf, state)
         if evicted is not None and evicted.state is CacheState.MODIFIED:
             self._writeback(evicted)
-        return line, source, cycles
+        return line, source
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)
@@ -316,40 +284,35 @@ class CoherentInterconnect:
         allocate: bool = True,
         klass: str = KLASS_DATA,
     ):
-        """Full-line coherent read: (payload copy, source, cycles)."""
-        line, source, cycles = self._ensure_line(cache, line_addr, kind, allocate, klass)
-        return bytes(line.payload), source, cycles
+        """Full-line coherent read: (payload copy, source)."""
+        line, source = self._ensure_line(cache, line_addr, kind, allocate, klass)
+        return bytes(line.payload), source
 
-    def read_byte(self, cache, addr: int):
-        line_addr = addr & ~_LINE_MASK
-        line, _, cycles = self._ensure_line(
-            cache, line_addr, SnoopKind.READ_SHARED, True, KLASS_DATA
+    def read_byte(self, cache, addr: int) -> int:
+        line, _ = self._ensure_line(
+            cache, addr & ~_LINE_MASK, SnoopKind.READ_SHARED, True, KLASS_DATA
         )
-        return line.payload[addr & _LINE_MASK], cycles
+        return line.payload[addr & _LINE_MASK]
 
-    def write_byte(self, cache, addr: int, value: int) -> int:
-        line_addr = addr & ~_LINE_MASK
-        line, _, cycles = self._ensure_line(
-            cache, line_addr, SnoopKind.READ_UNIQUE, True, KLASS_DATA
+    def write_byte(self, cache, addr: int, value: int):
+        line, _ = self._ensure_line(
+            cache, addr & ~_LINE_MASK, SnoopKind.READ_UNIQUE, True, KLASS_DATA
         )
         line.payload[addr & _LINE_MASK] = value & 0xFF
         line.state = CacheState.MODIFIED
-        return cycles
 
     def walk_read(self, cache, pte_addr: int, allocate: bool):
         """Fetch the 8-byte descriptor containing pte_addr.
 
-        Returns (raw, source, cycles).  The containing 64-byte line is the
+        Returns (raw, source).  The containing 64-byte line is the
         coherence unit; `allocate=False` keeps it out of the requester's
         cache, modeling a non-allocating table walker.
         """
-        line_addr = pte_addr & ~_LINE_MASK
-        line, source, cycles = self._ensure_line(
-            cache, line_addr, SnoopKind.READ_SHARED, allocate, KLASS_WALK
+        line, source = self._ensure_line(
+            cache, pte_addr & ~_LINE_MASK, SnoopKind.READ_SHARED, allocate, KLASS_WALK
         )
         off = pte_addr & _LINE_MASK
-        raw = int.from_bytes(line.payload[off : off + 8], "little")
-        return raw, source, cycles
+        return int.from_bytes(line.payload[off : off + 8], "little"), source
 
     def invalidate_line(self, cache, line_addr: int):
         """Drop a line from the cache, writing Modified data back first."""

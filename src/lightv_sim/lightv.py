@@ -32,7 +32,7 @@ from typing import Optional
 
 from . import addressing
 from .addressing import PAGE_SHIFT, PAGE_SIZE, decode_pte, encode_pte
-from .coherence import LINE_BYTES, SnoopRequest, SnoopResponse
+from .coherence import LINE_BYTES
 
 WM_LEVEL_BITS = 2
 WM_CONTEXT_BITS = 12
@@ -154,12 +154,6 @@ class CaptureWatch:
     """Data line intercepted during a migration window; served from src."""
 
     src_line: int
-
-
-@dataclass
-class WmMatch:
-    level: int
-    ctx: TranslationContext
 
 
 class LightV:
@@ -302,35 +296,35 @@ class LightV:
 
     # -- snoop handling -------------------------------------------------------
 
-    def handle_snoop(self, req: SnoopRequest) -> SnoopResponse:
-        """ACK with fabricated content when the line is on a watched path."""
+    def handle_snoop(self, line_addr: int):
+        """The fabric's agent callable: None (NACK), or (payload,
+        serve_cycles) (ACK) with fabricated content when the line is on a
+        watched path.  Serving costs `lightv` plus `dram` per DRAM line
+        read."""
         self.snoops_seen += 1
         if self.mode is not LightVMode.ACTIVE:
-            return SnoopResponse.nack()
-        match = self.path_check(req.line_addr)
+            return None
+        match = self.path_check(line_addr)
         if match is None:
-            return SnoopResponse.nack()
+            return None
         self.matches += 1
         if isinstance(match, CaptureWatch):
             payload = self.dram.read_line(match.src_line)
             self.data_captures += 1
-            return SnoopResponse.ack(payload, self.lat.lightv + self.lat.dram)
+            return payload, self.lat.lightv + self.lat.dram
         reads_before = self.dram.reads
-        if isinstance(match, PgdWatch):
-            backing = self.dram.read_line(req.line_addr)
-            payload = self.manipulate_line(backing, 0, match, req.line_addr)
-        else:
-            payload = self.manipulate_line(bytes(LINE_BYTES), match.level, match, req.line_addr)
+        payload = self.manipulate_line(match, line_addr)
         self.lines_manipulated += 1
-        reads = self.dram.reads - reads_before
-        return SnoopResponse.ack(payload, self.lat.lightv + self.lat.dram * reads)
+        return payload, self.lat.lightv + self.lat.dram * (self.dram.reads - reads_before)
 
     def path_check(self, line_addr: int):
         """Watch-set membership plus the watermark-window decode path.
 
-        Returns the matching watch entry / watermark context, or None.
-        A watermark line whose context is gone counts as a context-cache
-        loss and is not claimed, leaving the unbacked read to fail loudly.
+        Returns the matching watch entry, the TranslationContext a
+        watermark line decodes to (its level already checked against the
+        watermark's), or None.  A watermark line whose context is gone
+        counts as a context-cache loss and is not claimed, leaving the
+        unbacked read to fail loudly.
         """
         entry = self.watch.get(line_addr)
         if entry is not None:
@@ -342,20 +336,23 @@ class LightV:
             if ctx is None or ctx.level != level:
                 self.context_lost += 1
                 return None
-            return WmMatch(level, ctx)
+            return ctx
         return None
 
-    def manipulate_line(self, payload: bytes, level: int, match, line_addr: int) -> bytes:
-        """Rewrite the on-path descriptors of one 64-byte chunk.
+    def manipulate_line(self, match, line_addr: int) -> bytearray:
+        """Build the served content of one 64-byte chunk on a watched path.
 
-        Level 0 starts from the real line content; watermark chunks start
-        blank and are synthesized against the live table the context
-        shadows.  Only whole 8-byte entries on targeted paths change;
-        every other byte of the input is preserved.
+        `match` is what `path_check` returned: a PgdWatch (level 0) or a
+        TranslationContext (level 1 or 2).  Level 0 starts from the real
+        line content read from DRAM; watermark chunks start blank and are
+        synthesized against the live table the context shadows.  Only
+        whole 8-byte entries on targeted paths change; every other byte
+        of the real line is preserved.
         """
-        if level == 0:
-            return bytes(self._rewrite_watched_line(bytearray(payload), match))
-        return bytes(self._synthesize_wm_chunk(line_addr, match.ctx))
+        if match.level == 0:
+            real = bytearray(self.dram.read_line(line_addr))
+            return self._rewrite_watched_line(real, match)
+        return self._synthesize_wm_chunk(line_addr, match)
 
     def _rewrite_watched_line(self, buf: bytearray, watch: PgdWatch) -> bytearray:
         for asid, i0, pgd_base in watch.slots:
@@ -429,10 +426,12 @@ class LightV:
         `pairs` maps destination line -> source line.  While the window is
         open, dirty writebacks of captured destination lines are mirrored
         to the source so a later bulk copy cannot clobber newer data.
+        Every pair is checked before any is installed: a call that raises
+        leaves the agent as it found it.
         """
+        if any(dst & _LINE_MASK or src & _LINE_MASK for dst, src in pairs.items()):
+            raise ValueError("capture lines must be 64-byte aligned")
         for dst, src in pairs.items():
-            if dst & _LINE_MASK or src & _LINE_MASK:
-                raise ValueError("capture lines must be 64-byte aligned")
             self.watch[dst] = CaptureWatch(src)
         self._mirror.update(pairs)
         self.mode = LightVMode.ACTIVE

@@ -466,7 +466,7 @@ class Machine:
 
     def _invalidate(self, tlb_ranges, lines):
         for asid, va_start, va_end in tlb_ranges:
-            self.mmu.tlb_invalidate_range(asid, va_start, va_end)
+            self.tlb.invalidate_range(asid, va_start, va_end)
         for line in lines:
             self.cci.invalidate_line(self.cache, line)
 

@@ -13,8 +13,6 @@ from . import addressing
 from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
 from .coherence import LINE_SHIFT, CacheState
 
-ALL = object()  # wildcard for tlb_invalidate
-
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 _LINE_MASK = (1 << LINE_SHIFT) - 1
 _SHARED, _MODIFIED = CacheState.SHARED, CacheState.MODIFIED
@@ -61,18 +59,6 @@ class Tlb:
             self._entries.popitem(last=False)
         self._entries[key] = (pa_frame, attrs)
         self._entries.move_to_end(key)
-
-    def invalidate(self, asid=ALL, va_page=ALL):
-        if asid is ALL and va_page is ALL:
-            self._entries.clear()
-            return
-        doomed = [
-            key
-            for key in self._entries
-            if (asid is ALL or key[0] == asid) and (va_page is ALL or key[1] == va_page)
-        ]
-        for key in doomed:
-            del self._entries[key]
 
     def invalidate_range(self, asid: int, va_start: int, va_end: int):
         lo, hi = va_start >> PAGE_SHIFT, (va_end - 1) >> PAGE_SHIFT
@@ -161,7 +147,7 @@ class Mmu:
         pfn = attrs = 0
         for level in range(addressing.LEVELS):
             pte_addr = base + indices[level] * PTE_BYTES
-            raw, source, _ = self.cci.walk_read(self.cache, pte_addr, self.cache_ptes)
+            raw, source = self.cci.walk_read(self.cache, pte_addr, self.cache_ptes)
             trace.append(WalkStep(level, pte_addr, raw, source))
             present, pfn, attrs = addressing.decode_pte(raw)
             if not present:
@@ -201,7 +187,7 @@ class Mmu:
             if write:
                 self.cci.write_byte(self.cache, pa, value)
                 return None
-            return self.cci.read_byte(self.cache, pa)[0]
+            return self.cci.read_byte(self.cache, pa)
         ways.move_to_end(line_addr)
         self._counters.data_hits += 1
         self._clock.now += self._lat.cache_hit
@@ -210,9 +196,3 @@ class Mmu:
             line.state = _MODIFIED
             return None
         return line.payload[pa & _LINE_MASK]
-
-    def tlb_invalidate(self, asid=ALL, va_page=ALL):
-        self.tlb.invalidate(asid, va_page)
-
-    def tlb_invalidate_range(self, asid: int, va_start: int, va_end: int):
-        self.tlb.invalidate_range(asid, va_start, va_end)

@@ -184,8 +184,6 @@ class OverheadExperiment:
     hot_contents: dict
     expected_hot: bytes
     active_original_untouched: bool = True
-    passive_epsilon: float = PASSIVE_OVERHEAD_EPSILON
-    active_max: float = ACTIVE_OVERHEAD_MAX
 
     @property
     def functional_equal(self) -> bool:
@@ -196,13 +194,13 @@ class OverheadExperiment:
     def passive_ok(self) -> bool:
         if self.passive_overhead is None:
             return True
-        return abs(self.passive_overhead.relative) < self.passive_epsilon
+        return abs(self.passive_overhead.relative) < PASSIVE_OVERHEAD_EPSILON
 
     @property
     def active_ok(self) -> bool:
         if self.active_overhead is None:
             return True
-        return 0.0 < self.active_overhead.relative < self.active_max
+        return 0.0 < self.active_overhead.relative < ACTIVE_OVERHEAD_MAX
 
     @property
     def ok(self) -> bool:

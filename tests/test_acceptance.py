@@ -209,7 +209,8 @@ def test_criterion_5_coherence_invariant_suite():
                 pa, _ = m.mmu.translate(0, va)
                 m.cci.invalidate_line(m.cache, pa & ~63)
             else:
-                m.mmu.tlb_invalidate(0, va >> 12)
+                page = va & ~4095
+                m.tlb.invalidate_range(0, page, page + 4096)
             if i % 2000 == 0:
                 _assert_single_writer([m])
             total += 1

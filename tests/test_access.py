@@ -90,7 +90,7 @@ def run_layered(m, trace):
         if op == "W":
             m.cci.write_byte(m.cache, pa, value)
         else:
-            values.append(m.cci.read_byte(m.cache, pa)[0])
+            values.append(m.cci.read_byte(m.cache, pa))
     return values, faults
 
 

@@ -8,8 +8,6 @@ from lightv_sim.coherence import (
     FabricGap,
     LatencyConfig,
     SnoopKind,
-    SnoopResponse,
-    Verdict,
 )
 
 from helpers import Fabric
@@ -60,13 +58,32 @@ def test_lru_eviction_matches_shadow_model():
         assert (cache.lookup(addr) is not None) == shadow.contains(addr)
 
 
+def nack(line_addr):
+    return None
+
+
 def test_snoop_response_validation():
-    with pytest.raises(ValueError):
-        SnoopResponse(Verdict.ACK, None)
-    with pytest.raises(ValueError):
-        SnoopResponse(Verdict.ACK, b"\x00" * 8)
-    with pytest.raises(ValueError):
-        SnoopResponse(Verdict.NACK, b"\x00" * 64)
+    # the fabric rejects a malformed ACK before it counts or charges it
+    cases = [
+        ((None, 0), "full line"),
+        ((bytes(8), 0), "full line"),
+        ((bytes(64), -1), "serve cycles"),
+    ]
+    for ack, message in cases:
+        f = Fabric()
+        f.cci.register_agent(lambda line_addr, ack=ack: ack)
+        with pytest.raises(ValueError, match=message):
+            f.cci.coherent_read(f.cache, line_of(0))
+        assert f.counters.snoops_acked == 0
+        assert f.clock.now == 0 and f.cache.lookup(line_of(0)) is None
+
+
+def test_misaligned_read_fails_before_anything_moves(fabric):
+    fabric.cci.register_agent(nack)
+    with pytest.raises(ValueError, match="not line-aligned"):
+        fabric.cci.coherent_read(fabric.cache, line_of(0) + 8)
+    assert fabric.counters.snapshot() == dict.fromkeys(fabric.counters.FIELDS, 0)
+    assert fabric.clock.now == 0 and fabric.dram.reads == 0
 
 
 def test_latency_validation():
@@ -76,40 +93,41 @@ def test_latency_validation():
 
 def test_read_no_agents_comes_from_dram(fabric):
     fabric.dram.write_line(line_of(0), bytes([7]) * 64)
-    payload, source, cycles = fabric.cci.coherent_read(fabric.cache, line_of(0))
+    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(0))
     assert payload == bytes([7]) * 64
     assert source == "DRAM"
-    assert cycles == fabric.lat.cci + fabric.lat.dram
+    assert fabric.clock.now == fabric.lat.cci + fabric.lat.dram
 
 
 def test_second_read_hits_cache_without_snoops(fabric):
-    fabric.cci.register_agent(lambda req: SnoopResponse.nack())
+    fabric.cci.register_agent(nack)
     fabric.cci.coherent_read(fabric.cache, line_of(1))
     issued = fabric.counters.snoops_issued
-    payload, source, cycles = fabric.cci.coherent_read(fabric.cache, line_of(1))
+    before = fabric.clock.now
+    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(1))
     assert source == "CACHE"
-    assert cycles == fabric.lat.cache_hit
+    assert fabric.clock.now - before == fabric.lat.cache_hit
     assert fabric.counters.snoops_issued == issued
 
 
 def test_agent_ack_short_circuits_dram(fabric):
     canned = bytes(range(64))
-    fabric.cci.register_agent(lambda req: SnoopResponse.ack(canned, 5))
+    fabric.cci.register_agent(lambda line_addr: (canned, 5))
     reads_before = fabric.dram.reads
-    payload, source, cycles = fabric.cci.coherent_read(fabric.cache, line_of(2))
+    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(2))
     assert payload == canned
     assert source == "SNOOPED"
     assert fabric.dram.reads == reads_before  # the fabric never touched DRAM
-    assert cycles == fabric.lat.cci + fabric.lat.snoop + 5
+    assert fabric.clock.now == fabric.lat.cci + fabric.lat.snoop + 5
     assert fabric.counters.snoops_acked == 1
 
 
 def test_unique_read_refreshes_a_shared_line_even_without_allocate(fabric):
     answers = iter([bytes([1]) * 64, bytes([2]) * 64])
-    fabric.cci.register_agent(lambda req: SnoopResponse.ack(next(answers)))
+    fabric.cci.register_agent(lambda line_addr: (next(answers), 0))
     fabric.cci.coherent_read(fabric.cache, line_of(2))
     assert fabric.cache.lookup(line_of(2)).state is CacheState.SHARED
-    payload, source, _ = fabric.cci.coherent_read(
+    payload, source = fabric.cci.coherent_read(
         fabric.cache, line_of(2), SnoopKind.READ_UNIQUE, allocate=False
     )
     line = fabric.cache.lookup(line_of(2))
@@ -121,25 +139,25 @@ def test_unique_read_refreshes_a_shared_line_even_without_allocate(fabric):
 def test_first_ack_wins_in_registration_order(fabric):
     calls = []
 
-    def agent(name, resp):
-        def handler(req):
+    def agent(name, ack):
+        def handler(line_addr):
             calls.append(name)
-            return resp
+            return ack
 
         return handler
 
-    fabric.cci.register_agent(agent("a", SnoopResponse.ack(bytes([1]) * 64)))
-    fabric.cci.register_agent(agent("b", SnoopResponse.ack(bytes([2]) * 64)))
-    payload, _, _ = fabric.cci.coherent_read(fabric.cache, line_of(3))
+    fabric.cci.register_agent(agent("a", (bytes([1]) * 64, 0)))
+    fabric.cci.register_agent(agent("b", (bytes([2]) * 64, 0)))
+    payload, _ = fabric.cci.coherent_read(fabric.cache, line_of(3))
     assert payload == bytes([1]) * 64
     assert calls == ["a"]  # second agent never consulted
 
 
 def test_all_nack_falls_back_to_dram(fabric):
-    fabric.cci.register_agent(lambda req: SnoopResponse.nack())
-    fabric.cci.register_agent(lambda req: SnoopResponse.nack())
+    fabric.cci.register_agent(nack)
+    fabric.cci.register_agent(nack)
     fabric.dram.write_line(line_of(4), bytes([9]) * 64)
-    payload, source, _ = fabric.cci.coherent_read(fabric.cache, line_of(4))
+    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(4))
     assert (payload, source) == (bytes([9]) * 64, "DRAM")
 
 
@@ -149,15 +167,14 @@ def test_silent_agent_changes_nothing():
     def run(with_agent):
         f = Fabric()
         if with_agent:
-            f.cci.register_agent(lambda req: SnoopResponse.nack())
+            f.cci.register_agent(nack)
         values = []
         for n, is_write in ops:
             addr = line_of(n) + (n % 64)
             if is_write:
                 f.cci.write_byte(f.cache, addr, n & 0xFF)
             else:
-                value, _ = f.cci.read_byte(f.cache, addr)
-                values.append(value)
+                values.append(f.cci.read_byte(f.cache, addr))
         return values, f.clock.now, f.cache.snapshot()
 
     assert run(False) == run(True)
@@ -166,7 +183,7 @@ def test_silent_agent_changes_nothing():
 def test_registration_after_start_rejected(fabric):
     fabric.cci.coherent_read(fabric.cache, line_of(0))
     with pytest.raises(RuntimeError):
-        fabric.cci.register_agent(lambda req: SnoopResponse.nack())
+        fabric.cci.register_agent(nack)
 
 
 def test_invalidate_absent_line_is_noop(fabric):
@@ -188,13 +205,14 @@ def test_write_sets_modified_and_read_returns_it(fabric):
     fabric.cci.write_byte(fabric.cache, addr, 0xEE)
     line = fabric.cache.lookup(line_of(6))
     assert line.state is CacheState.MODIFIED
-    value, cycles = fabric.cci.read_byte(fabric.cache, addr)
-    assert value == 0xEE and cycles == fabric.lat.cache_hit
+    before = fabric.clock.now
+    assert fabric.cci.read_byte(fabric.cache, addr) == 0xEE
+    assert fabric.clock.now - before == fabric.lat.cache_hit
 
 
 def test_read_unique_upgrades_shared_line(fabric):
     # a snoop-supplied fill lands Shared; writing it requires a fabric trip
-    fabric.cci.register_agent(lambda req: SnoopResponse.ack(bytes(64)))
+    fabric.cci.register_agent(lambda line_addr: (bytes(64), 0))
     fabric.cci.coherent_read(fabric.cache, line_of(7), SnoopKind.READ_SHARED)
     assert fabric.cache.lookup(line_of(7)).state is CacheState.SHARED
     misses = fabric.counters.data_misses
@@ -231,8 +249,7 @@ def test_reads_match_flat_shadow():
         elif rng.random() < 0.05:
             f.cci.invalidate_line(f.cache, addr & ~63)
         else:
-            value, _ = f.cci.read_byte(f.cache, addr)
-            assert value == shadow.get(addr, 0)
+            assert f.cci.read_byte(f.cache, addr) == shadow.get(addr, 0)
 
 
 def test_determinism_bitwise():

@@ -4,14 +4,13 @@ import pytest
 
 from lightv_sim import lightv as lv
 from lightv_sim.addressing import ATTR_CACHEABLE, ATTR_WRITABLE, decode_pte
-from lightv_sim.coherence import FabricGap, SnoopKind, SnoopRequest, Verdict
+from lightv_sim.coherence import FabricGap
 from lightv_sim.lightv import (
     IsolationError,
     LightVMode,
     RewriteRule,
     RuleError,
     WatermarkWindow,
-    WmMatch,
     parse_rules,
 )
 
@@ -34,10 +33,6 @@ def one_rule_machine(target=8 << 30, pages_extra=(), rule_pages=1, **overrides):
     repl = 0xA0000
     rule = RewriteRule(1, 0, target, target + rule_pages * 4096, repl)
     return m, rule, repl
-
-
-def snoop(line_addr):
-    return SnoopRequest(line_addr, SnoopKind.READ_SHARED)
 
 
 # -- watermark codec ---------------------------------------------------------
@@ -76,8 +71,7 @@ def test_empty_rule_list_behaves_passive():
     m, _, _ = one_rule_machine()
     m.activate_rules([])
     assert m.lightv.watch == {}
-    resp = m.lightv.handle_snoop(snoop(m.spaces[0].pgd_base))
-    assert resp.verdict is Verdict.NACK
+    assert m.lightv.handle_snoop(m.spaces[0].pgd_base) is None
 
 
 def test_single_rule_watches_the_pgd_line():
@@ -228,16 +222,14 @@ def test_strict_accepts_joint_coverage():
 def test_snoop_unrelated_line_nacks():
     m, rule, _ = one_rule_machine()
     m.activate_rules([rule])
-    resp = m.lightv.handle_snoop(snoop(0x8000_0000))
-    assert resp.verdict is Verdict.NACK
+    assert m.lightv.handle_snoop(0x8000_0000) is None
 
 
 def test_passive_mode_always_nacks():
     m = make_machine("passive")
     m.register_space(0, [(8 << 30, 0x90000, RW)])
     assert m.lightv.mode is LightVMode.PASSIVE
-    resp = m.lightv.handle_snoop(snoop(m.spaces[0].pgd_base))
-    assert resp.verdict is Verdict.NACK
+    assert m.lightv.handle_snoop(m.spaces[0].pgd_base) is None
     assert m.lightv.snoops_seen == 1
 
 
@@ -247,22 +239,25 @@ def test_watched_line_differs_only_at_target_entries():
     m.activate_rules([rule])
     line_addr = next(iter(m.lightv.watch))
     real = m.dram.read_line(line_addr)
-    resp = m.lightv.handle_snoop(snoop(line_addr))
-    assert resp.verdict is Verdict.ACK
+    reads = m.dram.reads
+    payload, serve_cycles = m.lightv.handle_snoop(line_addr)
+    assert len(payload) == 64
+    assert serve_cycles == m.config.latencies.lightv + m.config.latencies.dram
+    assert m.dram.reads == reads + 1  # the real line, read once
     changed = {
         i // 8
         for i in range(64)
-        if resp.payload[i] != real[i]
+        if payload[i] != real[i]
     }
     assert changed == {8 % 8}  # only the target's slot within the line
     # the rewritten entry is present and points into the watermark window
-    raw = int.from_bytes(resp.payload[0:8], "little")
+    raw = int.from_bytes(payload[0:8], "little")
     present, pfn, attrs = decode_pte(raw)
     assert present and m.lightv.window.contains_pfn(pfn)
     assert m.lightv.window.decode(pfn)[0] == 1
     # neighbouring entries decode to real frames, never watermarks
     for slot in range(1, 8):
-        raw = int.from_bytes(resp.payload[slot * 8 : slot * 8 + 8], "little")
+        raw = int.from_bytes(payload[slot * 8 : slot * 8 + 8], "little")
         _, pfn, _ = decode_pte(raw)
         assert not m.lightv.window.contains_pfn(pfn)
 
@@ -275,8 +270,11 @@ def test_path_check_states():
     assert m.lightv.path_check(0x8000_0000) is None
     ctx = m.lightv._ctx_by_key[(0, (8,))]
     wm_line = m.lightv.window.encode(1, ctx.context_id) << 12
-    match = m.lightv.path_check(wm_line)
-    assert isinstance(match, WmMatch) and match.level == 1 and match.ctx is ctx
+    assert m.lightv.path_check(wm_line) is ctx
+    # a watermark whose level disagrees with its context is a lost context
+    wrong_level = m.lightv.window.encode(2, ctx.context_id) << 12
+    assert m.lightv.path_check(wrong_level) is None
+    assert m.lightv.context_lost == 1
 
 
 def test_leaf_chunk_carries_replacement_and_merged_attrs():
@@ -288,8 +286,8 @@ def test_leaf_chunk_carries_replacement_and_merged_attrs():
     m.mmu.translate(0, 8 << 30)  # populate context table bases via the walk
     ctx = m.lightv._ctx_by_key[(0, (8, 0))]
     wm_frame = m.lightv.window.encode(2, ctx.context_id) << 12
-    resp = m.lightv.handle_snoop(snoop(wm_frame))  # chunk holding index2 = 0
-    raw = int.from_bytes(resp.payload[0:8], "little")
+    payload, _ = m.lightv.handle_snoop(wm_frame)  # chunk holding index2 = 0
+    raw = int.from_bytes(payload[0:8], "little")
     present, pfn, attrs = decode_pte(raw)
     assert (present, pfn) == (True, repl)
     assert attrs == RW | ATTR_WRITABLE  # original attrs merged with override
@@ -301,8 +299,8 @@ def test_wm_chunk_off_path_slots_are_blank():
     m.mmu.translate(0, 8 << 30)
     ctx = m.lightv._ctx_by_key[(0, (8, 0))]
     wm_frame = m.lightv.window.encode(2, ctx.context_id) << 12
-    resp = m.lightv.handle_snoop(snoop(wm_frame))
-    assert resp.payload[8:] == bytes(56)  # everything but the single leaf slot
+    payload, _ = m.lightv.handle_snoop(wm_frame)
+    assert payload[8:] == bytes(56)  # everything but the single leaf slot
 
 
 def test_manipulate_line_identity_off_path():
@@ -313,16 +311,15 @@ def test_manipulate_line_identity_off_path():
     # a chunk whose slots are all outside the rule's index1 span
     off_path_line = wm_frame + 8 * 64
     match = m.lightv.path_check(off_path_line)
-    out = m.lightv.manipulate_line(bytes(64), 1, match, off_path_line)
-    assert out == bytes(64)
+    assert match is ctx
+    assert m.lightv.manipulate_line(match, off_path_line) == bytes(64)
 
 
 def test_context_lost_is_diagnosed_and_unclaimed():
     m, rule, _ = one_rule_machine()
     m.activate_rules([rule])
     dead_line = m.lightv.window.encode(2, 99) << 12  # no such context
-    resp = m.lightv.handle_snoop(snoop(dead_line))
-    assert resp.verdict is Verdict.NACK
+    assert m.lightv.handle_snoop(dead_line) is None
     assert m.lightv.context_lost == 1
     with pytest.raises(FabricGap):
         m.cci.coherent_read(m.cache, dead_line)
@@ -350,6 +347,18 @@ def test_failed_activation_leaves_no_trace():
     assert m.lightv._rule_for(0, 0) is None
     m.activate_rules([RewriteRule(9, 0, 11 << 30, (11 << 30) + 4096, 0xA0000)])
     assert m.mmu.translate(0, 11 << 30)[0] == 0xA0000 << 12
+
+
+def test_failed_capture_leaves_no_trace():
+    # the second pair's source is misaligned; the first pair is good
+    m, rule, _ = one_rule_machine()
+    pairs = {0x9100_0000: 0x9200_0000, 0x9100_0040: 0x9200_0001}
+    with pytest.raises(ValueError, match="aligned"):
+        m.lightv.begin_page_capture(pairs)
+    assert m.lightv.watch == {} and m.lightv._mirror == {}
+    assert m.lightv.mode is LightVMode.PASSIVE
+    m.activate_rules([rule])
+    assert m.lightv.handle_snoop(0x9100_0000) is None  # not served from 0x92000000
 
 
 # -- end-to-end redirection, transparency, deactivation -------------------------
@@ -468,11 +477,11 @@ def test_watch_set_grows_during_walk():
     line_addr = next(iter(m.lightv.watch))
     ctx1 = m.lightv._ctx_by_key[(0, (8,))]
     assert ctx1.original_table_addr is not None  # seeded at activation
-    m.lightv.handle_snoop(snoop(line_addr))
+    m.lightv.handle_snoop(line_addr)
     # serving level 0 refreshed the level-1 context; its chunk then
     # resolves the leaf context before the walker can request it
     wm1 = m.lightv.window.encode(1, ctx1.context_id) << 12
-    m.lightv.handle_snoop(snoop(wm1))
+    m.lightv.handle_snoop(wm1)
     ctx2 = m.lightv._ctx_by_key[(0, (8, 0))]
     assert ctx2.original_table_addr is not None
 

