@@ -13,5 +13,5 @@ from .addressing import (  # noqa: F401
     split_va,
 )
 from .coherence import Cache, CoherentInterconnect, LatencyConfig  # noqa: F401
-from .lightv import LightV, LightVMode, RewriteRule, WatermarkWindow  # noqa: F401
+from .lightv import LightV, RewriteRule, WatermarkWindow  # noqa: F401
 from .machine import Machine, MachineConfig, RunStats, compare_runs  # noqa: F401

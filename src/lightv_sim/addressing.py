@@ -34,7 +34,7 @@ _INDEX_MASK = ENTRIES_PER_TABLE - 1
 _OFFSET_MASK = PAGE_SIZE - 1
 _PFN_MASK = (1 << PFN_BITS) - 1
 
-_ATTR_CHARS = (("w", ATTR_WRITABLE), ("c", ATTR_CACHEABLE), ("u", ATTR_USER))
+_ATTR_FLAGS = {"w": ATTR_WRITABLE, "c": ATTR_CACHEABLE, "u": ATTR_USER}
 
 
 class TranslationFault(Exception):
@@ -44,13 +44,12 @@ class TranslationFault(Exception):
     that was consulted, which fault-handling scenarios inspect.
     """
 
-    def __init__(self, level: int, pte_address: int, trace=None):
+    def __init__(self, level: int, pte_address: int):
         super().__init__(
             f"translation fault at level {level}, pte @ {pte_address:#x}"
         )
         self.level = level
         self.pte_address = pte_address
-        self.trace = trace if trace is not None else []
 
 
 class MappingError(ValueError):
@@ -82,19 +81,6 @@ def split_va(va: int):
     )
 
 
-def join_va(index0: int, index1: int, index2: int, offset: int) -> int:
-    """Recombine the four fields produced by split_va."""
-    for name, value, bits in (
-        ("index0", index0, INDEX_BITS),
-        ("index1", index1, INDEX_BITS),
-        ("index2", index2, INDEX_BITS),
-        ("offset", offset, PAGE_SHIFT),
-    ):
-        if value < 0 or value >> bits:
-            raise ValueError(f"{name} out of range: {value:#x}")
-    return (index0 << 30) | (index1 << 21) | (index2 << PAGE_SHIFT) | offset
-
-
 def encode_pte(present: bool, pfn: int, attrs: int = 0) -> int:
     """Pack a descriptor word from its fields."""
     if pfn < 0 or pfn >> PFN_BITS:
@@ -120,20 +106,13 @@ def decode_pte(raw: int):
     )
 
 
-def attrs_to_flags(attrs: int) -> str:
-    """Render an attribute set as flag characters, '-' when empty."""
-    s = "".join(ch for ch, bit in _ATTR_CHARS if attrs & bit)
-    return s or "-"
-
-
 def parse_attr_flags(text: str) -> int:
     """Parse flag characters ('w', 'c', 'u', or '-' for none)."""
     if text in ("", "-"):
         return 0
     attrs = 0
-    table = dict(_ATTR_CHARS)
     for ch in text:
-        bit = table.get(ch.lower())
+        bit = _ATTR_FLAGS.get(ch.lower())
         if bit is None:
             raise MappingError(f"unknown attribute flag {ch!r}")
         attrs |= bit
@@ -226,13 +205,6 @@ def parse_mappings(text: str):
         attrs = parse_attr_flags(parts[2]) if len(parts) == 3 else 0
         mappings.append((va, pfn, attrs))
     return mappings
-
-
-def format_mappings(mappings) -> str:
-    lines = [
-        f"{va:#x} {pfn:#x} {attrs_to_flags(attrs)}" for va, pfn, attrs in mappings
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _hex_field(text: str) -> int:

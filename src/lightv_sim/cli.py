@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
             expected = _walk_outcome(
                 lambda: addressing.reference_walk(space, va, m.dram)
             )
-            got = _walk_outcome(lambda: m.mmu.translate(0, va)[0])
+            got = _walk_outcome(lambda: m.mmu.translate(0, va))
             checked += 1
             if expected != got:
                 print(

@@ -41,10 +41,6 @@ class SnoopKind(Enum):
     READ_UNIQUE = "read-unique"
 
 
-SOURCE_CACHE = "CACHE"
-SOURCE_SNOOPED = "SNOOPED"
-SOURCE_DRAM = "DRAM"
-
 KLASS_DATA = "data"
 KLASS_WALK = "walk"
 
@@ -184,7 +180,8 @@ class CoherentInterconnect:
         self.counters = counters
         self.clock = clock
         self.agents = []
-        self.writeback_hooks = []
+        # Called as hook(line_addr, payload) after each dirty writeback.
+        self.writeback_hook = None
         self.started = False
 
     def register_agent(self, handler) -> int:
@@ -193,15 +190,12 @@ class CoherentInterconnect:
         self.agents.append(handler)
         return len(self.agents) - 1
 
-    def add_writeback_hook(self, hook):
-        self.writeback_hooks.append(hook)
-
     # -- transaction core ---------------------------------------------------
 
     def _ensure_line(self, cache, line_addr, kind, allocate, klass):
         """Resolve a line into the requester's cache (or transiently).
 
-        Returns (CacheLine, source).  The cycles are charged to the clock
+        Returns the CacheLine.  The cycles are charged to the clock
         here, the single accounting point for fabric traffic.  `probe`'s
         answer holds for the whole transaction: no agent touches the
         requester's cache while it serves a snoop.  An agent's ACK is
@@ -221,7 +215,7 @@ class CoherentInterconnect:
             else:
                 c.data_hits += 1
             self.clock.now += lat.cache_hit
-            return line, SOURCE_CACHE
+            return line
 
         if klass == KLASS_WALK:
             c.walk_reads += 1
@@ -249,10 +243,8 @@ class CoherentInterconnect:
                 raise FabricGap(line_addr)
             payload = self.dram.read_line(line_addr)
             cycles += lat.dram
-            source = SOURCE_DRAM
             state = CacheState.EXCLUSIVE
         else:
-            source = SOURCE_SNOOPED
             state = (
                 CacheState.SHARED
                 if kind is SnoopKind.READ_SHARED
@@ -261,41 +253,29 @@ class CoherentInterconnect:
 
         self.clock.now += cycles
         buf = bytearray(payload)
-        if not (allocate or line is not None):
-            return CacheLine(line_addr, state, buf), source
+        if not allocate:
+            return CacheLine(line_addr, state, buf)
         line, evicted = cache.fill(line_addr, buf, state)
         if evicted is not None and evicted.state is CacheState.MODIFIED:
             self._writeback(evicted)
-        return line, source
+        return line
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)
         self.counters.writebacks += 1
-        for hook in self.writeback_hooks:
-            hook(line.tag, line.payload)
+        if self.writeback_hook is not None:
+            self.writeback_hook(line.tag, line.payload)
 
     # -- public operations ---------------------------------------------------
 
-    def coherent_read(
-        self,
-        cache,
-        line_addr: int,
-        kind: SnoopKind = SnoopKind.READ_SHARED,
-        allocate: bool = True,
-        klass: str = KLASS_DATA,
-    ):
-        """Full-line coherent read: (payload copy, source)."""
-        line, source = self._ensure_line(cache, line_addr, kind, allocate, klass)
-        return bytes(line.payload), source
-
     def read_byte(self, cache, addr: int) -> int:
-        line, _ = self._ensure_line(
+        line = self._ensure_line(
             cache, addr & ~_LINE_MASK, SnoopKind.READ_SHARED, True, KLASS_DATA
         )
         return line.payload[addr & _LINE_MASK]
 
     def write_byte(self, cache, addr: int, value: int):
-        line, _ = self._ensure_line(
+        line = self._ensure_line(
             cache, addr & ~_LINE_MASK, SnoopKind.READ_UNIQUE, True, KLASS_DATA
         )
         line.payload[addr & _LINE_MASK] = value & 0xFF
@@ -304,15 +284,15 @@ class CoherentInterconnect:
     def walk_read(self, cache, pte_addr: int, allocate: bool):
         """Fetch the 8-byte descriptor containing pte_addr.
 
-        Returns (raw, source).  The containing 64-byte line is the
+        Returns the raw descriptor.  The containing 64-byte line is the
         coherence unit; `allocate=False` keeps it out of the requester's
         cache, modeling a non-allocating table walker.
         """
-        line, source = self._ensure_line(
+        line = self._ensure_line(
             cache, pte_addr & ~_LINE_MASK, SnoopKind.READ_SHARED, allocate, KLASS_WALK
         )
         off = pte_addr & _LINE_MASK
-        return int.from_bytes(line.payload[off : off + 8], "little"), source
+        return int.from_bytes(line.payload[off : off + 8], "little")
 
     def invalidate_line(self, cache, line_addr: int):
         """Drop a line from the cache, writing Modified data back first."""

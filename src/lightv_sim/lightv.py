@@ -27,7 +27,6 @@ scenarios reproduce.
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from . import addressing
@@ -41,11 +40,6 @@ WM_SPAN_FRAMES = 1 << (WM_LEVEL_BITS + WM_CONTEXT_BITS)
 
 _LINE_MASK = LINE_BYTES - 1
 _FRAME_OFF_MASK = PAGE_SIZE - 1
-
-
-class LightVMode(Enum):
-    PASSIVE = "passive"
-    ACTIVE = "active"
 
 
 class RuleError(ValueError):
@@ -164,7 +158,6 @@ class LightV:
         self.dram = dram
         self.lat = latencies
         self.spaces = spaces
-        self.mode = LightVMode.PASSIVE
         self.rules = {}
         self._rules_by_slot = {}  # (asid, index0) -> rules meeting that slot
         self.watch = {}
@@ -173,31 +166,19 @@ class LightV:
         self._free_ids = []
         self._next_id = 0
         self._mirror = {}
-        # diagnostics
-        self.snoops_seen = 0
-        self.matches = 0
         self.lines_manipulated = 0
         self.context_lost = 0
         self.data_captures = 0
-
-    def diagnostics(self) -> dict:
-        return {
-            "snoops_seen": self.snoops_seen,
-            "matches": self.matches,
-            "lines_manipulated": self.lines_manipulated,
-            "contexts_live": len(self._ctx_by_id),
-            "context_lost": self.context_lost,
-            "data_captures": self.data_captures,
-        }
 
     # -- activation -----------------------------------------------------------
 
     def activate(self, rules, strict: bool = True):
         """Install rewrite rules and seed the watch set.
 
-        Validates ranges, disjointness, (in strict mode) that each target
-        range is pre-mapped and owns its level-0 slots outright, and that
-        the context cache has room for every new path, before it changes
+        Validates ranges, disjointness, that no level-0 line a rule needs
+        is under page capture, (in strict mode) that each target range is
+        pre-mapped and owns its level-0 slots outright, and that the
+        context cache has room for every new path, before it changes
         anything: a call that raises leaves the agent as it found it.
 
         Returns (tlb_ranges, lines): the (asid, va_start, va_end) ranges
@@ -215,6 +196,13 @@ class LightV:
             ids.add(rule.rule_id)
             if rule.asid not in self.spaces:
                 raise RuleError(f"rule {rule.rule_id}: unknown asid {rule.asid}")
+            pgd_base = self.spaces[rule.asid].pgd_base
+            for i0 in self._index0_span(rule):
+                line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
+                if isinstance(self.watch.get(line), CaptureWatch):
+                    raise RuleError(
+                        f"rule {rule.rule_id}: level-0 line {line:#x} is under capture"
+                    )
             last_pfn = rule.replacement_base_pfn + rule.page_count - 1
             if not (
                 self.dram.contains(rule.replacement_base_pfn << PAGE_SHIFT)
@@ -260,7 +248,6 @@ class LightV:
                 slot = (rule.asid, i0, pgd_base)
                 if slot not in entry.slots:
                     entry.slots.append(slot)
-        self.mode = LightVMode.ACTIVE
         return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines
 
     def deactivate(self, rule_id: int):
@@ -301,13 +288,9 @@ class LightV:
         serve_cycles) (ACK) with fabricated content when the line is on a
         watched path.  Serving costs `lightv` plus `dram` per DRAM line
         read."""
-        self.snoops_seen += 1
-        if self.mode is not LightVMode.ACTIVE:
-            return None
         match = self.path_check(line_addr)
         if match is None:
             return None
-        self.matches += 1
         if isinstance(match, CaptureWatch):
             payload = self.dram.read_line(match.src_line)
             self.data_captures += 1
@@ -425,16 +408,19 @@ class LightV:
 
         `pairs` maps destination line -> source line.  While the window is
         open, dirty writebacks of captured destination lines are mirrored
-        to the source so a later bulk copy cannot clobber newer data.
-        Every pair is checked before any is installed: a call that raises
-        leaves the agent as it found it.
+        to the source so a later bulk copy cannot clobber newer data.  A
+        destination may not be a watched table line, which an active rule
+        owns.  Every pair is checked before any is installed: a call that
+        raises leaves the agent as it found it.
         """
         if any(dst & _LINE_MASK or src & _LINE_MASK for dst, src in pairs.items()):
             raise ValueError("capture lines must be 64-byte aligned")
+        for dst in pairs:
+            if isinstance(self.watch.get(dst), PgdWatch):
+                raise ValueError(f"capture line {dst:#x} is a watched table line")
         for dst, src in pairs.items():
             self.watch[dst] = CaptureWatch(src)
         self._mirror.update(pairs)
-        self.mode = LightVMode.ACTIVE
 
     def release_captured(self, lines):
         """Chunk copied: stop serving these destination lines from source."""

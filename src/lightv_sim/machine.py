@@ -26,6 +26,7 @@ from .lightv import LightV, WatermarkWindow, WM_SPAN_FRAMES
 from .mmu import Mmu, Tlb
 
 _LINE_MASK = LINE_BYTES - 1
+_ZERO_LINE = bytes(LINE_BYTES)
 
 FAULT_ABORT = "abort"
 FAULT_RECORD = "record"
@@ -93,11 +94,13 @@ class Dram:
         if not (self.base <= addr and addr + n <= self.base + self.size):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
 
-    def read_line(self, line_addr: int) -> bytes:
+    def read_line(self, line_addr: int):
+        """The stored line itself, not a copy (a shared zero line when
+        unwritten): callers must not mutate it, and one that keeps or
+        edits the content copies it."""
         self._check(line_addr, LINE_BYTES)
         self.reads += 1
-        stored = self._lines.get(line_addr)
-        return bytes(LINE_BYTES) if stored is None else bytes(stored)
+        return self._lines.get(line_addr, _ZERO_LINE)
 
     def write_line(self, line_addr: int, payload):
         self._check(line_addr, LINE_BYTES)
@@ -127,8 +130,7 @@ class Dram:
         self._check(addr, n)
         first = addr & ~_LINE_MASK
         get = self._lines.get
-        zero = bytes(LINE_BYTES)
-        data = b"".join(get(a) or zero for a in range(first, addr + n, LINE_BYTES))
+        data = b"".join(get(a, _ZERO_LINE) for a in range(first, addr + n, LINE_BYTES))
         return data[addr - first : addr - first + n]
 
     def write_bytes(self, addr: int, data: bytes):
@@ -428,7 +430,7 @@ class Machine:
         if config.mode in ("passive", "active"):
             self.lightv = LightV(window, self.dram, config.latencies, self.spaces)
             self.cci.register_agent(self.lightv.handle_snoop)
-            self.cci.add_writeback_hook(self.lightv.on_writeback)
+            self.cci.writeback_hook = self.lightv.on_writeback
         self.mmu = Mmu(
             self.cci,
             self.cache,
@@ -444,10 +446,6 @@ class Machine:
                 else functools.partial(_real_translation, self.spaces, self.dram)
             ),
         )
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.cci.agents)
 
     def register_space(self, asid: int, mappings) -> addressing.AddressSpace:
         space = addressing.build_tables(mappings, self.dram, self.allocator, asid)

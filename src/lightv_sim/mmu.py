@@ -7,7 +7,6 @@ a configuration switch (`cache_ptes`).
 """
 
 from collections import OrderedDict
-from typing import NamedTuple
 
 from . import addressing
 from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
@@ -16,21 +15,6 @@ from .coherence import LINE_SHIFT, CacheState
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 _LINE_MASK = (1 << LINE_SHIFT) - 1
 _SHARED, _MODIFIED = CacheState.SHARED, CacheState.MODIFIED
-
-
-class WalkStep(NamedTuple):
-    level: int
-    pte_address: int
-    pte_raw: int
-    served_from: str
-
-
-def format_walk_trace(trace) -> str:
-    """One line per level: `L<level> pte@<hex> raw=<hex> from=<src>`."""
-    return "\n".join(
-        f"L{s.level} pte@{s.pte_address:#x} raw={s.pte_raw:#x} from={s.served_from}"
-        for s in trace
-    )
 
 
 class Tlb:
@@ -108,7 +92,7 @@ class Mmu:
         return (va >> 30) & 0x1FF, (va >> 21) & 0x1FF, (va >> PAGE_SHIFT) & 0x1FF
 
     def translate(self, asid: int, va: int):
-        """Resolve va to (pa, walk_trace); the trace is empty on a TLB hit."""
+        """Resolve va to its physical address, walking on a TLB miss."""
         if va < 0 or va >> VA_BITS:
             raise ValueError(f"virtual address out of range: {va:#x}")
         page = va >> PAGE_SHIFT
@@ -117,10 +101,10 @@ class Mmu:
             pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)
             if self.debug_tlb_check:
                 self._check_tlb_hit(asid, va, pa)
-            return pa, []
-        frame, attrs, trace = self.hardware_walk(asid, va)
+            return pa
+        frame, attrs = self.hardware_walk(asid, va)
         self.tlb.insert(asid, page, frame, attrs)
-        return (frame << PAGE_SHIFT) | (va & _PAGE_MASK), trace
+        return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
 
     def _check_tlb_hit(self, asid: int, va: int, pa: int):
         if self._expected_translation is None:
@@ -135,25 +119,23 @@ class Mmu:
     def hardware_walk(self, asid: int, va: int):
         """Walk the tables level by level via coherent reads.
 
-        Returns (leaf_pfn, leaf_attrs, trace); raises TranslationFault with
-        the partial trace attached when a level is non-present.
+        Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
+        first non-present level and its descriptor address.
         """
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
         indices = self._walk_indices(va)
         base = space.pgd_base
-        trace = []
         pfn = attrs = 0
         for level in range(addressing.LEVELS):
             pte_addr = base + indices[level] * PTE_BYTES
-            raw, source = self.cci.walk_read(self.cache, pte_addr, self.cache_ptes)
-            trace.append(WalkStep(level, pte_addr, raw, source))
+            raw = self.cci.walk_read(self.cache, pte_addr, self.cache_ptes)
             present, pfn, attrs = addressing.decode_pte(raw)
             if not present:
-                raise TranslationFault(level, pte_addr, trace)
+                raise TranslationFault(level, pte_addr)
             base = pfn << PAGE_SHIFT
-        return pfn, attrs, trace
+        return pfn, attrs
 
     def access(self, asid: int, va: int, write: bool = False, value=None):
         """One data access: returns the byte read, or stores `value`.
@@ -172,7 +154,7 @@ class Mmu:
         key = (asid, va >> PAGE_SHIFT)
         hit = entries.get(key)
         if hit is None:
-            pa, _ = self.translate(asid, va)
+            pa = self.translate(asid, va)
         else:
             entries.move_to_end(key)
             pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)

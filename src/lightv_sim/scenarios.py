@@ -180,7 +180,6 @@ class OverheadExperiment:
     stats: dict
     passive_overhead: object
     active_overhead: object
-    hot_frames: dict
     hot_contents: dict
     expected_hot: bytes
     active_original_untouched: bool = True
@@ -251,7 +250,7 @@ def run_overhead_experiment(
     w = workload if workload is not None else histogram_workload()
     if trace is None:
         trace = gen_histogram_trace(w)
-    stats, hot_frames, hot_contents = {}, {}, {}
+    stats, hot_contents = {}, {}
     original_untouched = True
     hot_pfn = rule = None
 
@@ -264,7 +263,6 @@ def run_overhead_experiment(
         stats[mode] = run
         frame = rule.replacement_base_pfn if mode == "active" else hot_pfn
         m.flush_cache()
-        hot_frames[mode] = frame
         hot_contents[mode] = m.read_frame(frame)
         if mode == "active":
             # every aggregation byte must have landed in the replacement
@@ -280,7 +278,6 @@ def run_overhead_experiment(
         stats=stats,
         passive_overhead=passive,
         active_overhead=active,
-        hot_frames=hot_frames,
         hot_contents=hot_contents,
         expected_hot=expected_hot_content(w),
         active_original_untouched=original_untouched,
@@ -447,8 +444,8 @@ def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
         return m, rule
 
     baseline, _ = build("absent")
-    shared_base_pa, _ = baseline.mmu.translate(0, shared_neighbor_va)
-    isolated_base_pa, _ = baseline.mmu.translate(0, isolated_neighbor_va)
+    shared_base_pa = baseline.mmu.translate(0, shared_neighbor_va)
+    isolated_base_pa = baseline.mmu.translate(0, isolated_neighbor_va)
     stats["baseline"] = baseline.run_trace([])
 
     strict_machine, rule = build("active")
@@ -469,12 +466,12 @@ def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
         outcome = f"fault:L{fault_map[shared_neighbor_va].level}"
         deviated = True
     else:
-        pa, _ = permissive.mmu.translate(0, shared_neighbor_va)
+        pa = permissive.mmu.translate(0, shared_neighbor_va)
         outcome = f"pa:{pa:#x}"
         deviated = pa != shared_base_pa
     control_unaffected = isolated_neighbor_va not in fault_map
     if control_unaffected:
-        pa, _ = permissive.mmu.translate(0, isolated_neighbor_va)
+        pa = permissive.mmu.translate(0, isolated_neighbor_va)
         control_unaffected = pa == isolated_base_pa
 
     return IsolationReport(
@@ -590,7 +587,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
         reads_checked += 1
         if m.mem_read(plan.asid, va + off) != shadow[off]:
             stale_reads += 1
-    pa, _ = m.mmu.translate(plan.asid, va)
+    pa = m.mmu.translate(plan.asid, va)
     translated_to_source_before = (pa >> PAGE_SHIFT) == src
 
     # open the window: flush source-tagged lines, redirect, capture
@@ -642,7 +639,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
         reads_checked += 1
         if m.mem_read(plan.asid, va + off) != shadow[off]:
             stale_reads += 1
-    pa, _ = m.mmu.translate(plan.asid, va)
+    pa = m.mmu.translate(plan.asid, va)
     translations_to_destination = (pa >> PAGE_SHIFT) == dst
 
     m.flush_cache()

@@ -83,7 +83,7 @@ def run_layered(m, trace):
     values, faults = [], []
     for index, (asid, op, va, value) in enumerate(trace):
         try:
-            pa, _ = m.mmu.translate(asid, va)
+            pa = m.mmu.translate(asid, va)
         except TranslationFault as fault:
             faults.append((index, fault.level, fault.pte_address))
             continue
@@ -112,7 +112,11 @@ def simulated_state(m):
         "cycles": m.clock.now,
         "counters": m.counters.snapshot(),
         "dram": (m.dram.reads, m.dram.writes, m.dram.content_digest()),
-        "lightv": m.lightv.diagnostics(),
+        "lightv": {
+            "data_captures": m.lightv.data_captures,
+            "context_lost": m.lightv.context_lost,
+            "contexts_live": len(m.lightv._ctx_by_id),
+        },
         "lines_manipulated": m.lightv.lines_manipulated,
         "cache": m.cache.snapshot(),
         "tlb": list(m.tlb._entries.items()),

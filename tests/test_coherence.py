@@ -6,6 +6,7 @@ from lightv_sim.coherence import (
     Cache,
     CacheState,
     FabricGap,
+    KLASS_DATA,
     LatencyConfig,
     SnoopKind,
 )
@@ -73,15 +74,19 @@ def test_snoop_response_validation():
         f = Fabric()
         f.cci.register_agent(lambda line_addr, ack=ack: ack)
         with pytest.raises(ValueError, match=message):
-            f.cci.coherent_read(f.cache, line_of(0))
+            f.cci.read_byte(f.cache, line_of(0))
         assert f.counters.snoops_acked == 0
         assert f.clock.now == 0 and f.cache.lookup(line_of(0)) is None
 
 
 def test_misaligned_read_fails_before_anything_moves(fabric):
+    # every public operation aligns its address; the transaction core
+    # rejects one that is not before it counts, charges or snoops
     fabric.cci.register_agent(nack)
     with pytest.raises(ValueError, match="not line-aligned"):
-        fabric.cci.coherent_read(fabric.cache, line_of(0) + 8)
+        fabric.cci._ensure_line(
+            fabric.cache, line_of(0) + 8, SnoopKind.READ_SHARED, True, KLASS_DATA
+        )
     assert fabric.counters.snapshot() == dict.fromkeys(fabric.counters.FIELDS, 0)
     assert fabric.clock.now == 0 and fabric.dram.reads == 0
 
@@ -93,19 +98,20 @@ def test_latency_validation():
 
 def test_read_no_agents_comes_from_dram(fabric):
     fabric.dram.write_line(line_of(0), bytes([7]) * 64)
-    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(0))
-    assert payload == bytes([7]) * 64
-    assert source == "DRAM"
+    assert fabric.cci.read_byte(fabric.cache, line_of(0) + 3) == 7
+    assert fabric.dram.reads == 1 and fabric.counters.data_misses == 1
+    line = fabric.cache.lookup(line_of(0))
+    assert line.state is CacheState.EXCLUSIVE and line.payload == bytes([7]) * 64
     assert fabric.clock.now == fabric.lat.cci + fabric.lat.dram
 
 
 def test_second_read_hits_cache_without_snoops(fabric):
     fabric.cci.register_agent(nack)
-    fabric.cci.coherent_read(fabric.cache, line_of(1))
+    fabric.cci.read_byte(fabric.cache, line_of(1))
     issued = fabric.counters.snoops_issued
     before = fabric.clock.now
-    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(1))
-    assert source == "CACHE"
+    fabric.cci.read_byte(fabric.cache, line_of(1) + 9)
+    assert fabric.counters.data_hits == 1 and fabric.dram.reads == 1
     assert fabric.clock.now - before == fabric.lat.cache_hit
     assert fabric.counters.snoops_issued == issued
 
@@ -114,26 +120,12 @@ def test_agent_ack_short_circuits_dram(fabric):
     canned = bytes(range(64))
     fabric.cci.register_agent(lambda line_addr: (canned, 5))
     reads_before = fabric.dram.reads
-    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(2))
-    assert payload == canned
-    assert source == "SNOOPED"
+    assert fabric.cci.read_byte(fabric.cache, line_of(2) + 5) == canned[5]
+    line = fabric.cache.lookup(line_of(2))
+    assert line.state is CacheState.SHARED and line.payload == canned
     assert fabric.dram.reads == reads_before  # the fabric never touched DRAM
     assert fabric.clock.now == fabric.lat.cci + fabric.lat.snoop + 5
     assert fabric.counters.snoops_acked == 1
-
-
-def test_unique_read_refreshes_a_shared_line_even_without_allocate(fabric):
-    answers = iter([bytes([1]) * 64, bytes([2]) * 64])
-    fabric.cci.register_agent(lambda line_addr: (next(answers), 0))
-    fabric.cci.coherent_read(fabric.cache, line_of(2))
-    assert fabric.cache.lookup(line_of(2)).state is CacheState.SHARED
-    payload, source = fabric.cci.coherent_read(
-        fabric.cache, line_of(2), SnoopKind.READ_UNIQUE, allocate=False
-    )
-    line = fabric.cache.lookup(line_of(2))
-    assert (payload, source) == (bytes([2]) * 64, "SNOOPED")
-    assert line.state is CacheState.EXCLUSIVE and bytes(line.payload) == payload
-    assert fabric.counters.data_misses == 2 and fabric.counters.snoops_acked == 2
 
 
 def test_first_ack_wins_in_registration_order(fabric):
@@ -148,8 +140,7 @@ def test_first_ack_wins_in_registration_order(fabric):
 
     fabric.cci.register_agent(agent("a", (bytes([1]) * 64, 0)))
     fabric.cci.register_agent(agent("b", (bytes([2]) * 64, 0)))
-    payload, _ = fabric.cci.coherent_read(fabric.cache, line_of(3))
-    assert payload == bytes([1]) * 64
+    assert fabric.cci.read_byte(fabric.cache, line_of(3)) == 1
     assert calls == ["a"]  # second agent never consulted
 
 
@@ -157,8 +148,9 @@ def test_all_nack_falls_back_to_dram(fabric):
     fabric.cci.register_agent(nack)
     fabric.cci.register_agent(nack)
     fabric.dram.write_line(line_of(4), bytes([9]) * 64)
-    payload, source = fabric.cci.coherent_read(fabric.cache, line_of(4))
-    assert (payload, source) == (bytes([9]) * 64, "DRAM")
+    assert fabric.cci.read_byte(fabric.cache, line_of(4)) == 9
+    assert fabric.counters.snoops_issued == 1 and fabric.counters.snoops_acked == 0
+    assert fabric.dram.reads == 1
 
 
 def test_silent_agent_changes_nothing():
@@ -181,7 +173,7 @@ def test_silent_agent_changes_nothing():
 
 
 def test_registration_after_start_rejected(fabric):
-    fabric.cci.coherent_read(fabric.cache, line_of(0))
+    fabric.cci.read_byte(fabric.cache, line_of(0))
     with pytest.raises(RuntimeError):
         fabric.cci.register_agent(nack)
 
@@ -213,12 +205,26 @@ def test_write_sets_modified_and_read_returns_it(fabric):
 def test_read_unique_upgrades_shared_line(fabric):
     # a snoop-supplied fill lands Shared; writing it requires a fabric trip
     fabric.cci.register_agent(lambda line_addr: (bytes(64), 0))
-    fabric.cci.coherent_read(fabric.cache, line_of(7), SnoopKind.READ_SHARED)
+    fabric.cci.read_byte(fabric.cache, line_of(7))
     assert fabric.cache.lookup(line_of(7)).state is CacheState.SHARED
     misses = fabric.counters.data_misses
     fabric.cci.write_byte(fabric.cache, line_of(7), 1)
     assert fabric.counters.data_misses == misses + 1
     assert fabric.cache.lookup(line_of(7)).state is CacheState.MODIFIED
+
+
+def test_cached_write_leaves_dram_line_until_writeback(fabric):
+    # Dram.read_line hands out the stored line; the fabric's fill is a copy
+    fabric.dram.write_line(line_of(8), bytes([3]) * 64)
+    assert fabric.cci.read_byte(fabric.cache, line_of(8)) == 3
+    fabric.cci.write_byte(fabric.cache, line_of(8) + 2, 0x44)  # Exclusive: a hit
+    assert fabric.counters.data_hits == 1
+    assert fabric.dram.read_line(line_of(8)) == bytes([3]) * 64
+    fabric.cci.write_byte(fabric.cache, line_of(9), 0x55)  # filled from a zero line
+    assert fabric.dram.read_line(line_of(10)) == bytes(64)
+    fabric.cci.flush(fabric.cache)
+    assert fabric.dram.read_line(line_of(8)) == b"\x03\x03\x44" + bytes([3]) * 61
+    assert fabric.dram.read_line(line_of(9)) == b"\x55" + bytes(63)
 
 
 def test_eviction_writes_back_dirty_lines(fabric):
@@ -232,7 +238,7 @@ def test_eviction_writes_back_dirty_lines(fabric):
 
 def test_fabric_gap_outside_aperture(fabric):
     with pytest.raises(FabricGap):
-        fabric.cci.coherent_read(fabric.cache, 0x2_0000_0000)
+        fabric.cci.read_byte(fabric.cache, 0x2_0000_0000)
 
 
 def test_reads_match_flat_shadow():

@@ -7,7 +7,6 @@ from lightv_sim.addressing import ATTR_CACHEABLE, ATTR_WRITABLE, decode_pte
 from lightv_sim.coherence import FabricGap
 from lightv_sim.lightv import (
     IsolationError,
-    LightVMode,
     RewriteRule,
     RuleError,
     WatermarkWindow,
@@ -99,10 +98,11 @@ def test_two_rules_one_line_two_contexts():
 
 def test_activation_invalidates_target_tlb():
     m, rule, repl = one_rule_machine()
-    pa_before, _ = m.mmu.translate(0, 8 << 30)
+    pa_before = m.mmu.translate(0, 8 << 30)
     m.activate_rules([rule])
-    pa_after, trace = m.mmu.translate(0, 8 << 30)
-    assert len(trace) == 3  # re-walked, not served from the stale TLB entry
+    reads = m.counters.walk_reads
+    pa_after = m.mmu.translate(0, 8 << 30)
+    assert m.counters.walk_reads == reads + 3  # re-walked, not the stale TLB entry
     assert pa_after == repl << 12
     assert pa_before != pa_after
 
@@ -113,8 +113,7 @@ def test_activation_flushes_stale_watched_lines():
     m, rule, repl = one_rule_machine(cache_ptes=True)
     m.mmu.translate(0, 8 << 30)
     m.activate_rules([rule])
-    pa, _ = m.mmu.translate(0, 8 << 30)
-    assert pa == repl << 12
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
 
 
 def test_rule_validation_errors():
@@ -144,7 +143,7 @@ def test_duplicate_rule_id_rejected():
     twin = RewriteRule(1, 0, 9 << 30, (9 << 30) + 4096, 0xA8000)
     with pytest.raises(RuleError, match="given twice"):
         m.activate_rules([rule, twin], strict=False)
-    assert m.lightv.rules == {} and m.lightv.diagnostics()["contexts_live"] == 0
+    assert m.lightv.rules == {} and m.lightv._ctx_by_id == {}
     m.activate_rules([rule])
     with pytest.raises(RuleError, match="already active"):
         m.activate_rules([twin])
@@ -228,9 +227,11 @@ def test_snoop_unrelated_line_nacks():
 def test_passive_mode_always_nacks():
     m = make_machine("passive")
     m.register_space(0, [(8 << 30, 0x90000, RW)])
-    assert m.lightv.mode is LightVMode.PASSIVE
+    assert m.lightv.watch == {} and m.lightv._ctx_by_id == {}
     assert m.lightv.handle_snoop(m.spaces[0].pgd_base) is None
-    assert m.lightv.snoops_seen == 1
+    m.mmu.translate(0, 8 << 30)
+    assert (m.counters.snoops_issued, m.counters.snoops_acked) == (3, 0)
+    assert m.lightv.lines_manipulated == m.lightv.context_lost == 0
 
 
 def test_watched_line_differs_only_at_target_entries():
@@ -238,12 +239,13 @@ def test_watched_line_differs_only_at_target_entries():
     m, rule, _ = one_rule_machine(pages_extra=extra)
     m.activate_rules([rule])
     line_addr = next(iter(m.lightv.watch))
-    real = m.dram.read_line(line_addr)
+    real = bytes(m.dram.read_line(line_addr))
     reads = m.dram.reads
     payload, serve_cycles = m.lightv.handle_snoop(line_addr)
     assert len(payload) == 64
     assert serve_cycles == m.config.latencies.lightv + m.config.latencies.dram
     assert m.dram.reads == reads + 1  # the real line, read once
+    assert m.dram.read_line(line_addr) == real  # rewritten in a copy
     changed = {
         i // 8
         for i in range(64)
@@ -322,7 +324,7 @@ def test_context_lost_is_diagnosed_and_unclaimed():
     assert m.lightv.handle_snoop(dead_line) is None
     assert m.lightv.context_lost == 1
     with pytest.raises(FabricGap):
-        m.cci.coherent_read(m.cache, dead_line)
+        m.cci.read_byte(m.cache, dead_line)
 
 
 def test_context_capacity_bound(monkeypatch):
@@ -342,11 +344,10 @@ def test_failed_activation_leaves_no_trace():
     with pytest.raises(lv.ContextCapacityError):
         m.activate_rules(big, strict=False)
     assert m.lightv.rules == {} and m.lightv.watch == {}
-    assert m.lightv.mode is LightVMode.PASSIVE
-    assert m.lightv.diagnostics()["contexts_live"] == 0
+    assert m.lightv._ctx_by_id == {} and m.lightv._ctx_by_key == {}
     assert m.lightv._rule_for(0, 0) is None
     m.activate_rules([RewriteRule(9, 0, 11 << 30, (11 << 30) + 4096, 0xA0000)])
-    assert m.mmu.translate(0, 11 << 30)[0] == 0xA0000 << 12
+    assert m.mmu.translate(0, 11 << 30) == 0xA0000 << 12
 
 
 def test_failed_capture_leaves_no_trace():
@@ -356,9 +357,42 @@ def test_failed_capture_leaves_no_trace():
     with pytest.raises(ValueError, match="aligned"):
         m.lightv.begin_page_capture(pairs)
     assert m.lightv.watch == {} and m.lightv._mirror == {}
-    assert m.lightv.mode is LightVMode.PASSIVE
     m.activate_rules([rule])
     assert m.lightv.handle_snoop(0x9100_0000) is None  # not served from 0x92000000
+
+
+def test_capture_rejects_a_watched_table_line():
+    # a capture window on the rule's level-0 line would replace its watch
+    m, rule, repl = one_rule_machine()
+    m.activate_rules([rule])
+    pgd_line = next(iter(m.lightv.watch))
+    state = repr(m.lightv.watch), dict(m.lightv._mirror)
+    with pytest.raises(ValueError, match="watched table line"):
+        m.lightv.begin_page_capture({0x9100_0000: 0x9200_0000, pgd_line: 0x9200_0040})
+    assert (repr(m.lightv.watch), m.lightv._mirror) == state
+    m.lightv.end_page_capture()
+    m.tlb.invalidate_range(0, 8 << 30, (8 << 30) + 4096)
+    m.cci.invalidate_line(m.cache, pgd_line)
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
+
+
+def test_activation_rejects_a_level0_line_under_capture():
+    pages = [(8 << 30, 0x90000), (9 << 30, 0x90001)]
+    m = active_machine(pages)
+    rules = [
+        RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000),
+        RewriteRule(2, 0, 9 << 30, (9 << 30) + 4096, 0xA0001),
+    ]
+    pgd_line = (m.spaces[0].pgd_base + 8 * 8) & ~63
+    m.lightv.begin_page_capture({pgd_line: 0x9200_0000})
+    state = repr(m.lightv.watch), dict(m.lightv._mirror)
+    with pytest.raises(RuleError, match="under capture"):
+        m.activate_rules(rules)
+    assert (repr(m.lightv.watch), m.lightv._mirror) == state
+    assert m.lightv.rules == {} and m.lightv._ctx_by_id == {}
+    m.lightv.end_page_capture()
+    m.activate_rules(rules)
+    assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
 
 
 # -- end-to-end redirection, transparency, deactivation -------------------------
@@ -378,14 +412,14 @@ def test_rule_across_a_level0_boundary():
     assert stats.lines_manipulated > 0
     for k, (va, pfn) in enumerate(pages):
         assert m.lightv.expected_pa(0, va + k) == ((repl + k) << 12) + k
-        assert m.mmu.translate(0, va + k)[0] == ((repl + k) << 12) + k
+        assert m.mmu.translate(0, va + k) == ((repl + k) << 12) + k
     m.flush_cache()
     for k, (va, pfn) in enumerate(pages):
         assert m.read_frame(repl + k)[k] == k + 1
         assert not any(m.read_frame(pfn))
     m.deactivate_rule(1)
     for k, (va, pfn) in enumerate(pages):
-        assert m.mmu.translate(0, va + k)[0] == (pfn << 12) + k
+        assert m.mmu.translate(0, va + k) == (pfn << 12) + k
         assert m.lightv.expected_pa(0, va + k) == (pfn << 12) + k
     m.run_trace([(0, "W", va, 0x5A) for va, _ in pages])
     m.flush_cache()
@@ -404,30 +438,31 @@ def test_redirection_and_transparency():
     for va, _ in extra:
         for off in (0, 0x7FF):
             assert (
-                m.mmu.translate(0, va + off)[0]
-                == baseline.mmu.translate(0, va + off)[0]
+                m.mmu.translate(0, va + off)
+                == baseline.mmu.translate(0, va + off)
             )
-    assert m.mmu.translate(0, (8 << 30) + 0x40)[0] == (repl << 12) + 0x40
+    assert m.mmu.translate(0, (8 << 30) + 0x40) == (repl << 12) + 0x40
 
 
 def test_deactivate_restores_baseline():
     m, rule, repl = one_rule_machine()
-    pa_before, _ = m.mmu.translate(0, 8 << 30)
+    pa_before = m.mmu.translate(0, 8 << 30)
     m.activate_rules([rule])
-    assert m.mmu.translate(0, 8 << 30)[0] == repl << 12
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
     m.deactivate_rule(1)
     assert m.lightv.watch == {}
-    assert m.lightv.diagnostics()["contexts_live"] == 0
-    pa_after, trace = m.mmu.translate(0, 8 << 30)
-    assert pa_after == pa_before and len(trace) == 3
+    assert m.lightv._ctx_by_id == {}
+    reads = m.counters.walk_reads
+    assert m.mmu.translate(0, 8 << 30) == pa_before
+    assert m.counters.walk_reads == reads + 3
 
 
 def test_deactivate_purges_cached_watermarks():
     m, rule, repl = one_rule_machine(cache_ptes=True, tlb_entries=0)
     m.activate_rules([rule])
-    assert m.mmu.translate(0, 8 << 30)[0] == repl << 12
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
     m.deactivate_rule(1)
-    assert m.mmu.translate(0, 8 << 30)[0] == 0x90000 << 12
+    assert m.mmu.translate(0, 8 << 30) == 0x90000 << 12
 
 
 def test_double_deactivate_errors():
@@ -447,8 +482,8 @@ def test_deactivate_keeps_sibling_rule_on_shared_line():
     ]
     m.activate_rules(rules)
     m.deactivate_rule(1)
-    assert m.mmu.translate(0, 8 << 30)[0] == 0x90000 << 12
-    assert m.mmu.translate(0, 9 << 30)[0] == 0xA0001 << 12
+    assert m.mmu.translate(0, 8 << 30) == 0x90000 << 12
+    assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
 
 
 def test_cache_robustness_under_pte_caching():
@@ -464,11 +499,11 @@ def test_cache_robustness_under_pte_caching():
         if rng.random() < 0.5:
             k = rng.randrange(2)
             va = (8 << 30) + k * 4096 + rng.randrange(4096)
-            assert m.mmu.translate(0, va)[0] == ((repl + k) << 12) | (va & 4095)
+            assert m.mmu.translate(0, va) == ((repl + k) << 12) | (va & 4095)
         else:
             va, pfn = extra[rng.randrange(len(extra))]
             off = rng.randrange(4096)
-            assert m.mmu.translate(0, va + off)[0] == (pfn << 12) | off
+            assert m.mmu.translate(0, va + off) == (pfn << 12) | off
 
 
 def test_watch_set_grows_during_walk():
@@ -499,7 +534,6 @@ def test_diagnostics_counters():
     m, rule, _ = one_rule_machine()
     m.activate_rules([rule])
     m.mmu.translate(0, 8 << 30)
-    d = m.lightv.diagnostics()
-    assert d["matches"] == 3 and d["lines_manipulated"] == 3
-    assert d["contexts_live"] == 2
-    assert d["snoops_seen"] >= d["matches"]
+    assert m.lightv.lines_manipulated == 3 and m.lightv.data_captures == 0
+    assert m.counters.snoops_issued == m.counters.snoops_acked == 3
+    assert len(m.lightv._ctx_by_id) == 2 and m.lightv.context_lost == 0

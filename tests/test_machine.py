@@ -40,9 +40,9 @@ def simple_machine(mode="absent", **overrides):
 
 
 def test_default_build_shapes():
-    assert make_machine("absent").agent_count == 0
-    assert make_machine("passive").agent_count == 1
-    assert make_machine("active").agent_count == 1
+    assert len(make_machine("absent").cci.agents) == 0
+    assert len(make_machine("passive").cci.agents) == 1
+    assert len(make_machine("active").cci.agents) == 1
 
 
 def test_window_overlapping_dram_rejected():

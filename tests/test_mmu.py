@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from lightv_sim.addressing import ATTR_WRITABLE, TranslationFault, reference_walk
-from lightv_sim.mmu import Tlb, format_walk_trace
+from lightv_sim.addressing import (
+    ATTR_WRITABLE,
+    TranslationFault,
+    decode_pte,
+    reference_walk,
+    split_va,
+)
+from lightv_sim.mmu import Tlb
 
 from helpers import make_machine
 
@@ -18,12 +24,11 @@ def mapped_machine(mode="absent", pages=((8 << 30, 0x90000),), **overrides):
 
 def test_tlb_hit_skips_the_walk():
     m = mapped_machine()
-    pa1, trace1 = m.mmu.translate(0, 8 << 30)
-    assert len(trace1) == 3
-    reads = m.counters.walk_reads
-    pa2, trace2 = m.mmu.translate(0, (8 << 30) | 0x123)
-    assert trace2 == [] and pa2 == pa1 | 0x123
-    assert m.counters.walk_reads == reads
+    pa1 = m.mmu.translate(0, 8 << 30)
+    assert m.counters.walk_reads == 3
+    pa2 = m.mmu.translate(0, (8 << 30) | 0x123)
+    assert pa2 == pa1 | 0x123
+    assert m.counters.walk_reads == 3
 
 
 def test_translate_matches_reference_walk():
@@ -42,7 +47,7 @@ def test_translate_matches_reference_walk():
             except TranslationFault as fault:
                 expected = ("fault", fault.level)
             try:
-                got = ("pa", m.mmu.translate(0, va)[0])
+                got = ("pa", m.mmu.translate(0, va))
             except TranslationFault as fault:
                 got = ("fault", fault.level)
             assert got == expected
@@ -50,10 +55,18 @@ def test_translate_matches_reference_walk():
 
 def test_cold_walk_is_three_reads_from_dram():
     m = mapped_machine()
-    _, trace = m.mmu.translate(0, 8 << 30)
-    assert [s.served_from for s in trace] == ["DRAM", "DRAM", "DRAM"]
-    assert m.counters.walk_reads == 3
-    assert [s.level for s in trace] == [0, 1, 2]
+    lines, read_line = [], m.dram.read_line
+    m.dram.read_line = lambda line: lines.append(line) or read_line(line)
+    m.mmu.translate(0, 8 << 30)
+    c = m.counters
+    assert (c.walk_reads, c.walk_misses, c.walk_hits) == (3, 3, 0)
+    assert m.dram.reads == 3
+    # one DRAM line per level, in level order
+    expected, base = [], m.spaces[0].pgd_base
+    for index in split_va(8 << 30)[:3]:
+        expected.append((base + index * 8) & ~63)
+        base = decode_pte(m.dram.read_qword(base + index * 8))[1] << 12
+    assert lines == expected
 
 
 def test_cached_pgd_line_saves_fabric_reads():
@@ -63,8 +76,9 @@ def test_cached_pgd_line_saves_fabric_reads():
     m = mapped_machine(pages=pages, cache_ptes=True)
     m.mmu.translate(0, 2 << 30)
     misses_before = m.counters.walk_misses
-    _, trace = m.mmu.translate(0, (2 << 30) | (8 << 21))
-    assert trace[0].served_from == "CACHE"
+    hits_before = m.counters.walk_hits
+    m.mmu.translate(0, (2 << 30) | (8 << 21))
+    assert m.counters.walk_hits == hits_before + 1
     assert m.counters.walk_misses == misses_before + 2
 
 
@@ -80,10 +94,10 @@ def test_noncaching_walker_leaves_no_pte_lines():
 def test_caching_walker_hits_on_rewalk():
     m = mapped_machine(cache_ptes=True, tlb_entries=0)
     m.mmu.translate(0, 8 << 30)
-    misses = m.counters.walk_misses
-    _, trace = m.mmu.translate(0, 8 << 30)
+    misses, hits = m.counters.walk_misses, m.counters.walk_hits
+    m.mmu.translate(0, 8 << 30)
     assert m.counters.walk_misses == misses
-    assert all(s.served_from == "CACHE" for s in trace)
+    assert m.counters.walk_hits == hits + 3
 
 
 def test_unmapped_va_truncates_trace():
@@ -91,12 +105,12 @@ def test_unmapped_va_truncates_trace():
     with pytest.raises(TranslationFault) as exc:
         m.mmu.translate(0, 9 << 30)
     assert exc.value.level == 0
-    assert len(exc.value.trace) == 1
+    assert m.counters.walk_reads == 1
     # intermediate tables exist for the mapped page's slot, leaf absent
     with pytest.raises(TranslationFault) as exc:
         m.mmu.translate(0, (8 << 30) | (1 << 12))
     assert exc.value.level == 2
-    assert len(exc.value.trace) == 3
+    assert m.counters.walk_reads == 1 + 3
 
 
 def test_mem_write_then_read():
@@ -135,26 +149,18 @@ def test_tlb_lru_and_capacity():
     assert Tlb(0).lookup(0, 1) is None
 
 
-def test_walk_trace_render():
-    m = mapped_machine()
-    _, trace = m.mmu.translate(0, 8 << 30)
-    text = format_walk_trace(trace)
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("L0 pte@0x") and "from=DRAM" in lines[0]
-
-
 def test_walk_length_bounded():
     rng = random.Random(22)
     m = mapped_machine(tlb_entries=0)
     for _ in range(200):
         va = rng.randrange(1 << 39)
+        reads = m.counters.walk_reads
         try:
-            _, trace = m.mmu.translate(0, va)
+            m.mmu.translate(0, va)
+            levels = 3
         except TranslationFault as fault:
-            trace = fault.trace
-        assert 1 <= len(trace) <= 3
-        assert [s.level for s in trace] == list(range(len(trace)))
+            levels = fault.level + 1
+        assert m.counters.walk_reads - reads == levels
 
 
 def test_debug_tlb_check_catches_tampering():

@@ -60,7 +60,8 @@ def test_histogram_functional_equivalence(tiny_experiment):
     exp = tiny_experiment
     assert exp.functional_equal
     assert exp.hot_contents["active"] == exp.expected_hot
-    assert exp.hot_frames["active"] != exp.hot_frames["baseline"]
+    assert exp.stats["active"].lines_manipulated > 0
+    assert exp.active_original_untouched
 
 
 def test_histogram_overhead_bounds(tiny_experiment):
