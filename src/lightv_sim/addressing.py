@@ -58,10 +58,12 @@ class MappingError(ValueError):
 
 @dataclass(frozen=True)
 class AddressSpace:
-    """A translation root: numeric address-space id plus its PGD base."""
+    """A translation root: numeric address-space id plus its PGD base, and
+    the frames of every table `build_tables` built for it."""
 
     asid: int
     pgd_base: int
+    table_pfns: frozenset
 
 
 def split_va(va: int):
@@ -139,8 +141,8 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
     with a common index prefix.  Conflicting duplicates are rejected;
     an exact re-statement of an existing mapping is a no-op.
     """
-    pgd_base = allocator.alloc() << PAGE_SHIFT
-    space = AddressSpace(asid, pgd_base)
+    table_pfns = [allocator.alloc()]
+    pgd_base = table_pfns[0] << PAGE_SHIFT
     installed = {}
     for va, pfn, attrs in mappings:
         if va & _OFFSET_MASK:
@@ -156,6 +158,7 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
             present, next_pfn, _ = decode_pte(read_pte(memory, base, index))
             if not present:
                 next_pfn = allocator.alloc()
+                table_pfns.append(next_pfn)
                 write_pte(memory, base, index, encode_pte(True, next_pfn))
             base = next_pfn << PAGE_SHIFT
         leaf = read_pte(memory, base, index2)
@@ -163,7 +166,7 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
             raise MappingError(f"conflicting duplicate mapping for {va:#x}")
         write_pte(memory, base, index2, encode_pte(True, pfn, attrs))
         installed[va] = (pfn, attrs)
-    return space
+    return AddressSpace(asid, pgd_base, frozenset(table_pfns))
 
 
 def reference_walk(space: AddressSpace, va: int, memory) -> int:

@@ -141,11 +141,14 @@ def cmd_run(args) -> int:
             if "baseline" not in modes:
                 modes = ("baseline",) + modes
             workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
-            trace = scenarios.gen_histogram_trace(workload)
+            trace = scenarios.iter_histogram_trace(workload)
             if args.export_trace:
                 with open(args.export_trace, "w") as f:
-                    f.write(machine.format_trace(trace))
-            result = scenarios.run_overhead_experiment(config, workload, modes, trace)
+                    result = scenarios.run_overhead_experiment(
+                        config, workload, modes, _exporting(trace, f)
+                    )
+            else:
+                result = scenarios.run_overhead_experiment(config, workload, modes, trace)
         elif args.scenario == "demand-paging":
             result = scenarios.run_demand_paging_hazard(config)
         elif args.scenario == "isolation":
@@ -165,6 +168,13 @@ def cmd_run(args) -> int:
     rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
     _emit(args, _render(args, rows, result.text()))
     return EXIT_OK if ok else EXIT_ASSERTION
+
+
+def _exporting(trace, f):
+    """Pass the accesses of `trace` through, writing each to `f` as it goes."""
+    for access in trace:
+        f.write(machine.format_access(access))
+        yield access
 
 
 def _read_custom_trace(args):

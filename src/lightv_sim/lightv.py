@@ -111,6 +111,11 @@ class RewriteRule:
     def page_count(self) -> int:
         return (self.va_end - self.va_start) >> PAGE_SHIFT
 
+    @property
+    def replacement_run(self) -> range:
+        """The replacement frame numbers, one per page of the range."""
+        return range(self.replacement_base_pfn, self.replacement_base_pfn + self.page_count)
+
     def covers(self, va: int) -> bool:
         return self.va_start <= va < self.va_end
 
@@ -175,11 +180,14 @@ class LightV:
     def activate(self, rules, strict: bool = True):
         """Install rewrite rules and seed the watch set.
 
-        Validates ranges, disjointness, that no level-0 line a rule needs
-        is under page capture, (in strict mode) that each target range is
-        pre-mapped and owns its level-0 slots outright, and that the
-        context cache has room for every new path, before it changes
-        anything: a call that raises leaves the agent as it found it.
+        Validates ranges; that the ranges, and the replacement frame runs,
+        are disjoint from each other and from those of active rules; that
+        no run holds a page table of a registered address space; that no
+        level-0 line a rule needs is under page capture; (in strict mode)
+        that each target range is pre-mapped and owns its level-0 slots
+        outright; and that the context cache has room for every new path.
+        It does all this before it changes anything: a call that raises
+        leaves the agent as it found it.
 
         Returns (tlb_ranges, lines): the (asid, va_start, va_end) ranges
         whose TLB entries and the watched lines whose PE-cached copies the
@@ -203,21 +211,36 @@ class LightV:
                     raise RuleError(
                         f"rule {rule.rule_id}: level-0 line {line:#x} is under capture"
                     )
-            last_pfn = rule.replacement_base_pfn + rule.page_count - 1
+            run = rule.replacement_run
             if not (
-                self.dram.contains(rule.replacement_base_pfn << PAGE_SHIFT)
-                and self.dram.contains((last_pfn << PAGE_SHIFT) + PAGE_SIZE - 1)
+                self.dram.contains(run.start << PAGE_SHIFT)
+                and self.dram.contains((run.stop << PAGE_SHIFT) - 1)
             ):
                 raise RuleError(
                     f"rule {rule.rule_id}: replacement frames outside DRAM aperture"
                 )
+            for space in self.spaces.values():
+                if any(pfn in run for pfn in space.table_pfns):
+                    raise RuleError(
+                        f"rule {rule.rule_id}: replacement frames hold page tables"
+                        f" of asid {space.asid}"
+                    )
         for i, rule in enumerate(rules):
-            peers = [r for r in rules[:i] if r.asid == rule.asid]
-            peers += [r for r in self.rules.values() if r.asid == rule.asid]
-            for other in peers:
-                if rule.va_start < other.va_end and other.va_start < rule.va_end:
+            run = rule.replacement_run
+            for other in rules[:i] + list(self.rules.values()):
+                if (
+                    rule.asid == other.asid
+                    and rule.va_start < other.va_end
+                    and other.va_start < rule.va_end
+                ):
                     raise RuleError(
                         f"rules {rule.rule_id} and {other.rule_id} overlap"
+                    )
+                other_run = other.replacement_run
+                if run.start < other_run.stop and other_run.start < run.stop:
+                    raise RuleError(
+                        f"rules {rule.rule_id} and {other.rule_id} share"
+                        " replacement frames"
                     )
         if strict:
             self._check_strict(rules)

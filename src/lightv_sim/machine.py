@@ -17,7 +17,9 @@ from . import addressing
 from .addressing import PAGE_SHIFT, PAGE_SIZE, TranslationFault
 from .coherence import (
     LINE_BYTES,
+    LINE_SHIFT,
     Cache,
+    CacheState,
     CoherentInterconnect,
     Counters,
     LatencyConfig,
@@ -26,7 +28,9 @@ from .lightv import LightV, WatermarkWindow, WM_SPAN_FRAMES
 from .mmu import Mmu, Tlb
 
 _LINE_MASK = LINE_BYTES - 1
+_PAGE_MASK = PAGE_SIZE - 1
 _ZERO_LINE = bytes(LINE_BYTES)
+_DIGEST_RECORD = struct.Struct("<IQBH")
 
 FAULT_ABORT = "abort"
 FAULT_RECORD = "record"
@@ -359,11 +363,23 @@ def compare_runs(stats_a: RunStats, stats_b: RunStats) -> OverheadReport:
     return OverheadReport(stats_a.total_cycles, stats_b.total_cycles, relative)
 
 
+def update_digest(h, trace):
+    """Feed the accesses of `trace` into the SHA-256 object `h`; feeding a
+    trace in consecutive pieces gives the digest of the whole."""
+    pack = _DIGEST_RECORD.pack
+    h.update(
+        b"".join(
+            [
+                pack(asid, va, 1 if op == "W" else 0, (value or 0) & 0xFFFF)
+                for asid, op, va, value in trace
+            ]
+        )
+    )
+
+
 def trace_digest(trace) -> str:
     h = hashlib.sha256()
-    pack = struct.Struct("<IQBH").pack
-    for asid, op, va, value in trace:
-        h.update(pack(asid, va, 1 if op == "W" else 0, (value or 0) & 0xFFFF))
+    update_digest(h, trace)
     return h.hexdigest()
 
 
@@ -392,14 +408,16 @@ def parse_trace(text: str):
     return trace
 
 
+def format_access(access) -> str:
+    """One trace line, newline included, in the format `parse_trace` reads."""
+    asid, op, va, value = access
+    if op == "W":
+        return f"{asid:#x} W {va:#x} {value:#x}\n"
+    return f"{asid:#x} R {va:#x}\n"
+
+
 def format_trace(trace) -> str:
-    lines = []
-    for asid, op, va, value in trace:
-        if op == "W":
-            lines.append(f"{asid:#x} W {va:#x} {value:#x}")
-        else:
-            lines.append(f"{asid:#x} R {va:#x}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(map(format_access, trace))
 
 
 def _real_translation(spaces: dict, dram: Dram, asid: int, va: int):
@@ -505,25 +523,77 @@ class Machine:
             faults=tuple(faults),
         )
 
-    def run_trace(self, trace, digest: Optional[str] = None) -> RunStats:
-        """Execute accesses in order, returning this run's statistics.
-
-        Faults follow the configured policy: `abort` raises TraceAbort,
-        `record` logs a FaultRecord and continues.
-        """
+    def run_trace(self, trace) -> RunStats:
+        """Execute a sequence of accesses in order, returning this run's
+        statistics; faults follow the configured policy (see `replay`)."""
         before = self.tally()
         faults = []
-        record = self.config.fault_policy == FAULT_RECORD
+        self.replay(trace, 0, faults)
+        return self.stats_since(before, trace_digest(trace), faults)
+
+    def replay(self, chunk, start_index: int, faults: list):
+        """Execute the accesses of `chunk`, the first of which has trace
+        index `start_index`.
+
+        Faults follow the configured policy: `abort` raises TraceAbort,
+        `record` appends a FaultRecord to `faults` and continues.
+
+        This is the hit path: a TLB hit followed by a PE-cache hit is
+        resolved inline, with the LRU, counter and cycle updates the layers
+        below would make.  Every other access (a TLB miss, a cache miss, a
+        write to a SHARED line, or any access while `debug_tlb_check` is
+        on) goes through `Mmu.access`.  Hits are tallied in a local and
+        added to the counters and the clock before each such call and when
+        the loop ends, so every callee sees the totals of a one-access-at-
+        a-time run.
+        """
+        counters, clock = self.counters, self.clock
         access = self.mmu.access
-        for index, (asid, op, va, value) in enumerate(trace):
-            try:
-                access(asid, va, op == "W", value)
-            except TranslationFault as fault:
-                if not record:
-                    raise TraceAbort(index, asid, va, fault) from None
-                faults.append(
-                    FaultRecord(index, asid, va, fault.level, fault.pte_address)
-                )
-        if digest is None:
-            digest = trace_digest(trace)
-        return self.stats_since(before, digest, faults)
+        tlb_get, tlb_touch = self.tlb._entries.get, self.tlb._entries.move_to_end
+        sets, set_mask = self.cache._sets, self.cache._set_mask
+        hit_cycles = self.cci.lat.cache_hit
+        check_hits = self.config.debug_tlb_check
+        record = self.config.fault_policy == FAULT_RECORD
+        # Local names for the constants the loop reads on every access.
+        page_shift, page_mask = PAGE_SHIFT, _PAGE_MASK
+        line_shift, line_mask, line_base = LINE_SHIFT, _LINE_MASK, ~_LINE_MASK
+        shared, modified = CacheState.SHARED, CacheState.MODIFIED
+        hits = 0
+        try:
+            for index, (asid, op, va, value) in enumerate(chunk, start_index):
+                write = op == "W"
+                if write:
+                    value &= 0xFF  # a missing value fails here, before any state moves
+                # Only an in-range page is ever a TLB key, so an
+                # out-of-range va misses and `translate` rejects it.
+                key = (asid, va >> page_shift)
+                hit = tlb_get(key)
+                if hit is not None and not check_hits:
+                    pa = (hit[0] << page_shift) | (va & page_mask)
+                    line_addr = pa & line_base
+                    ways = sets[(pa >> line_shift) & set_mask]
+                    line = ways.get(line_addr)
+                    # Only the fabric fills the cache, so on a hit its
+                    # `started` flag is already set.
+                    if line is not None and not (write and line.state is shared):
+                        tlb_touch(key)
+                        ways.move_to_end(line_addr)
+                        hits += 1
+                        if write:
+                            line.payload[pa & line_mask] = value
+                            line.state = modified
+                        continue
+                counters.data_hits += hits
+                clock.now += hits * hit_cycles
+                hits = 0
+                try:
+                    access(asid, va, write, value)
+                except TranslationFault as fault:
+                    if not record:
+                        raise TraceAbort(index, asid, va, fault) from None
+                    faults.append(
+                        FaultRecord(index, asid, va, fault.level, fault.pte_address)
+                    )
+        finally:
+            counters.data_hits += hits
+            clock.now += hits * hit_cycles

@@ -10,11 +10,8 @@ from collections import OrderedDict
 
 from . import addressing
 from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
-from .coherence import LINE_SHIFT, CacheState
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
-_LINE_MASK = (1 << LINE_SHIFT) - 1
-_SHARED, _MODIFIED = CacheState.SHARED, CacheState.MODIFIED
 
 
 class Tlb:
@@ -78,13 +75,6 @@ class Mmu:
         # fresh walk would produce and assert they agree.
         self.debug_tlb_check = debug_tlb_check
         self._expected_translation = expected_translation
-        # Bound once for `access`, which reads them on every data access.
-        self._tlb_entries = tlb._entries
-        self._cache_sets = cache._sets
-        self._set_mask = cache._set_mask
-        self._counters = cci.counters
-        self._clock = cci.clock
-        self._lat = cci.lat
 
     def _walk_indices(self, va: int):
         # Mirrors the hardware bit slicer; kept separate from
@@ -140,41 +130,14 @@ class Mmu:
     def access(self, asid: int, va: int, write: bool = False, value=None):
         """One data access: returns the byte read, or stores `value`.
 
-        A TLB hit followed by a PE-cache hit is resolved here, with the
-        same LRU, counter and cycle updates the layers below would make.
-        A TLB miss goes through `translate` and the walker; a cache miss,
-        or a write to a SHARED line (the READ_UNIQUE upgrade), goes to the
-        fabric's miss path.
+        `translate`, then the fabric's `read_byte`/`write_byte`.
+        `Machine.replay` resolves a TLB and cache hit inline and calls this
+        for every other access.
         """
         if write:
             value &= 0xFF  # a missing value fails here, before any state moves
-        if va < 0 or va >> VA_BITS:
-            raise ValueError(f"virtual address out of range: {va:#x}")
-        entries = self._tlb_entries
-        key = (asid, va >> PAGE_SHIFT)
-        hit = entries.get(key)
-        if hit is None:
-            pa = self.translate(asid, va)
-        else:
-            entries.move_to_end(key)
-            pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)
-            if self.debug_tlb_check:
-                self._check_tlb_hit(asid, va, pa)
-        # Only the fabric fills the cache, so on a hit its `started` flag
-        # is already set.
-        line_addr = pa & ~_LINE_MASK
-        ways = self._cache_sets[(line_addr >> LINE_SHIFT) & self._set_mask]
-        line = ways.get(line_addr)
-        if line is None or (write and line.state is _SHARED):
-            if write:
-                self.cci.write_byte(self.cache, pa, value)
-                return None
-            return self.cci.read_byte(self.cache, pa)
-        ways.move_to_end(line_addr)
-        self._counters.data_hits += 1
-        self._clock.now += self._lat.cache_hit
+        pa = self.translate(asid, va)
         if write:
-            line.payload[pa & _LINE_MASK] = value
-            line.state = _MODIFIED
+            self.cci.write_byte(self.cache, pa, value)
             return None
-        return line.payload[pa & _LINE_MASK]
+        return self.cci.read_byte(self.cache, pa)

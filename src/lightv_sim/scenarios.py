@@ -8,8 +8,10 @@ machine statistics (rendered by `csv_rows`), a pass/fail verdict and a
 text rendering.  All randomness is seeded.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional
 
 from .addressing import (
@@ -25,12 +27,15 @@ from .machine import (
     Machine,
     MachineConfig,
     compare_runs,
-    trace_digest,
+    update_digest,
 )
 
 # Scenario mode labels, in report order, and the machine mode each runs in.
 MODES = ("baseline", "passive", "active")
 MACHINE_MODE = {"baseline": "absent", "passive": "passive", "active": "active"}
+
+# Accesses `run_modes` reads from a trace and runs on every machine at a time.
+CHUNK = 4096
 
 DEFAULT_IMAGE_BYTES = 55_600_000
 
@@ -55,20 +60,55 @@ def csv_rows(scenario: str, stats: dict, seed, scale) -> list:
 
 
 def run_modes(config: MachineConfig, modes, trace, prepare):
-    """Run one trace on a fresh machine per mode label, in order.
+    """Run one trace on a fresh machine per mode label, reading it once.
 
     `prepare(machine)` maps the address spaces and returns the rewrite
-    rules; they are activated in active mode only.  Yields
-    (mode, machine, RunStats).  A generator, so that a caller need not keep
-    every mode's machine alive at once.
+    rules; they are activated in active mode only.  Every mode's machine is
+    built and prepared first.  Then `trace`, any iterable of accesses, is
+    read once, `CHUNK` accesses at a time, and each chunk runs on each
+    machine in mode order, so that no mode keeps the trace.
+
+    A failure is raised as if the modes had run one after another: the
+    first mode's at once; a later mode's, which stops that mode and every
+    mode after it, only once every earlier mode has run the whole trace
+    without failing.  Returns [(mode, machine, RunStats)] in mode order.
     """
-    digest = trace_digest(trace)
+    live = []  # (mode, machine, tally before the trace, faults)
+    held = None
     for mode in modes:
-        m = Machine(config.with_mode(MACHINE_MODE[mode]))
-        rules = prepare(m)
-        if mode == "active" and rules:
-            m.activate_rules(rules)
-        yield mode, m, m.run_trace(trace, digest)
+        try:
+            m = Machine(config.with_mode(MACHINE_MODE[mode]))
+            rules = prepare(m)
+            if mode == "active" and rules:
+                m.activate_rules(rules)
+        except Exception as exc:
+            if not live:
+                raise
+            held = exc
+            break
+        live.append((mode, m, m.tally(), []))
+    h = hashlib.sha256()
+    accesses = iter(trace)
+    start = 0
+    while chunk := list(islice(accesses, CHUNK)):
+        update_digest(h, chunk)
+        for pos, (_, m, _, faults) in enumerate(live):
+            try:
+                m.replay(chunk, start, faults)
+            except Exception as exc:
+                if pos == 0:
+                    raise
+                held = exc
+                del live[pos:]
+                break
+        start += len(chunk)
+    if held is not None:
+        raise held
+    digest = h.hexdigest()
+    return [
+        (mode, m, m.stats_since(before, digest, faults))
+        for mode, m, before, faults in live
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +153,34 @@ def histogram_workload(scale: float = 1.0, seed: int = 0) -> HistogramWorkload:
     return w
 
 
-def gen_histogram_trace(w: HistogramWorkload):
+def iter_histogram_trace(w: HistogramWorkload):
     """One streaming pass over the image; per byte, a read-modify-write of
-    a shuffled hot-page slot; a code-page read every `code_period` bytes."""
+    a shuffled hot-page slot; a code-page read every `code_period` bytes.
+    Yields the accesses one at a time."""
     w.validate()
     rng = random.Random(w.seed)
     order = list(range(PAGE_SIZE))
     rng.shuffle(order)
     counts = [0] * PAGE_SIZE
-    trace = []
-    append = trace.append
     code_span = w.code_pages * PAGE_SIZE
     asid = w.asid
     for i in range(w.image_bytes):
-        append((asid, "R", w.image_base_va + i, None))
+        yield (asid, "R", w.image_base_va + i, None)
         slot = order[i % PAGE_SIZE]
         counts[slot] += 1
         hot = w.hot_page_va + slot
-        append((asid, "R", hot, None))
-        append((asid, "W", hot, counts[slot] & 0xFF))
+        yield (asid, "R", hot, None)
+        yield (asid, "W", hot, counts[slot] & 0xFF)
         if i % w.code_period == 0:
-            append(
-                (asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
-            )
+            yield (asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
     if w.image_bytes == 0:
         for k in range(w.code_pages):
-            append((asid, "R", w.code_base_va + k * PAGE_SIZE, None))
-    return trace
+            yield (asid, "R", w.code_base_va + k * PAGE_SIZE, None)
+
+
+def gen_histogram_trace(w: HistogramWorkload) -> list:
+    """The accesses of `iter_histogram_trace`, as a list."""
+    return list(iter_histogram_trace(w))
 
 
 def expected_hot_content(w: HistogramWorkload) -> bytes:
@@ -245,11 +286,12 @@ def run_overhead_experiment(
     The active run redirects the hot page to a replacement frame; its
     aggregation output must land there and match the other modes byte for
     byte, while the cycle overheads stay within the shipped bounds.
-    `trace` is the workload's trace when the caller has generated it.
+    `trace` is the workload's trace, any iterable, when the caller supplies
+    it; it is read once.
     """
     w = workload if workload is not None else histogram_workload()
     if trace is None:
-        trace = gen_histogram_trace(w)
+        trace = iter_histogram_trace(w)
     stats, hot_contents = {}, {}
     original_untouched = True
     hot_pfn = rule = None

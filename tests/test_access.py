@@ -1,9 +1,11 @@
-"""Differential test: the fused data-access path against the layered one.
+"""Differential test: the batched hit loop against the layered path.
 
-`Mmu.access` resolves a TLB hit followed by a cache hit by itself and hands
-everything else to the walker and the fabric.  The reference below drives
-the layers one call at a time (`translate`, then `read_byte`/`write_byte`),
-and every simulated result must come out identical.
+`Machine.replay` (which `run_trace` runs) resolves a TLB hit followed by a
+cache hit inline, tallies those hits in a local, and hands everything else
+to the walker and the fabric.  The reference below drives the layers one
+call at a time (`translate`, then `read_byte`/`write_byte`), and every
+simulated result must come out identical -- including the clock and the
+counters each fabric miss sees while the loop runs.
 """
 
 import random
@@ -107,6 +109,18 @@ def run_access(m, trace):
     return values, faults
 
 
+def spy_on_misses(m):
+    """Log the clock and counters at every snoop the fabric broadcasts (the
+    spy NACKs, so it changes nothing); returns the log."""
+    log = []
+
+    def spy(line_addr):
+        log.append((line_addr, m.clock.now, m.counters.snapshot()))
+
+    m.cci.register_agent(spy)
+    return log
+
+
 def simulated_state(m):
     return {
         "cycles": m.clock.now,
@@ -134,6 +148,7 @@ def test_fused_path_matches_layered_path(tlb_entries, cache_ptes, debug_tlb_chec
     fused, stepped, layered = (
         build(tlb_entries, cache_ptes, debug_tlb_check) for _ in range(3)
     )
+    fused_log, stepped_log, layered_log = map(spy_on_misses, (fused, stepped, layered))
 
     captured = reference_walk(fused.spaces[0], CAPTURE_VA, fused.dram)
     fused.run_trace(trace[:1])
@@ -150,12 +165,26 @@ def test_fused_path_matches_layered_path(tlb_entries, cache_ptes, debug_tlb_chec
     want = simulated_state(layered)
     assert simulated_state(fused) == want
     assert simulated_state(stepped) == want
+    assert fused_log == stepped_log == layered_log
 
     # the trace reached every path it is meant to compare
     c = want["counters"]
     assert c["data_hits"] and c["data_misses"] and c["writebacks"]
     assert c["snoops_acked"] and want["lines_manipulated"] and layered_faults
     assert want["lightv"]["data_captures"] >= 2
+    assert len(layered_log) > 100
+
+
+def test_a_failing_access_keeps_the_hits_before_it():
+    m, ref = build(4, False, False), build(4, False, False)
+    warm = [(0, "W", PLAIN_VAS[0], 1)]
+    hits = [(0, "R", PLAIN_VAS[0] + k, None) for k in range(3)]
+    m.run_trace(warm)
+    ref.run_trace(warm)
+    with pytest.raises(TypeError):
+        m.run_trace(hits + [(0, "W", PLAIN_VAS[0], None)])
+    run_layered(ref, hits)
+    assert simulated_state(m) == simulated_state(ref)
 
 
 def test_out_of_range_va_is_rejected():
@@ -182,6 +211,12 @@ def test_debug_tlb_check_guards_the_hit_path():
     m = build(4, False, True)
     m.mem_read(0, PLAIN_VAS[0])
     m.mem_read(0, PLAIN_VAS[0])  # a clean TLB and cache hit raises nothing
-    m.tlb.insert(0, PLAIN_VAS[0] >> 12, 0xDEAD, 0)  # poison the cached frame
+    # Poison the cached frame with another page's, whose line is cached, so
+    # that the stale entry gives a TLB hit and a cache hit.
+    m.mem_read(0, PLAIN_VAS[1])
+    other = m.mmu.translate(0, PLAIN_VAS[1]) >> 12
+    m.tlb.insert(0, PLAIN_VAS[0] >> 12, other, 0)
     with pytest.raises(AssertionError, match="stale TLB entry"):
         m.mem_read(0, PLAIN_VAS[0])
+    with pytest.raises(AssertionError, match="stale TLB entry"):
+        m.run_trace([(0, "R", PLAIN_VAS[0], None)])

@@ -1,11 +1,12 @@
 import csv
 import json
+import tracemalloc
 
 import pytest
 
 from lightv_sim import cli, scenarios
 from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, reference_walk
-from lightv_sim.machine import Machine, MachineConfig, parse_trace
+from lightv_sim.machine import Machine, MachineConfig, format_trace, parse_trace
 from lightv_sim.mmu import Mmu
 from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
 
@@ -14,6 +15,9 @@ CSV_HEADER = (
     "scenario,mode,seed,scale,total_cycles,data_hits,data_misses,walk_reads,"
     "snoops_issued,snoops_acked,dram_reads,dram_writes,lines_manipulated\n"
 )
+
+
+MIB = 1 << 20
 
 
 def run_cli(*argv):
@@ -180,18 +184,42 @@ def test_exported_trace_replays_identically(tmp_path):
 
 
 def test_export_generates_the_trace_once(tmp_path, monkeypatch):
-    calls = []
+    want = gen_histogram_trace(histogram_workload(scale=0.0001))
+    calls, produced = [], []
+    real = scenarios.iter_histogram_trace
 
     def counted(w):
         calls.append(w)
-        return gen_histogram_trace(w)
+        for access in real(w):
+            produced.append(access)
+            yield access
 
-    monkeypatch.setattr(scenarios, "gen_histogram_trace", counted)
+    monkeypatch.setattr(scenarios, "iter_histogram_trace", counted)
+    trace_path = tmp_path / "hist.trace"
     assert run_cli(
         "run", "--scenario", "histogram", "--scale", "0.0001", "--format", "csv",
-        "--out", str(tmp_path / "hist.csv"), "--export-trace", str(tmp_path / "hist.trace"),
+        "--out", str(tmp_path / "hist.csv"), "--export-trace", str(trace_path),
     ) == 0
     assert len(calls) == 1
+    assert produced == want
+    assert trace_path.read_text() == format_trace(want)
+
+
+def test_histogram_memory_stays_flat_as_the_image_grows(capsys):
+    # The trace streams through every mode's machine, so a run's memory
+    # does not grow with the trace: one kept as a list would add about
+    # 6 MiB of 0.0005's peak over 0.0001's.
+    peaks = {}
+    for scale in ("0.0001", "0.0005"):
+        tracemalloc.start()
+        try:
+            assert run_cli("run", "--scenario", "histogram", "--scale", scale, "--format", "csv") == 0
+            peaks[scale] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks["0.0005"] < 4 * MIB
+    assert peaks["0.0005"] - peaks["0.0001"] < MIB // 2
 
 
 def test_custom_trace_fault_abort(tmp_path):
@@ -220,13 +248,16 @@ def test_unbacked_mapping_is_a_config_error(tmp_path, capsys):
 
 
 def test_context_cache_overflow_is_a_config_error(tmp_path, capsys):
-    # five 2 GiB rules need more intermediate contexts than the cache holds
+    # five 2 GiB rules need more intermediate contexts than the cache holds;
+    # a 12 GiB DRAM aperture holds their five disjoint replacement runs
     config = tmp_path / "loose.json"
-    config.write_text(json.dumps({"strict_isolation": False}))
+    config.write_text(json.dumps({
+        "strict_isolation": False, "dram_size": "0x300000000", "watermark_base_pfn": "0x400000",
+    }))
     (tmp_path / "map.txt").write_text(
         "".join(f"{k << 31:#x} {0x90000 + k:#x} wc\n" for k in range(5)))
-    (tmp_path / "rules.txt").write_text(
-        "".join(f"0 {k << 31:#x} {(k + 1) << 31:#x} 0x80000\n" for k in range(5)))
+    (tmp_path / "rules.txt").write_text("".join(
+        f"0 {k << 31:#x} {(k + 1) << 31:#x} {0x100000 + k * 0x80000:#x}\n" for k in range(5)))
     (tmp_path / "trace.txt").write_text("0 R 0x0\n")
     code = run_cli(
         "run", "--scenario", "custom-trace", "--mode", "active", "--config", str(config),

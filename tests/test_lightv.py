@@ -17,6 +17,8 @@ from helpers import make_machine
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 WINDOW = WatermarkWindow(0x20_0000)
+# DRAM from 2 GiB to 14 GiB, with the watermark window moved above it
+BIG_DRAM = {"dram_size": 0x3_0000_0000, "watermark_base_pfn": 0x40_0000}
 
 
 def active_machine(pages, **overrides):
@@ -338,9 +340,16 @@ def test_context_capacity_bound(monkeypatch):
 
 
 def test_failed_activation_leaves_no_trace():
-    # five 2 GiB rules need 5 x 2 x 513 contexts, more than the cache holds
-    m = active_machine([(k << 31, 0x90000 + k) for k in range(5)] + [(11 << 30, 0x91000)])
-    big = [RewriteRule(k + 1, 0, k << 31, (k + 1) << 31, 0x80000) for k in range(5)]
+    # five 2 GiB rules need 5 x 2 x 513 contexts, more than the cache holds;
+    # a 12 GiB DRAM aperture holds their five disjoint replacement runs
+    m = active_machine(
+        [(k << 31, 0x90000 + k) for k in range(5)] + [(11 << 30, 0x91000)],
+        **BIG_DRAM,
+    )
+    big = [
+        RewriteRule(k + 1, 0, k << 31, (k + 1) << 31, 0x10_0000 + k * 0x8_0000)
+        for k in range(5)
+    ]
     with pytest.raises(lv.ContextCapacityError):
         m.activate_rules(big, strict=False)
     assert m.lightv.rules == {} and m.lightv.watch == {}
@@ -348,6 +357,65 @@ def test_failed_activation_leaves_no_trace():
     assert m.lightv._rule_for(0, 0) is None
     m.activate_rules([RewriteRule(9, 0, 11 << 30, (11 << 30) + 4096, 0xA0000)])
     assert m.mmu.translate(0, 11 << 30) == 0xA0000 << 12
+
+
+def agent_state(m):
+    """Everything `activate` may change on the agent."""
+    agent = m.lightv
+    return (
+        dict(agent.rules),
+        repr(agent.watch),
+        repr(agent._ctx_by_key),
+        dict(agent._rules_by_slot),
+        (list(agent._free_ids), agent._next_id),
+    )
+
+
+def test_activation_rejects_a_run_over_page_tables():
+    m, rule, _ = one_rule_machine()
+    other = m.register_space(1, [(9 << 30, 0x90100, RW)])
+    level1_pfn = decode_pte(m.dram.read_qword(other.pgd_base + 9 * 8))[1]
+    leaf_table_pfn = decode_pte(m.dram.read_qword(level1_pfn << 12))[1]  # index1 0
+    before = agent_state(m)
+    # the run's first frame is asid 0's level-0 table; its second is asid
+    # 1's leaf table
+    for base in (m.spaces[0].pgd_base >> 12, leaf_table_pfn - 1):
+        bad = RewriteRule(1, 0, 8 << 30, (8 << 30) + 2 * 4096, base)
+        with pytest.raises(RuleError, match="hold page tables"):
+            m.activate_rules([bad], strict=False)
+        assert agent_state(m) == before
+    m.activate_rules([rule])
+    assert m.mmu.translate(0, 8 << 30) == 0xA0000 << 12
+
+
+def test_activation_rejects_runs_shared_within_a_call():
+    pages = [(8 << 30, 0x90000), (8 << 30 | 4096, 0x90001), (9 << 30, 0x90002)]
+    m = active_machine(pages)
+    rules = [
+        RewriteRule(1, 0, 8 << 30, (8 << 30) + 2 * 4096, 0xA0000),
+        RewriteRule(2, 0, 9 << 30, (9 << 30) + 4096, 0xA0001),
+    ]
+    before = agent_state(m)
+    with pytest.raises(RuleError, match="rules 2 and 1 share replacement frames"):
+        m.activate_rules(rules)
+    assert agent_state(m) == before
+    m.activate_rules(rules[:1])
+    assert m.mmu.translate(0, 9 << 30) == 0x90002 << 12
+
+
+def test_activation_rejects_a_run_shared_with_an_active_rule():
+    m, rule, _ = one_rule_machine(pages_extra=[(9 << 30, 0x90100)])
+    m.activate_rules([rule])
+    # a different asid: replacement frames are physical, so asids do not part them
+    m.register_space(1, [(9 << 30, 0x90101, RW)])
+    before = agent_state(m)
+    for asid in (0, 1):
+        clash = RewriteRule(2, asid, 9 << 30, (9 << 30) + 4096, 0xA0000)
+        with pytest.raises(RuleError, match="rules 2 and 1 share replacement frames"):
+            m.activate_rules([clash])
+        assert agent_state(m) == before
+    m.activate_rules([RewriteRule(2, 1, 9 << 30, (9 << 30) + 4096, 0xA0001)])
+    assert m.mmu.translate(1, 9 << 30) == 0xA0001 << 12
 
 
 def test_failed_capture_leaves_no_trace():

@@ -1,9 +1,12 @@
 import dataclasses
+import random
 
 import pytest
 
-from lightv_sim.machine import MachineConfig
-from lightv_sim import scenarios
+from lightv_sim import cli, scenarios
+from lightv_sim.addressing import ATTR_CACHEABLE, ATTR_WRITABLE
+from lightv_sim.lightv import RewriteRule, RuleError
+from lightv_sim.machine import Machine, MachineConfig, TraceAbort, trace_digest
 from lightv_sim.scenarios import (
     HistogramWorkload,
     MigrationPlan,
@@ -132,3 +135,131 @@ def test_migration_deterministic_reports(config):
     a = run_migration(MigrationPlan(seed=3), config)
     b = run_migration(MigrationPlan(seed=3), config)
     assert a == b
+
+
+# -- the lockstep runner ---------------------------------------------------------
+
+RW = ATTR_WRITABLE | ATTR_CACHEABLE
+LOCKSTEP_PAGES = [(8 << 30, 0x90000), (9 << 30, 0x90001), (10 << 30, 0x90002)]
+LOCKSTEP_RULES = [RewriteRule(1, 0, 9 << 30, (9 << 30) + 4096, 0xA0000)]
+
+
+def lockstep_trace(n, seed=0):
+    """Reads and writes over the three pages, with an unmapped access now
+    and then, so that faults land in every chunk."""
+    rng = random.Random(seed)
+    trace = []
+    for _ in range(n):
+        if rng.random() < 0.01:
+            trace.append((0, "R", (11 << 30) + rng.randrange(4096), None))
+            continue
+        va = rng.choice(LOCKSTEP_PAGES)[0] + rng.randrange(4096)
+        if rng.random() < 0.3:
+            trace.append((0, "W", va, rng.randrange(256)))
+        else:
+            trace.append((0, "R", va, None))
+    return trace
+
+
+def one_mode_at_a_time(config, trace):
+    """Each mode's RunStats from `Machine.run_trace` on the list."""
+    stats = {}
+    for mode in scenarios.MODES:
+        m = Machine(config.with_mode(scenarios.MACHINE_MODE[mode]))
+        m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
+        if mode == "active":
+            m.activate_rules(LOCKSTEP_RULES)
+        stats[mode] = m.run_trace(trace)
+    return stats
+
+
+def test_lockstep_runner_matches_one_mode_at_a_time():
+    config = MachineConfig(fault_policy="record", tlb_entries=2, cache_sets=4, cache_ways=2)
+    trace = lockstep_trace(2 * scenarios.CHUNK + 700)
+    mappings = [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES]
+    report = scenarios.run_custom_trace(config, mappings, LOCKSTEP_RULES, trace)
+    want = one_mode_at_a_time(config, trace)
+    assert report.stats == want
+    faults = want["baseline"].faults
+    assert faults[0].index < scenarios.CHUNK < 2 * scenarios.CHUNK < faults[-1].index
+    assert want["active"].lines_manipulated > 0
+
+
+def test_lockstep_runner_reads_a_one_shot_iterator_once():
+    config = MachineConfig(fault_policy="record")
+    trace = lockstep_trace(scenarios.CHUNK + 10, seed=1)
+    pulled = []
+
+    def one_shot():
+        for access in trace:
+            pulled.append(access)
+            yield access
+
+    def prepare(m):
+        m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
+        return LOCKSTEP_RULES
+
+    runs = scenarios.run_modes(config, scenarios.MODES, one_shot(), prepare)
+    assert pulled == trace
+    assert [mode for mode, _, _ in runs] == list(scenarios.MODES)
+    assert {mode: run for mode, _, run in runs} == one_mode_at_a_time(config, trace)
+    assert runs[0][2].trace_digest == trace_digest(trace)
+
+
+def test_a_held_failure_stops_every_later_mode():
+    # Passive lacks the second page and active the first: one mode after
+    # another, passive's fault at trace[1] ends the run before active runs,
+    # in this chunk or the next.
+    (a, a_pfn), (b, b_pfn), _ = LOCKSTEP_PAGES
+    pages = {"absent": [(a, a_pfn), (b, b_pfn)], "passive": [(a, a_pfn)], "active": [(b, b_pfn)]}
+
+    def prepare(m):
+        m.register_space(0, [(va, pfn, RW) for va, pfn in pages[m.config.mode]])
+        return []
+
+    trace = [(0, "R", a, None), (0, "R", b, None)] + [(0, "R", a, None)] * scenarios.CHUNK
+    with pytest.raises(TraceAbort) as info:
+        scenarios.run_modes(MachineConfig(), scenarios.MODES, trace, prepare)
+    assert (info.value.index, info.value.va) == (1, b)
+
+
+@pytest.mark.parametrize("faulting, raised", [(True, TraceAbort), (False, RuleError)])
+def test_a_failed_setup_is_held_like_a_failed_run(faulting, raised):
+    # Active mode's rule names an unknown address space; baseline faults on
+    # trace[1] when `faulting`, and that fault comes first, as it would one
+    # mode after another.
+    def prepare(m):
+        m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
+        return [RewriteRule(1, 7, 9 << 30, (9 << 30) + 4096, 0xA0000)]
+
+    trace = [(0, "R", 8 << 30, None), (0, "R", (11 << 30) if faulting else (10 << 30), None)]
+    with pytest.raises(raised):
+        scenarios.run_modes(MachineConfig(), scenarios.MODES, trace, prepare)
+
+
+@pytest.mark.parametrize("baseline_faults, message", [
+    (True, "fault abort: trace[5000]: fault at va 0x340000000 (level 0, pte @ 0x80000068)\n"),
+    (False, "fault abort: trace[0]: fault at va 0x200200000 (level 1, pte @ 0x201000008)\n"),
+])
+def test_abort_reports_the_first_failing_mode(tmp_path, capsys, baseline_faults, message):
+    # Under a permissive rule, active mode faults on the neighbour that
+    # shares the target's level-0 slot at trace[0]; baseline and passive
+    # fault only on the unmapped access at trace[5000], in a later chunk.
+    # As when the modes ran one after another, baseline's fault is the one
+    # reported, and active's only when baseline runs the trace clean.
+    target, neighbour = 8 << 30, (8 << 30) | (1 << 21)
+    (tmp_path / "loose.json").write_text('{"strict_isolation": false}')
+    (tmp_path / "map.txt").write_text(f"{target:#x} 0x90000 wc\n{neighbour:#x} 0x90001 wc\n")
+    (tmp_path / "rules.txt").write_text(f"0 {target:#x} {target + 4096:#x} 0xa0000\n")
+    lines = [f"0 R {neighbour + k % 64:#x}\n" for k in range(2 * scenarios.CHUNK + 1)]
+    if baseline_faults:
+        lines[5000] = "0 R 0x340000000\n"
+    (tmp_path / "trace.txt").write_text("".join(lines))
+    code = cli.main([
+        "run", "--scenario", "custom-trace", "--config", str(tmp_path / "loose.json"),
+        "--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt"),
+        "--rules", str(tmp_path / "rules.txt"),
+    ])
+    assert code == cli.EXIT_FAULT
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", message)
