@@ -28,6 +28,7 @@ from .addressing import TranslationFault
 from .coherence import FabricGap
 from .lightv import ContextCapacityError, parse_rules
 from .machine import (
+    AllocatorExhausted,
     ConfigError,
     Machine,
     MachineConfig,
@@ -160,7 +161,14 @@ def cmd_run(args) -> int:
     except TraceAbort as exc:
         print(f"fault abort: {exc}", file=sys.stderr)
         return EXIT_FAULT
-    except (ConfigError, ValueError, OSError, FabricGap, ContextCapacityError) as exc:
+    except (
+        ConfigError,
+        ValueError,
+        OSError,
+        FabricGap,
+        ContextCapacityError,
+        AllocatorExhausted,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -217,12 +225,16 @@ def cmd_verify(args) -> int:
             crng.sample(range(1 << (addressing.VA_BITS - addressing.PAGE_SHIFT)),
                         crng.randint(8, 40))
         )
-        mappings = [
-            (page << addressing.PAGE_SHIFT, m.allocator.alloc(),
-             crng.choice((0, addressing.ATTR_WRITABLE)))
-            for page in pages
-        ]
-        space = m.register_space(0, mappings)
+        try:
+            mappings = [
+                (page << addressing.PAGE_SHIFT, m.allocator.alloc(),
+                 crng.choice((0, addressing.ATTR_WRITABLE)))
+                for page in pages
+            ]
+            space = m.register_space(0, mappings)
+        except AllocatorExhausted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         for _ in range(args.vas):
             if crng.random() < 0.6:
                 va = (crng.choice(pages) << addressing.PAGE_SHIFT) | crng.randrange(

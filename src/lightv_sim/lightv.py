@@ -15,13 +15,14 @@ Watermarking keeps redirection correct even when previously served PTE
 lines linger in the PE cache: a cached watermark still routes the next
 miss back here, so partial visibility of the walk is harmless.
 
-While serving a chunk the module consults the live tables it shadows
-(one DRAM line read per serve) rather than caching their contents: leaf
-attributes are merged fresh and a non-present real entry is mirrored as
-non-present, so an unpopulated mapping faults just as it would have --
-except that the faulting descriptor address the OS then sees lies in the
-watermark window, which is precisely the demand-paging hazard the
-scenarios reproduce.
+Every serve reads the live real line it is built from (one DRAM line
+read per serve) and reuses the last payload of that line only while the
+bytes read are equal to those it was built from, so leaf attributes are
+merged fresh and a non-present real entry is mirrored as non-present: an
+unpopulated mapping faults just as it would have -- except that the
+faulting descriptor address the OS then sees lies in the watermark
+window, which is precisely the demand-paging hazard the scenarios
+reproduce.
 """
 
 import heapq
@@ -171,6 +172,7 @@ class LightV:
         self._free_ids = []
         self._next_id = 0
         self._mirror = {}
+        self._served = {}  # line -> (real bytes, payload) of its last serve
         self.lines_manipulated = 0
         self.context_lost = 0
         self.data_captures = 0
@@ -253,6 +255,7 @@ class LightV:
         if len(new_paths) > free:
             raise ContextCapacityError("context cache full")
 
+        self._served.clear()
         for rule in rules:
             self.rules[rule.rule_id] = rule
         self._reindex_rules()
@@ -281,6 +284,7 @@ class LightV:
         rule = self.rules.pop(rule_id, None)
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
+        self._served.clear()
         self._reindex_rules()
 
         stale_lines = set(
@@ -345,22 +349,45 @@ class LightV:
             return ctx
         return None
 
-    def manipulate_line(self, match, line_addr: int) -> bytearray:
+    def manipulate_line(self, match, line_addr: int) -> bytes:
         """Build the served content of one 64-byte chunk on a watched path.
 
         `match` is what `path_check` returned: a PgdWatch (level 0) or a
-        TranslationContext (level 1 or 2).  Level 0 starts from the real
-        line content read from DRAM; watermark chunks start blank and are
-        synthesized against the live table the context shadows.  Only
-        whole 8-byte entries on targeted paths change; every other byte
-        of the real line is preserved.
+        TranslationContext (level 1 or 2).  This is the one place that
+        reads the real content a chunk is built from: the watched line
+        itself at level 0, the matching line of the live table the
+        context shadows at levels 1 and 2 (a context with no real table
+        yields a blank chunk without a read).  Only whole 8-byte entries
+        on targeted paths change; every other byte of the real line is
+        preserved.
+
+        The last payload of each line is kept with a copy of the real
+        bytes it was built from, and reused while a fresh read of the real
+        line is equal.  The build depends on nothing else that changes
+        outside `activate`/`deactivate`, which drop every entry, and its
+        one side effect (a child context's table base) follows from those
+        bytes, so a reuse leaves the agent as a rebuild would.
         """
         if match.level == 0:
-            real = bytearray(self.dram.read_line(line_addr))
-            return self._rewrite_watched_line(real, match)
-        return self._synthesize_wm_chunk(line_addr, match)
+            real = self.dram.read_line(line_addr)
+        elif match.original_table_addr is None:
+            return bytes(LINE_BYTES)  # no real table behind the path: all blank
+        else:
+            real = self.dram.read_line(
+                match.original_table_addr + (line_addr & _FRAME_OFF_MASK)
+            )
+        served = self._served.get(line_addr)
+        if served is not None and served[0] == real:
+            return served[1]
+        if match.level == 0:
+            payload = self._rewrite_watched_line(real, match)
+        else:
+            payload = self._synthesize_wm_chunk(line_addr, match, real)
+        self._served[line_addr] = (bytes(real), payload)
+        return payload
 
-    def _rewrite_watched_line(self, buf: bytearray, watch: PgdWatch) -> bytearray:
+    def _rewrite_watched_line(self, real, watch: PgdWatch) -> bytes:
+        buf = bytearray(real)
         for asid, i0, pgd_base in watch.slots:
             off = (pgd_base + i0 * 8) & _LINE_MASK
             raw = int.from_bytes(buf[off : off + 8], "little")
@@ -373,15 +400,10 @@ class LightV:
             ctx.original_table_addr = pfn << PAGE_SHIFT
             marked = encode_pte(True, self.window.encode(1, ctx.context_id), attrs)
             buf[off : off + 8] = marked.to_bytes(8, "little")
-        return buf
+        return bytes(buf)
 
-    def _synthesize_wm_chunk(self, line_addr: int, ctx: TranslationContext) -> bytearray:
+    def _synthesize_wm_chunk(self, line_addr: int, ctx: TranslationContext, real) -> bytes:
         buf = bytearray(LINE_BYTES)
-        if ctx.original_table_addr is None:
-            return buf  # no real table behind the path: every slot blank
-        real = self.dram.read_line(
-            ctx.original_table_addr + (line_addr & _FRAME_OFF_MASK)
-        )
         asid = ctx.asid
         i0 = ctx.prefix[0]
         # The chunk's 8 entries map 8 consecutive spans of `span` bytes.
@@ -422,7 +444,7 @@ class LightV:
                     attrs |= rule.attr_overrides
                 entry = encode_pte(True, rule.replacement_pfn_for(lo), attrs)
             buf[off : off + 8] = entry.to_bytes(8, "little")
-        return buf
+        return bytes(buf)
 
     # -- migration data capture ------------------------------------------------
 
@@ -433,14 +455,24 @@ class LightV:
         open, dirty writebacks of captured destination lines are mirrored
         to the source so a later bulk copy cannot clobber newer data.  A
         destination may not be a watched table line, which an active rule
-        owns.  Every pair is checked before any is installed: a call that
-        raises leaves the agent as it found it.
+        owns, and neither line may lie in a page table of a registered
+        space: reads of a table line would be served from elsewhere, and
+        mirrored writebacks would overwrite a table.  Every pair is
+        checked before any is installed: a call that raises leaves the
+        agent as it found it.
         """
         if any(dst & _LINE_MASK or src & _LINE_MASK for dst, src in pairs.items()):
             raise ValueError("capture lines must be 64-byte aligned")
-        for dst in pairs:
+        for dst, src in pairs.items():
             if isinstance(self.watch.get(dst), PgdWatch):
                 raise ValueError(f"capture line {dst:#x} is a watched table line")
+            for line in (dst, src):
+                for space in self.spaces.values():
+                    if line >> PAGE_SHIFT in space.table_pfns:
+                        raise ValueError(
+                            f"capture line {line:#x} lies in a page table"
+                            f" of asid {space.asid}"
+                        )
         for dst, src in pairs.items():
             self.watch[dst] = CaptureWatch(src)
         self._mirror.update(pairs)

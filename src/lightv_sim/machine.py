@@ -404,6 +404,10 @@ def parse_trace(text: str):
             raise TraceError(f"line {lineno}: {exc}") from None
         if op == "W" and value is None:
             raise TraceError(f"line {lineno}: write needs a data byte")
+        if not 0 <= asid < 1 << 32:
+            raise TraceError(f"line {lineno}: asid {parts[0]} outside 32 bits")
+        if not 0 <= va < 1 << 64:
+            raise TraceError(f"line {lineno}: va {parts[2]} outside 64 bits")
         trace.append((asid, op, va, value))
     return trace
 

@@ -269,6 +269,33 @@ def test_context_cache_overflow_is_a_config_error(tmp_path, capsys):
     assert err == "error: context cache full\n" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["0x100000000 R 0x0", "0 R 0x10000000000000000", "-1 R 0x0"])
+def test_trace_field_out_of_range_is_a_config_error(tmp_path, capsys, line):
+    # the trace digest packs an asid as 32 bits and a va as 64 bits
+    (tmp_path / "map.txt").write_text("0x0 0x80100 wc\n")
+    (tmp_path / "trace.txt").write_text(f"0 R 0x0\n{line}\n")
+    code = run_cli(
+        "run", "--scenario", "custom-trace",
+        "--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt"),
+    )
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "histogram"],
+    ["verify", "--configs", "1"],
+])
+def test_dram_too_small_is_a_config_error(tmp_path, capsys, command):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"dram_size": "0x2000"}))
+    assert run_cli(*command, "--config", str(config)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: no free frames left in the DRAM aperture\n"
+    assert captured.out == ""
+
+
 def test_reports_are_byte_identical(tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from lightv_sim import lightv as lv
-from lightv_sim.addressing import ATTR_CACHEABLE, ATTR_WRITABLE, decode_pte
+from lightv_sim.addressing import (
+    ATTR_CACHEABLE,
+    ATTR_WRITABLE,
+    PTE_PRESENT,
+    TranslationFault,
+    decode_pte,
+)
 from lightv_sim.coherence import FabricGap
 from lightv_sim.lightv import (
     IsolationError,
@@ -444,15 +450,39 @@ def test_capture_rejects_a_watched_table_line():
     assert m.mmu.translate(0, 8 << 30) == repl << 12
 
 
+def test_capture_rejects_page_table_lines():
+    # a destination in a table frame would have table reads served from its
+    # source; a source in one would have captured writebacks mirrored over it
+    m, rule, repl = one_rule_machine()
+    other = m.register_space(1, [(9 << 30, 0x90100, RW)])
+    m.activate_rules([rule])
+    level1_pfn = decode_pte(m.dram.read_qword(other.pgd_base + 9 * 8))[1]
+    state = repr(m.lightv.watch), dict(m.lightv._mirror)
+    bad = [
+        {0x9100_0000: 0x9200_0000, (level1_pfn << 12) + 0x40: 0x9200_0040},
+        {0x9100_0000: 0x9200_0000, 0x9100_0040: m.spaces[0].pgd_base + 0x80},
+    ]
+    for pairs, asid in zip(bad, (1, 0)):
+        with pytest.raises(ValueError, match=f"lies in a page table of asid {asid}"):
+            m.lightv.begin_page_capture(pairs)
+        assert (repr(m.lightv.watch), m.lightv._mirror) == state
+    # the rule's own replacement frame stays capturable, as migration needs
+    m.lightv.begin_page_capture({repl << 12: 0x9100_0000})
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
+
+
 def test_activation_rejects_a_level0_line_under_capture():
-    pages = [(8 << 30, 0x90000), (9 << 30, 0x90001)]
-    m = active_machine(pages)
+    # the window opens before the space is registered, on the frame its
+    # level-0 table then takes, so begin_page_capture cannot see a table
+    m = make_machine("active")
+    pgd_line = (m.allocator.next_pfn << 12) + 8 * 8
+    m.lightv.begin_page_capture({pgd_line: 0x9200_0000})
+    m.register_space(0, [(8 << 30, 0x90000, RW), (9 << 30, 0x90001, RW)])
+    assert pgd_line == (m.spaces[0].pgd_base + 8 * 8) & ~63
     rules = [
         RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000),
         RewriteRule(2, 0, 9 << 30, (9 << 30) + 4096, 0xA0001),
     ]
-    pgd_line = (m.spaces[0].pgd_base + 8 * 8) & ~63
-    m.lightv.begin_page_capture({pgd_line: 0x9200_0000})
     state = repr(m.lightv.watch), dict(m.lightv._mirror)
     with pytest.raises(RuleError, match="under capture"):
         m.activate_rules(rules)
@@ -605,3 +635,180 @@ def test_diagnostics_counters():
     assert m.lightv.lines_manipulated == 3 and m.lightv.data_captures == 0
     assert m.counters.snoops_issued == m.counters.snoops_acked == 3
     assert len(m.lightv._ctx_by_id) == 2 and m.lightv.context_lost == 0
+
+
+# -- reuse of served payloads ----------------------------------------------------
+
+
+def served_lines(m, va):
+    """The level-0, level-1 and leaf lines a walk of `va` is served."""
+    agent = m.lightv
+    i0, i1, i2 = va >> 30, (va >> 21) & 0x1FF, (va >> 12) & 0x1FF
+    pgd_line = (m.spaces[0].pgd_base + i0 * 8) & ~63
+    ctx1 = agent._ctx_by_key[(0, (i0,))]
+    ctx2 = agent._ctx_by_key[(0, (i0, i1))]
+    wm1 = (agent.window.encode(1, ctx1.context_id) << 12) + ((i1 * 8) & ~63)
+    wm2 = (agent.window.encode(2, ctx2.context_id) << 12) + ((i2 * 8) & ~63)
+    return pgd_line, wm1, wm2
+
+
+def test_served_payload_follows_an_in_place_table_edit():
+    # the OS clears a ruled page's leaf entry in place, in the very line
+    # object the last serve read: the next walk must see the edit
+    m, rule, _ = one_rule_machine()
+    m.activate_rules([rule])
+    va = 8 << 30
+    m.mmu.translate(0, va)
+    leaf_ctx = m.lightv._ctx_by_key[(0, (8, 0))]
+    pte = leaf_ctx.original_table_addr  # index2 0
+    cleared = m.dram.read_qword(pte) & ~PTE_PRESENT
+    m.dram.write_qword(pte, cleared)
+    m.tlb.invalidate_range(0, va, va + 4096)
+    for line in list(m.lightv._served):
+        m.cci.invalidate_line(m.cache, line)
+    with pytest.raises(TranslationFault) as fault:
+        m.mmu.translate(0, va)
+    wm2 = served_lines(m, va)[2]
+    assert fault.value.level == 2 and fault.value.pte_address == wm2
+    assert m.lightv._served[wm2][1][:8] == cleared.to_bytes(8, "little")
+
+
+def test_served_payload_after_real_bytes_return():
+    # the ruled level-0 entry moves to another level-1 table and back; the
+    # return must re-point the level-1 context, as a kept payload keyed by
+    # its bytes would not
+    pages = [(8 << 30, 0x90000), ((9 << 30) | (1 << 21), 0x90001)]
+    m = active_machine(pages)
+    m.activate_rules([RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000)])
+    pgd = m.spaces[0].pgd_base
+    own, other = m.dram.read_qword(pgd + 8 * 8), m.dram.read_qword(pgd + 9 * 8)
+    assert m.mmu.translate(0, 8 << 30) == 0xA0000 << 12
+    for entry, level in ((other, 1), (own, None)):
+        m.dram.write_qword(pgd + 8 * 8, entry)
+        m.tlb.invalidate_range(0, 8 << 30, (8 << 30) + 4096)
+        if level is None:
+            assert m.mmu.translate(0, 8 << 30) == 0xA0000 << 12
+        else:
+            with pytest.raises(TranslationFault) as fault:
+                m.mmu.translate(0, 8 << 30)  # index1 0 is empty in that table
+            assert fault.value.level == level
+
+
+def test_rule_changes_drop_served_payloads():
+    # slots 8, 9 and 10 share one level-0 line, which stays watched throughout
+    pages = [(k << 30, 0x90000 + k) for k in (8, 9, 10)]
+    m = active_machine(pages)
+    r1, r2, r3 = (
+        RewriteRule(k - 7, 0, k << 30, (k << 30) + 4096, 0xA0000 + k) for k in (8, 9, 10)
+    )
+    m.activate_rules([r1])
+    assert m.mmu.translate(0, 8 << 30) == 0xA0008 << 12
+    m.activate_rules([r2])  # a new slot on a line already served
+    assert m.mmu.translate(0, 9 << 30) == 0xA0009 << 12
+    freed = sorted(c.context_id for c in m.lightv._ctx_by_id.values() if c.prefix[0] == 8)
+    m.deactivate_rule(1)  # its slot on the served line must go back to real
+    assert m.mmu.translate(0, 8 << 30) == 0x90008 << 12
+    m.activate_rules([r3])  # takes rule 1's freed context ids
+    reused = sorted(c.context_id for c in m.lightv._ctx_by_id.values() if c.prefix[0] == 10)
+    assert reused == freed
+    assert m.mmu.translate(0, 10 << 30) == 0xA000A << 12
+    assert m.mmu.translate(0, 9 << 30) == 0xA0009 << 12
+    assert m.mmu.translate(0, 8 << 30) == 0x90008 << 12
+
+
+def test_served_payload_reuse_keeps_the_read_and_the_cost():
+    m, rule, _ = one_rule_machine()
+    m.activate_rules([rule])
+    m.mmu.translate(0, 8 << 30)
+    lat = m.config.latencies
+    for line in served_lines(m, 8 << 30):
+        kept = m.lightv._served[line][1]
+        reads, manipulated = m.dram.reads, m.lightv.lines_manipulated
+        payload, serve_cycles = m.lightv.handle_snoop(line)
+        assert payload is kept  # reused, not rebuilt
+        assert serve_cycles == lat.lightv + lat.dram
+        assert m.dram.reads == reads + 1
+        assert m.lightv.lines_manipulated == manipulated + 1
+
+
+def check_served_against_rebuild(agent, dram):
+    """Every kept payload whose real bytes are still current equals a fresh
+    build, and the fresh build changes no context; returns how many were
+    current.  A stale one is rebuilt on its next serve."""
+    current = 0
+    for line, (real, payload) in agent._served.items():
+        match = agent.path_check(line)
+        if match.level == 0:
+            fresh = bytes(dram.read_line(line))
+        else:
+            fresh = bytes(dram.read_line(match.original_table_addr + (line & 0xFFF)))
+        if fresh != real:
+            continue
+        current += 1
+        bases = {k: c.original_table_addr for k, c in agent._ctx_by_key.items()}
+        if match.level == 0:
+            rebuilt = agent._rewrite_watched_line(fresh, match)
+        else:
+            rebuilt = agent._synthesize_wm_chunk(line, match, fresh)
+        assert rebuilt == payload, hex(line)
+        assert {k: c.original_table_addr for k, c in agent._ctx_by_key.items()} == bases
+    return current
+
+
+def test_served_payloads_match_a_rebuild_under_random_interleavings():
+    # rules come and go while the OS clears, restores and swaps table
+    # entries at every level; after each step every kept payload must equal
+    # a fresh build, and every walk the oracle's answer (rules are activated
+    # loosely, so an unruled page under a ruled level-0 slot is left out)
+    rng = random.Random(7)
+    vas = [(i0 << 30) | (i1 << 21) | (i2 << 12)
+           for i0 in (8, 9) for i1 in (0, 1, 2) for i2 in range(4)]
+    m = active_machine([(va, 0x90000 + n) for n, va in enumerate(vas)], tlb_entries=4)
+    rules = [RewriteRule(n + 1, 0, va, va + 2 * 4096, 0xA0000 + 2 * n)
+             for n, va in enumerate(vas[::2])]
+    pgd_base = m.spaces[0].pgd_base
+
+    def entry_addr(va, level):
+        """The real entry a walk of `va` reads at `level`."""
+        addr = pgd_base + (va >> 30) * 8
+        for shift in (21, 12)[:level]:
+            table = decode_pte(m.dram.read_qword(addr))[1] << 12
+            addr = table + ((va >> shift) & 0x1FF) * 8
+        return addr
+
+    current = 0
+    for step in range(150):
+        op = rng.random()
+        if op < 0.2:
+            rule = rng.choice(rules)
+            if rule.rule_id in m.lightv.rules:
+                m.deactivate_rule(rule.rule_id)
+            else:
+                m.activate_rules([rule], strict=False)
+        elif op < 0.35:
+            # clear or restore one entry's present bit, at any level
+            addr = entry_addr(rng.choice(vas), rng.choice((0, 1, 1, 2, 2, 2)))
+            m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
+            m.tlb.invalidate_range(0, 0, 1 << 39)
+        elif op < 0.45:
+            # swap two level-1 entries of a slot: their leaf tables trade places
+            i0 = rng.choice((8, 9))
+            a, b = (entry_addr(i0 << 30 | i1 << 21, 1) for i1 in rng.sample((0, 1, 2), 2))
+            qa, qb = m.dram.read_qword(a), m.dram.read_qword(b)
+            m.dram.write_qword(a, qb)
+            m.dram.write_qword(b, qa)
+            m.tlb.invalidate_range(0, 0, 1 << 39)
+        else:
+            for _ in range(10):
+                va = rng.choice(vas) + rng.randrange(4096)
+                if m.lightv._rule_for(0, va) is None and (0, va >> 30) in m.lightv._rules_by_slot:
+                    continue  # an unruled neighbour of a rule: the isolation hazard
+                expected = m.lightv.expected_pa(0, va)
+                try:
+                    got = m.mmu.translate(0, va)
+                except TranslationFault:
+                    got = None
+                assert got == expected, (step, hex(va))
+        current += check_served_against_rebuild(m.lightv, m.dram)
+    assert m.lightv.context_lost == 0
+    assert current > 100

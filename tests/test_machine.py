@@ -264,6 +264,11 @@ def test_trace_parse_errors():
     with pytest.raises(TraceError, match="data byte"):
         parse_trace("0 W 0x1000\n")
     assert parse_trace("# empty\n\n") == []
+    # the trace digest packs an asid as 32 bits and a va as 64 bits
+    for line, field in [("0x100000000 R 0x0", "asid"), ("-1 R 0x0", "asid"),
+                        ("0 R 0x10000000000000000", "va"), ("0 W -0x1 0x5", "va")]:
+        with pytest.raises(TraceError, match=f"line 2: {field} "):
+            parse_trace(f"0xffffffff R 0xffffffffffffffff\n{line}\n")
 
 
 def test_stats_text_rendering():
