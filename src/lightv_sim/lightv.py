@@ -26,6 +26,7 @@ reproduce.
 """
 
 import heapq
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +42,8 @@ WM_SPAN_FRAMES = 1 << (WM_LEVEL_BITS + WM_CONTEXT_BITS)
 
 _LINE_MASK = LINE_BYTES - 1
 _FRAME_OFF_MASK = PAGE_SIZE - 1
+# One whole page-table frame as its 512 little-endian entries.
+_unpack_table = struct.Struct(f"<{addressing.ENTRIES_PER_TABLE}Q").unpack
 
 
 class RuleError(ValueError):
@@ -622,14 +625,12 @@ class LightV:
         pud = self._real_table_base(rule.asid, (i0,))
         if pud is None:
             return
-        read = self.dram.read_qword
-        for i1 in range(addressing.ENTRIES_PER_TABLE):
-            raw = read(pud + i1 * 8)
+        read = self.dram.read_bytes
+        for i1, raw in enumerate(_unpack_table(read(pud, PAGE_SIZE))):
             if not raw & addressing.PTE_PRESENT:
                 continue
             pmd = decode_pte(raw)[1] << PAGE_SHIFT
-            for i2 in range(addressing.ENTRIES_PER_TABLE):
-                raw = read(pmd + i2 * 8)
+            for i2, raw in enumerate(_unpack_table(read(pmd, PAGE_SIZE))):
                 if not raw & addressing.PTE_PRESENT:
                     continue
                 va = (i0 << 30) | (i1 << 21) | (i2 << PAGE_SHIFT)

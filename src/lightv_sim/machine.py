@@ -139,13 +139,15 @@ class Dram:
 
     def write_bytes(self, addr: int, data: bytes):
         self._check(addr, len(data))
-        for i, b in enumerate(data):
-            a = addr + i
-            line_addr = a & ~_LINE_MASK
-            line = self._lines.get(line_addr)
+        end = addr + len(data)
+        lines = self._lines
+        for line_addr in range(addr & ~_LINE_MASK, end, LINE_BYTES):
+            line = lines.get(line_addr)
             if line is None:
-                line = self._lines[line_addr] = bytearray(LINE_BYTES)
-            line[a & _LINE_MASK] = b
+                line = lines[line_addr] = bytearray(LINE_BYTES)
+            lo = max(addr, line_addr)
+            hi = min(end, line_addr + LINE_BYTES)
+            line[lo - line_addr : hi - line_addr] = data[lo - addr : hi - addr]
 
     def content_digest(self) -> str:
         h = hashlib.sha256()
@@ -470,6 +472,8 @@ class Machine:
         )
 
     def register_space(self, asid: int, mappings) -> addressing.AddressSpace:
+        if asid in self.spaces:
+            raise addressing.MappingError(f"asid {asid} is already registered")
         space = addressing.build_tables(mappings, self.dram, self.allocator, asid)
         self.spaces[asid] = space
         return space

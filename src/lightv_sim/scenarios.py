@@ -11,7 +11,7 @@ text rendering.  All randomness is seeded.
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import compress, islice
 from typing import Optional
 
 from .addressing import (
@@ -592,6 +592,40 @@ class MigrationReport:
         )
 
 
+# Byte maps for `random_bytes`: a word's top byte doubled (mod 256), the
+# top bit of the byte below it, and whether the word's top bit is clear.
+_DOUBLED = bytes((2 * b) & 0xFF for b in range(256))
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+_BELOW_128 = bytes(b < 128 for b in range(256))
+
+
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """`bytes(rng.randrange(256) for _ in range(n))`, drawn in bulk.
+
+    Returns the same bytes and leaves `rng` in the same state.  CPython's
+    `randrange(256)` draws `getrandbits(9)`, the top 9 bits of one 32-bit
+    Mersenne Twister word, and keeps it if it is below 256 (bit 31 of the
+    word is clear), else it draws another word.  `getrandbits(32 * k)`
+    returns k consecutive words, the first least significant, so in its
+    little-endian bytes word j is `raw[4j:4j+4]` with its top byte at
+    `4j + 3`.  A kept word's value is then `top << 1 | next_byte >> 7`
+    with `top = raw[4j+3] < 128`.  Each round draws one word per byte still
+    missing: at most that many are kept, so no word past the last kept one
+    is ever drawn.
+    """
+    out = bytearray()
+    while len(out) < n:
+        k = n - len(out)
+        raw = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        top = raw[3::4]
+        values = (
+            int.from_bytes(top.translate(_DOUBLED), "little")
+            | int.from_bytes(raw[2::4].translate(_TOP_BIT), "little")
+        ).to_bytes(k, "little")
+        out.extend(compress(values, top.translate(_BELOW_128)))
+    return bytes(out)
+
+
 def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport:
     """Copy a live page by DMA chunks while redirecting its translation.
 
@@ -618,7 +652,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     va = plan.page_va
     m.register_space(plan.asid, [(va, src, ATTR_WRITABLE | ATTR_CACHEABLE)])
 
-    init = bytes(rng.randrange(256) for _ in range(PAGE_SIZE))
+    init = random_bytes(rng, PAGE_SIZE)
     m.dram.write_bytes(src << PAGE_SHIFT, init)
     shadow = bytearray(init)
     before = m.tally()
@@ -686,7 +720,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
 
     m.flush_cache()
     final = m.dram.read_bytes(dst << PAGE_SHIFT, PAGE_SIZE)
-    lost_writes = sum(1 for i in range(PAGE_SIZE) if final[i] != shadow[i])
+    lost_writes = sum(map(int.__ne__, final, shadow))
     src_lo, src_hi = src << PAGE_SHIFT, (src + 1) << PAGE_SHIFT
     source_clean = not any(
         src_lo <= line.tag < src_hi for line in m.cache.iter_lines()

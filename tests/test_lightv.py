@@ -212,6 +212,23 @@ def test_strict_scans_each_level0_slot_once(monkeypatch):
     assert len(reads) <= 2 * per_slot_scan + premapped + contexts
 
 
+def test_strict_scan_reads_uncounted_and_names_the_first_neighbour():
+    # neighbours in two level-1 slots of slot 8; the scan goes in (i1, i2) order
+    ruled = 8 << 30
+    neighbours = [ruled | (i1 << 21) | (i2 << 12) for i1, i2 in ((5, 9), (3, 200), (3, 7))]
+    pages = [(ruled, 0x90000)] + [(va, 0x90001 + k) for k, va in enumerate(neighbours)]
+    m = active_machine(pages)
+    counts = m.dram.reads, m.dram.writes
+    with pytest.raises(IsolationError) as err:
+        m.activate_rules([RewriteRule(1, 0, ruled, ruled + 4096, 0xA0000)], strict=True)
+    assert str(err.value) == "rule 1: neighbour mapping 0x200607000 shares level-0 slot 8"
+    assert (m.dram.reads, m.dram.writes) == counts
+    m = active_machine([(ruled, 0x90000), (9 << 30, 0x90001)])
+    counts = m.dram.reads, m.dram.writes
+    m.activate_rules([RewriteRule(1, 0, ruled, ruled + 4096, 0xA0000)], strict=True)
+    assert (m.dram.reads, m.dram.writes) == counts
+
+
 def test_strict_accepts_joint_coverage():
     # two rules that jointly own the slot's mappings pass the strict check
     pages = [(8 << 30, 0x90000), ((8 << 30) | (1 << 21), 0x90001)]

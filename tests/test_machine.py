@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from lightv_sim.addressing import ATTR_WRITABLE
+from lightv_sim.addressing import ATTR_WRITABLE, MappingError
 from lightv_sim.coherence import LatencyConfig
 from lightv_sim.lightv import RewriteRule
 from lightv_sim.machine import (
@@ -85,6 +85,16 @@ def test_config_file_errors(tmp_path):
         load_config(str(path))
 
 
+def test_register_space_rejects_a_registered_asid():
+    m = simple_machine("active")
+    first = m.spaces[0]
+    state = m.allocator.next_pfn, m.dram.content_digest()
+    with pytest.raises(MappingError, match="asid 0 is already registered"):
+        m.register_space(0, [(10 << 30, 0x90002, RW)])
+    assert (m.allocator.next_pfn, m.dram.content_digest()) == state
+    assert m.spaces == {0: first}
+
+
 def test_activate_requires_active_mode():
     m = simple_machine("passive")
     with pytest.raises(RuntimeError, match="mode"):
@@ -127,6 +137,47 @@ def test_dram_byte_ops_cross_lines():
     dram.write_bytes(0x8000_0020, data)
     assert dram.read_bytes(0x8000_0020, 200) == data
     assert dram.read_qword(0x8000_0020) == int.from_bytes(data[:8], "little")
+
+
+def per_byte_write(dram, addr, data):
+    """Reference for `Dram.write_bytes`: one byte at a time, through the
+    qword port, which also creates a zeroed line for every line it touches."""
+    for i, b in enumerate(data):
+        a = addr + i
+        word = bytearray(dram.read_qword(a & ~7).to_bytes(8, "little"))
+        word[a & 7] = b
+        dram.write_qword(a & ~7, int.from_bytes(word, "little"))
+
+
+def test_dram_write_bytes_matches_per_byte_reference():
+    base, size = 0x8000_0000, 1 << 20
+    dram = Dram(base, size)
+    dram.write_line(base + 0x40, bytes(range(1, 65)))
+    dram.write_qword(base + 0x1008, 0x1122_3344_5566_7788)
+    rng = random.Random(9)
+    cases = [
+        (base + 0x43, bytes([0xAA, 0xBB, 0xCC])),  # within one written line
+        (base + 0x2005, bytes(range(40))),  # within one unwritten line
+        (base + 0x3, rng.randbytes(300)),  # unaligned, across a written line
+        (base + 0xFF9, rng.randbytes(4096 + 14)),  # across many lines of both kinds
+        (base + 0x3000, bytes(64)),  # one whole unwritten line of zeros
+        (base + 0x80, b""),
+        (base + size, b""),
+    ]
+    for addr, data in cases:
+        got, want = dram.clone(), dram.clone()
+        got.write_bytes(addr, data)
+        per_byte_write(want, addr, data)
+        assert got.content_digest() == want.content_digest(), hex(addr)
+        assert sorted(got._lines) == sorted(want._lines), hex(addr)
+        assert got.read_bytes(addr, len(data)) == data
+        assert (got.reads, got.writes) == (0, 0)
+    for addr, n in ((base + size - 10, 20), (base - 4, 8), (base + size, 1)):
+        d = dram.clone()
+        digest, lines = d.content_digest(), sorted(d._lines)
+        with pytest.raises(ValueError, match="outside DRAM aperture"):
+            d.write_bytes(addr, bytes(range(1, n + 1)))
+        assert (d.content_digest(), sorted(d._lines)) == (digest, lines)
 
 
 def test_dram_digest_tracks_content():

@@ -12,6 +12,7 @@ from lightv_sim.scenarios import (
     MigrationPlan,
     gen_histogram_trace,
     histogram_workload,
+    random_bytes,
     run_demand_paging_hazard,
     run_isolation_hazard,
     run_migration,
@@ -129,6 +130,16 @@ def test_migration_plan_validation():
         MigrationPlan(dma_chunk_bytes=100).validate()
     with pytest.raises(ValueError, match="differ"):
         MigrationPlan(source_pfn=5, destination_pfn=5).validate()
+
+
+def test_random_bytes_draws_the_randrange_stream():
+    # the migration page fill; a CPython change to randrange shows here
+    for seed in range(200):
+        for n in (0, 1, 2, 63, 64, 4095, 4096):
+            want, got = random.Random(seed), random.Random(seed)
+            expected = bytes(want.randrange(256) for _ in range(n))
+            assert random_bytes(got, n) == expected, (seed, n)
+            assert got.getstate() == want.getstate(), (seed, n)
 
 
 def test_migration_deterministic_reports(config):
