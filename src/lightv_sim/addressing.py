@@ -138,20 +138,25 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
 
     `mappings` is an iterable of (va, pfn, attrs) for 4 KB pages.
     Intermediate tables are allocated on demand and shared by mappings
-    with a common index prefix.  Conflicting duplicates are rejected;
-    an exact re-statement of an existing mapping is a no-op.
+    with a common index prefix.  Every mapping is checked before the first
+    frame is allocated: a bad field or a conflicting duplicate raises
+    MappingError; an exact re-statement of a mapping is a no-op.
     """
-    table_pfns = [allocator.alloc()]
-    pgd_base = table_pfns[0] << PAGE_SHIFT
-    installed = {}
+    leaves = {}
     for va, pfn, attrs in mappings:
         if va & _OFFSET_MASK:
             raise MappingError(f"mapped VA not page-aligned: {va:#x}")
-        prior = installed.get(va)
-        if prior is not None:
-            if prior != (pfn, attrs):
-                raise MappingError(f"conflicting duplicate mapping for {va:#x}")
-            continue
+        if not 0 <= va < 1 << VA_BITS:
+            raise MappingError(f"virtual address out of range: {va:#x}")
+        try:
+            leaf = encode_pte(True, pfn, attrs)
+        except ValueError as exc:
+            raise MappingError(str(exc)) from None
+        if leaves.setdefault(va, leaf) != leaf:
+            raise MappingError(f"conflicting duplicate mapping for {va:#x}")
+    table_pfns = [allocator.alloc()]
+    pgd_base = table_pfns[0] << PAGE_SHIFT
+    for va, leaf in leaves.items():
         index0, index1, index2, _ = split_va(va)
         base = pgd_base
         for index in (index0, index1):
@@ -161,11 +166,7 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
                 table_pfns.append(next_pfn)
                 write_pte(memory, base, index, encode_pte(True, next_pfn))
             base = next_pfn << PAGE_SHIFT
-        leaf = read_pte(memory, base, index2)
-        if leaf & PTE_PRESENT:
-            raise MappingError(f"conflicting duplicate mapping for {va:#x}")
-        write_pte(memory, base, index2, encode_pte(True, pfn, attrs))
-        installed[va] = (pfn, attrs)
+        write_pte(memory, base, index2, leaf)
     return AddressSpace(asid, pgd_base, frozenset(table_pfns))
 
 

@@ -28,7 +28,7 @@ reproduce.
 import heapq
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import addressing
@@ -144,21 +144,6 @@ class TranslationContext:
     original_table_addr: Optional[int] = None
 
 
-@dataclass
-class PgdWatch:
-    """Watched real table line; slots name the level-0 entries on paths."""
-
-    slots: list = field(default_factory=list)  # (asid, index0, pgd_base)
-    level: int = 0
-
-
-@dataclass
-class CaptureWatch:
-    """Data line intercepted during a migration window; served from src."""
-
-    src_line: int
-
-
 class LightV:
     """The snoop-port agent: path checker, manipulator, context cache."""
 
@@ -168,13 +153,15 @@ class LightV:
         self.lat = latencies
         self.spaces = spaces
         self.rules = {}
+        # Derived from `rules` by `_reindex_rules`:
         self._rules_by_slot = {}  # (asid, index0) -> rules meeting that slot
-        self.watch = {}
+        self.watch = {}  # level-0 table line -> its (asid, index0, pgd_base) slots
         self._ctx_by_key = {}
         self._ctx_by_id = {}
         self._free_ids = []
         self._next_id = 0
-        self._mirror = {}
+        self.captures = {}  # destination line -> source line, while uncopied
+        self._mirror = {}  # destination line -> source line, for writebacks
         self._served = {}  # line -> (real bytes, payload) of its last serve
         self.lines_manipulated = 0
         self.context_lost = 0
@@ -183,20 +170,22 @@ class LightV:
     # -- activation -----------------------------------------------------------
 
     def activate(self, rules, strict: bool = True):
-        """Install rewrite rules and seed the watch set.
+        """Install rewrite rules; the watch set follows from the rules.
 
         Validates ranges; that the ranges, and the replacement frame runs,
         are disjoint from each other and from those of active rules; that
-        no run holds a page table of a registered address space; that no
-        level-0 line a rule needs is under page capture; (in strict mode)
-        that each target range is pre-mapped and owns its level-0 slots
-        outright; and that the context cache has room for every new path.
-        It does all this before it changes anything: a call that raises
-        leaves the agent as it found it.
+        no run holds a page table of a registered address space; (in strict
+        mode) that each target range is pre-mapped and owns its level-0
+        slots outright; and that the context cache has room for every new
+        walk path.  It does all this before it changes anything: a call
+        that raises leaves the agent as it found it.  A watched line never
+        meets a capture window: it lies in a page-table frame, and no
+        capture line does (see `begin_page_capture`).
 
         Returns (tlb_ranges, lines): the (asid, va_start, va_end) ranges
-        whose TLB entries and the watched lines whose PE-cached copies the
-        caller must invalidate, so the next walk is observed from level 0.
+        whose TLB entries and the watched lines that are new or gained a
+        slot, whose PE-cached copies the caller must invalidate, so the
+        next walk is observed from level 0.
         """
         rules = list(rules)
         ids = set(self.rules)
@@ -209,13 +198,6 @@ class LightV:
             ids.add(rule.rule_id)
             if rule.asid not in self.spaces:
                 raise RuleError(f"rule {rule.rule_id}: unknown asid {rule.asid}")
-            pgd_base = self.spaces[rule.asid].pgd_base
-            for i0 in self._index0_span(rule):
-                line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
-                if isinstance(self.watch.get(line), CaptureWatch):
-                    raise RuleError(
-                        f"rule {rule.rule_id}: level-0 line {line:#x} is under capture"
-                    )
             run = rule.replacement_run
             if not (
                 self.dram.contains(run.start << PAGE_SHIFT)
@@ -249,34 +231,20 @@ class LightV:
                     )
         if strict:
             self._check_strict(rules)
-        new_paths = {}  # insertion-ordered set: ids go out in rule order
-        for rule in rules:
-            for prefix in self._prefixes(rule):
-                if (rule.asid, prefix) not in self._ctx_by_key:
-                    new_paths[rule.asid, prefix] = None
+        # An insertion-ordered set: context ids go out in rule order.
+        new_paths = dict.fromkeys(p for p in self._paths(rules) if p not in self._ctx_by_key)
         free = len(self._free_ids) + max(0, CONTEXT_CAPACITY - self._next_id)
         if len(new_paths) > free:
             raise ContextCapacityError("context cache full")
 
         self._served.clear()
+        watched = self.watch
         for rule in rules:
             self.rules[rule.rule_id] = rule
         self._reindex_rules()
         for asid, prefix in new_paths:
             self._add_context(asid, prefix)
-        new_lines = []
-        for rule in rules:
-            pgd_base = self.spaces[rule.asid].pgd_base
-            for i0 in self._index0_span(rule):
-                line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
-                entry = self.watch.get(line)
-                if entry is None:
-                    entry = PgdWatch()
-                    self.watch[line] = entry
-                    new_lines.append(line)
-                slot = (rule.asid, i0, pgd_base)
-                if slot not in entry.slots:
-                    entry.slots.append(slot)
+        new_lines = [line for line, slots in self.watch.items() if slots != watched.get(line)]
         return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines
 
     def deactivate(self, rule_id: int):
@@ -288,27 +256,15 @@ class LightV:
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
         self._served.clear()
+        stale_lines = set(self.watch)
         self._reindex_rules()
-
-        stale_lines = set(
-            line for line, e in self.watch.items() if isinstance(e, PgdWatch)
-        )
-        for key, ctx in list(self._ctx_by_key.items()):
-            if not self._prefix_covered(ctx.asid, ctx.prefix):
-                frame = self.window.encode(ctx.level, ctx.context_id) << PAGE_SHIFT
-                for k in range(PAGE_SIZE // LINE_BYTES):
-                    stale_lines.add(frame + (k << 6))
-                del self._ctx_by_key[key]
-                del self._ctx_by_id[ctx.context_id]
-                heapq.heappush(self._free_ids, ctx.context_id)
-        for line, entry in list(self.watch.items()):
-            if not isinstance(entry, PgdWatch):
-                continue
-            entry.slots = [
-                s for s in entry.slots if (s[0], (s[1],)) in self._ctx_by_key
-            ]
-            if not entry.slots:
-                del self.watch[line]
+        needed = set(self._paths(self.rules.values()))
+        for key in [key for key in self._ctx_by_key if key not in needed]:
+            ctx = self._ctx_by_key.pop(key)
+            del self._ctx_by_id[ctx.context_id]
+            heapq.heappush(self._free_ids, ctx.context_id)
+            frame = self.window.encode(ctx.level, ctx.context_id) << PAGE_SHIFT
+            stale_lines.update(range(frame, frame + PAGE_SIZE, LINE_BYTES))
         return [(rule.asid, rule.va_start, rule.va_end)], sorted(stale_lines)
 
     # -- snoop handling -------------------------------------------------------
@@ -316,15 +272,17 @@ class LightV:
     def handle_snoop(self, line_addr: int):
         """The fabric's agent callable: None (NACK), or (payload,
         serve_cycles) (ACK) with fabricated content when the line is on a
-        watched path.  Serving costs `lightv` plus `dram` per DRAM line
-        read."""
+        watched path, or the source line's content when the line is a
+        captured destination.  Serving costs `lightv` plus `dram` per DRAM
+        line read."""
+        src = self.captures.get(line_addr)
+        if src is not None:
+            payload = self.dram.read_line(src)
+            self.data_captures += 1
+            return payload, self.lat.lightv + self.lat.dram
         match = self.path_check(line_addr)
         if match is None:
             return None
-        if isinstance(match, CaptureWatch):
-            payload = self.dram.read_line(match.src_line)
-            self.data_captures += 1
-            return payload, self.lat.lightv + self.lat.dram
         reads_before = self.dram.reads
         payload = self.manipulate_line(match, line_addr)
         self.lines_manipulated += 1
@@ -333,11 +291,11 @@ class LightV:
     def path_check(self, line_addr: int):
         """Watch-set membership plus the watermark-window decode path.
 
-        Returns the matching watch entry, the TranslationContext a
-        watermark line decodes to (its level already checked against the
-        watermark's), or None.  A watermark line whose context is gone
-        counts as a context-cache loss and is not claimed, leaving the
-        unbacked read to fail loudly.
+        Returns a watched table line's (asid, index0, pgd_base) slot list,
+        the TranslationContext a watermark line decodes to (its level
+        already checked against the watermark's), or None.  A watermark
+        line whose context is gone counts as a context-cache loss and is
+        not claimed, leaving the unbacked read to fail loudly.
         """
         entry = self.watch.get(line_addr)
         if entry is not None:
@@ -355,14 +313,14 @@ class LightV:
     def manipulate_line(self, match, line_addr: int) -> bytes:
         """Build the served content of one 64-byte chunk on a watched path.
 
-        `match` is what `path_check` returned: a PgdWatch (level 0) or a
-        TranslationContext (level 1 or 2).  This is the one place that
-        reads the real content a chunk is built from: the watched line
-        itself at level 0, the matching line of the live table the
-        context shadows at levels 1 and 2 (a context with no real table
-        yields a blank chunk without a read).  Only whole 8-byte entries
-        on targeted paths change; every other byte of the real line is
-        preserved.
+        `match` is what `path_check` returned: the slot list of a watched
+        table line (level 0) or a TranslationContext (level 1 or 2).  This
+        is the one place that reads the real content a chunk is built
+        from: the watched line itself at level 0, the matching line of the
+        live table the context shadows at levels 1 and 2 (a context with no
+        real table yields a blank chunk without a read).  Only whole 8-byte
+        entries on targeted paths change; every other byte of the real line
+        is preserved.
 
         The last payload of each line is kept with a copy of the real
         bytes it was built from, and reused while a fresh read of the real
@@ -371,7 +329,8 @@ class LightV:
         one side effect (a child context's table base) follows from those
         bytes, so a reuse leaves the agent as a rebuild would.
         """
-        if match.level == 0:
+        watermark = isinstance(match, TranslationContext)
+        if not watermark:
             real = self.dram.read_line(line_addr)
         elif match.original_table_addr is None:
             return bytes(LINE_BYTES)  # no real table behind the path: all blank
@@ -382,16 +341,16 @@ class LightV:
         served = self._served.get(line_addr)
         if served is not None and served[0] == real:
             return served[1]
-        if match.level == 0:
-            payload = self._rewrite_watched_line(real, match)
-        else:
+        if watermark:
             payload = self._synthesize_wm_chunk(line_addr, match, real)
+        else:
+            payload = self._rewrite_watched_line(real, match)
         self._served[line_addr] = (bytes(real), payload)
         return payload
 
-    def _rewrite_watched_line(self, real, watch: PgdWatch) -> bytes:
+    def _rewrite_watched_line(self, real, slots) -> bytes:
         buf = bytearray(real)
-        for asid, i0, pgd_base in watch.slots:
+        for asid, i0, pgd_base in slots:
             off = (pgd_base + i0 * 8) & _LINE_MASK
             raw = int.from_bytes(buf[off : off + 8], "little")
             present, pfn, attrs = decode_pte(raw)
@@ -456,42 +415,37 @@ class LightV:
 
         `pairs` maps destination line -> source line.  While the window is
         open, dirty writebacks of captured destination lines are mirrored
-        to the source so a later bulk copy cannot clobber newer data.  A
-        destination may not be a watched table line, which an active rule
-        owns, and neither line may lie in a page table of a registered
-        space: reads of a table line would be served from elsewhere, and
-        mirrored writebacks would overwrite a table.  Every pair is
-        checked before any is installed: a call that raises leaves the
-        agent as it found it.
+        to the source so a later bulk copy cannot clobber newer data.
+        Both lines of every pair must lie in the DRAM aperture, and no
+        capture line may lie in a page-table frame (`Machine.register_space`
+        keeps new tables off open windows): reads of a table line would be
+        served from elsewhere, and mirrored writebacks would overwrite a
+        table.  So a capture line is never a watched table line or a
+        watermark line.  Every pair is checked before any is installed: a
+        call that raises leaves the agent as it found it.
         """
         if any(dst & _LINE_MASK or src & _LINE_MASK for dst, src in pairs.items()):
             raise ValueError("capture lines must be 64-byte aligned")
         for dst, src in pairs.items():
-            if isinstance(self.watch.get(dst), PgdWatch):
-                raise ValueError(f"capture line {dst:#x} is a watched table line")
             for line in (dst, src):
+                if not self.dram.contains_line(line):
+                    raise ValueError(f"capture line {line:#x} outside DRAM aperture")
                 for space in self.spaces.values():
                     if line >> PAGE_SHIFT in space.table_pfns:
                         raise ValueError(
                             f"capture line {line:#x} lies in a page table"
                             f" of asid {space.asid}"
                         )
-        for dst, src in pairs.items():
-            self.watch[dst] = CaptureWatch(src)
+        self.captures.update(pairs)
         self._mirror.update(pairs)
 
     def release_captured(self, lines):
         """Chunk copied: stop serving these destination lines from source."""
         for line in lines:
-            entry = self.watch.get(line)
-            if isinstance(entry, CaptureWatch):
-                del self.watch[line]
+            self.captures.pop(line, None)
 
     def end_page_capture(self):
-        for line in list(self._mirror):
-            entry = self.watch.get(line)
-            if isinstance(entry, CaptureWatch):
-                del self.watch[line]
+        self.captures.clear()
         self._mirror.clear()
 
     def on_writeback(self, line_addr: int, payload):
@@ -518,12 +472,20 @@ class LightV:
         return (rule.replacement_pfn_for(va) << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
 
     def _reindex_rules(self):
-        """List each rule under every level-0 slot its range meets, in
-        activation order, so a lookup reads only one slot's rules."""
+        """Derive the rule-side lookups from `self.rules`, in activation
+        order: each rule listed under every level-0 slot its range meets,
+        so a lookup reads only one slot's rules, and `watch`, each level-0
+        table line holding such a slot with its slots."""
         self._rules_by_slot = {}
+        self.watch = {}
         for rule in self.rules.values():
+            pgd_base = self.spaces[rule.asid].pgd_base
             for i0 in self._index0_span(rule):
-                self._rules_by_slot.setdefault((rule.asid, i0), []).append(rule)
+                slot_rules = self._rules_by_slot.setdefault((rule.asid, i0), [])
+                if not slot_rules:
+                    line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
+                    self.watch.setdefault(line, []).append((rule.asid, i0, pgd_base))
+                slot_rules.append(rule)
 
     def _rule_for(self, asid: int, va: int):
         for rule in self._rules_by_slot.get((asid, va >> 30), ()):
@@ -531,34 +493,28 @@ class LightV:
                 return rule
         return None
 
-    def _region_covered(self, asid: int, lo: int, hi: int) -> bool:
-        """Whether a rule meets [lo, hi), a range inside one level-0 slot."""
-        for rule in self._rules_by_slot.get((asid, lo >> 30), ()):
-            if rule.va_start < hi and lo < rule.va_end:
-                return True
-        return False
-
-    def _prefix_covered(self, asid: int, prefix: tuple) -> bool:
-        if len(prefix) == 1:
-            return (asid, prefix[0]) in self._rules_by_slot
-        lo = (prefix[0] << 30) | (prefix[1] << 21)
-        return self._region_covered(asid, lo, lo + (1 << 21))
-
     @staticmethod
     def _index0_span(rule: RewriteRule):
         first = rule.va_start >> 30
         last = (rule.va_end - 1) >> 30
         return range(first, last + 1)
 
-    def _prefixes(self, rule: RewriteRule):
-        for i0 in self._index0_span(rule):
-            yield (i0,)
-            region_lo = max(rule.va_start, i0 << 30)
-            region_hi = min(rule.va_end, (i0 + 1) << 30)
-            first_i1 = (region_lo >> 21) & 0x1FF
-            last_i1 = ((region_hi - 1) >> 21) & 0x1FF
-            for i1 in range(first_i1, last_i1 + 1):
-                yield (i0, i1)
+    @classmethod
+    def _paths(cls, rules):
+        """The walk paths (asid, prefix) that `rules` redirect, in rule
+        order: (index0,) for each level-0 slot a rule meets, each followed
+        by (index0, index1) for the level-1 slots the rule meets under it.
+        Each names one context, whose watermark frame stands in for the
+        real table at the end of the path."""
+        for rule in rules:
+            for i0 in cls._index0_span(rule):
+                yield rule.asid, (i0,)
+                region_lo = max(rule.va_start, i0 << 30)
+                region_hi = min(rule.va_end, (i0 + 1) << 30)
+                first_i1 = (region_lo >> 21) & 0x1FF
+                last_i1 = ((region_hi - 1) >> 21) & 0x1FF
+                for i1 in range(first_i1, last_i1 + 1):
+                    yield rule.asid, (i0, i1)
 
     def _add_context(self, asid: int, prefix: tuple):
         # `activate` has checked that a context id is free.

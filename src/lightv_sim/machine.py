@@ -472,8 +472,31 @@ class Machine:
         )
 
     def register_space(self, asid: int, mappings) -> addressing.AddressSpace:
+        """Build the page tables of a new address space from (va, pfn,
+        attrs) mappings (see `addressing.build_tables`).
+
+        The tables take one frame for the level-0 table and one per
+        distinct level-0 and level-1 prefix, which the bump allocator hands
+        out as one run from `next_pfn`.  Before the first is taken, the
+        asid must be new, the run must fit in the aperture, no line of an
+        open capture window may lie in it, and every mapping must be valid
+        (`build_tables` checks them all first): a call that raises leaves
+        the machine as it found it.
+        """
         if asid in self.spaces:
             raise addressing.MappingError(f"asid {asid} is already registered")
+        mappings = list(mappings)
+        prefixes = {va >> 21 for va, _, _ in mappings}  # (index0, index1) of each page
+        count = 1 + len({prefix >> 9 for prefix in prefixes}) + len(prefixes)
+        tables = range(self.allocator.next_pfn, self.allocator.next_pfn + count)
+        if tables.stop > self.allocator._limit:
+            raise AllocatorExhausted("no free frames left in the DRAM aperture")
+        mirror = self.lightv._mirror if self.lightv is not None else {}
+        for line in (*mirror, *mirror.values()):
+            if line >> PAGE_SHIFT in tables:
+                raise addressing.MappingError(
+                    f"capture line {line:#x} lies in a page table of asid {asid}"
+                )
         space = addressing.build_tables(mappings, self.dram, self.allocator, asid)
         self.spaces[asid] = space
         return space
@@ -486,6 +509,8 @@ class Machine:
         self._invalidate(*self.lightv.activate(rules, strict=strict))
 
     def deactivate_rule(self, rule_id: int):
+        if self.config.mode != "active":
+            raise RuntimeError(f"machine mode is {self.config.mode!r}, not active")
         self._invalidate(*self.lightv.deactivate(rule_id))
 
     def _invalidate(self, tlb_ranges, lines):

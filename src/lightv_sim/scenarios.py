@@ -540,8 +540,6 @@ class MigrationPlan:
     post_ops: int = 8
     seed: int = 0
     asid: int = 0
-    source_pfn: Optional[int] = None  # None: taken from the machine allocator
-    destination_pfn: Optional[int] = None
 
     def validate(self):
         if self.page_va & (PAGE_SIZE - 1):
@@ -552,8 +550,6 @@ class MigrationPlan:
             or PAGE_SIZE % self.dma_chunk_bytes
         ):
             raise ValueError("dma_chunk_bytes must be a line multiple dividing the page")
-        if self.source_pfn is not None and self.source_pfn == self.destination_pfn:
-            raise ValueError("source and destination frames must differ")
 
 
 @dataclass
@@ -638,17 +634,8 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     plan.validate()
     m = Machine(config.with_mode("active"))
     rng = random.Random(plan.seed)
-    src = plan.source_pfn if plan.source_pfn is not None else m.allocator.alloc()
-    dst = (
-        plan.destination_pfn
-        if plan.destination_pfn is not None
-        else m.allocator.alloc()
-    )
-    for pfn in (src, dst):
-        if not m.dram.contains(pfn << PAGE_SHIFT):
-            raise ValueError(f"frame {pfn:#x} outside DRAM aperture")
-    if src == dst:
-        raise ValueError("source and destination frames must differ")
+    src = m.allocator.alloc()
+    dst = m.allocator.alloc()
     va = plan.page_va
     m.register_space(plan.asid, [(va, src, ATTR_WRITABLE | ATTR_CACHEABLE)])
 

@@ -7,6 +7,7 @@ from lightv_sim.addressing import (
     ATTR_CACHEABLE,
     ATTR_WRITABLE,
     PTE_PRESENT,
+    MappingError,
     TranslationFault,
     decode_pte,
 )
@@ -15,9 +16,11 @@ from lightv_sim.lightv import (
     IsolationError,
     RewriteRule,
     RuleError,
+    TranslationContext,
     WatermarkWindow,
     parse_rules,
 )
+from lightv_sim.machine import AllocatorExhausted
 
 from helpers import make_machine
 
@@ -87,7 +90,7 @@ def test_single_rule_watches_the_pgd_line():
     pgd_base = m.spaces[0].pgd_base
     expected_line = (pgd_base + 8 * 8) & ~63
     assert set(m.lightv.watch) == {expected_line}
-    assert m.lightv.watch[expected_line].slots == [(0, 8, pgd_base)]
+    assert m.lightv.watch[expected_line] == [(0, 8, pgd_base)]
 
 
 def test_two_rules_one_line_two_contexts():
@@ -122,6 +125,17 @@ def test_activation_flushes_stale_watched_lines():
     m.mmu.translate(0, 8 << 30)
     m.activate_rules([rule])
     assert m.mmu.translate(0, 8 << 30) == repl << 12
+
+
+def test_activation_flushes_a_cached_line_that_gains_a_slot():
+    # slots 8 and 9 share one level-0 line; with PTE caching on, the walk
+    # under rule 1 caches that line as served for slot 8 alone
+    m = active_machine([(8 << 30, 0x90000), (9 << 30, 0x90001)], cache_ptes=True)
+    m.activate_rules([RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000)])
+    assert m.mmu.translate(0, 8 << 30) == 0xA0000 << 12
+    m.activate_rules([RewriteRule(2, 0, 9 << 30, (9 << 30) + 4096, 0xA0001)])
+    assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
+    assert m.mmu.translate(0, 8 << 30) == 0xA0000 << 12
 
 
 def test_rule_validation_errors():
@@ -293,7 +307,8 @@ def test_path_check_states():
     m, rule, _ = one_rule_machine()
     m.activate_rules([rule])
     pgd_line = next(iter(m.lightv.watch))
-    assert m.lightv.path_check(pgd_line).level == 0
+    assert m.lightv.path_check(pgd_line) is m.lightv.watch[pgd_line]
+    assert m.lightv.path_check(pgd_line) == [(0, 8, m.spaces[0].pgd_base)]
     assert m.lightv.path_check(0x8000_0000) is None
     ctx = m.lightv._ctx_by_key[(0, (8,))]
     wm_line = m.lightv.window.encode(1, ctx.context_id) << 12
@@ -383,7 +398,7 @@ def test_failed_activation_leaves_no_trace():
 
 
 def agent_state(m):
-    """Everything `activate` may change on the agent."""
+    """Everything `activate` and `begin_page_capture` may change on the agent."""
     agent = m.lightv
     return (
         dict(agent.rules),
@@ -391,7 +406,14 @@ def agent_state(m):
         repr(agent._ctx_by_key),
         dict(agent._rules_by_slot),
         (list(agent._free_ids), agent._next_id),
+        dict(agent.captures),
+        dict(agent._mirror),
     )
+
+
+def machine_state(m):
+    """Everything a failed `register_space` must leave as it found it."""
+    return m.allocator.next_pfn, m.dram.content_digest(), dict(m.spaces), agent_state(m)
 
 
 def test_activation_rejects_a_run_over_page_tables():
@@ -448,6 +470,7 @@ def test_failed_capture_leaves_no_trace():
     with pytest.raises(ValueError, match="aligned"):
         m.lightv.begin_page_capture(pairs)
     assert m.lightv.watch == {} and m.lightv._mirror == {}
+    assert m.lightv.captures == {}
     m.activate_rules([rule])
     assert m.lightv.handle_snoop(0x9100_0000) is None  # not served from 0x92000000
 
@@ -457,10 +480,10 @@ def test_capture_rejects_a_watched_table_line():
     m, rule, repl = one_rule_machine()
     m.activate_rules([rule])
     pgd_line = next(iter(m.lightv.watch))
-    state = repr(m.lightv.watch), dict(m.lightv._mirror)
-    with pytest.raises(ValueError, match="watched table line"):
+    state = agent_state(m)
+    with pytest.raises(ValueError, match="lies in a page table of asid 0"):
         m.lightv.begin_page_capture({0x9100_0000: 0x9200_0000, pgd_line: 0x9200_0040})
-    assert (repr(m.lightv.watch), m.lightv._mirror) == state
+    assert agent_state(m) == state
     m.lightv.end_page_capture()
     m.tlb.invalidate_range(0, 8 << 30, (8 << 30) + 4096)
     m.cci.invalidate_line(m.cache, pgd_line)
@@ -474,7 +497,7 @@ def test_capture_rejects_page_table_lines():
     other = m.register_space(1, [(9 << 30, 0x90100, RW)])
     m.activate_rules([rule])
     level1_pfn = decode_pte(m.dram.read_qword(other.pgd_base + 9 * 8))[1]
-    state = repr(m.lightv.watch), dict(m.lightv._mirror)
+    state = agent_state(m)
     bad = [
         {0x9100_0000: 0x9200_0000, (level1_pfn << 12) + 0x40: 0x9200_0040},
         {0x9100_0000: 0x9200_0000, 0x9100_0040: m.spaces[0].pgd_base + 0x80},
@@ -482,32 +505,88 @@ def test_capture_rejects_page_table_lines():
     for pairs, asid in zip(bad, (1, 0)):
         with pytest.raises(ValueError, match=f"lies in a page table of asid {asid}"):
             m.lightv.begin_page_capture(pairs)
-        assert (repr(m.lightv.watch), m.lightv._mirror) == state
+        assert agent_state(m) == state
     # the rule's own replacement frame stays capturable, as migration needs
     m.lightv.begin_page_capture({repl << 12: 0x9100_0000})
     assert m.mmu.translate(0, 8 << 30) == repl << 12
 
 
-def test_activation_rejects_a_level0_line_under_capture():
-    # the window opens before the space is registered, on the frame its
-    # level-0 table then takes, so begin_page_capture cannot see a table
+def test_capture_rejects_lines_outside_the_dram_aperture():
+    # a destination on a watermark line would have the next walk read the
+    # source bytes as a table; a source past the aperture would fail only
+    # when its destination is read, after the miss was counted
+    m, rule, repl = one_rule_machine()
+    m.activate_rules([rule])
+    ctx = m.lightv._ctx_by_key[(0, (8,))]
+    wm_line = m.lightv.window.encode(1, ctx.context_id) << 12
+    state = agent_state(m)
+    for pairs, line in (
+        ({0x9100_0000: 0x9200_0000, wm_line: 0x9200_0040}, wm_line),
+        ({0x9100_0000: 0x10_0000_0000}, 0x10_0000_0000),
+    ):
+        with pytest.raises(ValueError, match=f"capture line {line:#x} outside DRAM aperture"):
+            m.lightv.begin_page_capture(pairs)
+        assert agent_state(m) == state
+    assert m.mmu.translate(0, 8 << 30) == repl << 12
+
+
+def test_register_space_keeps_tables_off_capture_windows():
+    # the five table frames of the space below are the run from next_pfn;
+    # a window opened there before the space exists, on a destination or a
+    # source, would have table reads served from elsewhere or overwritten
     m = make_machine("active")
-    pgd_line = (m.allocator.next_pfn << 12) + 8 * 8
-    m.lightv.begin_page_capture({pgd_line: 0x9200_0000})
-    m.register_space(0, [(8 << 30, 0x90000, RW), (9 << 30, 0x90001, RW)])
+    first = m.allocator.next_pfn
+    pgd_line = (first << 12) + 8 * 8
+    mappings = [(8 << 30, 0x90000, RW), (9 << 30, 0x90001, RW)]
+    for pairs, line in (
+        ({pgd_line: 0x9200_0000}, pgd_line),
+        ({0x9200_0000: ((first + 4) << 12) + 0xFC0}, ((first + 4) << 12) + 0xFC0),
+    ):
+        m.lightv.begin_page_capture(pairs)
+        state = machine_state(m)
+        with pytest.raises(MappingError, match=f"capture line {line:#x} lies in a page table of asid 0"):
+            m.register_space(0, mappings)
+        assert machine_state(m) == state
+        m.lightv.end_page_capture()
+    m.lightv.begin_page_capture({0x9200_0000: (first + 5) << 12})  # past the run
+    m.register_space(0, mappings)
+    m.lightv.end_page_capture()
+    assert m.allocator.next_pfn == first + 5
     assert pgd_line == (m.spaces[0].pgd_base + 8 * 8) & ~63
     rules = [
         RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000),
         RewriteRule(2, 0, 9 << 30, (9 << 30) + 4096, 0xA0001),
     ]
-    state = repr(m.lightv.watch), dict(m.lightv._mirror)
-    with pytest.raises(RuleError, match="under capture"):
-        m.activate_rules(rules)
-    assert (repr(m.lightv.watch), m.lightv._mirror) == state
-    assert m.lightv.rules == {} and m.lightv._ctx_by_id == {}
-    m.lightv.end_page_capture()
     m.activate_rules(rules)
     assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((10 << 30, 0x90101, RW), "conflicting duplicate mapping for 0x280000000"),
+    ((11 << 30, 0x90102, 0x10), "unknown attribute bits: 0x10"),
+])
+def test_register_space_checks_every_mapping_first(bad, message):
+    # the good mappings before the bad one would take table frames and
+    # write entries if the tables were built as the mappings are read
+    m, rule, _ = one_rule_machine()
+    m.activate_rules([rule])
+    state = machine_state(m)
+    with pytest.raises(MappingError, match=message):
+        m.register_space(1, [(9 << 30, 0x90100, RW), (10 << 30, 0x90101, 0), bad])
+    assert machine_state(m) == state
+    m.register_space(1, [(9 << 30, 0x90100, RW)])
+    assert m.mmu.translate(1, 9 << 30) == 0x90100 << 12
+
+
+def test_register_space_rejects_tables_past_the_aperture_before_taking_a_frame():
+    # four frames of DRAM; the space needs five table frames
+    m = make_machine("active", dram_size=4 * 4096)
+    state = machine_state(m)
+    with pytest.raises(AllocatorExhausted):
+        m.register_space(0, [(8 << 30, 0x90000, RW), (9 << 30, 0x90001, RW)])
+    assert machine_state(m) == state
+    m.register_space(0, [(8 << 30, 0x90000, RW)])
+    assert m.allocator.next_pfn == state[0] + 3
 
 
 # -- end-to-end redirection, transparency, deactivation -------------------------
@@ -520,7 +599,7 @@ def test_rule_across_a_level0_boundary():
     m = active_machine(pages, tlb_entries=4)
     repl = 0xA0000
     m.activate_rules([RewriteRule(1, 0, lo, lo + 8 * 4096, repl)], strict=True)
-    assert {i0 for _, i0, _ in m.lightv.watch[next(iter(m.lightv.watch))].slots} == {8, 9}
+    assert {i0 for _, i0, _ in m.lightv.watch[next(iter(m.lightv.watch))]} == {8, 9}
     trace = [(0, "W", va + k, k + 1) for k, (va, _) in enumerate(pages)]
     trace += [(0, "R", va + k, None) for k, (va, _) in enumerate(pages)]
     stats = m.run_trace(trace)
@@ -755,35 +834,51 @@ def check_served_against_rebuild(agent, dram):
     current = 0
     for line, (real, payload) in agent._served.items():
         match = agent.path_check(line)
-        if match.level == 0:
-            fresh = bytes(dram.read_line(line))
-        else:
+        watermark = isinstance(match, TranslationContext)
+        if watermark:
             fresh = bytes(dram.read_line(match.original_table_addr + (line & 0xFFF)))
+        else:
+            fresh = bytes(dram.read_line(line))
         if fresh != real:
             continue
         current += 1
         bases = {k: c.original_table_addr for k, c in agent._ctx_by_key.items()}
-        if match.level == 0:
-            rebuilt = agent._rewrite_watched_line(fresh, match)
-        else:
+        if watermark:
             rebuilt = agent._synthesize_wm_chunk(line, match, fresh)
+        else:
+            rebuilt = agent._rewrite_watched_line(fresh, match)
         assert rebuilt == payload, hex(line)
         assert {k: c.original_table_addr for k, c in agent._ctx_by_key.items()} == bases
     return current
 
 
-def test_served_payloads_match_a_rebuild_under_random_interleavings():
-    # rules come and go while the OS clears, restores and swaps table
-    # entries at every level; after each step every kept payload must equal
-    # a fresh build, and every walk the oracle's answer (rules are activated
-    # loosely, so an unruled page under a ruled level-0 slot is left out)
-    rng = random.Random(7)
+def random_interleaving(seed, steps, capture=False):
+    """Rules come and go while the OS clears, restores and swaps table
+    entries at every level; after each step every kept payload must equal
+    a fresh build, and every walk the oracle's answer (rules are activated
+    loosely, so an unruled page under a ruled level-0 slot is left out).
+
+    With `capture`, a share of the steps also opens a capture window (on a
+    rule's replacement run or on free data frames, from free source
+    frames), releases some of its lines or ends it, or tries a window on a
+    page-table line, which must be refused; after each step a read of a
+    still-captured destination must return its source bytes, no capture
+    line may lie in a page table, and a few walks are checked.
+
+    Returns the machine and the number of kept payloads found current.
+    """
+    rng = random.Random(seed)
     vas = [(i0 << 30) | (i1 << 21) | (i2 << 12)
            for i0 in (8, 9) for i1 in (0, 1, 2) for i2 in range(4)]
     m = active_machine([(va, 0x90000 + n) for n, va in enumerate(vas)], tlb_entries=4)
     rules = [RewriteRule(n + 1, 0, va, va + 2 * 4096, 0xA0000 + 2 * n)
              for n, va in enumerate(vas[::2])]
     pgd_base = m.spaces[0].pgd_base
+    agent = m.lightv
+    free_frames = [0xB0000 + k for k in range(4)]
+    source_frames = [0xC0000 + k for k in range(4)]
+    for pfn in source_frames if capture else ():
+        m.dram.write_bytes(pfn << 12, bytes(rng.randrange(256) for _ in range(4096)))
 
     def entry_addr(va, level):
         """The real entry a walk of `va` reads at `level`."""
@@ -793,39 +888,87 @@ def test_served_payloads_match_a_rebuild_under_random_interleavings():
             addr = table + ((va >> shift) & 0x1FF) * 8
         return addr
 
-    current = 0
-    for step in range(150):
-        op = rng.random()
-        if op < 0.2:
-            rule = rng.choice(rules)
-            if rule.rule_id in m.lightv.rules:
-                m.deactivate_rule(rule.rule_id)
-            else:
-                m.activate_rules([rule], strict=False)
-        elif op < 0.35:
-            # clear or restore one entry's present bit, at any level
-            addr = entry_addr(rng.choice(vas), rng.choice((0, 1, 1, 2, 2, 2)))
-            m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
-            m.tlb.invalidate_range(0, 0, 1 << 39)
-        elif op < 0.45:
-            # swap two level-1 entries of a slot: their leaf tables trade places
-            i0 = rng.choice((8, 9))
-            a, b = (entry_addr(i0 << 30 | i1 << 21, 1) for i1 in rng.sample((0, 1, 2), 2))
-            qa, qb = m.dram.read_qword(a), m.dram.read_qword(b)
-            m.dram.write_qword(a, qb)
-            m.dram.write_qword(b, qa)
-            m.tlb.invalidate_range(0, 0, 1 << 39)
+    def check_walks(step, n):
+        for _ in range(n):
+            va = rng.choice(vas) + rng.randrange(4096)
+            if agent._rule_for(0, va) is None and (0, va >> 30) in agent._rules_by_slot:
+                continue  # an unruled neighbour of a rule: the isolation hazard
+            expected = agent.expected_pa(0, va)
+            try:
+                got = m.mmu.translate(0, va)
+            except TranslationFault:
+                got = None
+            assert got == expected, (step, hex(va))
+
+    def capture_step():
+        if not agent._mirror:
+            dst = rng.choice([pfn for r in rules for pfn in r.replacement_run] + free_frames)
+            src = rng.choice(source_frames)
+            m.invalidate_page_lines(dst << 12)
+            agent.begin_page_capture(
+                {(dst << 12) + off: (src << 12) + off for off in range(0, 4096, 64)}
+            )
+        elif rng.random() < 0.15:
+            table_pfn = rng.choice(sorted(m.spaces[0].table_pfns))
+            state = agent_state(m)
+            with pytest.raises(ValueError, match="lies in a page table of asid 0"):
+                agent.begin_page_capture({(table_pfn << 12) + 64 * rng.randrange(64): 0xB8000000})
+            assert agent_state(m) == state
+        elif rng.random() < 0.7:
+            agent.release_captured(rng.sample(sorted(agent._mirror), rng.randint(1, 16)))
         else:
-            for _ in range(10):
-                va = rng.choice(vas) + rng.randrange(4096)
-                if m.lightv._rule_for(0, va) is None and (0, va >> 30) in m.lightv._rules_by_slot:
-                    continue  # an unruled neighbour of a rule: the isolation hazard
-                expected = m.lightv.expected_pa(0, va)
-                try:
-                    got = m.mmu.translate(0, va)
-                except TranslationFault:
-                    got = None
-                assert got == expected, (step, hex(va))
-        current += check_served_against_rebuild(m.lightv, m.dram)
-    assert m.lightv.context_lost == 0
+            agent.end_page_capture()
+
+    def check_captures(step):
+        assert agent.captures.items() <= agent._mirror.items(), step
+        tables = set().union(*(s.table_pfns for s in m.spaces.values()))
+        assert not any(line >> 12 in tables for pair in agent._mirror.items() for line in pair)
+        for dst in rng.sample(sorted(agent.captures), min(3, len(agent.captures))):
+            src = agent.captures[dst]
+            off = rng.randrange(64)
+            assert m.cci.read_byte(m.cache, dst + off) == m.dram.read_line(src)[off], step
+
+    current = 0
+    for step in range(steps):
+        if capture and rng.random() < 0.3:
+            capture_step()
+        else:
+            op = rng.random()
+            if op < 0.2:
+                rule = rng.choice(rules)
+                if rule.rule_id in agent.rules:
+                    m.deactivate_rule(rule.rule_id)
+                else:
+                    m.activate_rules([rule], strict=False)
+            elif op < 0.35:
+                # clear or restore one entry's present bit, at any level
+                addr = entry_addr(rng.choice(vas), rng.choice((0, 1, 1, 2, 2, 2)))
+                m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
+                m.tlb.invalidate_range(0, 0, 1 << 39)
+            elif op < 0.45:
+                # swap two level-1 entries of a slot: their leaf tables trade places
+                i0 = rng.choice((8, 9))
+                a, b = (entry_addr(i0 << 30 | i1 << 21, 1) for i1 in rng.sample((0, 1, 2), 2))
+                qa, qb = m.dram.read_qword(a), m.dram.read_qword(b)
+                m.dram.write_qword(a, qb)
+                m.dram.write_qword(b, qa)
+                m.tlb.invalidate_range(0, 0, 1 << 39)
+            else:
+                check_walks(step, 10)
+        if capture:
+            check_captures(step)
+            check_walks(step, 3)
+        current += check_served_against_rebuild(agent, m.dram)
+    assert agent.context_lost == 0
+    return m, current
+
+
+def test_served_payloads_match_a_rebuild_under_random_interleavings():
+    _, current = random_interleaving(7, 150)
+    assert current > 100
+
+
+def test_capture_windows_under_random_interleavings():
+    m, current = random_interleaving(11, 300, capture=True)
+    assert m.lightv.data_captures > 50
     assert current > 100

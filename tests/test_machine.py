@@ -101,6 +101,13 @@ def test_activate_requires_active_mode():
         m.activate_rules([])
 
 
+@pytest.mark.parametrize("mode", ["absent", "passive"])
+def test_deactivate_requires_active_mode(mode):
+    m = simple_machine(mode)
+    with pytest.raises(RuntimeError, match=f"machine mode is '{mode}', not active"):
+        m.deactivate_rule(1)
+
+
 @pytest.mark.parametrize("mode", ["absent", "passive", "active"])
 def test_machine_is_freed_without_the_cycle_collector(mode):
     m = simple_machine(mode, debug_tlb_check=True)

@@ -128,8 +128,6 @@ def test_migration_plan_validation():
         MigrationPlan(page_va=0x123).validate()
     with pytest.raises(ValueError, match="chunk"):
         MigrationPlan(dma_chunk_bytes=100).validate()
-    with pytest.raises(ValueError, match="differ"):
-        MigrationPlan(source_pfn=5, destination_pfn=5).validate()
 
 
 def test_random_bytes_draws_the_randrange_stream():
