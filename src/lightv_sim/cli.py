@@ -11,7 +11,8 @@ Exit codes (stable contract):
   1  verify found a mismatch
   2  usage error (unknown scenario, bad flags)
   3  unreadable or invalid configuration / input file, a mapping to a
-     frame nothing backs, or rules that overflow the context cache
+     frame nothing backs, rules that overflow the context cache, or a
+     --scale that is not finite and > 0
   4  a trace access faulted under the abort policy
   5  a scenario's own assertions failed
 """
@@ -19,6 +20,7 @@ Exit codes (stable contract):
 import argparse
 import csv
 import io
+import math
 import os
 import random
 import sys
@@ -127,6 +129,9 @@ def _render(args, rows, text_body: str) -> str:
 
 
 def cmd_run(args) -> int:
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(f"error: --scale must be finite and > 0, got {args.scale}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = _load_machine_config(args.config)
     except (ConfigError, OSError) as exc:

@@ -5,9 +5,14 @@ rewriter, test doubles) register with the interconnect.  An agent is a
 plain callable, `agent(line_addr)`, that returns None to NACK the snoop or
 `(payload, serve_cycles)` to ACK it with a full 64-byte line.  On a miss
 the interconnect polls the agents in registration order; the first ACK
-supplies the line, otherwise the line comes from DRAM.  The interconnect
-is the one place that checks an ACK: it rejects a payload that is not a
-full line and a negative serve time before it counts the ACK.
+supplies the line, otherwise the line comes from DRAM.  `_fetch` is the one
+place that polls the agents, checks an ACK (a full-line payload, serve
+cycles >= 0) before counting it, and charges a miss.  Two transactions
+share it: the data transaction (`read_byte`/`write_byte`) fills the line
+into the cache; the walk transaction (`walk_read`) reads one descriptor,
+and unless it allocates (`cache_ptes`) it decodes the descriptor straight
+from the ACK payload or the DRAM line and never builds a line.  Each
+counts its hit or miss only once it has the line.
 
 Cycle model (flat per-event costs from LatencyConfig), charged to the
 shared clock, which is the single accounting point:
@@ -39,10 +44,6 @@ class CacheState(Enum):
 class SnoopKind(Enum):
     READ_SHARED = "read-shared"
     READ_UNIQUE = "read-unique"
-
-
-KLASS_DATA = "data"
-KLASS_WALK = "walk"
 
 
 class FabricGap(RuntimeError):
@@ -192,40 +193,16 @@ class CoherentInterconnect:
 
     # -- transaction core ---------------------------------------------------
 
-    def _ensure_line(self, cache, line_addr, kind, allocate, klass):
-        """Resolve a line into the requester's cache (or transiently).
+    def _fetch(self, line_addr: int, shared: bool):
+        """The miss half of every transaction: returns (payload, state).
 
-        Returns the CacheLine.  The cycles are charged to the clock
-        here, the single accounting point for fabric traffic.  `probe`'s
-        answer holds for the whole transaction: no agent touches the
-        requester's cache while it serves a snoop.  An agent's ACK is
-        checked here, before it is counted: its payload must be one full
-        line and its serve cycles must be >= 0.
+        An ACKed line lands SHARED when `shared`, else EXCLUSIVE; a line
+        from DRAM lands EXCLUSIVE, and its payload is DRAM's own line, so
+        a caller that keeps it copies it.
         """
-        self.started = True
-        c = self.counters
         lat = self.lat
-        line = cache.probe(line_addr)
-        if line is not None and not (
-            kind is SnoopKind.READ_UNIQUE and line.state is CacheState.SHARED
-        ):
-            if klass == KLASS_WALK:
-                c.walk_reads += 1
-                c.walk_hits += 1
-            else:
-                c.data_hits += 1
-            self.clock.now += lat.cache_hit
-            return line
-
-        if klass == KLASS_WALK:
-            c.walk_reads += 1
-            c.walk_misses += 1
-        else:
-            c.data_misses += 1
-
-        cycles = lat.cci
-        payload = None
         if self.agents:
+            c = self.counters
             c.snoops_issued += 1
             for agent in self.agents:
                 ack = agent(line_addr)
@@ -236,29 +213,39 @@ class CoherentInterconnect:
                     if serve_cycles < 0:
                         raise ValueError("serve cycles must be >= 0")
                     c.snoops_acked += 1
-                    cycles += lat.snoop + serve_cycles
-                    break
-        if payload is None:
-            if not self.dram.contains_line(line_addr):
-                raise FabricGap(line_addr)
+                    self.clock.now += lat.cci + lat.snoop + serve_cycles
+                    return payload, CacheState.SHARED if shared else CacheState.EXCLUSIVE
+        try:
             payload = self.dram.read_line(line_addr)
-            cycles += lat.dram
-            state = CacheState.EXCLUSIVE
-        else:
-            state = (
-                CacheState.SHARED
-                if kind is SnoopKind.READ_SHARED
-                else CacheState.EXCLUSIVE
-            )
+        except ValueError:  # outside the aperture: nothing backs the line
+            raise FabricGap(line_addr) from None
+        self.clock.now += lat.cci + lat.dram
+        return payload, CacheState.EXCLUSIVE
 
-        self.clock.now += cycles
-        buf = bytearray(payload)
-        if not allocate:
-            return CacheLine(line_addr, state, buf)
-        line, evicted = cache.fill(line_addr, buf, state)
+    def _fill(self, cache, line_addr: int, payload, state) -> CacheLine:
+        """Install a copy of `payload`, writing back an evicted Modified line."""
+        line, evicted = cache.fill(line_addr, bytearray(payload), state)
         if evicted is not None and evicted.state is CacheState.MODIFIED:
             self._writeback(evicted)
         return line
+
+    def _ensure_line(self, cache, line_addr: int, kind: SnoopKind) -> CacheLine:
+        """The data transaction: resolve a line into the requester's cache.
+
+        `probe`'s answer holds for the whole transaction: no agent touches
+        the requester's cache while it serves a snoop.
+        """
+        self.started = True
+        line = cache.probe(line_addr)
+        if line is not None and not (
+            kind is SnoopKind.READ_UNIQUE and line.state is CacheState.SHARED
+        ):
+            self.counters.data_hits += 1
+            self.clock.now += self.lat.cache_hit
+            return line
+        payload, state = self._fetch(line_addr, kind is SnoopKind.READ_SHARED)
+        self.counters.data_misses += 1
+        return self._fill(cache, line_addr, payload, state)
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)
@@ -269,30 +256,38 @@ class CoherentInterconnect:
     # -- public operations ---------------------------------------------------
 
     def read_byte(self, cache, addr: int) -> int:
-        line = self._ensure_line(
-            cache, addr & ~_LINE_MASK, SnoopKind.READ_SHARED, True, KLASS_DATA
-        )
+        line = self._ensure_line(cache, addr & ~_LINE_MASK, SnoopKind.READ_SHARED)
         return line.payload[addr & _LINE_MASK]
 
     def write_byte(self, cache, addr: int, value: int):
-        line = self._ensure_line(
-            cache, addr & ~_LINE_MASK, SnoopKind.READ_UNIQUE, True, KLASS_DATA
-        )
+        line = self._ensure_line(cache, addr & ~_LINE_MASK, SnoopKind.READ_UNIQUE)
         line.payload[addr & _LINE_MASK] = value & 0xFF
         line.state = CacheState.MODIFIED
 
-    def walk_read(self, cache, pte_addr: int, allocate: bool):
-        """Fetch the 8-byte descriptor containing pte_addr.
+    def walk_read(self, cache, pte_addr: int, allocate: bool = False) -> int:
+        """The walk transaction: the 8-byte descriptor at pte_addr.
 
-        Returns the raw descriptor.  The containing 64-byte line is the
-        coherence unit; `allocate=False` keeps it out of the requester's
-        cache, modeling a non-allocating table walker.
+        The containing 64-byte line is the coherence unit, read shared.
+        `allocate=False` models a non-allocating table walker: a miss
+        decodes the descriptor straight from the ACK payload or the DRAM
+        line and leaves the requester's cache as it was.
         """
-        line = self._ensure_line(
-            cache, pte_addr & ~_LINE_MASK, SnoopKind.READ_SHARED, allocate, KLASS_WALK
-        )
+        self.started = True
+        line_addr = pte_addr & ~_LINE_MASK
+        c = self.counters
+        line = cache.probe(line_addr)
+        if line is not None:
+            c.walk_hits += 1
+            self.clock.now += self.lat.cache_hit
+            payload = line.payload
+        else:
+            payload, state = self._fetch(line_addr, True)
+            c.walk_misses += 1
+            if allocate:
+                self._fill(cache, line_addr, payload, state)
+        c.walk_reads += 1
         off = pte_addr & _LINE_MASK
-        return int.from_bytes(line.payload[off : off + 8], "little")
+        return int.from_bytes(payload[off : off + 8], "little")
 
     def invalidate_line(self, cache, line_addr: int):
         """Drop a line from the cache, writing Modified data back first."""

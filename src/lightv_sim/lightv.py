@@ -183,9 +183,11 @@ class LightV:
         capture line does (see `begin_page_capture`).
 
         Returns (tlb_ranges, lines): the (asid, va_start, va_end) ranges
-        whose TLB entries and the watched lines that are new or gained a
-        slot, whose PE-cached copies the caller must invalidate, so the
-        next walk is observed from level 0.
+        whose TLB entries, and the lines whose PE-cached copies, the caller
+        must invalidate, so the next walk is observed from level 0.  The
+        lines are those whose served content the call changes: the watched
+        lines that are new or gained a slot, and the watermark chunks of
+        live contexts that hold an entry of a new rule's range.
         """
         rules = list(rules)
         ids = set(self.rules)
@@ -238,6 +240,8 @@ class LightV:
             raise ContextCapacityError("context cache full")
 
         self._served.clear()
+        # Only the chunks of contexts that are already live can be cached.
+        chunks = self._chunk_lines(rules) if self._ctx_by_key else []
         watched = self.watch
         for rule in rules:
             self.rules[rule.rule_id] = rule
@@ -245,19 +249,28 @@ class LightV:
         for asid, prefix in new_paths:
             self._add_context(asid, prefix)
         new_lines = [line for line, slots in self.watch.items() if slots != watched.get(line)]
-        return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines
+        return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines + chunks
 
     def deactivate(self, rule_id: int):
         """Remove a rule; future walks of its range see the true tables.
+        While another rule still watches one of its level-0 slots, its
+        pages under that slot fault instead: a watermark chunk leaves an
+        entry that no rule covers non-present.
 
-        Returns (tlb_ranges, lines) to invalidate, as `activate` does.
+        Returns (tlb_ranges, lines) to invalidate, as `activate` does: the
+        watched lines that lost a slot, the watermark chunks that held an
+        entry of the rule's range, and every line of a freed context.
         """
         rule = self.rules.pop(rule_id, None)
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
         self._served.clear()
-        stale_lines = set(self.watch)
+        watched = self.watch
+        stale_lines = set(self._chunk_lines([rule]))
         self._reindex_rules()
+        stale_lines.update(
+            line for line, slots in watched.items() if slots != self.watch.get(line)
+        )
         needed = set(self._paths(self.rules.values()))
         for key in [key for key in self._ctx_by_key if key not in needed]:
             ctx = self._ctx_by_key.pop(key)
@@ -300,15 +313,14 @@ class LightV:
         entry = self.watch.get(line_addr)
         if entry is not None:
             return entry
-        decoded = self.window.decode(line_addr >> PAGE_SHIFT)
-        if decoded is not None:
-            level, context_id = decoded
-            ctx = self._ctx_by_id.get(context_id)
-            if ctx is None or ctx.level != level:
-                self.context_lost += 1
-                return None
-            return ctx
-        return None
+        low = (line_addr >> PAGE_SHIFT) - self.window.base_pfn  # the decode, inline
+        if not 0 <= low < WM_SPAN_FRAMES:
+            return None
+        ctx = self._ctx_by_id.get(low & (CONTEXT_CAPACITY - 1))
+        if ctx is None or ctx.level != low >> WM_CONTEXT_BITS:
+            self.context_lost += 1
+            return None
+        return ctx
 
     def manipulate_line(self, match, line_addr: int) -> bytes:
         """Build the served content of one 64-byte chunk on a watched path.
@@ -515,6 +527,26 @@ class LightV:
                 last_i1 = ((region_hi - 1) >> 21) & 0x1FF
                 for i1 in range(first_i1, last_i1 + 1):
                     yield rule.asid, (i0, i1)
+
+    def _chunk_lines(self, rules):
+        """The watermark lines, in the frames of live contexts, that hold
+        an entry whose span meets the range of one of `rules`: the chunks
+        whose content activating or removing those rules changes."""
+        lines = []
+        for rule in rules:
+            for asid, prefix in self._paths([rule]):
+                ctx = self._ctx_by_key.get((asid, prefix))
+                if ctx is None:
+                    continue
+                shift = 21 if ctx.level == 1 else PAGE_SHIFT  # one entry's span
+                table_lo = (prefix[0] << 30) | (prefix[1] << 21 if ctx.level == 2 else 0)
+                lo = max(rule.va_start, table_lo)
+                hi = min(rule.va_end, table_lo + (addressing.ENTRIES_PER_TABLE << shift))
+                frame = self.window.encode(ctx.level, ctx.context_id) << PAGE_SHIFT
+                first = frame + ((lo >> shift) & 0x1FF) * 8
+                last = frame + (((hi - 1) >> shift) & 0x1FF) * 8
+                lines.extend(range(first & ~_LINE_MASK, last + 1, LINE_BYTES))
+        return lines
 
     def _add_context(self, asid: int, prefix: tuple):
         # `activate` has checked that a context id is free.

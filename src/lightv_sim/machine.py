@@ -102,7 +102,8 @@ class Dram:
         """The stored line itself, not a copy (a shared zero line when
         unwritten): callers must not mutate it, and one that keeps or
         edits the content copies it."""
-        self._check(line_addr, LINE_BYTES)
+        if not (self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size):
+            raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         self.reads += 1
         return self._lines.get(line_addr, _ZERO_LINE)
 
@@ -255,33 +256,59 @@ class MachineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
-        def num(value):
-            return int(value, 0) if isinstance(value, str) else int(value)
+        """The config a JSON object describes, in `to_dict`'s layout.
+
+        Strict: `geometry` and `latencies` must be objects, the flags JSON
+        bools, and every number an int or an int string ("0x" accepted);
+        an unknown key is an error.  Every failure is a ConfigError.
+        """
+
+        def obj(value, where):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: expected a JSON object")
+            return value
+
+        def num(value, where):
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            try:
+                return int(value, 0)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
 
         cfg = cls()
-        geometry = data.get("geometry", {})
-        if "line_bytes" in geometry and num(geometry["line_bytes"]) != LINE_BYTES:
+        defaults = cfg.to_dict()
+        for key in obj(data, "config"):
+            if key not in defaults:
+                raise ConfigError(f"{key}: unknown config key")
+        geometry = obj(data.get("geometry", {}), "geometry")
+        for key in geometry:
+            if key not in defaults["geometry"]:
+                raise ConfigError(f"geometry.{key}: unknown geometry key")
+        line_bytes = geometry.get("line_bytes", LINE_BYTES)
+        if num(line_bytes, "geometry.line_bytes") != LINE_BYTES:
             raise ConfigError("geometry.line_bytes: only 64-byte lines are modeled")
-        if "cache_sets" in geometry:
-            cfg.cache_sets = num(geometry["cache_sets"])
-        if "cache_ways" in geometry:
-            cfg.cache_ways = num(geometry["cache_ways"])
+        for key in ("cache_sets", "cache_ways"):
+            if key in geometry:
+                setattr(cfg, key, num(geometry[key], f"geometry.{key}"))
         for key in ("dram_base", "dram_size", "watermark_base_pfn", "tlb_entries"):
             if key in data:
-                setattr(cfg, key, num(data[key]))
+                setattr(cfg, key, num(data[key], key))
         if "latencies" in data:
             lat = vars(cfg.latencies).copy()
-            for k, v in data["latencies"].items():
+            for k, v in obj(data["latencies"], "latencies").items():
                 if k not in lat:
                     raise ConfigError(f"latencies.{k}: unknown latency")
-                lat[k] = num(v)
+                lat[k] = num(v, f"latencies.{k}")
             cfg.latencies = LatencyConfig(**lat)
         for key in ("mode", "fault_policy"):
             if key in data:
                 setattr(cfg, key, data[key])
         for key in ("cache_ptes", "strict_isolation", "debug_tlb_check"):
             if key in data:
-                setattr(cfg, key, bool(data[key]))
+                if not isinstance(data[key], bool):
+                    raise ConfigError(f"{key}: expected true or false, got {data[key]!r}")
+                setattr(cfg, key, data[key])
         cfg.validate()
         return cfg
 

@@ -1,17 +1,20 @@
 """Translation engine: TLB, hardware table walker, and load/store front-end.
 
-The walker issues one coherent read per table level for the 64-byte line
-holding the descriptor, which is what makes walks visible to snooping
-agents.  Whether those lines are allowed to allocate into the PE cache is
-a configuration switch (`cache_ptes`).
+The walker issues one walk transaction (`walk_read`) per table level for
+the 64-byte line holding the descriptor, which is what makes walks visible
+to snooping agents, and decodes each descriptor's present bit, frame and
+attributes inline.  Whether those lines are allowed to allocate into the
+PE cache is a configuration switch (`cache_ptes`).
 """
 
 from collections import OrderedDict
 
-from . import addressing
-from .addressing import PAGE_SHIFT, PTE_BYTES, VA_BITS, TranslationFault
+from .addressing import ATTR_MASK, PAGE_SHIFT, PFN_BITS, PTE_BYTES, PTE_PRESENT, VA_BITS
+from .addressing import TranslationFault
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+# A descriptor's frame-number field in place: the base of the next table.
+_FRAME_BITS = ((1 << PFN_BITS) - 1) << PAGE_SHIFT
 
 
 class Tlb:
@@ -115,17 +118,15 @@ class Mmu:
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
-        indices = self._walk_indices(va)
+        walk_read, cache, allocate = self.cci.walk_read, self.cache, self.cache_ptes
         base = space.pgd_base
-        pfn = attrs = 0
-        for level in range(addressing.LEVELS):
-            pte_addr = base + indices[level] * PTE_BYTES
-            raw = self.cci.walk_read(self.cache, pte_addr, self.cache_ptes)
-            present, pfn, attrs = addressing.decode_pte(raw)
-            if not present:
+        for level, index in enumerate(self._walk_indices(va)):
+            pte_addr = base + index * PTE_BYTES
+            raw = walk_read(cache, pte_addr, allocate)
+            if not raw & PTE_PRESENT:
                 raise TranslationFault(level, pte_addr)
-            base = pfn << PAGE_SHIFT
-        return pfn, attrs
+            base = raw & _FRAME_BITS
+        return base >> PAGE_SHIFT, raw & ATTR_MASK
 
     def access(self, asid: int, va: int, write: bool = False, value=None):
         """One data access: returns the byte read, or stores `value`.

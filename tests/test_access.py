@@ -8,6 +8,7 @@ simulated result must come out identical -- including the clock and the
 counters each fabric miss sees while the loop runs.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -56,6 +57,24 @@ def build(tlb_entries, cache_ptes, debug_tlb_check):
             for off in range(0, 4096, LINE_BYTES)
         }
     )
+    return m
+
+
+def build_plain(mode, cache_ptes):
+    """A machine with no rule and no capture: the pages `build` maps, on a
+    cache and TLB as small, so walks miss and walk fills evict."""
+    m = Machine(
+        MachineConfig(
+            mode=mode,
+            cache_sets=4,
+            cache_ways=2,
+            tlb_entries=2,
+            cache_ptes=cache_ptes,
+            fault_policy=FAULT_RECORD,
+        )
+    )
+    alloc = m.allocator.alloc
+    m.register_space(0, [(va, alloc(), RW) for va in PLAIN_VAS + [RULE_VA, CAPTURE_VA]])
     return m
 
 
@@ -126,12 +145,12 @@ def simulated_state(m):
         "cycles": m.clock.now,
         "counters": m.counters.snapshot(),
         "dram": (m.dram.reads, m.dram.writes, m.dram.content_digest()),
-        "lightv": {
+        "lightv": None if m.lightv is None else {
             "data_captures": m.lightv.data_captures,
             "context_lost": m.lightv.context_lost,
             "contexts_live": len(m.lightv._ctx_by_id),
         },
-        "lines_manipulated": m.lightv.lines_manipulated,
+        "lines_manipulated": m.tally()["lines_manipulated"],
         "cache": m.cache.snapshot(),
         "tlb": list(m.tlb._entries.items()),
     }
@@ -220,3 +239,47 @@ def test_debug_tlb_check_guards_the_hit_path():
         m.mem_read(0, PLAIN_VAS[0])
     with pytest.raises(AssertionError, match="stale TLB entry"):
         m.run_trace([(0, "R", PLAIN_VAS[0], None)])
+
+
+def miss_path_cases():
+    """(case, machine, trace seed): every `test_fused_path_matches_layered_path`
+    machine, then rule-free machines in absent and passive mode."""
+    for tlb_entries in (0, 4):
+        for cache_ptes in (False, True):
+            for debug_tlb_check in (False, True):
+                m = build(tlb_entries, cache_ptes, debug_tlb_check)
+                seed = tlb_entries + 2 * cache_ptes
+                yield f"active-{tlb_entries}-{cache_ptes}-{debug_tlb_check}", m, seed
+    for mode in ("absent", "passive"):
+        for cache_ptes in (False, True):
+            yield f"{mode}-{cache_ptes}", build_plain(mode, cache_ptes), 5 + cache_ptes
+
+
+def miss_path_digest(m, seed):
+    first, upgrade = (0, "R", CAPTURE_VA + 5, None), (0, "W", CAPTURE_VA + 5, 0xA5)
+    result = run_access(m, [first, upgrade] + random_trace(seed))
+    return hashlib.sha256(repr((result, simulated_state(m))).encode()).hexdigest()
+
+
+# `miss_path_digest` per case, recorded before walk reads had a fabric
+# transaction of their own: the walk transaction must keep every value
+# read, fault, cycle, counter, cache line and TLB entry.
+MISS_PATH_GOLDENS = {
+    "active-0-False-False": "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
+    "active-0-False-True": "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
+    "active-0-True-False": "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
+    "active-0-True-True": "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
+    "active-4-False-False": "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
+    "active-4-False-True": "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
+    "active-4-True-False": "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
+    "active-4-True-True": "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
+    "absent-False": "0df5c76c2851eca395fccd17b95baedd2df6c617b9512a2c802e0ecf5b01d647",
+    "absent-True": "634faedae96c3b833e5b60413e2f50bf1d19a126dcf97dca37af711cd4fafd51",
+    "passive-False": "027a8a701df67a612948ee6e3a0f0b4507ce118bb9cd0e4b5a20007d60f60d69",
+    "passive-True": "f0095d1319f059f262fad867a30e6629861d1743e48f1226f9bb06a9f729421a",
+}
+
+
+def test_miss_path_matches_recorded_goldens():
+    got = {case: miss_path_digest(m, seed) for case, m, seed in miss_path_cases()}
+    assert got == MISS_PATH_GOLDENS

@@ -76,6 +76,36 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ([], "config: expected a JSON object"),
+    ({"geometry": [64]}, "geometry: expected a JSON object"),
+    ({"latencies": []}, "latencies: expected a JSON object"),
+    ({"cache_ptes": "false"}, "cache_ptes: expected true or false"),
+    ({"strict_isolation": 0}, "strict_isolation: expected true or false"),
+    ({"debug_tlb_check": None}, "debug_tlb_check: expected true or false"),
+    ({"tlb_entries": "x"}, "tlb_entries: expected an integer"),
+    ({"tlb_entries": True}, "tlb_entries: expected an integer"),
+    ({"geometry": {"cache_ways": 2.5}}, "geometry.cache_ways: expected an integer"),
+    ({"latencies": {"dram": "fast"}}, "latencies.dram: expected an integer"),
+    ({"strict_isolaton": False}, "strict_isolaton: unknown config key"),
+    ({"geometry": {"sets": 4}}, "geometry.sets: unknown geometry key"),
+])
+def test_config_values_are_strictly_typed(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--scenario", "migration", "--config", str(path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", ["inf", "0"])
+def test_scale_must_be_finite_and_positive(capsys, scale):
+    assert run_cli("run", "--scenario", "histogram", "--scale", scale) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --scale must be finite and > 0")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_config_env_fallback(tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"fault_policy": "panic"}))

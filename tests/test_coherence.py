@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
+from lightv_sim import coherence
 from lightv_sim.coherence import (
     Cache,
     CacheState,
     FabricGap,
-    KLASS_DATA,
     LatencyConfig,
     SnoopKind,
 )
@@ -70,13 +71,33 @@ def test_snoop_response_validation():
         ((bytes(8), 0), "full line"),
         ((bytes(64), -1), "serve cycles"),
     ]
-    for ack, message in cases:
+    reads = [
+        lambda f: f.cci.read_byte(f.cache, line_of(0)),
+        lambda f: f.cci.walk_read(f.cache, line_of(0) + 8, allocate=False),
+        lambda f: f.cci.walk_read(f.cache, line_of(0) + 8, allocate=True),
+    ]
+    for (ack, message), read in itertools.product(cases, reads):
         f = Fabric()
         f.cci.register_agent(lambda line_addr, ack=ack: ack)
         with pytest.raises(ValueError, match=message):
-            f.cci.read_byte(f.cache, line_of(0))
-        assert f.counters.snoops_acked == 0
+            read(f)
+        assert f.counters.snoops_acked == 0 and f.counters.walk_reads == 0
         assert f.clock.now == 0 and f.cache.lookup(line_of(0)) is None
+
+
+def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
+    built = []
+    monkeypatch.setattr(coherence, "CacheLine", lambda *a: built.append(a))
+    ones = (bytes([1]) * 64, 3)
+    fabric.cci.register_agent(lambda line_addr: ones if line_addr == line_of(1) else None)
+    fabric.dram.write_line(line_of(0), bytes(8) + (0x1234).to_bytes(8, "little") + bytes(48))
+    assert fabric.cci.walk_read(fabric.cache, line_of(0) + 8) == 0x1234  # from DRAM
+    assert fabric.cci.walk_read(fabric.cache, line_of(1) + 16) == 0x0101010101010101
+    c = fabric.counters
+    assert (c.walk_reads, c.walk_misses, c.snoops_issued, c.snoops_acked) == (2, 2, 2, 1)
+    assert fabric.dram.reads == 1
+    assert built == [] and fabric.cache.snapshot() == []
+    assert fabric.clock.now == 2 * fabric.lat.cci + fabric.lat.dram + fabric.lat.snoop + 3
 
 
 def test_misaligned_read_fails_before_anything_moves(fabric):
@@ -84,9 +105,7 @@ def test_misaligned_read_fails_before_anything_moves(fabric):
     # rejects one that is not before it counts, charges or snoops
     fabric.cci.register_agent(nack)
     with pytest.raises(ValueError, match="not line-aligned"):
-        fabric.cci._ensure_line(
-            fabric.cache, line_of(0) + 8, SnoopKind.READ_SHARED, True, KLASS_DATA
-        )
+        fabric.cci._ensure_line(fabric.cache, line_of(0) + 8, SnoopKind.READ_SHARED)
     assert fabric.counters.snapshot() == dict.fromkeys(fabric.counters.FIELDS, 0)
     assert fabric.clock.now == 0 and fabric.dram.reads == 0
 

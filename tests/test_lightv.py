@@ -972,3 +972,52 @@ def test_capture_windows_under_random_interleavings():
     m, current = random_interleaving(11, 300, capture=True)
     assert m.lightv.data_captures > 50
     assert current > 100
+
+
+def test_deactivate_leaves_unchanged_cached_lines():
+    # slots 8 and 100 lie on different level-0 lines
+    m = active_machine([(8 << 30, 0x90000), (100 << 30, 0x90001)], cache_ptes=True)
+    m.activate_rules([
+        RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000),
+        RewriteRule(2, 0, 100 << 30, (100 << 30) + 4096, 0xA0001),
+    ])
+    assert m.mmu.translate(0, 100 << 30) == 0xA0001 << 12  # caches rule 2's walk
+    m.deactivate_rule(1)
+    m.tlb.invalidate_range(0, 100 << 30, (100 << 30) + 4096)
+    snoops = m.counters.snoops_issued
+    assert m.mmu.translate(0, 100 << 30) == 0xA0001 << 12
+    assert m.counters.snoops_issued == snoops  # every level still cached
+
+
+@pytest.mark.parametrize("case", ["shared leaf chunk", "shared level-1 chunk", "late rule"])
+def test_rule_changes_drop_cached_watermark_chunks(case):
+    # Two pages whose leaf entries (or level-1 entries) share one
+    # watermark chunk.  With PTE caching on, each walk caches that chunk;
+    # a rule change must drop it, so the walk agrees with an uncached one.
+    def outcomes(cache_ptes):
+        a = 8 << 30
+        b = a + (4096 if case != "shared level-1 chunk" else 1 << 21)
+        m = active_machine([(a, 0x90000), (b, 0x90001)], cache_ptes=cache_ptes, tlb_entries=0)
+        first = [RewriteRule(1, 0, a, a + 4096, 0xA0000)]
+        second = [RewriteRule(2, 0, b, b + 4096, 0xA0001)]
+        seen = []
+
+        def walk_both():
+            for va in (a, b):
+                try:
+                    seen.append(m.mmu.translate(0, va))
+                except (TranslationFault, FabricGap) as exc:
+                    seen.append(type(exc).__name__)
+
+        if case == "late rule":
+            m.activate_rules(first, strict=False)
+            walk_both()
+            m.activate_rules(second, strict=False)
+        else:
+            m.activate_rules(first + second)
+            walk_both()
+            m.deactivate_rule(1)
+        walk_both()
+        return seen
+
+    assert outcomes(cache_ptes=True) == outcomes(cache_ptes=False)
