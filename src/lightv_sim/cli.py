@@ -12,7 +12,7 @@ Exit codes (stable contract):
   2  usage error (unknown scenario, bad flags)
   3  unreadable or invalid configuration / input file, a mapping to a
      frame nothing backs, rules that overflow the context cache, or a
-     --scale that is not finite and > 0
+     --scale that is not finite and > 0 or gives an empty histogram image
   4  a trace access faulted under the abort policy
   5  a scenario's own assertions failed
 """
@@ -147,6 +147,8 @@ def cmd_run(args) -> int:
             if "baseline" not in modes:
                 modes = ("baseline",) + modes
             workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
+            if workload.image_bytes == 0:
+                raise ValueError(f"--scale {args.scale} gives an empty histogram image")
             trace = scenarios.iter_histogram_trace(workload)
             if args.export_trace:
                 with open(args.export_trace, "w") as f:

@@ -336,8 +336,8 @@ class FaultRecord:
 
 @dataclass
 class RunStats:
-    """One run's statistics.  The fields before `trace_digest` are the
-    reported statistics, in report order (`STATS_COLUMNS`)."""
+    """One run's statistics.  The fields before `faults` are the reported
+    statistics, in report order (`STATS_COLUMNS`)."""
 
     total_cycles: int
     data_hits: int
@@ -348,7 +348,6 @@ class RunStats:
     dram_reads: int
     dram_writes: int
     lines_manipulated: int
-    trace_digest: str
     faults: tuple = ()
 
     def to_dict(self) -> dict:
@@ -362,9 +361,7 @@ class RunStats:
         return "\n".join(lines)
 
 
-STATS_COLUMNS = tuple(
-    f.name for f in fields(RunStats) if f.name not in ("trace_digest", "faults")
-)
+STATS_COLUMNS = tuple(f.name for f in fields(RunStats) if f.name != "faults")
 
 
 @dataclass
@@ -381,9 +378,8 @@ class OverheadReport:
 
 
 def compare_runs(stats_a: RunStats, stats_b: RunStats) -> OverheadReport:
-    """Relative cycle overhead of run b over run a (same trace required)."""
-    if stats_a.trace_digest != stats_b.trace_digest:
-        raise ValueError("runs executed different traces")
+    """Relative cycle overhead of run b over run a; the caller ran the same
+    trace on both (`run_modes` runs one trace on every mode)."""
     relative = (
         (stats_b.total_cycles - stats_a.total_cycles) / stats_a.total_cycles
         if stats_a.total_cycles
@@ -392,24 +388,11 @@ def compare_runs(stats_a: RunStats, stats_b: RunStats) -> OverheadReport:
     return OverheadReport(stats_a.total_cycles, stats_b.total_cycles, relative)
 
 
-def update_digest(h, trace):
-    """Feed the accesses of `trace` into the SHA-256 object `h`; feeding a
-    trace in consecutive pieces gives the digest of the whole."""
-    pack = _DIGEST_RECORD.pack
-    h.update(
-        b"".join(
-            [
-                pack(asid, va, 1 if op == "W" else 0, (value or 0) & 0xFFFF)
-                for asid, op, va, value in trace
-            ]
-        )
-    )
-
-
 def trace_digest(trace) -> str:
-    h = hashlib.sha256()
-    update_digest(h, trace)
-    return h.hexdigest()
+    """SHA-256 over the accesses of `trace`, one `_DIGEST_RECORD` each."""
+    pack = _DIGEST_RECORD.pack
+    records = [pack(asid, va, op == "W", (value or 0) & 0xFFFF) for asid, op, va, value in trace]
+    return hashlib.sha256(b"".join(records)).hexdigest()
 
 
 def parse_trace(text: str):
@@ -437,6 +420,8 @@ def parse_trace(text: str):
             raise TraceError(f"line {lineno}: asid {parts[0]} outside 32 bits")
         if not 0 <= va < 1 << 64:
             raise TraceError(f"line {lineno}: va {parts[2]} outside 64 bits")
+        if value is not None and not 0 <= value <= 0xFF:
+            raise TraceError(f"line {lineno}: data {parts[3]} outside 8 bits")
         trace.append((asid, op, va, value))
     return trace
 
@@ -574,12 +559,11 @@ class Machine:
         )
         return totals
 
-    def stats_since(self, before: dict, digest: str, faults=()) -> RunStats:
+    def stats_since(self, before: dict, faults=()) -> RunStats:
         """Statistics of the work done since `before = self.tally()`."""
         now = self.tally()
         return RunStats(
             **{name: now[name] - before[name] for name in STATS_COLUMNS},
-            trace_digest=digest,
             faults=tuple(faults),
         )
 
@@ -589,7 +573,7 @@ class Machine:
         before = self.tally()
         faults = []
         self.replay(trace, 0, faults)
-        return self.stats_since(before, trace_digest(trace), faults)
+        return self.stats_since(before, faults)
 
     def replay(self, chunk, start_index: int, faults: list):
         """Execute the accesses of `chunk`, the first of which has trace
@@ -606,6 +590,14 @@ class Machine:
         added to the counters and the clock before each such call and when
         the loop ends, so every callee sees the totals of a one-access-at-
         a-time run.
+
+        The loop remembers the asid, virtual line and cache line of the
+        last access it resolved inline.  The next access to the same asid
+        and line is a hit with nothing to look up or refresh, as its TLB
+        entry and line are still most recently used (a write to a SHARED
+        line excepted).  The memo starts empty in each call, is cleared
+        before every `Mmu.access` call, which may evict, invalidate or
+        fault, and is never set while `debug_tlb_check` is on.
         """
         counters, clock = self.counters, self.clock
         access = self.mmu.access
@@ -618,12 +610,22 @@ class Machine:
         page_shift, page_mask = PAGE_SHIFT, _PAGE_MASK
         line_shift, line_mask, line_base = LINE_SHIFT, _LINE_MASK, ~_LINE_MASK
         shared, modified = CacheState.SHARED, CacheState.MODIFIED
+        last_asid = last_vline = last_line = None  # the repeat-line memo
         hits = 0
         try:
             for index, (asid, op, va, value) in enumerate(chunk, start_index):
                 write = op == "W"
                 if write:
                     value &= 0xFF  # a missing value fails here, before any state moves
+                vline = va >> line_shift
+                if vline == last_vline and asid == last_asid and not (
+                    write and last_line.state is shared
+                ):
+                    hits += 1
+                    if write:
+                        last_line.payload[va & line_mask] = value
+                        last_line.state = modified
+                    continue
                 # Only an in-range page is ever a TLB key, so an
                 # out-of-range va misses and `translate` rejects it.
                 key = (asid, va >> page_shift)
@@ -642,7 +644,9 @@ class Machine:
                         if write:
                             line.payload[pa & line_mask] = value
                             line.state = modified
+                        last_asid, last_vline, last_line = asid, vline, line
                         continue
+                last_vline = None
                 counters.data_hits += hits
                 clock.now += hits * hit_cycles
                 hits = 0

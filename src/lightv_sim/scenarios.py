@@ -8,7 +8,6 @@ machine statistics (rendered by `csv_rows`), a pass/fail verdict and a
 text rendering.  All randomness is seeded.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from itertools import compress, islice
@@ -27,7 +26,6 @@ from .machine import (
     Machine,
     MachineConfig,
     compare_runs,
-    update_digest,
 )
 
 # Scenario mode labels, in report order, and the machine mode each runs in.
@@ -66,7 +64,8 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
     rules; they are activated in active mode only.  Every mode's machine is
     built and prepared first.  Then `trace`, any iterable of accesses, is
     read once, `CHUNK` accesses at a time, and each chunk runs on each
-    machine in mode order, so that no mode keeps the trace.
+    machine in mode order, so that no mode keeps the trace.  Every mode
+    runs the same accesses, so their RunStats compare (`compare_runs`).
 
     A failure is raised as if the modes had run one after another: the
     first mode's at once; a later mode's, which stops that mode and every
@@ -87,11 +86,9 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
             held = exc
             break
         live.append((mode, m, m.tally(), []))
-    h = hashlib.sha256()
     accesses = iter(trace)
     start = 0
     while chunk := list(islice(accesses, CHUNK)):
-        update_digest(h, chunk)
         for pos, (_, m, _, faults) in enumerate(live):
             try:
                 m.replay(chunk, start, faults)
@@ -104,11 +101,7 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
         start += len(chunk)
     if held is not None:
         raise held
-    digest = h.hexdigest()
-    return [
-        (mode, m, m.stats_since(before, digest, faults))
-        for mode, m, before, faults in live
-    ]
+    return [(mode, m, m.stats_since(before, faults)) for mode, m, before, faults in live]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +705,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     source_clean = not any(
         src_lo <= line.tag < src_hi for line in m.cache.iter_lines()
     )
-    stats = {"active": m.stats_since(before, f"migration-seed{plan.seed}")}
+    stats = {"active": m.stats_since(before)}
 
     return MigrationReport(
         plan=plan,

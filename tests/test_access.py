@@ -1,8 +1,9 @@
 """Differential test: the batched hit loop against the layered path.
 
 `Machine.replay` (which `run_trace` runs) resolves a TLB hit followed by a
-cache hit inline, tallies those hits in a local, and hands everything else
-to the walker and the fabric.  The reference below drives the layers one
+cache hit inline, serves an access to the line it resolved last without a
+lookup, tallies those hits in a local, and hands everything else to the
+walker and the fabric.  The reference below drives the layers one
 call at a time (`translate`, then `read_byte`/`write_byte`), and every
 simulated result must come out identical -- including the clock and the
 counters each fabric miss sees while the loop runs.
@@ -239,6 +240,80 @@ def test_debug_tlb_check_guards_the_hit_path():
         m.mem_read(0, PLAIN_VAS[0])
     with pytest.raises(AssertionError, match="stale TLB entry"):
         m.run_trace([(0, "R", PLAIN_VAS[0], None)])
+
+
+def replay_vs_layered(make, trace):
+    """Run `trace` in one `run_trace` call on one machine from `make()` and
+    layer by layer on another; assert every simulated result agrees and
+    return (the first machine, its RunStats)."""
+    fused, layered = make(), make()
+    fused_log, layered_log = spy_on_misses(fused), spy_on_misses(layered)
+    stats = fused.run_trace(trace)
+    _, layered_faults = run_layered(layered, trace)
+    assert [(f.index, f.level, f.pte_address) for f in stats.faults] == layered_faults
+    assert simulated_state(fused) == simulated_state(layered)
+    assert fused_log == layered_log
+    return fused, stats
+
+
+def test_a_repeated_write_to_a_shared_line_takes_the_upgrade():
+    # The captured line arrives SHARED; the second read of it is resolved
+    # inline, and the write right after must still take READ_UNIQUE.
+    x = CAPTURE_VA + 5
+    trace = [(0, "R", x, None), (0, "R", x, None), (0, "W", x, 0xA5),
+             (0, "R", x, None), (0, "W", x, 0x5A)]
+    m, stats = replay_vs_layered(lambda: build(4, False, False), trace)
+    assert (stats.data_hits, stats.data_misses) == (3, 2)
+    line = m.cache.lookup(reference_walk(m.spaces[0], x, m.dram) & -LINE_BYTES)
+    assert line.state is CacheState.MODIFIED and line.payload[5] == 0x5A
+
+
+def test_a_repeated_line_in_another_asid_is_not_served_from_the_first():
+    va = PLAIN_VAS[0] + 9
+
+    def make():
+        m = build(4, False, False)
+        m.register_space(1, [(PLAIN_VAS[0], m.allocator.alloc(), RW)])
+        return m
+
+    trace = [(0, "W", va, 1), (1, "W", va, 2), (0, "R", va, None), (1, "W", va, 3),
+             (1, "R", va, None), (0, "R", va, None)]
+    m, _ = replay_vs_layered(make, trace)
+    assert (m.mem_read(0, va), m.mem_read(1, va)) == (1, 3)
+
+
+@pytest.mark.parametrize("middle", ["evict", "fault"])
+def test_the_repeat_memo_resets_after_a_full_path_access(middle):
+    x = PLAIN_VAS[0] + 3
+    y = PLAIN_VAS[1] if middle == "evict" else UNMAPPED_VA
+    trace = [(0, "R", x, None), (0, "W", x, 7), (0, "R", y, None),
+             (0, "R", x, None), (0, "W", x, 8)]
+    # With cached walk lines, the fills of y's walk push x's line out.
+    cache_ptes = middle == "evict"
+    probe = build(4, cache_ptes, False)
+    probe.run_trace(trace[:3])
+    x_line = reference_walk(probe.spaces[0], x, probe.dram) & -LINE_BYTES
+    assert (probe.cache.lookup(x_line) is None) == cache_ptes
+    m, stats = replay_vs_layered(lambda: build(4, cache_ptes, False), trace)
+    assert (stats.data_hits, stats.data_misses, len(stats.faults)) == (
+        (2, 3, 0) if middle == "evict" else (3, 1, 1)
+    )
+    assert m.mem_read(0, x) == 8
+
+
+@pytest.mark.parametrize("tlb_entries, debug_tlb_check", [(0, False), (4, True), (4, False)])
+def test_runs_of_one_line_match_the_layered_path(tlb_entries, debug_tlb_check):
+    rng = random.Random(tlb_entries + debug_tlb_check)
+    trace = []
+    for _ in range(60):
+        line = rng.choice(PLAIN_VAS + [RULE_VA, CAPTURE_VA]) + rng.randrange(4) * LINE_BYTES
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.4:
+                trace.append((0, "W", line + rng.randrange(64), rng.randrange(256)))
+            else:
+                trace.append((0, "R", line + rng.randrange(64), None))
+    _, stats = replay_vs_layered(lambda: build(tlb_entries, False, debug_tlb_check), trace)
+    assert stats.data_hits > len(trace) // 2 and stats.data_misses
 
 
 def miss_path_cases():

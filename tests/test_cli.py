@@ -106,6 +106,15 @@ def test_scale_must_be_finite_and_positive(capsys, scale):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("scale", ["1e-300", "1e-8"])
+def test_scale_with_an_empty_image_is_a_config_error(capsys, scale):
+    code = run_cli("run", "--scenario", "histogram", "--scale", scale, "--format", "csv")
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --scale {float(scale)} gives an empty histogram image\n"
+    assert captured.out == ""
+
+
 def test_config_env_fallback(tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"fault_policy": "panic"}))
@@ -299,9 +308,11 @@ def test_context_cache_overflow_is_a_config_error(tmp_path, capsys):
     assert err == "error: context cache full\n" and "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["0x100000000 R 0x0", "0 R 0x10000000000000000", "-1 R 0x0"])
+@pytest.mark.parametrize(
+    "line", ["0x100000000 R 0x0", "0 R 0x10000000000000000", "-1 R 0x0", "0 W 0x5 0x1ff"]
+)
 def test_trace_field_out_of_range_is_a_config_error(tmp_path, capsys, line):
-    # the trace digest packs an asid as 32 bits and a va as 64 bits
+    # a trace's asid must fit 32 bits, its va 64 bits and its data 8 bits
     (tmp_path / "map.txt").write_text("0x0 0x80100 wc\n")
     (tmp_path / "trace.txt").write_text(f"0 R 0x0\n{line}\n")
     code = run_cli(

@@ -281,16 +281,17 @@ def test_conservation_against_flat_shadow():
             assert m.mem_read(0, va) == shadow.get(va, 0)
 
 
-def test_compare_runs_identity_and_guard():
-    m = simple_machine()
+def test_compare_runs_relative_overhead():
     trace = [(0, "R", PAGE_VA, None)] * 10
-    a = m.run_trace(trace)
+    a = simple_machine().run_trace(trace)
     b = simple_machine().run_trace(trace)
     report = compare_runs(a, b)
-    assert report.relative != 0.0 or a.total_cycles == b.total_cycles
-    other = simple_machine().run_trace([(0, "R", 9 << 30, None)])
-    with pytest.raises(ValueError, match="different traces"):
-        compare_runs(a, other)
+    assert (report.cycles_base, report.cycles_other) == (a.total_cycles, b.total_cycles)
+    assert report.relative == 0.0 and a == b
+    a.total_cycles, b.total_cycles = 400, 401
+    assert compare_runs(a, b).relative == 1 / 400
+    # a base run of no cycles reports no overhead rather than dividing by 0
+    assert compare_runs(simple_machine().run_trace([]), b).relative == 0.0
 
 
 def test_fault_abort_policy():
@@ -322,11 +323,12 @@ def test_trace_parse_errors():
     with pytest.raises(TraceError, match="data byte"):
         parse_trace("0 W 0x1000\n")
     assert parse_trace("# empty\n\n") == []
-    # the trace digest packs an asid as 32 bits and a va as 64 bits
+    # a trace's asid must fit 32 bits, its va 64 bits and its data 8 bits
     for line, field in [("0x100000000 R 0x0", "asid"), ("-1 R 0x0", "asid"),
-                        ("0 R 0x10000000000000000", "va"), ("0 W -0x1 0x5", "va")]:
+                        ("0 R 0x10000000000000000", "va"), ("0 W -0x1 0x5", "va"),
+                        ("0 W 0x5 0x100", "data"), ("0 W 0x5 -0x1", "data")]:
         with pytest.raises(TraceError, match=f"line 2: {field} "):
-            parse_trace(f"0xffffffff R 0xffffffffffffffff\n{line}\n")
+            parse_trace(f"0xffffffff W 0xffffffffffffffff 0xff\n{line}\n")
 
 
 def test_stats_text_rendering():
