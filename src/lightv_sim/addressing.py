@@ -187,30 +187,43 @@ def reference_walk(space: AddressSpace, va: int, memory) -> int:
     return base | offset
 
 
-def parse_mappings(text: str):
-    """Parse the mapping list format: `VA_hex PFN_hex [attr_flags]` per line.
+def read_records(lines, usage: str, error, convert):
+    """Yield `convert(fields)` for each record of a line-based input file.
 
-    Blank lines and `#` comments are ignored.  Hex fields accept an
-    optional 0x prefix.
+    This is the one reader of the mapping, rule and trace formats.  A line
+    is cut at its first `#` and split on whitespace; a line left with no
+    field is skipped.  `usage` names the fields, bracketed ones optional: a
+    wrong field count raises `error("line N: expected '<usage>'")`, and a
+    ValueError from `convert` is raised again as `error("line N: <message>")`.
     """
-    mappings = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+    names = usage.split()
+    most = len(names)
+    least = most - sum(name.startswith("[") for name in names)
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
             continue
-        parts = body.split()
-        if len(parts) not in (2, 3):
-            raise MappingError(f"line {lineno}: expected 'VA PFN [flags]'")
+        if not least <= len(fields) <= most:
+            raise error(f"line {lineno}: expected '{usage}'")
         try:
-            va = _hex_field(parts[0])
-            pfn = _hex_field(parts[1])
+            record = convert(fields)
         except ValueError as exc:
-            raise MappingError(f"line {lineno}: {exc}") from None
-        attrs = parse_attr_flags(parts[2]) if len(parts) == 3 else 0
-        mappings.append((va, pfn, attrs))
-    return mappings
+            raise error(f"line {lineno}: {exc}") from None
+        yield record
 
 
-def _hex_field(text: str) -> int:
+def hex_field(text: str) -> int:
+    """A hex field of an input file, with an optional 0x prefix."""
     t = text[2:] if text[:2].lower() == "0x" else text
     return int(t, 16)
+
+
+def _mapping(fields):
+    va, pfn = hex_field(fields[0]), hex_field(fields[1])
+    return va, pfn, (parse_attr_flags(fields[2]) if len(fields) == 3 else 0)
+
+
+def parse_mappings(lines):
+    """The (va, pfn, attrs) of each line of a mapping list:
+    `VA_hex PFN_hex [attr_flags]` (see `read_records`)."""
+    return list(read_records(lines, "VA PFN [flags]", MappingError, _mapping))

@@ -41,11 +41,6 @@ class CacheState(Enum):
     INVALID = "I"
 
 
-class SnoopKind(Enum):
-    READ_SHARED = "read-shared"
-    READ_UNIQUE = "read-unique"
-
-
 class FabricGap(RuntimeError):
     """A coherent read reached an address nothing backs: every agent
     NACKed and the line is outside the DRAM aperture."""
@@ -229,21 +224,20 @@ class CoherentInterconnect:
             self._writeback(evicted)
         return line
 
-    def _ensure_line(self, cache, line_addr: int, kind: SnoopKind) -> CacheLine:
-        """The data transaction: resolve a line into the requester's cache.
+    def _ensure_line(self, cache, line_addr: int, unique: bool) -> CacheLine:
+        """The data transaction: resolve a line into the requester's cache,
+        as an owner (`unique`, a write) or as a sharer.
 
         `probe`'s answer holds for the whole transaction: no agent touches
         the requester's cache while it serves a snoop.
         """
         self.started = True
         line = cache.probe(line_addr)
-        if line is not None and not (
-            kind is SnoopKind.READ_UNIQUE and line.state is CacheState.SHARED
-        ):
+        if line is not None and not (unique and line.state is CacheState.SHARED):
             self.counters.data_hits += 1
             self.clock.now += self.lat.cache_hit
             return line
-        payload, state = self._fetch(line_addr, kind is SnoopKind.READ_SHARED)
+        payload, state = self._fetch(line_addr, not unique)
         self.counters.data_misses += 1
         return self._fill(cache, line_addr, payload, state)
 
@@ -256,11 +250,11 @@ class CoherentInterconnect:
     # -- public operations ---------------------------------------------------
 
     def read_byte(self, cache, addr: int) -> int:
-        line = self._ensure_line(cache, addr & ~_LINE_MASK, SnoopKind.READ_SHARED)
+        line = self._ensure_line(cache, addr & ~_LINE_MASK, False)
         return line.payload[addr & _LINE_MASK]
 
     def write_byte(self, cache, addr: int, value: int):
-        line = self._ensure_line(cache, addr & ~_LINE_MASK, SnoopKind.READ_UNIQUE)
+        line = self._ensure_line(cache, addr & ~_LINE_MASK, True)
         line.payload[addr & _LINE_MASK] = value & 0xFF
         line.state = CacheState.MODIFIED
 

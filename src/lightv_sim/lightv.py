@@ -630,28 +630,19 @@ class LightV:
                     )
 
 
-def parse_rules(text: str):
-    """Parse rule lines: `asid va_start va_end pfn_base [attr_overrides]`.
+def _rule_fields(fields):
+    asid, va_start, va_end, pfn = map(addressing.hex_field, fields[:4])
+    overrides = addressing.parse_attr_flags(fields[4]) if len(fields) == 5 else None
+    return asid, va_start, va_end, pfn, overrides
 
-    Hex fields, optional 0x prefixes, `#` comments.  Rule ids are assigned
-    in file order starting at 1.
+
+def parse_rules(lines):
+    """The rules of a rule file, one a line:
+    `asid va_start va_end pfn_base [attr_overrides]` (see
+    `addressing.read_records`).  Rule ids are assigned in file order
+    starting at 1.
     """
-    rules = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) not in (4, 5):
-            raise RuleError(
-                f"line {lineno}: expected 'asid va_start va_end pfn_base [attrs]'"
-            )
-        try:
-            asid, va_start, va_end, pfn = (addressing._hex_field(p) for p in parts[:4])
-        except ValueError as exc:
-            raise RuleError(f"line {lineno}: {exc}") from None
-        overrides = addressing.parse_attr_flags(parts[4]) if len(parts) == 5 else None
-        rules.append(
-            RewriteRule(len(rules) + 1, asid, va_start, va_end, pfn, overrides)
-        )
-    return rules
+    records = addressing.read_records(
+        lines, "asid va_start va_end pfn_base [attrs]", RuleError, _rule_fields
+    )
+    return [RewriteRule(rule_id, *record) for rule_id, record in enumerate(records, 1)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import addressing
-from .addressing import PAGE_SHIFT, PAGE_SIZE, TranslationFault
+from .addressing import PAGE_SHIFT, PAGE_SIZE, TranslationFault, hex_field
 from .coherence import (
     LINE_BYTES,
     LINE_SHIFT,
@@ -395,47 +395,39 @@ def trace_digest(trace) -> str:
     return hashlib.sha256(b"".join(records)).hexdigest()
 
 
-def parse_trace(text: str):
-    """Parse trace lines: `asid op va [data]`, ops R/W, hex fields."""
-    trace = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) not in (3, 4):
-            raise TraceError(f"line {lineno}: expected 'asid op va [data]'")
-        op = parts[1].upper()
-        if op not in ("R", "W"):
-            raise TraceError(f"line {lineno}: op must be R or W")
-        try:
-            asid = addressing._hex_field(parts[0])
-            va = addressing._hex_field(parts[2])
-            value = addressing._hex_field(parts[3]) if len(parts) == 4 else None
-        except ValueError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
-        if op == "W" and value is None:
-            raise TraceError(f"line {lineno}: write needs a data byte")
-        if not 0 <= asid < 1 << 32:
-            raise TraceError(f"line {lineno}: asid {parts[0]} outside 32 bits")
-        if not 0 <= va < 1 << 64:
-            raise TraceError(f"line {lineno}: va {parts[2]} outside 64 bits")
-        if value is not None and not 0 <= value <= 0xFF:
-            raise TraceError(f"line {lineno}: data {parts[3]} outside 8 bits")
-        trace.append((asid, op, va, value))
-    return trace
+def _trace_access(fields):
+    op = fields[1].upper()
+    if op not in ("R", "W"):
+        raise ValueError("op must be R or W")
+    asid, va = hex_field(fields[0]), hex_field(fields[2])
+    value = hex_field(fields[3]) if len(fields) == 4 else None
+    if op == "W" and value is None:
+        raise ValueError("write needs a data byte")
+    if op == "R" and value is not None:
+        raise ValueError("a read takes no data byte")
+    if not 0 <= asid < 1 << 32:
+        raise ValueError(f"asid {fields[0]} outside 32 bits")
+    if not 0 <= va < 1 << 64:
+        raise ValueError(f"va {fields[2]} outside 64 bits")
+    if value is not None and not 0 <= value <= 0xFF:
+        raise ValueError(f"data {fields[3]} outside 8 bits")
+    return asid, op, va, value
+
+
+def iter_trace(lines):
+    """Yield the access of each trace line, `asid op va [data]`: ops R/W
+    (a write with its data byte, a read without), hex fields (see
+    `addressing.read_records`).  A bad line raises TraceError when it is
+    reached."""
+    return addressing.read_records(lines, "asid op va [data]", TraceError, _trace_access)
 
 
 def format_access(access) -> str:
-    """One trace line, newline included, in the format `parse_trace` reads."""
+    """One trace line, newline included, in the format `iter_trace` reads."""
     asid, op, va, value = access
     if op == "W":
         return f"{asid:#x} W {va:#x} {value:#x}\n"
     return f"{asid:#x} R {va:#x}\n"
-
-
-def format_trace(trace) -> str:
-    return "".join(map(format_access, trace))
 
 
 def _real_translation(spaces: dict, dram: Dram, asid: int, va: int):

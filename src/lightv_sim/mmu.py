@@ -65,9 +65,9 @@ class Mmu:
         cache,
         tlb: Tlb,
         spaces: dict,
+        expected_translation,
         cache_ptes: bool = False,
         debug_tlb_check: bool = False,
-        expected_translation=None,
     ):
         self.cci = cci
         self.cache = cache
@@ -100,8 +100,6 @@ class Mmu:
         return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
 
     def _check_tlb_hit(self, asid: int, va: int, pa: int):
-        if self._expected_translation is None:
-            return
         expected = self._expected_translation(asid, va)
         if expected != pa:
             raise AssertionError(

@@ -70,7 +70,11 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
     A failure is raised as if the modes had run one after another: the
     first mode's at once; a later mode's, which stops that mode and every
     mode after it, only once every earlier mode has run the whole trace
-    without failing.  Returns [(mode, machine, RunStats)] in mode order.
+    without failing.  So an error the trace itself raises (a bad line of
+    a streamed trace file) comes when the chunk that holds it is read:
+    after the first mode's set-up and any failure of the first mode in an
+    earlier chunk, and before any access of that chunk runs.  Returns
+    [(mode, machine, RunStats)] in mode order.
     """
     live = []  # (mode, machine, tally before the trace, faults)
     held = None

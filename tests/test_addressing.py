@@ -201,7 +201,7 @@ def test_attr_flags_roundtrip():
 
 def test_mapping_file_roundtrip():
     text = "# demo\n0x200000000 0x90000 wc\n1000 40\n"
-    mappings = parse_mappings(text)
+    mappings = parse_mappings(text.splitlines())
     assert mappings == [
         (0x2_0000_0000, 0x90000, ATTR_WRITABLE | ATTR_CACHEABLE),
         (0x1000, 0x40, 0),
@@ -210,4 +210,4 @@ def test_mapping_file_roundtrip():
 
 def test_mapping_file_rejects_bad_lines():
     with pytest.raises(MappingError, match="line 2"):
-        parse_mappings("0x1000 0x40\nnot a line at all\n")
+        parse_mappings(["0x1000 0x40\n", "not a line at all\n"])

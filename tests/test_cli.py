@@ -6,7 +6,7 @@ import pytest
 
 from lightv_sim import cli, scenarios
 from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, reference_walk
-from lightv_sim.machine import Machine, MachineConfig, format_trace, parse_trace
+from lightv_sim.machine import Machine, MachineConfig, format_access, iter_trace
 from lightv_sim.mmu import Mmu
 from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
 
@@ -185,7 +185,8 @@ def test_exported_trace_replays_identically(tmp_path):
         "--export-trace", str(trace_path),
     ) == 0
     w = histogram_workload(scale=0.0001, seed=6)
-    assert parse_trace(trace_path.read_text()) == gen_histogram_trace(w)
+    with open(trace_path) as f:
+        assert list(iter_trace(f)) == gen_histogram_trace(w)
 
     # Each page sits at its histogram frame + SHIFT: a multiple of the
     # 4-page cache span keeps every line in its set, and it clears the
@@ -241,7 +242,7 @@ def test_export_generates_the_trace_once(tmp_path, monkeypatch):
     ) == 0
     assert len(calls) == 1
     assert produced == want
-    assert trace_path.read_text() == format_trace(want)
+    assert trace_path.read_text() == "".join(map(format_access, want))
 
 
 def test_histogram_memory_stays_flat_as_the_image_grows(capsys):
@@ -261,6 +262,32 @@ def test_histogram_memory_stays_flat_as_the_image_grows(capsys):
     assert peaks["0.0005"] - peaks["0.0001"] < MIB // 2
 
 
+def test_custom_trace_memory_stays_flat_as_the_trace_grows(tmp_path, capsys):
+    # The trace streams from its file into every mode's machine, so a
+    # run's memory does not grow with it: one read whole, or kept as a
+    # list, would add several MiB of 100k accesses' peak over 20k's.
+    (tmp_path / "map.txt").write_text(
+        "".join(f"{0x200000000 + k * PAGE_SIZE:#x} {0x90000 + k:#x} wc\n" for k in range(16)))
+    peaks = {}
+    for count in (20_000, 100_000):
+        trace = tmp_path / f"trace{count}.txt"
+        trace.write_text("".join(
+            f"0 R {0x200000000 + (k % 16) * PAGE_SIZE + (k * 64) % PAGE_SIZE:#x}\n"
+            for k in range(count)))
+        tracemalloc.start()
+        try:
+            assert run_cli(
+                "run", "--scenario", "custom-trace", "--mode", "baseline", "--format", "csv",
+                "--trace", str(trace), "--mappings", str(tmp_path / "map.txt"),
+            ) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert int(row["data_hits"]) + int(row["data_misses"]) == count
+    assert peaks[100_000] - peaks[20_000] < MIB // 2
+
+
 def test_custom_trace_fault_abort(tmp_path):
     mappings = tmp_path / "map.txt"
     mappings.write_text("0x200000000 0x90000 wc\n")
@@ -271,6 +298,50 @@ def test_custom_trace_fault_abort(tmp_path):
         "--trace", str(trace), "--mappings", str(mappings),
     )
     assert code == cli.EXIT_FAULT
+
+
+def _custom_trace(tmp_path, trace_lines, mappings="0x0 0x80100 wc\n", rules=None, mode="baseline"):
+    (tmp_path / "map.txt").write_text(mappings)
+    (tmp_path / "trace.txt").write_text("".join(line + "\n" for line in trace_lines))
+    argv = ["run", "--scenario", "custom-trace", "--mode", mode,
+            "--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt")]
+    if rules is not None:
+        (tmp_path / "rules.txt").write_text(rules)
+        argv += ["--rules", str(tmp_path / "rules.txt")]
+    return run_cli(*argv)
+
+
+@pytest.mark.parametrize("bad_line, code", [
+    (5001, cli.EXIT_FAULT),  # the faulting access's chunk runs first
+    (20, cli.EXIT_CONFIG),  # the chunk is read whole before it runs
+])
+def test_a_bad_trace_line_fails_when_its_chunk_is_read(tmp_path, capsys, bad_line, code):
+    lines = ["0 R 0x10"] * 5001
+    lines[10] = "0 R 0x40000000"  # unmapped: faults under the abort policy
+    lines[bad_line - 1] = "0 X 0x10"
+    assert _custom_trace(tmp_path, lines) == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_FAULT:
+        assert err.startswith("fault abort: ") and err.count("\n") == 1
+    else:
+        assert err == f"error: line {bad_line}: op must be R or W\n"
+
+
+def test_a_bad_mapping_file_fails_before_a_bad_trace(tmp_path, capsys):
+    code = _custom_trace(tmp_path, ["0 X 0x10"], mappings="0x0 0x80100 wc\n0x1000\n")
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: line 2: expected 'VA PFN [flags]'\n"
+
+
+@pytest.mark.parametrize("mappings, rules", [
+    pytest.param("0x0 0x80100 wc\n0x1000 0x80101 wx\n", None, id="mappings"),
+    pytest.param("0x0 0x80100 wc\n", "\n0 0x0 0x1000 0x80200 q\n", id="rules"),
+])
+def test_a_bad_attribute_flag_names_its_line(tmp_path, capsys, mappings, rules):
+    code = _custom_trace(tmp_path, ["0 R 0x10"], mappings=mappings, rules=rules, mode="active")
+    assert code == cli.EXIT_CONFIG
+    flag = "q" if rules else "x"
+    assert capsys.readouterr().err == f"error: line 2: unknown attribute flag '{flag}'\n"
 
 
 def test_unbacked_mapping_is_a_config_error(tmp_path, capsys):
@@ -309,7 +380,8 @@ def test_context_cache_overflow_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["0x100000000 R 0x0", "0 R 0x10000000000000000", "-1 R 0x0", "0 W 0x5 0x1ff"]
+    "line", ["0x100000000 R 0x0", "0 R 0x10000000000000000", "-1 R 0x0", "0 W 0x5 0x1ff",
+             "0 R 0x5 0x7"]
 )
 def test_trace_field_out_of_range_is_a_config_error(tmp_path, capsys, line):
     # a trace's asid must fit 32 bits, its va 64 bits and its data 8 bits
@@ -335,6 +407,14 @@ def test_dram_too_small_is_a_config_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "error: no free frames left in the DRAM aperture\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["baseline", "passive"])
+def test_histogram_verdict_alone_sets_the_exit_code(monkeypatch, capsys, mode):
+    monkeypatch.setattr(scenarios.OverheadExperiment, "passive_ok", property(lambda self: False))
+    code = run_cli("run", "--scenario", "histogram", "--mode", mode, "--scale", "0.0001")
+    assert "experiment ok: False" in capsys.readouterr().out
+    assert code == cli.EXIT_ASSERTION
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -9,7 +9,6 @@ from lightv_sim.coherence import (
     CacheState,
     FabricGap,
     LatencyConfig,
-    SnoopKind,
 )
 
 from helpers import Fabric
@@ -105,7 +104,7 @@ def test_misaligned_read_fails_before_anything_moves(fabric):
     # rejects one that is not before it counts, charges or snoops
     fabric.cci.register_agent(nack)
     with pytest.raises(ValueError, match="not line-aligned"):
-        fabric.cci._ensure_line(fabric.cache, line_of(0) + 8, SnoopKind.READ_SHARED)
+        fabric.cci._ensure_line(fabric.cache, line_of(0) + 8, False)
     assert fabric.counters.snapshot() == dict.fromkeys(fabric.counters.FIELDS, 0)
     assert fabric.clock.now == 0 and fabric.dram.reads == 0
 

@@ -717,11 +717,16 @@ def test_watch_set_grows_during_walk():
 
 def test_rule_file_parsing():
     text = "# rules\n0 0x200000000 0x200001000 0xa0000 w\n1 1000 2000 0xa0010\n"
-    rules = parse_rules(text)
+    rules = parse_rules(text.splitlines())
     assert rules[0] == RewriteRule(1, 0, 8 << 30, (8 << 30) + 4096, 0xA0000, ATTR_WRITABLE)
     assert rules[1] == RewriteRule(2, 1, 0x1000, 0x2000, 0xA0010, None)
     with pytest.raises(RuleError, match="line 1"):
-        parse_rules("0 0x1000\n")
+        parse_rules(["0 0x1000\n"])
+
+
+def test_rule_file_bad_flag_is_a_rule_error():
+    with pytest.raises(RuleError, match="^line 2: unknown attribute flag 'x'$"):
+        parse_rules(["# rules\n", "0 0x1000 0x2000 0xa0000 wx\n"])
 
 
 def test_diagnostics_counters():

@@ -18,9 +18,9 @@ from lightv_sim.machine import (
     TraceAbort,
     TraceError,
     compare_runs,
-    format_trace,
+    format_access,
+    iter_trace,
     load_config,
-    parse_trace,
     trace_digest,
 )
 
@@ -312,23 +312,25 @@ def test_fault_record_policy():
 
 def test_trace_text_roundtrip():
     trace = [(0, "R", PAGE_VA, None), (1, "W", 0x1000, 0x7F)]
-    text = format_trace(trace)
-    assert parse_trace(text) == trace
-    assert trace_digest(parse_trace(text)) == trace_digest(trace)
+    text = "".join(map(format_access, trace))
+    assert list(iter_trace(text.splitlines())) == trace
+    assert trace_digest(iter_trace(text.splitlines())) == trace_digest(trace)
 
 
 def test_trace_parse_errors():
     with pytest.raises(TraceError, match="line 1"):
-        parse_trace("0 X 0x1000\n")
+        list(iter_trace(["0 X 0x1000\n"]))
     with pytest.raises(TraceError, match="data byte"):
-        parse_trace("0 W 0x1000\n")
-    assert parse_trace("# empty\n\n") == []
+        list(iter_trace(["0 W 0x1000\n"]))
+    with pytest.raises(TraceError, match="^line 2: a read takes no data byte$"):
+        list(iter_trace(["0 W 0x5 0x7\n", "0 R 0x5 0x7\n"]))
+    assert list(iter_trace(["# empty\n", "\n"])) == []
     # a trace's asid must fit 32 bits, its va 64 bits and its data 8 bits
     for line, field in [("0x100000000 R 0x0", "asid"), ("-1 R 0x0", "asid"),
                         ("0 R 0x10000000000000000", "va"), ("0 W -0x1 0x5", "va"),
                         ("0 W 0x5 0x100", "data"), ("0 W 0x5 -0x1", "data")]:
         with pytest.raises(TraceError, match=f"line 2: {field} "):
-            parse_trace(f"0xffffffff W 0xffffffffffffffff 0xff\n{line}\n")
+            list(iter_trace(["0xffffffff W 0xffffffffffffffff 0xff\n", f"{line}\n"]))
 
 
 def test_stats_text_rendering():
