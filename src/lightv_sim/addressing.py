@@ -144,14 +144,7 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
     """
     leaves = {}
     for va, pfn, attrs in mappings:
-        if va & _OFFSET_MASK:
-            raise MappingError(f"mapped VA not page-aligned: {va:#x}")
-        if not 0 <= va < 1 << VA_BITS:
-            raise MappingError(f"virtual address out of range: {va:#x}")
-        try:
-            leaf = encode_pte(True, pfn, attrs)
-        except ValueError as exc:
-            raise MappingError(str(exc)) from None
+        leaf = _leaf(va, pfn, attrs)
         if leaves.setdefault(va, leaf) != leaf:
             raise MappingError(f"conflicting duplicate mapping for {va:#x}")
     table_pfns = [allocator.alloc()]
@@ -168,6 +161,20 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
             base = next_pfn << PAGE_SHIFT
         write_pte(memory, base, index2, leaf)
     return AddressSpace(asid, pgd_base, frozenset(table_pfns))
+
+
+def _leaf(va: int, pfn: int, attrs: int) -> int:
+    """The leaf descriptor of one mapping; MappingError for a VA that is
+    not page-aligned or out of range, or a frame or attribute that
+    `encode_pte` rejects."""
+    if va & _OFFSET_MASK:
+        raise MappingError(f"mapped VA not page-aligned: {va:#x}")
+    if not 0 <= va < 1 << VA_BITS:
+        raise MappingError(f"virtual address out of range: {va:#x}")
+    try:
+        return encode_pte(True, pfn, attrs)
+    except ValueError as exc:
+        raise MappingError(str(exc)) from None
 
 
 def reference_walk(space: AddressSpace, va: int, memory) -> int:
@@ -195,17 +202,24 @@ def read_records(lines, usage: str, error, convert):
     field is skipped.  `usage` names the fields, bracketed ones optional: a
     wrong field count raises `error("line N: expected '<usage>'")`, and a
     ValueError from `convert` is raised again as `error("line N: <message>")`.
+    So is a byte that is not UTF-8, if `lines` is a file opened with
+    `errors="surrogateescape"`: a strict decoder would fail on the whole
+    read buffer that holds it, with no line number.
     """
     names = usage.split()
     most = len(names)
     least = most - sum(name.startswith("[") for name in names)
     for lineno, line in enumerate(lines, 1):
-        fields = line.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if not least <= len(fields) <= most:
-            raise error(f"line {lineno}: expected '{usage}'")
         try:
+            if not line.isascii():
+                # Raise a byte the decoder kept as a surrogate as the
+                # UnicodeDecodeError it was, its position in this line.
+                line.encode(errors="surrogateescape").decode()
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if not least <= len(fields) <= most:
+                raise ValueError(f"expected '{usage}'")
             record = convert(fields)
         except ValueError as exc:
             raise error(f"line {lineno}: {exc}") from None
@@ -220,10 +234,13 @@ def hex_field(text: str) -> int:
 
 def _mapping(fields):
     va, pfn = hex_field(fields[0]), hex_field(fields[1])
-    return va, pfn, (parse_attr_flags(fields[2]) if len(fields) == 3 else 0)
+    attrs = parse_attr_flags(fields[2]) if len(fields) == 3 else 0
+    _leaf(va, pfn, attrs)
+    return va, pfn, attrs
 
 
 def parse_mappings(lines):
     """The (va, pfn, attrs) of each line of a mapping list:
-    `VA_hex PFN_hex [attr_flags]` (see `read_records`)."""
+    `VA_hex PFN_hex [attr_flags]` (see `read_records`).  Each is checked
+    as `build_tables` checks it, so a bad field names its line."""
     return list(read_records(lines, "VA PFN [flags]", MappingError, _mapping))

@@ -6,13 +6,17 @@ Two subcommands:
   verify  randomized sweep checking the full translation path against the
           software reference walker
 
-Exit codes (stable contract):
+Exit codes (stable contract); `main` alone turns an exception into one:
   0  success
   1  verify found a mismatch
   2  usage error (unknown scenario, bad flags)
-  3  unreadable or invalid configuration / input file, a mapping to a
-     frame nothing backs, rules that overflow the context cache, or a
-     --scale that is not finite and > 0 or gives an empty histogram image
+  3  bad input, reported on one `error:` line: an unreadable or invalid
+     config (not UTF-8, not JSON, nested too deeply, more cache sets than
+     `machine.MAX_CACHE_SETS`, a negative DRAM base) or input file, an
+     unwritable --out or --export-trace, a mapping to a frame nothing
+     backs, too few DRAM frames, rules that overflow the context cache,
+     or a --scale that is not finite and > 0 or gives an empty histogram
+     image
   4  a trace access faulted under the abort policy
   5  a scenario's own assertions failed (its `ok` verdict alone decides)
 
@@ -135,60 +139,41 @@ def _render(args, rows, text_body: str) -> str:
 
 def cmd_run(args) -> int:
     if not (math.isfinite(args.scale) and args.scale > 0):
-        print(f"error: --scale must be finite and > 0, got {args.scale}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = _load_machine_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--scale must be finite and > 0, got {args.scale}")
+    config = _load_machine_config(args.config)
     if args.scenario == "custom-trace" and not (args.trace and args.mappings):
         print("error: custom-trace needs --trace and --mappings", file=sys.stderr)
         return EXIT_USAGE
 
     modes = scenarios.MODES if args.mode == "all" else (args.mode,)
-    try:
-        if args.scenario == "histogram":
-            if "baseline" not in modes:
-                modes = ("baseline",) + modes
-            workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
-            if workload.image_bytes == 0:
-                raise ValueError(f"--scale {args.scale} gives an empty histogram image")
-            trace = scenarios.iter_histogram_trace(workload)
-            if args.export_trace:
-                with open(args.export_trace, "w") as f:
-                    result = scenarios.run_overhead_experiment(
-                        config, workload, modes, _exporting(trace, f)
-                    )
-            else:
-                result = scenarios.run_overhead_experiment(config, workload, modes, trace)
-        elif args.scenario == "demand-paging":
-            result = scenarios.run_demand_paging_hazard(config)
-        elif args.scenario == "isolation":
-            result = scenarios.run_isolation_hazard(config)
-        elif args.scenario == "migration":
-            result = scenarios.run_migration(scenarios.MigrationPlan(seed=args.seed), config)
+    if args.scenario == "histogram":
+        if "baseline" not in modes:
+            modes = ("baseline",) + modes
+        workload = scenarios.histogram_workload(scale=args.scale, seed=args.seed)
+        if workload.image_bytes == 0:
+            raise ConfigError(f"--scale {args.scale} gives an empty histogram image")
+        trace = scenarios.iter_histogram_trace(workload)
+        if args.export_trace:
+            with open(args.export_trace, "w") as f:
+                result = scenarios.run_overhead_experiment(
+                    config, workload, modes, _exporting(trace, f)
+                )
         else:
-            # The trace streams from its file as the modes run; a missing
-            # one still fails before the other files are read.
-            with open(args.trace) as f:
-                mappings = _read(args.mappings, addressing.parse_mappings)
-                rules = _read(args.rules, parse_rules) if args.rules else []
-                trace = machine.iter_trace(f)
-                result = scenarios.run_custom_trace(config, mappings, rules, trace, modes)
-    except TraceAbort as exc:
-        print(f"fault abort: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    except (
-        ConfigError,
-        ValueError,
-        OSError,
-        FabricGap,
-        ContextCapacityError,
-        AllocatorExhausted,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            result = scenarios.run_overhead_experiment(config, workload, modes, trace)
+    elif args.scenario == "demand-paging":
+        result = scenarios.run_demand_paging_hazard(config)
+    elif args.scenario == "isolation":
+        result = scenarios.run_isolation_hazard(config)
+    elif args.scenario == "migration":
+        result = scenarios.run_migration(scenarios.MigrationPlan(seed=args.seed), config)
+    else:
+        # The trace streams from its file as the modes run; a missing
+        # one still fails before the other files are read.
+        with _open_records(args.trace) as f:
+            mappings = _read(args.mappings, addressing.parse_mappings)
+            rules = _read(args.rules, parse_rules) if args.rules else []
+            trace = machine.iter_trace(f)
+            result = scenarios.run_custom_trace(config, mappings, rules, trace, modes)
 
     rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
     _emit(args, _render(args, rows, result.text()))
@@ -202,8 +187,14 @@ def _exporting(trace, f):
         yield access
 
 
+def _open_records(path):
+    """A record file whose undecodable bytes `addressing.read_records`
+    reports with their line."""
+    return open(path, errors="surrogateescape")
+
+
 def _read(path, parse):
-    with open(path) as f:
+    with _open_records(path) as f:
         return parse(f)
 
 
@@ -215,12 +206,7 @@ def _read(path, parse):
 def cmd_verify(args) -> int:
     """Sweep random page tables and compare the full cached/coherent
     translation path against the direct software walker, exactly."""
-    try:
-        config = _load_machine_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    config = _load_machine_config(args.config)
     rng = random.Random(args.seed)
     checked = 0
     for c in range(args.configs):
@@ -234,16 +220,12 @@ def cmd_verify(args) -> int:
             crng.sample(range(1 << (addressing.VA_BITS - addressing.PAGE_SHIFT)),
                         crng.randint(8, 40))
         )
-        try:
-            mappings = [
-                (page << addressing.PAGE_SHIFT, m.allocator.alloc(),
-                 crng.choice((0, addressing.ATTR_WRITABLE)))
-                for page in pages
-            ]
-            space = m.register_space(0, mappings)
-        except AllocatorExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        mappings = [
+            (page << addressing.PAGE_SHIFT, m.allocator.alloc(),
+             crng.choice((0, addressing.ATTR_WRITABLE)))
+            for page in pages
+        ]
+        space = m.register_space(0, mappings)
         for _ in range(args.vas):
             if crng.random() < 0.6:
                 va = (crng.choice(pages) << addressing.PAGE_SHIFT) | crng.randrange(
@@ -275,11 +257,19 @@ def _walk_outcome(fn):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_verify(args)
+    """Run one command.  This is the only place an exception becomes an
+    exit code: a fault under the abort policy exits 4, and bad input exits
+    3 (a ValueError, such as a ConfigError, MappingError, RuleError or
+    TraceError; an OSError; or a machine that cannot hold the input)."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return cmd_run(args) if args.command == "run" else cmd_verify(args)
+    except TraceAbort as exc:
+        print(f"fault abort: {exc}", file=sys.stderr)
+        return EXIT_FAULT
+    except (ValueError, OSError, FabricGap, ContextCapacityError, AllocatorExhausted) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ reproduce.
 """
 
 import heapq
+import itertools
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ class RewriteRule:
             raise RuleError(f"rule {self.rule_id}: range not page-aligned")
         if not 0 <= self.va_start < self.va_end <= (1 << addressing.VA_BITS):
             raise RuleError(f"rule {self.rule_id}: empty or out-of-range span")
+        if not 0 <= self.asid < 1 << 32:
+            raise RuleError(f"rule {self.rule_id}: asid {self.asid:#x} outside 32 bits")
+        run = self.replacement_run
+        if run.start < 0 or run.stop > 1 << addressing.PFN_BITS:
+            raise RuleError(f"rule {self.rule_id}: replacement frames outside the frame space")
         if self.attr_overrides is not None and self.attr_overrides & ~addressing.ATTR_MASK:
             raise RuleError(f"rule {self.rule_id}: unknown attribute override bits")
 
@@ -630,19 +636,23 @@ class LightV:
                     )
 
 
-def _rule_fields(fields):
-    asid, va_start, va_end, pfn = map(addressing.hex_field, fields[:4])
-    overrides = addressing.parse_attr_flags(fields[4]) if len(fields) == 5 else None
-    return asid, va_start, va_end, pfn, overrides
-
-
 def parse_rules(lines):
     """The rules of a rule file, one a line:
     `asid va_start va_end pfn_base [attr_overrides]` (see
     `addressing.read_records`).  Rule ids are assigned in file order
-    starting at 1.
+    starting at 1.  Each rule is validated as it is read, so a field out
+    of range names its line; the checks that need a machine come at
+    activation.
     """
-    records = addressing.read_records(
-        lines, "asid va_start va_end pfn_base [attrs]", RuleError, _rule_fields
-    )
-    return [RewriteRule(rule_id, *record) for rule_id, record in enumerate(records, 1)]
+    rule_ids = itertools.count(1)
+
+    def rule(fields):
+        asid, va_start, va_end, pfn = map(addressing.hex_field, fields[:4])
+        overrides = addressing.parse_attr_flags(fields[4]) if len(fields) == 5 else None
+        parsed = RewriteRule(next(rule_ids), asid, va_start, va_end, pfn, overrides)
+        parsed.validate()
+        return parsed
+
+    return list(addressing.read_records(
+        lines, "asid va_start va_end pfn_base [attrs]", RuleError, rule
+    ))

@@ -35,6 +35,9 @@ _DIGEST_RECORD = struct.Struct("<IQBH")
 FAULT_ABORT = "abort"
 FAULT_RECORD = "record"
 
+# Cache.__init__ builds every set up front, so a config may not ask for more.
+MAX_CACHE_SETS = 1 << 16
+
 
 class ConfigError(ValueError):
     """Invalid machine configuration; message names the offending field."""
@@ -78,6 +81,8 @@ class Dram:
     """
 
     def __init__(self, base: int, size: int):
+        if base < 0:
+            raise ValueError("DRAM base must not be negative")
         if base % PAGE_SIZE or size % PAGE_SIZE or size <= 0:
             raise ValueError("DRAM aperture must be page-aligned and non-empty")
         if base + size > (1 << addressing.PA_BITS):
@@ -220,6 +225,8 @@ class MachineConfig:
             )
         if self.cache_sets <= 0 or self.cache_sets & (self.cache_sets - 1):
             raise ConfigError("cache_sets: must be a power of two")
+        if self.cache_sets > MAX_CACHE_SETS:
+            raise ConfigError(f"cache_sets: at most {MAX_CACHE_SETS}")
         if self.cache_ways <= 0:
             raise ConfigError("cache_ways: must be positive")
         if self.tlb_entries < 0:
@@ -317,10 +324,12 @@ class MachineConfig:
 
 
 def load_config(path: str) -> MachineConfig:
+    """The config of a JSON file; a file that is not UTF-8, not JSON, or
+    nested too deeply to decode is a ConfigError."""
     with open(path) as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file: {exc}") from None
     return MachineConfig.from_dict(data)
 

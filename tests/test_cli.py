@@ -98,6 +98,26 @@ def test_config_values_are_strictly_typed(tmp_path, capsys, config, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["run", "--scenario", "migration"], ["verify", "--configs", "1"]])
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"\xff{}", "config file: 'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "config file: maximum recursion depth",
+                 id="nested"),
+    pytest.param(b'{"dram_base": "-0x1000", "dram_size": "0x100000"}',
+                 "dram_base/dram_size: DRAM base must not be negative", id="negative-base"),
+    # Small enough to build if the bound were missing.
+    pytest.param(b'{"geometry": {"cache_sets": 131072}}', "cache_sets: at most 65536",
+                 id="sets-past-bound"),
+])
+def test_config_loader_failures_exit_3(tmp_path, capsys, command, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert run_cli(*command, "--config", str(path)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("scale", ["inf", "0"])
 def test_scale_must_be_finite_and_positive(capsys, scale):
     assert run_cli("run", "--scenario", "histogram", "--scale", scale) == cli.EXIT_CONFIG

@@ -3,8 +3,8 @@
 Each case applies one mutation to one line of a small valid mapping, rule
 or trace file and runs the CLI on the result.  A mutation labelled valid
 (layout the formats allow) must leave the report unchanged; an invalid one
-must exit 3 with exactly one `error:` line, which names the line when the
-record reader itself rejects it.  No exception may escape `cli.main`.
+must exit 3 with exactly one `error:` line, which names the line.  No
+exception may escape `cli.main`.
 """
 
 import random
@@ -90,12 +90,6 @@ INVALID = {
 }
 
 
-def _reader_rejects(label, name):
-    # The table builder and the rule checks, not the reader, reject a
-    # mapping or rule field that is out of range; their errors name no line.
-    return not (label in ("negative", "out of range") and name != "trace")
-
-
 def _cases(rng):
     """(label, valid, file name, line number, mutated files): every
     mutation in turn, each on a random file and record line it applies to."""
@@ -118,7 +112,8 @@ def _cases(rng):
 def _run(tmp_path, capsys, files):
     paths = {name: tmp_path / f"{name}.txt" for name in files}
     for name, lines in files.items():
-        paths[name].write_text("".join(line + "\n" for line in lines))
+        text = "".join(line + "\n" for line in lines)
+        paths[name].write_bytes(text.encode(errors="surrogateescape"))
     code = cli.main([
         "run", "--scenario", "custom-trace", "--mode", "all", "--format", "csv",
         "--trace", str(paths["trace"]), "--mappings", str(paths["mappings"]),
@@ -138,6 +133,17 @@ def test_record_file_mutations_exit_as_documented(tmp_path, capsys):
             assert (code, out, err) == (cli.EXIT_OK, clean, ""), case
         else:
             assert code == cli.EXIT_CONFIG, (case, code, err)
-            assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
-            if _reader_rejects(label, name):
-                assert err.startswith(f"error: line {lineno}: "), (case, err)
+            assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1, (case, err)
+
+
+def test_an_undecodable_byte_names_its_line(tmp_path, capsys):
+    # A 0xff byte (written from "\udcff") past the first 8 KiB, so it is in
+    # a later read buffer than the file's first line: its line number
+    # counts from the file's start, its position from its line's.
+    lines = FILES["trace"] * 400
+    lines[1687] = "0 R 0x240000000 # \udcff"
+    code, out, err = _run(tmp_path, capsys, {**FILES, "trace": lines})
+    assert (tmp_path / "trace.txt").read_bytes().index(b"\xff") > 8192
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == ("error: line 1688: 'utf-8' codec can't decode byte 0xff in position 18:"
+                   " invalid start byte\n")
