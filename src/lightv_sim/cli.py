@@ -24,10 +24,15 @@ custom-trace reads the mapping and rule files whole, and streams the trace
 file through `run_modes` as it runs: a bad trace line is reported when the
 run reaches the chunk that holds it, so a fault that aborts an earlier
 chunk comes first.
+
+`run` opens --out for appending once the config and flags are checked, so
+an unwritable report path fails before the scenario runs; the report
+replaces the file's content when the run ends.
 """
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -61,7 +66,9 @@ SCENARIOS = ("histogram", "demand-paging", "isolation", "migration", "custom-tra
 CONFIG_ENV = "LIGHTV_SIM_CONFIG"
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process: `parse_args` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lightv-sim",
         description="Event-driven SoC memory-subsystem simulator with a"
@@ -144,6 +151,8 @@ def cmd_run(args) -> int:
     if args.scenario == "custom-trace" and not (args.trace and args.mappings):
         print("error: custom-trace needs --trace and --mappings", file=sys.stderr)
         return EXIT_USAGE
+    if args.out:
+        open(args.out, "a").close()  # an unwritable path fails now, not after the run
 
     modes = scenarios.MODES if args.mode == "all" else (args.mode,)
     if args.scenario == "histogram":

@@ -147,6 +147,13 @@ class Dram:
         self._check(addr, len(data))
         end = addr + len(data)
         lines = self._lines
+        if not (addr | end) & _LINE_MASK:
+            # Whole lines: each slice replaces its line, which no reader
+            # keeps (see `read_line`).
+            data = bytearray(data)
+            for off in range(0, len(data), LINE_BYTES):
+                lines[addr + off] = data[off : off + LINE_BYTES]
+            return
         for line_addr in range(addr & ~_LINE_MASK, end, LINE_BYTES):
             line = lines.get(line_addr)
             if line is None:
@@ -171,6 +178,9 @@ class Dram:
         return other
 
 
+_EXHAUSTED = "no free frames left in the DRAM aperture"
+
+
 class FrameAllocator:
     """Bump allocator handing out 4 KB frames from the DRAM aperture."""
 
@@ -186,11 +196,21 @@ class FrameAllocator:
 
     def alloc(self) -> int:
         if self._next >= self._limit:
-            raise AllocatorExhausted("no free frames left in the DRAM aperture")
+            raise AllocatorExhausted(_EXHAUSTED)
         pfn = self._next
         self._next += 1
         self.allocated += 1
         return pfn
+
+    def alloc_run(self, n: int) -> range:
+        """`n` consecutive frames, the ones `n` calls of `alloc` would hand
+        out; none at all when fewer than `n` are left."""
+        if self._next + n > self._limit:
+            raise AllocatorExhausted(_EXHAUSTED)
+        run = range(self._next, self._next + n)
+        self._next += n
+        self.allocated += n
+        return run
 
 
 @dataclass

@@ -320,6 +320,28 @@ def test_custom_trace_fault_abort(tmp_path):
     assert code == cli.EXIT_FAULT
 
 
+def test_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(scenarios, "run_overhead_experiment", no_run)
+    missing = tmp_path / "missing" / "r.csv"
+    assert run_cli("run", "--scenario", "histogram", "--out", str(missing)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    # a run that fails after the check leaves an old report as it was, and
+    # a new path empty
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("old report\n")
+    for report in (old, new):
+        code = run_cli(
+            "run", "--scenario", "custom-trace", "--out", str(report),
+            "--trace", str(tmp_path / "no-trace.txt"), "--mappings", str(tmp_path / "no-map.txt"),
+        )
+        assert code == cli.EXIT_CONFIG and "no-trace.txt" in capsys.readouterr().err
+    assert (old.read_text(), new.read_text()) == ("old report\n", "")
+
+
 def _custom_trace(tmp_path, trace_lines, mappings="0x0 0x80100 wc\n", rules=None, mode="baseline"):
     (tmp_path / "map.txt").write_text(mappings)
     (tmp_path / "trace.txt").write_text("".join(line + "\n" for line in trace_lines))
@@ -475,3 +497,36 @@ def test_verify_catches_index_mutation(monkeypatch, capsys):
     assert run_cli("verify", "--configs", "4", "--vas", "60") == cli.EXIT_VERIFY_FAIL
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "va 0x" in out
+
+
+def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+
+    def call(argv):
+        """Exit code, stdout, stderr and the --out file of one call."""
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    migration = ["run", "--scenario", "migration", "--seed", "4"]
+    pairs = [
+        (["run", "--scenario", "bogus"], migration),
+        (migration + ["--format", "csv", "--out", str(report)], migration),
+        (["verify", "--configs", "1"], ["run", "--scenario", "demand-paging"]),
+    ]
+    codes = []
+    for first, second in pairs:
+        alone = []
+        for argv in (first, second):
+            cli._build_parser.cache_clear()
+            alone.append(call(argv))
+        cli._build_parser.cache_clear()
+        assert [call(first), call(second)] == alone, (first, second)
+        assert cli._build_parser.cache_info().hits == 1
+        codes.append((alone[0][0], alone[1][0]))
+    assert codes == [(cli.EXIT_USAGE, cli.EXIT_OK)] + [(cli.EXIT_OK, cli.EXIT_OK)] * 2

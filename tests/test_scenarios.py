@@ -4,12 +4,19 @@ import random
 import pytest
 
 from lightv_sim import cli, scenarios
-from lightv_sim.addressing import ATTR_CACHEABLE, ATTR_WRITABLE
-from lightv_sim.lightv import RewriteRule, RuleError
-from lightv_sim.machine import Machine, MachineConfig, TraceAbort
+from lightv_sim.addressing import (
+    ATTR_CACHEABLE,
+    ATTR_WRITABLE,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    reference_walk,
+)
+from lightv_sim.lightv import LightV, RewriteRule, RuleError
+from lightv_sim.machine import AllocatorExhausted, Machine, MachineConfig, TraceAbort
 from lightv_sim.scenarios import (
     HistogramWorkload,
     MigrationPlan,
+    _layout_histogram,
     gen_histogram_trace,
     histogram_workload,
     random_bytes,
@@ -58,6 +65,32 @@ def test_workload_region_overlap_rejected():
     w = HistogramWorkload(image_base_va=HistogramWorkload.hot_page_va)
     with pytest.raises(ValueError, match="overlap"):
         w.validate()
+
+
+def test_histogram_layout_takes_its_data_frames_in_one_run():
+    m = Machine(MachineConfig())
+    w = histogram_workload(scale=0.001)
+    first = m.allocator.next_pfn
+    hot_pfn, _ = _layout_histogram(m, w)
+    vas = (
+        [w.image_base_va + k * PAGE_SIZE for k in range(w.image_pages)]
+        + [w.hot_page_va]
+        + [w.code_base_va + k * PAGE_SIZE for k in range(w.code_pages)]
+    )
+    space = m.spaces[w.asid]
+    pfns = [reference_walk(space, va, m.dram) >> PAGE_SHIFT for va in vas]
+    assert pfns == list(range(first, first + len(vas)))  # what one alloc each gave
+    assert hot_pfn == first + w.image_pages
+
+
+def test_an_oversized_histogram_fails_before_it_takes_a_frame(capsys):
+    m = Machine(MachineConfig())
+    with pytest.raises(AllocatorExhausted, match="no free frames left in the DRAM aperture"):
+        _layout_histogram(m, histogram_workload(scale=100))
+    assert m.allocator.allocated == 0 and not m.spaces
+    assert cli.main(["run", "--scenario", "histogram", "--scale", "100"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no free frames left in the DRAM aperture\n")
 
 
 def test_histogram_functional_equivalence(tiny_experiment):
@@ -121,6 +154,22 @@ def test_migration_write_mid_copy_lands_at_destination(config):
     plan = MigrationPlan(accessor_ops=60, seed=13)
     report = run_migration(plan, config)
     assert report.ok and report.lost_writes == 0
+
+
+@pytest.mark.parametrize("sets, ways", [(4, 1), (1, 2)])
+def test_small_caches_need_the_writeback_mirror(monkeypatch, sets, ways):
+    # So few lines evict dirty destination lines mid-window, and the
+    # trailing DMA copy then brings back the source's old bytes unless the
+    # mirror has written the evicted line to the source too.
+    config = MachineConfig(cache_sets=sets, cache_ways=ways)
+    plans = [MigrationPlan(seed=seed) for seed in range(20)]
+    for plan in plans:
+        report = run_migration(plan, config)
+        assert report.ok, f"seed {plan.seed}: {report.text()}"
+    monkeypatch.setattr(LightV, "on_writeback", lambda self, line_addr, payload: None)
+    for plan in plans:
+        report = run_migration(plan, config)
+        assert report.lost_writes > 0 and not report.ok, f"seed {plan.seed}"
 
 
 def test_migration_plan_validation():
