@@ -147,13 +147,6 @@ class Dram:
         self._check(addr, len(data))
         end = addr + len(data)
         lines = self._lines
-        if not (addr | end) & _LINE_MASK:
-            # Whole lines: each slice replaces its line, which no reader
-            # keeps (see `read_line`).
-            data = bytearray(data)
-            for off in range(0, len(data), LINE_BYTES):
-                lines[addr + off] = data[off : off + LINE_BYTES]
-            return
         for line_addr in range(addr & ~_LINE_MASK, end, LINE_BYTES):
             line = lines.get(line_addr)
             if line is None:
