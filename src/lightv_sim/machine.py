@@ -605,26 +605,36 @@ class Machine:
         the loop ends, so every callee sees the totals of a one-access-at-
         a-time run.
 
-        The loop remembers the asid, virtual line and cache line of the
-        last access it resolved inline.  The next access to the same asid
-        and line is a hit with nothing to look up or refresh, as its TLB
-        entry and line are still most recently used (a write to a SHARED
-        line excepted).  The memo starts empty in each call, is cleared
-        before every `Mmu.access` call, which may evict, invalidate or
-        fault, and is never set while `debug_tlb_check` is on.
+        The loop remembers the last two lines it resolved inline, `last` and
+        the older `prev` (asid, virtual line and page, TLB key, frame base,
+        cache line and set), and serves an access to either with no lookup
+        (a write to a SHARED line excepted).  A hit on `last` touches
+        nothing.  A hit on `prev` swaps the two, moves the line to the end
+        of its set only if that is `last`'s set, and owes its TLB touch:
+        while `stale`, the TLB ends with `prev`'s key, not `last`'s.  The
+        debt is paid before a TLB hit on any page but `prev`'s, before each
+        `Mmu.access` call and at the end; a TLB hit on `prev`'s page needs
+        neither it nor a touch of its own.  An access to `prev`'s page on
+        another line reuses its TLB key and frame base, since only
+        `Mmu.access` changes the TLB.  The memo starts empty in each call,
+        is cleared before every `Mmu.access` call, which may evict,
+        invalidate or fault, and is never set while `debug_tlb_check` is on.
         """
         counters, clock = self.counters, self.clock
         access = self.mmu.access
-        tlb_get, tlb_touch = self.tlb._entries.get, self.tlb._entries.move_to_end
+        tlb_touch = self.tlb._entries.move_to_end
+        # With the debug check on, every TLB hit must reach `translate`.
+        tlb_get = {}.get if self.config.debug_tlb_check else self.tlb._entries.get
         sets, set_mask = self.cache._sets, self.cache._set_mask
         hit_cycles = self.cci.lat.cache_hit
-        check_hits = self.config.debug_tlb_check
         record = self.config.fault_policy == FAULT_RECORD
         # Local names for the constants the loop reads on every access.
         page_shift, page_mask = PAGE_SHIFT, _PAGE_MASK
         line_shift, line_mask, line_base = LINE_SHIFT, _LINE_MASK, ~_LINE_MASK
         shared, modified = CacheState.SHARED, CacheState.MODIFIED
-        last_asid = last_vline = last_line = None  # the repeat-line memo
+        last_asid = last_vline = last_page = last_key = last_base = last_line = last_ways = None
+        prev_asid = prev_vline = prev_page = prev_key = prev_base = prev_line = prev_ways = None
+        stale = False
         hits = 0
         try:
             for index, (asid, op, va, value) in enumerate(chunk, start_index):
@@ -640,27 +650,66 @@ class Machine:
                         last_line.payload[va & line_mask] = value
                         last_line.state = modified
                     continue
+                if vline == prev_vline and asid == prev_asid and not (
+                    write and prev_line.state is shared
+                ):
+                    hits += 1
+                    if write:
+                        prev_line.payload[va & line_mask] = value
+                        prev_line.state = modified
+                    if prev_ways is last_ways:
+                        prev_ways.move_to_end(prev_line.tag)
+                    if prev_key != last_key:
+                        stale = not stale
+                    last_asid, prev_asid = prev_asid, last_asid
+                    last_vline, prev_vline = prev_vline, last_vline
+                    last_page, prev_page = prev_page, last_page
+                    last_key, prev_key = prev_key, last_key
+                    last_base, prev_base = prev_base, last_base
+                    last_line, prev_line = prev_line, last_line
+                    last_ways, prev_ways = prev_ways, last_ways
+                    continue
                 # Only an in-range page is ever a TLB key, so an
                 # out-of-range va misses and `translate` rejects it.
-                key = (asid, va >> page_shift)
-                hit = tlb_get(key)
-                if hit is not None and not check_hits:
-                    pa = (hit[0] << page_shift) | (va & page_mask)
+                page = va >> page_shift
+                if page == prev_page and asid == prev_asid:
+                    key, base = prev_key, prev_base
+                else:
+                    key = (asid, page)
+                    hit = tlb_get(key)
+                    base = None if hit is None else hit[0] << page_shift
+                if base is not None:
+                    pa = base | (va & page_mask)
                     line_addr = pa & line_base
                     ways = sets[(pa >> line_shift) & set_mask]
                     line = ways.get(line_addr)
                     # Only the fabric fills the cache, so on a hit its
                     # `started` flag is already set.
                     if line is not None and not (write and line.state is shared):
-                        tlb_touch(key)
+                        if not stale:
+                            tlb_touch(key)
+                        elif key != prev_key:
+                            tlb_touch(last_key)
+                            tlb_touch(key)
+                        stale = False
                         ways.move_to_end(line_addr)
                         hits += 1
                         if write:
-                            line.payload[pa & line_mask] = value
+                            line.payload[va & line_mask] = value
                             line.state = modified
-                        last_asid, last_vline, last_line = asid, vline, line
+                        prev_asid, last_asid = last_asid, asid
+                        prev_vline, last_vline = last_vline, vline
+                        prev_page, last_page = last_page, page
+                        prev_key, last_key = last_key, key
+                        prev_base, last_base = last_base, base
+                        prev_line, last_line = last_line, line
+                        prev_ways, last_ways = last_ways, ways
                         continue
-                last_vline = None
+                if stale:
+                    tlb_touch(last_key)
+                    stale = False
+                # `last_page` too: the next line resolved shifts it to `prev_page`.
+                last_vline = last_page = prev_vline = prev_page = None
                 counters.data_hits += hits
                 clock.now += hits * hit_cycles
                 hits = 0
@@ -673,5 +722,7 @@ class Machine:
                         FaultRecord(index, asid, va, fault.level, fault.pte_address)
                     )
         finally:
+            if stale:
+                tlb_touch(last_key)
             counters.data_hits += hits
             clock.now += hits * hit_cycles

@@ -1,12 +1,13 @@
 """Differential test: the batched hit loop against the layered path.
 
 `Machine.replay` (which `run_trace` runs) resolves a TLB hit followed by a
-cache hit inline, serves an access to the line it resolved last without a
-lookup, tallies those hits in a local, and hands everything else to the
-walker and the fabric.  The reference below drives the layers one
-call at a time (`translate`, then `read_byte`/`write_byte`), and every
+cache hit inline, serves an access to either of the two lines it resolved
+last without a lookup, tallies those hits in a local, and hands everything
+else to the walker and the fabric.  The reference below drives the layers
+one call at a time (`translate`, then `read_byte`/`write_byte`), and every
 simulated result must come out identical -- including the clock and the
-counters each fabric miss sees while the loop runs.
+counters each fabric miss sees while the loop runs, and the LRU order of
+the TLB and of every cache set.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from lightv_sim.addressing import (
 from lightv_sim.coherence import LINE_BYTES, CacheState
 from lightv_sim.lightv import RewriteRule
 from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
+from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 PLAIN_VAS = [(8 << 30) + k * 4096 for k in range(6)] + [(8 << 30) | (3 << 21)]
@@ -31,14 +33,14 @@ CAPTURE_VA = 10 << 30
 UNMAPPED_VA = (8 << 30) + 100 * 4096
 
 
-def build(tlb_entries, cache_ptes, debug_tlb_check):
+def build(tlb_entries, cache_ptes, debug_tlb_check, sets=4, ways=2):
     """Active machine with a tiny TLB and cache, one rewrite rule and an
     open capture window over the page at CAPTURE_VA."""
     m = Machine(
         MachineConfig(
             mode="active",
-            cache_sets=4,
-            cache_ways=2,
+            cache_sets=sets,
+            cache_ways=ways,
             tlb_entries=tlb_entries,
             cache_ptes=cache_ptes,
             debug_tlb_check=debug_tlb_check,
@@ -157,6 +159,12 @@ def simulated_state(m):
     }
 
 
+def cache_lru(m):
+    """Each cache set's line addresses, least recently used first (the
+    TLB's order is in `simulated_state`)."""
+    return [list(ways) for ways in m.cache._sets]
+
+
 @pytest.mark.parametrize("debug_tlb_check", [False, True])
 @pytest.mark.parametrize("cache_ptes", [False, True])
 @pytest.mark.parametrize("tlb_entries", [0, 4])
@@ -185,6 +193,7 @@ def test_fused_path_matches_layered_path(tlb_entries, cache_ptes, debug_tlb_chec
     want = simulated_state(layered)
     assert simulated_state(fused) == want
     assert simulated_state(stepped) == want
+    assert cache_lru(fused) == cache_lru(stepped) == cache_lru(layered)
     assert fused_log == stepped_log == layered_log
 
     # the trace reached every path it is meant to compare
@@ -197,14 +206,19 @@ def test_fused_path_matches_layered_path(tlb_entries, cache_ptes, debug_tlb_chec
 
 def test_a_failing_access_keeps_the_hits_before_it():
     m, ref = build(4, False, False), build(4, False, False)
-    warm = [(0, "W", PLAIN_VAS[0], 1)]
-    hits = [(0, "R", PLAIN_VAS[0] + k, None) for k in range(3)]
+    x, y = PLAIN_VAS[0], PLAIN_VAS[1]
+    warm = [(0, "W", x, 1), (0, "W", y, 2)]
+    # The last read hits the older memo line, on another page: its TLB
+    # touch is owed when the write without a value fails.
+    hits = [(0, "R", x + k, None) for k in range(3)] + [(0, "R", y, None), (0, "R", x, None)]
     m.run_trace(warm)
     ref.run_trace(warm)
     with pytest.raises(TypeError):
-        m.run_trace(hits + [(0, "W", PLAIN_VAS[0], None)])
+        m.run_trace(hits + [(0, "W", x, None)])
     run_layered(ref, hits)
     assert simulated_state(m) == simulated_state(ref)
+    assert cache_lru(m) == cache_lru(ref)
+    assert [key[1] for key in m.tlb._entries][-2:] == [y >> 12, x >> 12]
 
 
 def test_out_of_range_va_is_rejected():
@@ -252,6 +266,7 @@ def replay_vs_layered(make, trace):
     _, layered_faults = run_layered(layered, trace)
     assert [(f.index, f.level, f.pte_address) for f in stats.faults] == layered_faults
     assert simulated_state(fused) == simulated_state(layered)
+    assert cache_lru(fused) == cache_lru(layered)
     assert fused_log == layered_log
     return fused, stats
 
@@ -284,19 +299,26 @@ def test_a_repeated_line_in_another_asid_is_not_served_from_the_first():
 
 @pytest.mark.parametrize("middle", ["evict", "fault"])
 def test_the_repeat_memo_resets_after_a_full_path_access(middle):
+    # x, then w in x's page and another set: the memo holds w and, older,
+    # x.  The full-path access to y evicts x's line or faults, and clears
+    # the memo, so the next access to x takes the full path.
     x = PLAIN_VAS[0] + 3
+    w = x + LINE_BYTES
     y = PLAIN_VAS[1] if middle == "evict" else UNMAPPED_VA
-    trace = [(0, "R", x, None), (0, "W", x, 7), (0, "R", y, None),
+    trace = [(0, "R", x, None), (0, "W", x, 7), (0, "R", w, None), (0, "R", y, None),
              (0, "R", x, None), (0, "W", x, 8)]
     # With cached walk lines, the fills of y's walk push x's line out.
     cache_ptes = middle == "evict"
     probe = build(4, cache_ptes, False)
     probe.run_trace(trace[:3])
     x_line = reference_walk(probe.spaces[0], x, probe.dram) & -LINE_BYTES
+    assert probe.cache.lookup(x_line) is not None
+    probe.run_trace(trace[3:4])
     assert (probe.cache.lookup(x_line) is None) == cache_ptes
     m, stats = replay_vs_layered(lambda: build(4, cache_ptes, False), trace)
+    # evict: x's read after y misses; fault: it is a full-path hit
     assert (stats.data_hits, stats.data_misses, len(stats.faults)) == (
-        (2, 3, 0) if middle == "evict" else (3, 1, 1)
+        (2, 4, 0) if middle == "evict" else (3, 2, 1)
     )
     assert m.mem_read(0, x) == 8
 
@@ -314,6 +336,102 @@ def test_runs_of_one_line_match_the_layered_path(tlb_entries, debug_tlb_check):
                 trace.append((0, "R", line + rng.randrange(64), None))
     _, stats = replay_vs_layered(lambda: build(tlb_entries, False, debug_tlb_check), trace)
     assert stats.data_hits > len(trace) // 2 and stats.data_misses
+
+
+# The two lines of each pairing.  Frames are page-aligned, so in a 4-set
+# cache two lines share a set when their line numbers within their pages
+# agree mod 4; in a 1-set cache every line shares the one set.
+TWO_LINE_PAIRS = {
+    "same-page-same-set": (PLAIN_VAS[0] + 64, PLAIN_VAS[0] + 5 * 64),
+    "same-page-other-set": (PLAIN_VAS[0] + 64, PLAIN_VAS[0] + 2 * 64),
+    "other-page-same-set": (PLAIN_VAS[0] + 64, PLAIN_VAS[1] + 64),
+    "other-page-other-set": (PLAIN_VAS[0] + 64, PLAIN_VAS[1] + 2 * 64),
+}
+
+
+def two_line_trace(rng, x, y, n=300):
+    """Accesses that mostly alternate between the lines at x and y, with
+    runs on one line and, now and then, a burst of other lines: another
+    line of x's or y's page, a line of a third or fourth page, a captured
+    (SHARED) line, a fault."""
+    others = [x + 8 * 64, y + 3 * 64, PLAIN_VAS[2], PLAIN_VAS[3] + 64, CAPTURE_VA + 64,
+              UNMAPPED_VA]
+    trace, line = [], x
+    while len(trace) < n:
+        roll = rng.random()
+        if roll < 0.6:
+            line = y if line == x else x
+        burst = [rng.choice(others) for _ in range(rng.randint(1, 3))] if roll > 0.85 else []
+        for va in [line] + burst:
+            if rng.random() < 0.3:
+                trace.append((0, "W", va + rng.randrange(64), rng.randrange(256)))
+            else:
+                trace.append((0, "R", va + rng.randrange(64), None))
+    return trace
+
+
+def lockstep(fused, stepped, trace, rng, longest=40):
+    """Run `trace` on `fused` by `run_trace` in chunks of random length, so
+    that chunks end with and without a TLB touch owed, and on `stepped` one
+    `Mmu.access` at a time; after each chunk the TLB and cache LRU orders
+    must agree.  Returns the fused run's faults."""
+    faults, start = [], 0
+    while start < len(trace):
+        chunk = trace[start : start + rng.randint(1, longest)]
+        stats = fused.run_trace(chunk)
+        faults += [(f.index + start, f.level, f.pte_address) for f in stats.faults]
+        run_access(stepped, chunk)
+        assert list(fused.tlb._entries) == list(stepped.tlb._entries)
+        assert cache_lru(fused) == cache_lru(stepped)
+        start += len(chunk)
+    return faults
+
+
+# A TLB of 3 holds a third page beside the two memo pages, and a fourth
+# evicts one of the three, so a touch paid late or not at all before a TLB
+# hit on the third page changes a victim.
+@pytest.mark.parametrize("pairing", sorted(TWO_LINE_PAIRS))
+@pytest.mark.parametrize("sets, ways", [(4, 1), (1, 2), (4, 2)])
+@pytest.mark.parametrize("tlb_entries", [1, 2, 3])
+def test_two_line_memo_keeps_every_lru_order(tlb_entries, sets, ways, pairing):
+    x, y = TWO_LINE_PAIRS[pairing]
+    for seed in range(8):
+        rng = random.Random(seed)
+        trace = two_line_trace(rng, x, y)
+        fused, stepped, layered = (
+            build(tlb_entries, False, False, sets, ways) for _ in range(3)
+        )
+        logs = [spy_on_misses(m) for m in (fused, stepped, layered)]
+        fused_faults = lockstep(fused, stepped, trace, rng, longest=16)
+        _, layered_faults = run_layered(layered, trace)
+        assert fused_faults == layered_faults
+        assert simulated_state(fused) == simulated_state(stepped) == simulated_state(layered)
+        assert cache_lru(fused) == cache_lru(layered)
+        assert logs[0] == logs[1] == logs[2]
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+@pytest.mark.parametrize("tlb_entries", [2, 64])
+def test_two_line_memo_on_the_histogram_trace(tlb_entries, ways):
+    # Per image byte: a read of the image line, then a read and a write of
+    # a shuffled hot-page line; the image read hits the older memo line.
+    w = histogram_workload(0.0002, seed=5)
+    trace = list(iter_histogram_trace(w))
+
+    def make():
+        m = Machine(MachineConfig(mode="active", cache_sets=4, cache_ways=ways,
+                                  tlb_entries=tlb_entries))
+        _, rule = _layout_histogram(m, w)
+        m.activate_rules([rule])
+        return m
+
+    fused, stepped = make(), make()
+    fused_log, stepped_log = spy_on_misses(fused), spy_on_misses(stepped)
+    lockstep(fused, stepped, trace, random.Random(tlb_entries + ways), longest=4096)
+    assert simulated_state(fused) == simulated_state(stepped)
+    assert cache_lru(fused) == cache_lru(stepped)
+    assert fused_log == stepped_log
+    assert stepped.counters.data_hits > len(trace) // 2
 
 
 def miss_path_cases():
