@@ -38,7 +38,6 @@ class CacheState(Enum):
     MODIFIED = "M"
     EXCLUSIVE = "E"
     SHARED = "S"
-    INVALID = "I"
 
 
 class FabricGap(RuntimeError):
@@ -180,11 +179,10 @@ class CoherentInterconnect:
         self.writeback_hook = None
         self.started = False
 
-    def register_agent(self, handler) -> int:
+    def register_agent(self, handler):
         if self.started:
             raise RuntimeError("cannot register agents after traffic has started")
         self.agents.append(handler)
-        return len(self.agents) - 1
 
     # -- transaction core ---------------------------------------------------
 

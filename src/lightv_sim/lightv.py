@@ -207,10 +207,7 @@ class LightV:
             if rule.asid not in self.spaces:
                 raise RuleError(f"rule {rule.rule_id}: unknown asid {rule.asid}")
             run = rule.replacement_run
-            if not (
-                self.dram.contains(run.start << PAGE_SHIFT)
-                and self.dram.contains((run.stop << PAGE_SHIFT) - 1)
-            ):
+            if not self.dram.contains(run.start << PAGE_SHIFT, len(run) << PAGE_SHIFT):
                 raise RuleError(
                     f"rule {rule.rule_id}: replacement frames outside DRAM aperture"
                 )
@@ -446,7 +443,7 @@ class LightV:
             raise ValueError("capture lines must be 64-byte aligned")
         for dst, src in pairs.items():
             for line in (dst, src):
-                if not self.dram.contains_line(line):
+                if not self.dram.contains(line, LINE_BYTES):
                     raise ValueError(f"capture line {line:#x} outside DRAM aperture")
                 for space in self.spaces.values():
                     if line >> PAGE_SHIFT in space.table_pfns:

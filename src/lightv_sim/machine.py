@@ -93,14 +93,12 @@ class Dram:
         self.reads = 0
         self.writes = 0
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
-    def contains_line(self, line_addr: int) -> bool:
-        return self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size
+    def contains(self, addr: int, n: int = 1) -> bool:
+        """Whether the `n` bytes from `addr` all lie in the aperture."""
+        return self.base <= addr and addr + n <= self.base + self.size
 
     def _check(self, addr: int, n: int = 1):
-        if not (self.base <= addr and addr + n <= self.base + self.size):
+        if not self.contains(addr, n):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
 
     def read_line(self, line_addr: int):
@@ -181,19 +179,13 @@ class FrameAllocator:
         self.dram = dram
         self._next = start_pfn if start_pfn is not None else dram.base >> PAGE_SHIFT
         self._limit = (dram.base + dram.size) >> PAGE_SHIFT
-        self.allocated = 0
 
     @property
     def next_pfn(self) -> int:
         return self._next
 
     def alloc(self) -> int:
-        if self._next >= self._limit:
-            raise AllocatorExhausted(_EXHAUSTED)
-        pfn = self._next
-        self._next += 1
-        self.allocated += 1
-        return pfn
+        return self.alloc_run(1).start
 
     def alloc_run(self, n: int) -> range:
         """`n` consecutive frames, the ones `n` calls of `alloc` would hand
@@ -202,7 +194,6 @@ class FrameAllocator:
             raise AllocatorExhausted(_EXHAUSTED)
         run = range(self._next, self._next + n)
         self._next += n
-        self.allocated += n
         return run
 
 
@@ -516,7 +507,7 @@ class Machine:
         count = 1 + len({prefix >> 9 for prefix in prefixes}) + len(prefixes)
         tables = range(self.allocator.next_pfn, self.allocator.next_pfn + count)
         if tables.stop > self.allocator._limit:
-            raise AllocatorExhausted("no free frames left in the DRAM aperture")
+            raise AllocatorExhausted(_EXHAUSTED)
         mirror = self.lightv._mirror if self.lightv is not None else {}
         for line in (*mirror, *mirror.values()):
             if line >> PAGE_SHIFT in tables:
@@ -544,12 +535,6 @@ class Machine:
             self.tlb.invalidate_range(asid, va_start, va_end)
         for line in lines:
             self.cci.invalidate_line(self.cache, line)
-
-    def mem_read(self, asid: int, va: int) -> int:
-        return self.mmu.access(asid, va)
-
-    def mem_write(self, asid: int, va: int, value: int):
-        self.mmu.access(asid, va, True, value)
 
     def flush_cache(self):
         self.cci.flush(self.cache)

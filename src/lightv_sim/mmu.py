@@ -52,9 +52,6 @@ class Tlb:
         for key in doomed:
             del self._entries[key]
 
-    def __len__(self):
-        return len(self._entries)
-
 
 class Mmu:
     """Per-cluster MMU driving walks and data accesses through the fabric."""

@@ -1,11 +1,13 @@
 """Reproducible workloads and end-to-end demonstrations.
 
 Five scenarios: a histogram-style workload and a user-supplied trace, each
-compared across the three agent modes by `run_modes`, two hazard
-reproductions (demand paging and isolation), and chunked page migration
-with live accessors.  Each returns a report object carrying labelled
-machine statistics (rendered by `csv_rows`), a pass/fail verdict and a
-text rendering.  All randomness is seeded.
+compared across the three agent modes, two hazard reproductions (demand
+paging and isolation), and chunked page migration with live accessors.
+`run_modes` runs every scenario that runs one trace on several machines:
+the histogram, the custom trace and the demand-paging hazard.  Each
+scenario returns a report object carrying labelled machine statistics
+(rendered by `csv_rows`), a pass/fail verdict and a text rendering.  All
+randomness is seeded.
 """
 
 import random
@@ -28,9 +30,15 @@ from .machine import (
     compare_runs,
 )
 
-# Scenario mode labels, in report order, and the machine mode each runs in.
+# Scenario mode labels, in report order, and the machine mode each label
+# runs in; demand paging's "control" is an active machine.
 MODES = ("baseline", "passive", "active")
-MACHINE_MODE = {"baseline": "absent", "passive": "passive", "active": "active"}
+MACHINE_MODE = {
+    "baseline": "absent",
+    "passive": "passive",
+    "active": "active",
+    "control": "active",
+}
 
 # Accesses `run_modes` reads from a trace and runs on every machine at a time.
 CHUNK = 4096
@@ -60,12 +68,14 @@ def csv_rows(scenario: str, stats: dict, seed, scale) -> list:
 def run_modes(config: MachineConfig, modes, trace, prepare):
     """Run one trace on a fresh machine per mode label, reading it once.
 
-    `prepare(machine)` maps the address spaces and returns the rewrite
-    rules; they are activated in active mode only.  Every mode's machine is
-    built and prepared first.  Then `trace`, any iterable of accesses, is
-    read once, `CHUNK` accesses at a time, and each chunk runs on each
-    machine in mode order, so that no mode keeps the trace.  Every mode
-    runs the same accesses, so their RunStats compare (`compare_runs`).
+    Each label's machine runs in the machine mode `MACHINE_MODE` gives it.
+    `prepare(machine, label)` maps the address spaces and returns the
+    rewrite rules; they are activated on every machine in active mode.
+    Every mode's machine is built and prepared first.  Then `trace`, any
+    iterable of accesses, is read once, `CHUNK` accesses at a time, and
+    each chunk runs on each machine in mode order, so that no mode keeps
+    the trace.  Every mode runs the same accesses, so their RunStats
+    compare (`compare_runs`).
 
     A failure is raised as if the modes had run one after another: the
     first mode's at once; a later mode's, which stops that mode and every
@@ -81,8 +91,8 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
     for mode in modes:
         try:
             m = Machine(config.with_mode(MACHINE_MODE[mode]))
-            rules = prepare(m)
-            if mode == "active" and rules:
+            rules = prepare(m, mode)
+            if m.config.mode == "active" and rules:
                 m.activate_rules(rules)
         except Exception as exc:
             if not live:
@@ -299,7 +309,7 @@ def run_overhead_experiment(
     original_untouched = True
     hot_pfn = rule = None
 
-    def prepare(m):
+    def prepare(m, _):
         nonlocal hot_pfn, rule
         hot_pfn, rule = _layout_histogram(m, w)
         return [rule]
@@ -374,58 +384,47 @@ class DemandPagingReport:
         return "\n".join(lines)
 
 
+def _map_then_reserve(m: Machine, vas, target_va: int, unmapped=()) -> RewriteRule:
+    """Take one frame per page of `vas`, in order, and map each page in
+    address space 0 but those in `unmapped`; then reserve a replacement
+    frame and return the rule that redirects the page at `target_va` to
+    it."""
+    rw = ATTR_WRITABLE | ATTR_CACHEABLE
+    pfns = m.allocator.alloc_run(len(vas))
+    m.register_space(0, [(va, pfn, rw) for va, pfn in zip(vas, pfns) if va not in unmapped])
+    return RewriteRule(1, 0, target_va, target_va + PAGE_SIZE, m.allocator.alloc())
+
+
 def run_demand_paging_hazard(config: MachineConfig) -> DemandPagingReport:
+    """Read an unpopulated target page with the rule active (the hazard),
+    with the agent passive, and as a control with the target populated
+    and the rule active."""
     target_va = (8 << 30) | (5 << 21) | (7 << PAGE_SHIFT)
     sibling_va = target_va + PAGE_SIZE  # keeps the intermediate tables populated
-    rw = ATTR_WRITABLE | ATTR_CACHEABLE
-    stats = {}
 
-    def build(mode, map_target):
-        cfg = replace(config.with_mode(mode), fault_policy=FAULT_RECORD)
-        m = Machine(cfg)
-        pfns = [m.allocator.alloc(), m.allocator.alloc()]
-        mappings = [(sibling_va, pfns[0], rw)]
-        if map_target:
-            mappings.append((target_va, pfns[1], rw))
-        m.register_space(0, mappings)
-        replacement = m.allocator.alloc()
-        rule = RewriteRule(1, 0, target_va, target_va + PAGE_SIZE, replacement)
-        return m, rule
+    def prepare(m, mode):
+        # The target takes its frame in every mode, so the frame numbers
+        # (and the fault descriptor addresses) do not depend on the mode.
+        unmapped = () if mode == "control" else (target_va,)
+        return [_map_then_reserve(m, (sibling_va, target_va), target_va, unmapped)]
 
-    # control: target pre-populated, rule active, access succeeds
-    m, rule = build("active", map_target=True)
-    m.activate_rules([rule], strict=False)  # sibling shares the slot by design
-    run = m.run_trace([(0, "R", target_va, None)])
-    stats["control"] = run
-    control_faults = len(run.faults)
-
-    # hazard: target leaf never populated, rule active
-    m, rule = build("active", map_target=False)
-    m.activate_rules([rule], strict=False)
-    run = m.run_trace([(0, "R", target_va, None)])
-    stats["active"] = run
-    active_fault = run.faults[0] if run.faults else None
-    active_in_window = (
-        active_fault is not None
-        and m.lightv.window.contains_pfn(active_fault.pte_address >> PAGE_SHIFT)
-    )
-
-    # passive control: same layout, module never activated
-    m, _ = build("passive", map_target=False)
-    run = m.run_trace([(0, "R", target_va, None)])
-    stats["passive"] = run
-    passive_fault = run.faults[0] if run.faults else None
-    passive_in_window = (
-        passive_fault is not None
-        and m.lightv.window.contains_pfn(passive_fault.pte_address >> PAGE_SHIFT)
-    )
-
+    # the sibling shares the target's level-0 slot by design
+    config = replace(config, fault_policy=FAULT_RECORD, strict_isolation=False)
+    trace = [(0, "R", target_va, None)]
+    stats, faults = {}, {}
+    for mode, m, run in run_modes(config, ("control", "active", "passive"), trace, prepare):
+        stats[mode] = run
+        fault = run.faults[0] if run.faults else None
+        in_window = fault is not None and m.lightv.window.contains_pfn(
+            fault.pte_address >> PAGE_SHIFT
+        )
+        faults[mode] = (fault, in_window)
     return DemandPagingReport(
-        control_faults=control_faults,
-        active_fault=active_fault,
-        active_in_window=active_in_window,
-        passive_fault=passive_fault,
-        passive_in_window=passive_in_window,
+        control_faults=len(stats["control"].faults),
+        active_fault=faults["active"][0],
+        active_in_window=faults["active"][1],
+        passive_fault=faults["passive"][0],
+        passive_in_window=faults["passive"][1],
         stats=stats,
     )
 
@@ -473,20 +472,12 @@ def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
     target_va = 8 << 30
     shared_neighbor_va = (8 << 30) | (1 << 21)  # same index0, different index1
     isolated_neighbor_va = 9 << 30
-    rw = ATTR_WRITABLE | ATTR_CACHEABLE
     stats = {}
 
     def build(mode):
         m = Machine(replace(config.with_mode(mode), fault_policy=FAULT_RECORD))
-        mappings = [
-            (target_va, m.allocator.alloc(), rw),
-            (shared_neighbor_va, m.allocator.alloc(), rw),
-            (isolated_neighbor_va, m.allocator.alloc(), rw),
-        ]
-        m.register_space(0, mappings)
-        replacement = m.allocator.alloc()
-        rule = RewriteRule(1, 0, target_va, target_va + PAGE_SIZE, replacement)
-        return m, rule
+        vas = (target_va, shared_neighbor_va, isolated_neighbor_va)
+        return m, _map_then_reserve(m, vas, target_va)
 
     baseline, _ = build("absent")
     shared_base_pa = baseline.mmu.translate(0, shared_neighbor_va)
@@ -639,37 +630,34 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     rng = random.Random(plan.seed)
     src = m.allocator.alloc()
     dst = m.allocator.alloc()
+    src_base, dst_base = src << PAGE_SHIFT, dst << PAGE_SHIFT
     va = plan.page_va
     m.register_space(plan.asid, [(va, src, ATTR_WRITABLE | ATTR_CACHEABLE)])
 
     init = random_bytes(rng, PAGE_SIZE)
-    m.dram.write_bytes(src << PAGE_SHIFT, init)
+    m.dram.write_bytes(src_base, init)
     shadow = bytearray(init)
     before = m.tally()
+    access = m.mmu.access
+    checks = []  # per checked read: did it return the latest write?
 
-    reads_checked = stale_reads = 0
+    def check_read(off):
+        checks.append(access(plan.asid, va + off) == shadow[off])
+
     for _ in range(4):
-        off = rng.randrange(PAGE_SIZE)
-        reads_checked += 1
-        if m.mem_read(plan.asid, va + off) != shadow[off]:
-            stale_reads += 1
-    pa = m.mmu.translate(plan.asid, va)
-    translated_to_source_before = (pa >> PAGE_SHIFT) == src
+        check_read(rng.randrange(PAGE_SIZE))
+    translated_to_source_before = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == src
 
     # open the window: flush source-tagged lines, redirect, capture
-    m.invalidate_page_lines(src << PAGE_SHIFT)
+    m.invalidate_page_lines(src_base)
     rule = RewriteRule(1, plan.asid, va, va + PAGE_SIZE, dst)
     m.activate_rules([rule])
-    lines = PAGE_SIZE // LINE_BYTES
-    pairs = {
-        (dst << PAGE_SHIFT) + (k << 6): (src << PAGE_SHIFT) + (k << 6)
-        for k in range(lines)
-    }
-    m.lightv.begin_page_capture(pairs)
+    line_offs = range(0, PAGE_SIZE, LINE_BYTES)
+    m.lightv.begin_page_capture({dst_base + off: src_base + off for off in line_offs})
 
+    # a DMA event names the index of its chunk's first line
     chunk_lines = plan.dma_chunk_bytes // LINE_BYTES
-    n_chunks = PAGE_SIZE // plan.dma_chunk_bytes
-    events = [("dma", k, 0) for k in range(n_chunks)]
+    events = [("dma", k, 0) for k in range(0, len(line_offs), chunk_lines)]
     for _ in range(plan.accessor_ops):
         pos = rng.randrange(len(events) + 1)
         off = rng.randrange(PAGE_SIZE)
@@ -680,55 +668,41 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
 
     for kind, arg, value in events:
         if kind == "dma":
-            released = []
-            for j in range(arg * chunk_lines, (arg + 1) * chunk_lines):
-                line_off = j << 6
-                m.dram.write_line(
-                    (dst << PAGE_SHIFT) + line_off,
-                    m.dram.read_line((src << PAGE_SHIFT) + line_off),
-                )
-                released.append((dst << PAGE_SHIFT) + line_off)
-            m.lightv.release_captured(released)
+            chunk = line_offs[arg : arg + chunk_lines]
+            for off in chunk:
+                m.dram.write_line(dst_base + off, m.dram.read_line(src_base + off))
+            m.lightv.release_captured([dst_base + off for off in chunk])
         elif kind == "R":
-            reads_checked += 1
-            if m.mem_read(plan.asid, va + arg) != shadow[arg]:
-                stale_reads += 1
+            check_read(arg)
         else:
-            m.mem_write(plan.asid, va + arg, value)
+            access(plan.asid, va + arg, True, value)
             shadow[arg] = value
     m.lightv.end_page_capture()
 
     # the old page is reclaimed; poison it so any lingering reference shows
-    m.dram.write_bytes(src << PAGE_SHIFT, b"\xee" * PAGE_SIZE)
+    m.dram.write_bytes(src_base, b"\xee" * PAGE_SIZE)
     for _ in range(plan.post_ops):
-        off = rng.randrange(PAGE_SIZE)
-        reads_checked += 1
-        if m.mem_read(plan.asid, va + off) != shadow[off]:
-            stale_reads += 1
-    pa = m.mmu.translate(plan.asid, va)
-    translations_to_destination = (pa >> PAGE_SHIFT) == dst
+        check_read(rng.randrange(PAGE_SIZE))
+    translations_to_destination = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == dst
 
     m.flush_cache()
-    final = m.dram.read_bytes(dst << PAGE_SHIFT, PAGE_SIZE)
+    final = m.dram.read_bytes(dst_base, PAGE_SIZE)
     # Equal pages, the usual case, cost one compare; a failing run still
     # gets its per-byte count.
     lost_writes = 0 if final == shadow else sum(map(int.__ne__, final, shadow))
-    src_lo, src_hi = src << PAGE_SHIFT, (src + 1) << PAGE_SHIFT
     source_clean = not any(
-        src_lo <= line.tag < src_hi for line in m.cache.iter_lines()
+        src_base <= line.tag < src_base + PAGE_SIZE for line in m.cache.iter_lines()
     )
-    stats = {"active": m.stats_since(before)}
-
     return MigrationReport(
         plan=plan,
         events=len(events),
-        reads_checked=reads_checked,
-        stale_reads=stale_reads,
+        reads_checked=len(checks),
+        stale_reads=checks.count(False),
         lost_writes=lost_writes,
         translated_to_source_before=translated_to_source_before,
         translations_to_destination=translations_to_destination,
         source_clean=source_clean,
-        stats=stats,
+        stats={"active": m.stats_since(before)},
     )
 
 
@@ -752,7 +726,7 @@ def run_custom_trace(config: MachineConfig, mappings, rules, trace, modes=MODES)
     """Replay `trace` in address space 0, mapped by `mappings`, under each
     mode; `rules` are activated in active mode."""
 
-    def prepare(m):
+    def prepare(m, _):
         m.register_space(0, mappings)
         return rules
 

@@ -201,10 +201,10 @@ def test_criterion_5_coherence_invariant_suite():
             roll = rng.random()
             if roll < 0.4:
                 value = rng.randrange(256)
-                m.mem_write(0, va, value)
+                m.mmu.access(0, va, True, value)
                 shadow[va] = value
             elif roll < 0.97:
-                assert m.mem_read(0, va) == shadow.get(va, 0), f"va {va:#x}"
+                assert m.mmu.access(0, va) == shadow.get(va, 0), f"va {va:#x}"
             elif roll < 0.99:
                 pa = m.mmu.translate(0, va)
                 m.cci.invalidate_line(m.cache, pa & ~63)

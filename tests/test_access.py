@@ -237,21 +237,21 @@ def test_write_without_value_fails_before_any_state_moves():
     with pytest.raises(TypeError):
         m.run_trace([(0, "W", PLAIN_VAS[0], None)])
     with pytest.raises(TypeError):
-        m.mem_write(0, PLAIN_VAS[1], None)
+        m.mmu.access(0, PLAIN_VAS[1], True, None)
     assert simulated_state(m) == before
 
 
 def test_debug_tlb_check_guards_the_hit_path():
     m = build(4, False, True)
-    m.mem_read(0, PLAIN_VAS[0])
-    m.mem_read(0, PLAIN_VAS[0])  # a clean TLB and cache hit raises nothing
+    m.mmu.access(0, PLAIN_VAS[0])
+    m.mmu.access(0, PLAIN_VAS[0])  # a clean TLB and cache hit raises nothing
     # Poison the cached frame with another page's, whose line is cached, so
     # that the stale entry gives a TLB hit and a cache hit.
-    m.mem_read(0, PLAIN_VAS[1])
+    m.mmu.access(0, PLAIN_VAS[1])
     other = m.mmu.translate(0, PLAIN_VAS[1]) >> 12
     m.tlb.insert(0, PLAIN_VAS[0] >> 12, other, 0)
     with pytest.raises(AssertionError, match="stale TLB entry"):
-        m.mem_read(0, PLAIN_VAS[0])
+        m.mmu.access(0, PLAIN_VAS[0])
     with pytest.raises(AssertionError, match="stale TLB entry"):
         m.run_trace([(0, "R", PLAIN_VAS[0], None)])
 
@@ -294,7 +294,7 @@ def test_a_repeated_line_in_another_asid_is_not_served_from_the_first():
     trace = [(0, "W", va, 1), (1, "W", va, 2), (0, "R", va, None), (1, "W", va, 3),
              (1, "R", va, None), (0, "R", va, None)]
     m, _ = replay_vs_layered(make, trace)
-    assert (m.mem_read(0, va), m.mem_read(1, va)) == (1, 3)
+    assert (m.mmu.access(0, va), m.mmu.access(1, va)) == (1, 3)
 
 
 @pytest.mark.parametrize("middle", ["evict", "fault"])
@@ -320,7 +320,7 @@ def test_the_repeat_memo_resets_after_a_full_path_access(middle):
     assert (stats.data_hits, stats.data_misses, len(stats.faults)) == (
         (2, 4, 0) if middle == "evict" else (3, 2, 1)
     )
-    assert m.mem_read(0, x) == 8
+    assert m.mmu.access(0, x) == 8
 
 
 @pytest.mark.parametrize("tlb_entries, debug_tlb_check", [(0, False), (4, True), (4, False)])
@@ -449,27 +449,71 @@ def miss_path_cases():
 
 
 def miss_path_digest(m, seed):
+    """Two digests of the run: one of the values read, the faults and
+    `simulated_state`, and one of each cache set's LRU order."""
     first, upgrade = (0, "R", CAPTURE_VA + 5, None), (0, "W", CAPTURE_VA + 5, 0xA5)
     result = run_access(m, [first, upgrade] + random_trace(seed))
-    return hashlib.sha256(repr((result, simulated_state(m))).encode()).hexdigest()
+    return (
+        hashlib.sha256(repr((result, simulated_state(m))).encode()).hexdigest(),
+        hashlib.sha256(repr(cache_lru(m)).encode()).hexdigest(),
+    )
 
 
-# `miss_path_digest` per case, recorded before walk reads had a fabric
-# transaction of their own: the walk transaction must keep every value
-# read, fault, cycle, counter, cache line and TLB entry.
+# `miss_path_digest` per case.  The first digest was recorded before walk
+# reads had a fabric transaction of their own: the walk transaction must
+# keep every value read, fault, cycle, counter, cache line and TLB entry.
+# The second, recorded with the two-line replay memo in place, pins the
+# LRU order of every cache set, which `simulated_state`'s sorted cache
+# snapshot does not.
 MISS_PATH_GOLDENS = {
-    "active-0-False-False": "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
-    "active-0-False-True": "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
-    "active-0-True-False": "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
-    "active-0-True-True": "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
-    "active-4-False-False": "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
-    "active-4-False-True": "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
-    "active-4-True-False": "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
-    "active-4-True-True": "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
-    "absent-False": "0df5c76c2851eca395fccd17b95baedd2df6c617b9512a2c802e0ecf5b01d647",
-    "absent-True": "634faedae96c3b833e5b60413e2f50bf1d19a126dcf97dca37af711cd4fafd51",
-    "passive-False": "027a8a701df67a612948ee6e3a0f0b4507ce118bb9cd0e4b5a20007d60f60d69",
-    "passive-True": "f0095d1319f059f262fad867a30e6629861d1743e48f1226f9bb06a9f729421a",
+    "active-0-False-False": (
+        "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
+        "22fab93eab232fd00d0fedbc8ce2e96d2d5bd0cc60c7f7e4ef04fa56c694ceae",
+    ),
+    "active-0-False-True": (
+        "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
+        "22fab93eab232fd00d0fedbc8ce2e96d2d5bd0cc60c7f7e4ef04fa56c694ceae",
+    ),
+    "active-0-True-False": (
+        "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
+        "37a2f9f88f84bed88e4295b196b760376650ffb4c211fabe090f37898ed8f6e4",
+    ),
+    "active-0-True-True": (
+        "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
+        "37a2f9f88f84bed88e4295b196b760376650ffb4c211fabe090f37898ed8f6e4",
+    ),
+    "active-4-False-False": (
+        "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
+        "6e56997ed084c889aea431f1f0f87b7a9d9986b234c46020a945d21cfe9a8034",
+    ),
+    "active-4-False-True": (
+        "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
+        "6e56997ed084c889aea431f1f0f87b7a9d9986b234c46020a945d21cfe9a8034",
+    ),
+    "active-4-True-False": (
+        "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
+        "7dc444a70165edd1959716135d8586ec45f07ba4006a0fb2809eea8a475a8587",
+    ),
+    "active-4-True-True": (
+        "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
+        "7dc444a70165edd1959716135d8586ec45f07ba4006a0fb2809eea8a475a8587",
+    ),
+    "absent-False": (
+        "0df5c76c2851eca395fccd17b95baedd2df6c617b9512a2c802e0ecf5b01d647",
+        "f165fccd9a26f3375519c57331bf5f87da07884ac458f36acea432655a7ec20f",
+    ),
+    "absent-True": (
+        "634faedae96c3b833e5b60413e2f50bf1d19a126dcf97dca37af711cd4fafd51",
+        "2f48e8404bbc03b57f9387243a826d6b395505e37409407a4ccc5c7395fd2862",
+    ),
+    "passive-False": (
+        "027a8a701df67a612948ee6e3a0f0b4507ce118bb9cd0e4b5a20007d60f60d69",
+        "f165fccd9a26f3375519c57331bf5f87da07884ac458f36acea432655a7ec20f",
+    ),
+    "passive-True": (
+        "f0095d1319f059f262fad867a30e6629861d1743e48f1226f9bb06a9f729421a",
+        "2f48e8404bbc03b57f9387243a826d6b395505e37409407a4ccc5c7395fd2862",
+    ),
 }
 
 

@@ -105,8 +105,9 @@ def _fresh_memory():
 
 def test_build_tables_empty():
     dram, alloc = _fresh_memory()
+    first = alloc.next_pfn
     space = build_tables([], dram, alloc)
-    assert alloc.allocated == 1  # just the PGD
+    assert alloc.next_pfn == first + 1  # just the PGD
     for index in range(512):
         present, _, _ = decode_pte(addressing.read_pte(dram, space.pgd_base, index))
         assert not present
@@ -122,9 +123,10 @@ def test_build_tables_shares_intermediate():
     dram, alloc = _fresh_memory()
     a = 2 << 30
     b = (2 << 30) | (1 << 21)  # same index0, different index1
+    first = alloc.next_pfn
     build_tables([(a, 0x90000, 0), (b, 0x90001, 0)], dram, alloc)
     # PGD + one shared PUD + two PMDs
-    assert alloc.allocated == 4
+    assert alloc.next_pfn == first + 4
 
 
 def test_build_tables_rejects_conflicting_duplicate():

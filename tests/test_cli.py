@@ -190,6 +190,27 @@ def test_small_scenario_csv_is_pinned(scenario, rows, capsys):
     assert capsys.readouterr().out == CSV_HEADER + rows
 
 
+@pytest.mark.parametrize("scenario, text", [
+    # the descriptor addresses depend on the order the frames are taken in
+    ("demand-paging",
+     "control (pre-populated) faults: 0\n"
+     "active fault pte @ 0x202001038 (watermark window: True)\n"
+     "passive fault pte @ 0x80004038 (watermark window: False)\n"
+     "hazard reproduced: True\n"),
+    ("isolation",
+     "strict activation rejected: True"
+     " (rule 1: neighbour mapping 0x200200000 shares level-0 slot 8)\n"
+     "neighbour baseline pa: 0x80001000\n"
+     "neighbour under permissive activation: fault:L1\n"
+     "neighbour deviated: True\n"
+     "isolated control unaffected: True\n"
+     "hazard reproduced: True\n"),
+])
+def test_hazard_text_report_is_pinned(scenario, text, capsys):
+    assert run_cli("run", "--scenario", scenario, "--seed", "4", "--format", "text") == 0
+    assert capsys.readouterr().out == text
+
+
 def test_custom_trace_missing_inputs():
     assert run_cli("run", "--scenario", "custom-trace") == cli.EXIT_USAGE
 

@@ -263,9 +263,9 @@ def test_cycle_additivity_against_manual_accumulation():
     for asid, op, va, data in ops:
         before = manual.clock.now
         if op == "W":
-            manual.mem_write(asid, va, data)
+            manual.mmu.access(asid, va, True, data)
         else:
-            manual.mem_read(asid, va)
+            manual.mmu.access(asid, va)
         total += manual.clock.now - before
     fresh = simple_machine()
     stats = fresh.run_trace(ops)
@@ -280,10 +280,10 @@ def test_conservation_against_flat_shadow():
         va = (PAGE_VA if rng.random() < 0.5 else 9 << 30) + rng.randrange(4096)
         if rng.random() < 0.4:
             value = rng.randrange(256)
-            m.mem_write(0, va, value)
+            m.mmu.access(0, va, True, value)
             shadow[va] = value
         else:
-            assert m.mem_read(0, va) == shadow.get(va, 0)
+            assert m.mmu.access(0, va) == shadow.get(va, 0)
 
 
 def test_compare_runs_relative_overhead():

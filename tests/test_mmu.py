@@ -115,8 +115,8 @@ def test_unmapped_va_truncates_trace():
 
 def test_mem_write_then_read():
     m = mapped_machine()
-    m.mem_write(0, (8 << 30) + 77, 0xC3)
-    assert m.mem_read(0, (8 << 30) + 77) == 0xC3
+    m.mmu.access(0, (8 << 30) + 77, True, 0xC3)
+    assert m.mmu.access(0, (8 << 30) + 77) == 0xC3
 
 
 def test_tlb_invalidate_forces_rewalk():

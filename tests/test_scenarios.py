@@ -85,9 +85,10 @@ def test_histogram_layout_takes_its_data_frames_in_one_run():
 
 def test_an_oversized_histogram_fails_before_it_takes_a_frame(capsys):
     m = Machine(MachineConfig())
+    first = m.allocator.next_pfn
     with pytest.raises(AllocatorExhausted, match="no free frames left in the DRAM aperture"):
         _layout_histogram(m, histogram_workload(scale=100))
-    assert m.allocator.allocated == 0 and not m.spaces
+    assert m.allocator.next_pfn == first and not m.spaces
     assert cli.main(["run", "--scenario", "histogram", "--scale", "100"]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: no free frames left in the DRAM aperture\n")
@@ -253,7 +254,7 @@ def test_lockstep_runner_reads_a_one_shot_iterator_once():
             pulled.append(access)
             yield access
 
-    def prepare(m):
+    def prepare(m, _):
         m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
         return LOCKSTEP_RULES
 
@@ -266,6 +267,27 @@ def test_lockstep_runner_reads_a_one_shot_iterator_once():
         assert run.data_hits + run.data_misses + len(run.faults) == len(pulled)
 
 
+def test_rules_are_activated_on_every_active_machine():
+    # "control" labels a second active machine: `prepare` sees each label,
+    # and the control's rules are activated as the active machine's are.
+    labels = []
+
+    def prepare(m, label):
+        labels.append(label)
+        m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
+        return LOCKSTEP_RULES
+
+    modes = ("control", "passive", "active")
+    trace = lockstep_trace(300, seed=2)
+    runs = scenarios.run_modes(MachineConfig(fault_policy="record"), modes, trace, prepare)
+    assert labels == list(modes)
+    assert [m.config.mode for _, m, _ in runs] == ["active", "passive", "active"]
+    (_, control, control_run), (_, _, passive_run), (_, _, active_run) = runs
+    assert list(control.lightv.rules) == [rule.rule_id for rule in LOCKSTEP_RULES]
+    assert control_run == active_run != passive_run
+    assert control_run.lines_manipulated > 0
+
+
 def test_a_held_failure_stops_every_later_mode():
     # Passive lacks the second page and active the first: one mode after
     # another, passive's fault at trace[1] ends the run before active runs,
@@ -273,7 +295,7 @@ def test_a_held_failure_stops_every_later_mode():
     (a, a_pfn), (b, b_pfn), _ = LOCKSTEP_PAGES
     pages = {"absent": [(a, a_pfn), (b, b_pfn)], "passive": [(a, a_pfn)], "active": [(b, b_pfn)]}
 
-    def prepare(m):
+    def prepare(m, _):
         m.register_space(0, [(va, pfn, RW) for va, pfn in pages[m.config.mode]])
         return []
 
@@ -288,7 +310,7 @@ def test_a_failed_setup_is_held_like_a_failed_run(faulting, raised):
     # Active mode's rule names an unknown address space; baseline faults on
     # trace[1] when `faulting`, and that fault comes first, as it would one
     # mode after another.
-    def prepare(m):
+    def prepare(m, _):
         m.register_space(0, [(va, pfn, RW) for va, pfn in LOCKSTEP_PAGES])
         return [RewriteRule(1, 7, 9 << 30, (9 << 30) + 4096, 0xA0000)]
 
