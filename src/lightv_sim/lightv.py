@@ -243,6 +243,7 @@ class LightV:
             raise ContextCapacityError("context cache full")
 
         self._served.clear()
+        self.dram.walk_memo.forget()
         # Only the chunks of contexts that are already live can be cached.
         chunks = self._chunk_lines(rules) if self._ctx_by_key else []
         watched = self.watch
@@ -268,6 +269,7 @@ class LightV:
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
         self._served.clear()
+        self.dram.walk_memo.forget()
         watched = self.watch
         stale_lines = set(self._chunk_lines([rule]))
         self._reindex_rules()
@@ -451,6 +453,7 @@ class LightV:
                             f"capture line {line:#x} lies in a page table"
                             f" of asid {space.asid}"
                         )
+        self.dram.walk_memo.forget()
         self.captures.update(pairs)
         self._mirror.update(pairs)
 

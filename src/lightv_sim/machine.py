@@ -11,6 +11,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Optional
 
 from . import addressing
@@ -25,7 +26,7 @@ from .coherence import (
     LatencyConfig,
 )
 from .lightv import LightV, WatermarkWindow, WM_SPAN_FRAMES
-from .mmu import Mmu, Tlb
+from .mmu import Mmu, Tlb, WalkMemo
 
 _LINE_MASK = LINE_BYTES - 1
 _PAGE_MASK = PAGE_SIZE - 1
@@ -37,6 +38,9 @@ FAULT_RECORD = "record"
 
 # Cache.__init__ builds every set up front, so a config may not ask for more.
 MAX_CACHE_SETS = 1 << 16
+# Set-up holds one mapping per page, so an address space may map no more
+# pages than this (4 GiB; the paper-scale histogram maps 13,580).
+MAX_MAPPED_PAGES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -92,6 +96,11 @@ class Dram:
         self._lines = {}
         self.reads = 0
         self.writes = 0
+        # The walks `Mmu.hardware_walk` replays; writing a line one of them
+        # read drops them all.
+        self.walk_memo = WalkMemo()
+        # While a walk is recorded, the list each line read is appended to.
+        self.read_log = None
 
     def contains(self, addr: int, n: int = 1) -> bool:
         """Whether the `n` bytes from `addr` all lie in the aperture."""
@@ -108,6 +117,8 @@ class Dram:
         if not (self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size):
             raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         self.reads += 1
+        if self.read_log is not None:
+            self.read_log.append(line_addr)
         return self._lines.get(line_addr, _ZERO_LINE)
 
     def write_line(self, line_addr: int, payload):
@@ -115,6 +126,8 @@ class Dram:
         if len(payload) != LINE_BYTES:
             raise ValueError("line payload must be 64 bytes")
         self.writes += 1
+        if line_addr in self.walk_memo.lines:
+            self.walk_memo.forget()
         self._lines[line_addr] = bytearray(payload)
 
     def read_qword(self, addr: int) -> int:
@@ -128,6 +141,8 @@ class Dram:
     def write_qword(self, addr: int, value: int):
         self._check(addr, 8)
         line_addr = addr & ~_LINE_MASK
+        if line_addr in self.walk_memo.lines:
+            self.walk_memo.forget()
         line = self._lines.get(line_addr)
         if line is None:
             line = self._lines[line_addr] = bytearray(LINE_BYTES)
@@ -137,15 +152,18 @@ class Dram:
     def read_bytes(self, addr: int, n: int) -> bytes:
         self._check(addr, n)
         first = addr & ~_LINE_MASK
-        get = self._lines.get
-        data = b"".join(get(a, _ZERO_LINE) for a in range(first, addr + n, LINE_BYTES))
+        lines = range(first, addr + n, LINE_BYTES)
+        data = b"".join(map(self._lines.get, lines, repeat(_ZERO_LINE)))
         return data[addr - first : addr - first + n]
 
     def write_bytes(self, addr: int, data: bytes):
         self._check(addr, len(data))
         end = addr + len(data)
+        spanned = range(addr & ~_LINE_MASK, end, LINE_BYTES)
+        if not self.walk_memo.lines.isdisjoint(spanned):
+            self.walk_memo.forget()
         lines = self._lines
-        for line_addr in range(addr & ~_LINE_MASK, end, LINE_BYTES):
+        for line_addr in spanned:
             line = lines.get(line_addr)
             if line is None:
                 line = lines[line_addr] = bytearray(LINE_BYTES)
@@ -477,6 +495,7 @@ class Machine:
             self.cache,
             self.tlb,
             self.spaces,
+            lightv=self.lightv,
             cache_ptes=config.cache_ptes,
             debug_tlb_check=config.debug_tlb_check,
             # Neither refers back to the machine, so dropping the last
@@ -495,14 +514,20 @@ class Machine:
         The tables take one frame for the level-0 table and one per
         distinct level-0 and level-1 prefix, which the bump allocator hands
         out as one run from `next_pfn`.  Before the first is taken, the
-        asid must be new, the run must fit in the aperture, no line of an
-        open capture window may lie in it, and every mapping must be valid
-        (`build_tables` checks them all first): a call that raises leaves
-        the machine as it found it.
+        asid must be new, there may be at most `MAX_MAPPED_PAGES` mappings,
+        the run must fit in the aperture, no line of an open capture window
+        may lie in it, and every mapping must be valid (`build_tables`
+        checks them all first): a call that raises leaves the machine as it
+        found it.
         """
         if asid in self.spaces:
             raise addressing.MappingError(f"asid {asid} is already registered")
         mappings = list(mappings)
+        if len(mappings) > MAX_MAPPED_PAGES:
+            raise addressing.MappingError(
+                f"{len(mappings)} mappings, more than the {MAX_MAPPED_PAGES} pages"
+                " one address space may map"
+            )
         prefixes = {va >> 21 for va, _, _ in mappings}  # (index0, index1) of each page
         count = 1 + len({prefix >> 9 for prefix in prefixes}) + len(prefixes)
         tables = range(self.allocator.next_pfn, self.allocator.next_pfn + count)

@@ -5,16 +5,67 @@ the 64-byte line holding the descriptor, which is what makes walks visible
 to snooping agents, and decodes each descriptor's present bit, frame and
 attributes inline.  Whether those lines are allowed to allocate into the
 PE cache is a configuration switch (`cache_ptes`).
+
+A walk whose inputs have not changed is replayed from a memo instead of
+walked again.  A stored walk, keyed by (asid, page), holds the frame and
+attributes it returned, its three fabric line addresses and its simulated
+effects: clock cycles, `walk_reads` and `walk_misses` (3 each),
+`snoops_issued`, `snoops_acked`, DRAM line reads and LightV's
+`lines_manipulated`.  A replay adds those effects and returns the frame and
+attributes without a fabric transaction.  The memo is exact where it acts:
+  * only a non-allocating walk (`cache_ptes` off) on a fabric with no agent
+    or only the machine's own LightV is stored (a foreign agent's answers
+    cannot be known), and only one that completed with no walk hit, no
+    context loss and no capture serve; a fault or a FabricGap stores nothing;
+  * a replay needs its three fabric lines still absent from the PE cache
+    (three set lookups, no LRU move), so any fill, whoever made it, makes
+    the walk run for real;
+  * `Dram` holds the memo (`WalkMemo`) with every line a stored walk read
+    (the fabric's lines and the real lines LightV built a served chunk
+    from); a DRAM write to one of them, a LightV rule change (`activate`, `deactivate`)
+    and a new capture window (`begin_page_capture`) drop the whole memo.
+    Releasing or closing a window only uncaptures lines, and no stored walk
+    read a captured line, so neither needs to;
+  * it holds at most `WALK_MEMO_ENTRIES` walks and is dropped whole when a
+    new walk would pass that bound.
+Latencies and `cache_ptes` are fixed for a machine's life, so a walk's
+cycles are too.
 """
 
 from collections import OrderedDict
 
 from .addressing import ATTR_MASK, PAGE_SHIFT, PFN_BITS, PTE_BYTES, PTE_PRESENT, VA_BITS
 from .addressing import TranslationFault
+from .coherence import LINE_SHIFT
+
+# The most walks the memo holds (each about 0.3 KB with its share of paths and lines).
+WALK_MEMO_ENTRIES = 1 << 14
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 # A descriptor's frame-number field in place: the base of the next table.
 _FRAME_BITS = ((1 << PFN_BITS) - 1) << PAGE_SHIFT
+_LINE_BASE = ~((1 << LINE_SHIFT) - 1)
+
+
+class WalkMemo:
+    """The walks `Mmu.hardware_walk` replays and the DRAM lines they read.
+
+    `walks` maps (asid, page) to (frame, attrs, path): `path` is the walk's
+    three fabric lines and its effects (see `Mmu._effects`), and the walks
+    through one leaf line share one path object, kept in `paths`.  `lines`
+    holds every line a stored walk read.  `forget` empties all three in
+    place.
+    """
+
+    __slots__ = ("walks", "paths", "lines")
+
+    def __init__(self):
+        self.walks, self.paths, self.lines = {}, {}, set()
+
+    def forget(self):
+        self.walks.clear()
+        self.paths.clear()
+        self.lines.clear()
 
 
 class Tlb:
@@ -63,11 +114,18 @@ class Mmu:
         tlb: Tlb,
         spaces: dict,
         expected_translation,
+        lightv=None,
         cache_ptes: bool = False,
         debug_tlb_check: bool = False,
     ):
         self.cci = cci
         self.cache = cache
+        self.lightv = lightv
+        # The only fabric agents under which a walk may be stored.
+        self._own_agents = [] if lightv is None else [lightv.handle_snoop]
+        self._memo = cci.dram.walk_memo
+        self._walks = self._memo.walks
+        self._sets, self._set_mask = cache._sets, cache._set_mask
         self.tlb = tlb
         self.spaces = spaces
         self.cache_ptes = cache_ptes
@@ -105,23 +163,83 @@ class Mmu:
             )
 
     def hardware_walk(self, asid: int, va: int):
-        """Walk the tables level by level via coherent reads.
+        """Walk the tables level by level via coherent reads, or replay a
+        stored walk of the same page (see the module docstring).
 
         Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
         first non-present level and its descriptor address.
         """
+        page = va >> PAGE_SHIFT
+        cci = self.cci
+        stored = self._walks.get((asid, page))
+        if stored is not None:
+            frame, attrs, path = stored
+            l0, l1, l2, cycles, snoops, acks, reads, served = path
+            sets, set_mask = self._sets, self._set_mask
+            if (
+                l0 not in sets[(l0 >> LINE_SHIFT) & set_mask]
+                and l1 not in sets[(l1 >> LINE_SHIFT) & set_mask]
+                and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
+            ):
+                cci.clock.now += cycles
+                c = cci.counters
+                c.walk_reads += 3
+                c.walk_misses += 3
+                c.snoops_issued += snoops
+                c.snoops_acked += acks
+                cci.dram.reads += reads
+                if served:
+                    self.lightv.lines_manipulated += served
+                return frame, attrs
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
-        walk_read, cache, allocate = self.cci.walk_read, self.cache, self.cache_ptes
+        cache, dram, allocate = self.cache, cci.dram, self.cache_ptes
+        record = not allocate and cci.agents == self._own_agents
+        if record:
+            before = self._effects()
+            dram.read_log = read = []
+        walk_read = cci.walk_read
         base = space.pgd_base
-        for level, index in enumerate(self._walk_indices(va)):
-            pte_addr = base + index * PTE_BYTES
-            raw = walk_read(cache, pte_addr, allocate)
-            if not raw & PTE_PRESENT:
-                raise TranslationFault(level, pte_addr)
-            base = raw & _FRAME_BITS
-        return base >> PAGE_SHIFT, raw & ATTR_MASK
+        lines = []
+        try:
+            for level, index in enumerate(self._walk_indices(va)):
+                pte_addr = base + index * PTE_BYTES
+                lines.append(pte_addr & _LINE_BASE)
+                raw = walk_read(cache, pte_addr, allocate)
+                if not raw & PTE_PRESENT:
+                    raise TranslationFault(level, pte_addr)
+                base = raw & _FRAME_BITS
+        finally:
+            dram.read_log = None
+        frame, attrs = base >> PAGE_SHIFT, raw & ATTR_MASK
+        if record:
+            after = self._effects()
+            # No walk hit, context loss or capture serve: the walk read
+            # nothing but the lines the memo now watches.
+            if after[5:] == before[5:]:
+                memo = self._memo
+                if len(memo.walks) >= WALK_MEMO_ENTRIES:
+                    memo.forget()
+                path = (*lines, *(now - then for then, now in zip(before[:5], after[:5])))
+                memo.walks[asid, page] = frame, attrs, memo.paths.setdefault(path, path)
+                memo.lines.update(read)
+        return frame, attrs
+
+    def _effects(self):
+        """The totals a walk may move: the five a replay adds (cycles,
+        snoops issued and acked, DRAM reads, lines manipulated), then the
+        three a stored walk leaves as they were (walk hits, context losses,
+        capture serves)."""
+        cci, lightv = self.cci, self.lightv
+        c = cci.counters
+        agent = (0, 0, 0) if lightv is None else (
+            lightv.lines_manipulated, lightv.context_lost, lightv.data_captures
+        )
+        return (
+            cci.clock.now, c.snoops_issued, c.snoops_acked, cci.dram.reads, agent[0],
+            c.walk_hits, agent[1], agent[2],
+        )
 
     def access(self, asid: int, va: int, write: bool = False, value=None):
         """One data access: returns the byte read, or stores `value`.

@@ -25,6 +25,7 @@ from .coherence import LINE_BYTES
 from .lightv import IsolationError, RewriteRule
 from .machine import (
     FAULT_RECORD,
+    MAX_MAPPED_PAGES,
     Machine,
     MachineConfig,
     compare_runs,
@@ -148,6 +149,12 @@ class HistogramWorkload:
             for lo_b, hi_b in regions[i + 1 :]:
                 if lo_a < hi_b and lo_b < hi_a:
                     raise ValueError("workload regions overlap")
+        pages = self.image_pages + 1 + self.code_pages
+        if pages > MAX_MAPPED_PAGES:
+            raise ValueError(
+                f"histogram maps {pages} pages, more than the {MAX_MAPPED_PAGES}"
+                " one address space may map"
+            )
 
     @property
     def image_pages(self) -> int:

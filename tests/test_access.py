@@ -7,7 +7,8 @@ else to the walker and the fabric.  The reference below drives the layers
 one call at a time (`translate`, then `read_byte`/`write_byte`), and every
 simulated result must come out identical -- including the clock and the
 counters each fabric miss sees while the loop runs, and the LRU order of
-the TLB and of every cache set.
+the TLB and of every cache set.  The walk memo of `Mmu.hardware_walk` is
+checked the same way, against a twin machine whose memo is always empty.
 """
 
 import hashlib
@@ -18,12 +19,17 @@ import pytest
 from lightv_sim.addressing import (
     ATTR_CACHEABLE,
     ATTR_WRITABLE,
+    PAGE_SHIFT,
+    PFN_BITS,
+    PTE_PRESENT,
     TranslationFault,
+    encode_pte,
     reference_walk,
 )
-from lightv_sim.coherence import LINE_BYTES, CacheState
-from lightv_sim.lightv import RewriteRule
+from lightv_sim.coherence import LINE_BYTES, CacheState, FabricGap
+from lightv_sim.lightv import RewriteRule, RuleError
 from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
+from lightv_sim.mmu import WALK_MEMO_ENTRIES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -520,3 +526,196 @@ MISS_PATH_GOLDENS = {
 def test_miss_path_matches_recorded_goldens():
     got = {case: miss_path_digest(m, seed) for case, m, seed in miss_path_cases()}
     assert got == MISS_PATH_GOLDENS
+
+
+# -- the walk memo of `Mmu.hardware_walk` ------------------------------------
+
+TABLE_VA = 11 << 30  # asid 1's page over asid 0's leaf table of PLAIN_VAS[:6]
+_FRAME_FIELD = ((1 << PFN_BITS) - 1) << PAGE_SHIFT
+
+
+def descriptor(m, va, level):
+    """Address of the level-`level` descriptor a walk of asid 0's `va`
+    reads, by the entries DRAM holds now (present or not)."""
+    base = m.spaces[0].pgd_base
+    for lvl, shift in enumerate((30, 21, PAGE_SHIFT)):
+        addr = base + ((va >> shift) & 0x1FF) * 8
+        if lvl == level:
+            return addr
+        base = m.dram.read_qword(addr) & _FRAME_FIELD
+
+
+def build_memo_machine(mode, cache_ptes):
+    """A machine on which every input of a walk can change: asid 0 maps
+    PLAIN_VAS and RULE_VA; asid 1 maps TABLE_VA over asid 0's leaf table,
+    so data accesses fill and dirty a walked line; `copy` is a data frame
+    holding that leaf table with PLAIN_VAS[1] mapped elsewhere, for moving
+    the level-1 entry to and back and for capture windows (it is no table
+    frame, so a window may cover it); `src` is a capture source holding the
+    table's first line with PLAIN_VAS[0] mapped elsewhere."""
+    m = Machine(
+        MachineConfig(
+            mode=mode, cache_sets=4, cache_ways=2, tlb_entries=0, cache_ptes=cache_ptes
+        )
+    )
+    alloc = m.allocator.alloc
+    m.register_space(0, [(va, alloc(), RW) for va in PLAIN_VAS + [RULE_VA]])
+    leaf_table = descriptor(m, PLAIN_VAS[0], 2) & ~0xFFF
+    m.register_space(1, [(TABLE_VA, leaf_table >> PAGE_SHIFT, RW)])
+    m.copy, m.src, m.elsewhere = alloc() << PAGE_SHIFT, alloc() << PAGE_SHIFT, alloc()
+    m.tables = (leaf_table, m.copy)
+    m.dram.write_bytes(m.copy, m.dram.read_bytes(leaf_table, 4096))
+    m.dram.write_qword(m.copy + 8, encode_pte(True, m.elsewhere, RW))
+    m.dram.write_bytes(m.src, m.dram.read_bytes(leaf_table, 64))
+    m.dram.write_qword(m.src, encode_pte(True, m.elsewhere, RW))
+    m.rules = [
+        RewriteRule(1, 0, RULE_VA, RULE_VA + 4096, alloc()),
+        RewriteRule(2, 0, PLAIN_VAS[0], PLAIN_VAS[6], m.allocator.alloc_run(6).start),
+    ]
+    return m
+
+
+def random_memo_ops(rng, mode, n):
+    """About `n` operations: mostly accesses, then every kind of change to
+    a walk's inputs that the machine's mode allows.  A table edit is a
+    toggle between accesses that favour the page it edits, undone after a
+    few of them, so the tables stay close to their mapped state; moves,
+    rule changes and capture windows persist."""
+    kinds = ["access"] * 12 + ["flip", "flip", "move", "rewrite", "poke", "poke"]
+    if mode != "absent":
+        kinds += ["capture", "release", "close"]
+    if mode == "active":
+        kinds += ["rule", "rule"]
+    pages = PLAIN_VAS + [RULE_VA]
+
+    def access(page=None):
+        if page is None or rng.random() < 0.5:
+            page = rng.choice(pages + [UNMAPPED_VA])
+        value = rng.randrange(256) if rng.random() < 0.3 else None
+        return "access", page + rng.randrange(4096), value
+
+    for _ in range(n):
+        kind = rng.choice(kinds)
+        if kind == "access":
+            yield access()
+        elif kind in ("flip", "rewrite", "poke"):
+            # flip edits any page's walk; rewrite and poke one of PLAIN_VAS[:6]
+            edit = (kind, rng.randrange(8 if kind == "flip" else 6), rng.randrange(3))
+            yield access(pages[edit[1]])
+            yield edit
+            for _ in range(rng.randrange(4)):
+                yield access(pages[edit[1]])
+            yield edit
+        elif kind == "rule":
+            yield kind, rng.randrange(2), None
+        else:
+            yield kind, None, None
+
+
+def apply_memo_op(m, op):
+    """Run one operation; returns what it returned or raised."""
+    kind, arg, extra = op
+    try:
+        if kind == "access":
+            return m.mmu.access(0, arg, extra is not None, extra)
+        if kind == "flip":  # the present bit of one level's descriptor
+            addr = descriptor(m, (PLAIN_VAS + [RULE_VA])[arg], extra)
+            m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
+        elif kind == "move":  # the level-1 entry over PLAIN_VAS[:6], to `copy` and back
+            addr = descriptor(m, PLAIN_VAS[0], 1)
+            raw = m.dram.read_qword(addr)
+            now = raw & _FRAME_FIELD
+            other = m.tables[1] if now == m.tables[0] else m.tables[0]
+            m.dram.write_qword(addr, raw & ~_FRAME_FIELD | other)
+        elif kind == "rewrite":  # one leaf entry of `copy`, through write_bytes
+            addr = m.copy + arg * 8
+            m.dram.write_bytes(addr, (m.dram.read_qword(addr) ^ PTE_PRESENT).to_bytes(8, "little"))
+        elif kind == "poke":  # one leaf entry's present bit, through the PE cache
+            va = TABLE_VA + arg * 8
+            m.mmu.access(1, va, True, m.mmu.access(1, va) ^ PTE_PRESENT)
+            if extra == 0:  # and written back at once
+                m.invalidate_page_lines(m.tables[0])
+        elif kind == "rule":
+            rule = m.rules[arg]
+            if rule.rule_id in m.lightv.rules:
+                m.deactivate_rule(rule.rule_id)
+            else:
+                m.activate_rules([rule], strict=False)
+        elif kind == "capture":
+            m.lightv.begin_page_capture({m.copy: m.src})
+        elif kind == "release":
+            m.lightv.release_captured([m.copy])
+        else:
+            m.lightv.end_page_capture()
+    except (TranslationFault, FabricGap, RuleError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cache_ptes", [False, True])
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_walk_memo_matches_walks_with_no_memo(mode, cache_ptes):
+    """A machine against a twin whose memo is emptied before every step,
+    compared after every step.  The twin registers no agent: a foreign
+    agent would turn the memo off on both."""
+    memo, twin = build_memo_machine(mode, cache_ptes), build_memo_machine(mode, cache_ptes)
+    walk_reads = {}
+    for m in (memo, twin):
+        real = m.cci.walk_read
+        walk_reads[m] = calls = []
+        m.cci.walk_read = lambda *args, real=real, calls=calls: calls.append(1) or real(*args)
+    rng = random.Random(f"{mode}-{cache_ptes}")
+    for step, op in enumerate(random_memo_ops(rng, mode, 1500)):
+        twin.dram.walk_memo.forget()
+        got, want = apply_memo_op(memo, op), apply_memo_op(twin, op)
+        assert got == want, (step, op)
+        assert simulated_state(memo) == simulated_state(twin), (step, op)
+        assert cache_lru(memo) == cache_lru(twin), (step, op)
+    # the memo replayed walks unless PTE caching turned it off
+    replayed = len(walk_reads[twin]) - len(walk_reads[memo])
+    assert (replayed > 0) != cache_ptes and replayed >= 0
+    assert memo.counters.walk_hits and memo.counters.writebacks
+
+
+def test_walk_memo_never_passes_its_bound():
+    m = Machine(MachineConfig(tlb_entries=0))
+    pages = [(1 << 30) + k * 4096 for k in range(WALK_MEMO_ENTRIES + 100)]
+    m.register_space(0, [(va, 0x9_0000 + k, RW) for k, va in enumerate(pages)])
+    sizes = set()
+    for va in pages:
+        m.mmu.access(0, va)
+        sizes.add(len(m.dram.walk_memo.walks))
+    assert max(sizes) == WALK_MEMO_ENTRIES and len(m.dram.walk_memo.walks) == 100
+    assert m.counters.walk_reads == 3 * len(pages)
+
+
+# (snoops, SHA-256 of `spy_on_misses`'s log) per machine, recorded before
+# walks had a memo.
+FOREIGN_AGENT_LOGS = {
+    "absent": (4514, "a8c72545ba1d59974089e86b980e4a6620d3ea54113d69ed649d3c6e9589afbf"),
+    "passive": (4514, "a8c72545ba1d59974089e86b980e4a6620d3ea54113d69ed649d3c6e9589afbf"),
+    "active": (2192, "c436e7e6a7129745278aec0ab84ffb314be8efa11c5a80f55321ced0045776ac"),
+}
+
+
+@pytest.mark.parametrize("mode", list(FOREIGN_AGENT_LOGS))
+def test_a_foreign_agent_sees_every_snoop(mode):
+    m = build(4, False, False) if mode == "active" else build_plain(mode, False)
+    log = spy_on_misses(m)
+    m.run_trace(random_trace(seed=5, n=2000))
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert (len(log), digest) == FOREIGN_AGENT_LOGS[mode]
+    assert not m.dram.walk_memo.walks
+
+
+def test_a_faulting_walk_faults_every_time():
+    m = build_plain("passive", False)
+    deltas = []
+    for _ in range(2):
+        before = m.tally()
+        with pytest.raises(TranslationFault) as fault:
+            m.mmu.translate(0, UNMAPPED_VA)
+        after = m.tally()
+        deltas.append(({k: after[k] - before[k] for k in after}, fault.value.level))
+    assert deltas[0] == deltas[1] and deltas[0][0]["walk_reads"] == 3
+    assert not m.dram.walk_memo.walks

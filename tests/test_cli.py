@@ -1,11 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from lightv_sim import cli, scenarios
-from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, reference_walk
+from lightv_sim import cli, machine, scenarios
+from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, MappingError, reference_walk
 from lightv_sim.machine import Machine, MachineConfig, format_access, iter_trace
 from lightv_sim.mmu import Mmu
 from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
@@ -470,6 +473,50 @@ def test_dram_too_small_is_a_config_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "error: no free frames left in the DRAM aperture\n"
     assert captured.out == ""
+
+
+# Runs `cli.main(argv)` with the address space capped, in the child only.
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from lightv_sim import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_histogram_past_the_page_cap_exits_before_set_up(tmp_path):
+    # An aperture of nearly 2^40 bytes fits the 13.6M image pages of
+    # --scale 1000, so only the page cap stops the mapping list.
+    config = tmp_path / "huge.json"
+    huge = {"dram_size": hex((1 << 40) - (1 << 31)), "watermark_base_pfn": "0x0"}
+    config.write_text(json.dumps(huge))
+    argv = ["run", "--scenario", "histogram", "--scale", "1000", "--config", str(config)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, *argv],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    image = scenarios.HistogramWorkload(image_bytes=int(scenarios.DEFAULT_IMAGE_BYTES * 1000))
+    pages = image.image_pages + 1 + image.code_pages
+    assert (child.returncode, child.stdout) == (cli.EXIT_CONFIG, "")
+    assert child.stderr == (
+        f"error: histogram maps {pages} pages, more than the"
+        f" {machine.MAX_MAPPED_PAGES} one address space may map\n"
+    )
+
+
+def test_register_space_caps_its_mappings(monkeypatch):
+    monkeypatch.setattr(machine, "MAX_MAPPED_PAGES", 3)
+    m = Machine(MachineConfig())
+    before = (m.allocator.next_pfn, m.dram.content_digest())
+    mappings = [(k << PAGE_SHIFT, 0x9_0000 + k, 0) for k in range(4)]
+    with pytest.raises(MappingError, match="4 mappings, more than the 3 pages"):
+        m.register_space(0, mappings)
+    assert (m.spaces, m.allocator.next_pfn, m.dram.content_digest()) == ({}, *before)
+    m.register_space(0, mappings[:3])
 
 
 @pytest.mark.parametrize("mode", ["baseline", "passive"])

@@ -192,6 +192,30 @@ def test_dram_write_bytes_matches_per_byte_reference():
         assert (d.content_digest(), sorted(d._lines)) == (digest, lines)
 
 
+def test_dram_read_bytes_matches_per_byte_reference():
+    """`read_bytes` against one `read_qword` per byte, over unaligned starts
+    and lengths and over spans of written and unwritten lines."""
+    base, size = 0x8000_0000, 1 << 20
+    dram = Dram(base, size)
+    rng = random.Random(4)
+    for line in rng.sample(range(base, base + 0x4000, 64), 40):
+        dram.write_line(line, rng.randbytes(64))
+    dram.write_qword(base + 0x5008, 0x0102_0304_0506_0708)
+
+    def per_byte(addr, n):
+        qword = dram.read_qword
+        return bytes(qword(a & ~7) >> 8 * (a & 7) & 0xFF for a in range(addr, addr + n))
+
+    cases = [(base + 0x5000, 64), (base + 0x6001, 130), (base + size - 3, 3), (base + size, 0)]
+    cases += [(base + rng.randrange(0x5100), rng.randrange(600)) for _ in range(200)]
+    for addr, n in cases:
+        assert dram.read_bytes(addr, n) == per_byte(addr, n), (hex(addr), n)
+    assert dram.reads == 0
+    for addr, n in ((base + size - 10, 20), (base - 4, 8)):
+        with pytest.raises(ValueError, match="outside DRAM aperture"):
+            dram.read_bytes(addr, n)
+
+
 def test_dram_digest_tracks_content():
     dram = Dram(0x8000_0000, 1 << 20)
     d0 = dram.content_digest()

@@ -84,12 +84,13 @@ def test_histogram_layout_takes_its_data_frames_in_one_run():
 
 
 def test_an_oversized_histogram_fails_before_it_takes_a_frame(capsys):
+    # 678,716 pages: under MAX_MAPPED_PAGES, over the 2 GiB aperture
     m = Machine(MachineConfig())
     first = m.allocator.next_pfn
     with pytest.raises(AllocatorExhausted, match="no free frames left in the DRAM aperture"):
-        _layout_histogram(m, histogram_workload(scale=100))
+        _layout_histogram(m, histogram_workload(scale=50))
     assert m.allocator.next_pfn == first and not m.spaces
-    assert cli.main(["run", "--scenario", "histogram", "--scale", "100"]) == cli.EXIT_CONFIG
+    assert cli.main(["run", "--scenario", "histogram", "--scale", "50"]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: no free frames left in the DRAM aperture\n")
 
