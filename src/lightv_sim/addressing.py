@@ -9,6 +9,7 @@ against.
 """
 
 from dataclasses import dataclass
+from itertools import count
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -19,6 +20,9 @@ INDEX_BITS = 9
 LEVELS = 3
 ENTRIES_PER_TABLE = 1 << INDEX_BITS
 PTE_BYTES = 8
+# Set-up holds one mapping per page, so an address space may map no more
+# pages than this (4 GiB; the paper-scale histogram maps 13,580).
+MAX_MAPPED_PAGES = 1 << 20
 
 # Descriptor layout (simulator-defined beyond the present bit):
 #   bit 0        present
@@ -242,5 +246,14 @@ def _mapping(fields):
 def parse_mappings(lines):
     """The (va, pfn, attrs) of each line of a mapping list:
     `VA_hex PFN_hex [attr_flags]` (see `read_records`).  Each is checked
-    as `build_tables` checks it, so a bad field names its line."""
-    return list(read_records(lines, "VA PFN [flags]", MappingError, _mapping))
+    as `build_tables` checks it, so a bad field names its line.  The
+    mapping past `MAX_MAPPED_PAGES` fails the same way, before a later
+    line is read, so a file past the cap costs no more than the cap."""
+    seen = count(1)
+
+    def mapping(fields):
+        if next(seen) > MAX_MAPPED_PAGES:
+            raise ValueError(f"more than the {MAX_MAPPED_PAGES} pages one address space may map")
+        return _mapping(fields)
+
+    return list(read_records(lines, "VA PFN [flags]", MappingError, mapping))

@@ -16,7 +16,9 @@ Exit codes (stable contract); `main` alone turns an exception into one:
      unwritable --out or --export-trace, a mapping to a frame nothing
      backs, too few DRAM frames, rules that overflow the context cache,
      or a --scale that is not finite and > 0 or gives an empty histogram
-     image or one of more than `machine.MAX_MAPPED_PAGES` pages
+     image or one of more than `machine.MAX_MAPPED_PAGES` pages, or a
+     mapping file with more mappings than that (named at the first
+     line past the cap, where the read stops)
   4  a trace access faulted under the abort policy
   5  a scenario's own assertions failed (its `ok` verdict alone decides)
 

@@ -8,11 +8,15 @@ the interconnect polls the agents in registration order; the first ACK
 supplies the line, otherwise the line comes from DRAM.  `_fetch` is the one
 place that polls the agents, checks an ACK (a full-line payload, serve
 cycles >= 0) before counting it, and charges a miss.  Two transactions
-share it: the data transaction (`read_byte`/`write_byte`) fills the line
-into the cache; the walk transaction (`walk_read`) reads one descriptor,
-and unless it allocates (`cache_ptes`) it decodes the descriptor straight
-from the ACK payload or the DRAM line and never builds a line.  Each
-counts its hit or miss only once it has the line.
+share it.  The data transaction (`read_byte`/`write_byte`, both through
+`_ensure_line`) runs in one body: the set lookup and LRU move, then on a
+miss the fetch, the fill, the eviction and the writeback of an evicted
+Modified line, with no call into `Cache`.  The walk transaction
+(`walk_read`) returns the line holding one descriptor for the walker to
+decode, through `Cache.probe` and, when it allocates (`cache_ptes`),
+`Cache.fill`; a non-allocating one returns the ACK payload or the DRAM
+line itself and never builds a line.  Each counts its hit or miss only
+once it has the line.
 
 Cycle model (flat per-event costs from LatencyConfig), charged to the
 shared clock, which is the single accounting point:
@@ -38,6 +42,11 @@ class CacheState(Enum):
     MODIFIED = "M"
     EXCLUSIVE = "E"
     SHARED = "S"
+
+
+# Module names for the states the miss path sets and tests: a member read
+# through the Enum class costs about ten times a global read.
+_MODIFIED, _EXCLUSIVE, _SHARED = CacheState.MODIFIED, CacheState.EXCLUSIVE, CacheState.SHARED
 
 
 class FabricGap(RuntimeError):
@@ -129,22 +138,15 @@ class Cache:
         return line
 
     def fill(self, line_addr: int, payload: bytearray, state: CacheState):
-        """Install (or refresh) a line; returns (the installed line, the
-        evicted line or None)."""
+        """Install a line the cache does not hold, evicting the set's least
+        recently used line when the set is full; returns the evicted line
+        or None."""
         if len(payload) != LINE_BYTES:
             raise ValueError("payload must be one full line")
         s = self._set_for(line_addr)
-        existing = s.get(line_addr)
-        if existing is not None:
-            existing.payload = payload
-            existing.state = state
-            s.move_to_end(line_addr)
-            return existing, None
-        evicted = None
-        if len(s) >= self.ways:
-            _, evicted = s.popitem(last=False)
-        line = s[line_addr] = CacheLine(line_addr, state, payload)
-        return line, evicted
+        evicted = s.popitem(last=False)[1] if len(s) >= self.ways else None
+        s[line_addr] = CacheLine(line_addr, state, payload)
+        return evicted
 
     def drop(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line without any writeback; returns it if present."""
@@ -207,37 +209,48 @@ class CoherentInterconnect:
                         raise ValueError("serve cycles must be >= 0")
                     c.snoops_acked += 1
                     self.clock.now += lat.cci + lat.snoop + serve_cycles
-                    return payload, CacheState.SHARED if shared else CacheState.EXCLUSIVE
+                    return payload, _SHARED if shared else _EXCLUSIVE
         try:
             payload = self.dram.read_line(line_addr)
         except ValueError:  # outside the aperture: nothing backs the line
             raise FabricGap(line_addr) from None
         self.clock.now += lat.cci + lat.dram
-        return payload, CacheState.EXCLUSIVE
-
-    def _fill(self, cache, line_addr: int, payload, state) -> CacheLine:
-        """Install a copy of `payload`, writing back an evicted Modified line."""
-        line, evicted = cache.fill(line_addr, bytearray(payload), state)
-        if evicted is not None and evicted.state is CacheState.MODIFIED:
-            self._writeback(evicted)
-        return line
+        return payload, _EXCLUSIVE
 
     def _ensure_line(self, cache, line_addr: int, unique: bool) -> CacheLine:
         """The data transaction: resolve a line into the requester's cache,
         as an owner (`unique`, a write) or as a sharer.
 
-        `probe`'s answer holds for the whole transaction: no agent touches
-        the requester's cache while it serves a snoop.
+        One body does what `Cache.probe` and `Cache.fill` do for an
+        allocating walk read: the set lookup and LRU move, then on a miss
+        `_fetch`, the fill (in place for a SHARED line a write upgrades),
+        the eviction of the set's least recently used line and the
+        writeback of an evicted Modified one.  The lookup's answer and the
+        LRU move hold for the whole transaction: no agent touches the
+        requester's cache while it serves a snoop.
         """
+        if line_addr & _LINE_MASK:
+            raise ValueError(f"address not line-aligned: {line_addr:#x}")
         self.started = True
-        line = cache.probe(line_addr)
-        if line is not None and not (unique and line.state is CacheState.SHARED):
-            self.counters.data_hits += 1
-            self.clock.now += self.lat.cache_hit
-            return line
+        ways = cache._sets[(line_addr >> LINE_SHIFT) & cache._set_mask]
+        line = ways.get(line_addr)
+        if line is not None:
+            ways.move_to_end(line_addr)
+            if not (unique and line.state is _SHARED):
+                self.counters.data_hits += 1
+                self.clock.now += self.lat.cache_hit
+                return line
         payload, state = self._fetch(line_addr, not unique)
         self.counters.data_misses += 1
-        return self._fill(cache, line_addr, payload, state)
+        if line is not None:
+            line.payload = bytearray(payload)
+            line.state = state
+            return line
+        evicted = ways.popitem(last=False)[1] if len(ways) >= cache.ways else None
+        line = ways[line_addr] = CacheLine(line_addr, state, bytearray(payload))
+        if evicted is not None and evicted.state is _MODIFIED:
+            self._writeback(evicted)
+        return line
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)
@@ -254,15 +267,16 @@ class CoherentInterconnect:
     def write_byte(self, cache, addr: int, value: int):
         line = self._ensure_line(cache, addr & ~_LINE_MASK, True)
         line.payload[addr & _LINE_MASK] = value & 0xFF
-        line.state = CacheState.MODIFIED
+        line.state = _MODIFIED
 
-    def walk_read(self, cache, pte_addr: int, allocate: bool = False) -> int:
-        """The walk transaction: the 8-byte descriptor at pte_addr.
+    def walk_read(self, cache, pte_addr: int, allocate: bool = False):
+        """The walk transaction: the 64-byte line holding the descriptor
+        at pte_addr, read shared; the caller decodes the descriptor and
+        must not mutate the line.
 
-        The containing 64-byte line is the coherence unit, read shared.
         `allocate=False` models a non-allocating table walker: a miss
-        decodes the descriptor straight from the ACK payload or the DRAM
-        line and leaves the requester's cache as it was.
+        returns the ACK payload or the DRAM line itself and leaves the
+        requester's cache as it was.
         """
         self.started = True
         line_addr = pte_addr & ~_LINE_MASK
@@ -276,20 +290,21 @@ class CoherentInterconnect:
             payload, state = self._fetch(line_addr, True)
             c.walk_misses += 1
             if allocate:
-                self._fill(cache, line_addr, payload, state)
+                evicted = cache.fill(line_addr, bytearray(payload), state)
+                if evicted is not None and evicted.state is _MODIFIED:
+                    self._writeback(evicted)
         c.walk_reads += 1
-        off = pte_addr & _LINE_MASK
-        return int.from_bytes(payload[off : off + 8], "little")
+        return payload
 
     def invalidate_line(self, cache, line_addr: int):
         """Drop a line from the cache, writing Modified data back first."""
         line = cache.drop(line_addr)
-        if line is not None and line.state is CacheState.MODIFIED:
+        if line is not None and line.state is _MODIFIED:
             self._writeback(line)
 
     def flush(self, cache):
         """Write back and drop every line (cache maintenance sweep)."""
         for line in list(cache.iter_lines()):
             cache.drop(line.tag)
-            if line.state is CacheState.MODIFIED:
+            if line.state is _MODIFIED:
                 self._writeback(line)

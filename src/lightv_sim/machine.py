@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Optional
 
 from . import addressing
-from .addressing import PAGE_SHIFT, PAGE_SIZE, TranslationFault, hex_field
+from .addressing import MAX_MAPPED_PAGES, PAGE_SHIFT, PAGE_SIZE, TranslationFault, hex_field
 from .coherence import (
     LINE_BYTES,
     LINE_SHIFT,
@@ -38,9 +38,6 @@ FAULT_RECORD = "record"
 
 # Cache.__init__ builds every set up front, so a config may not ask for more.
 MAX_CACHE_SETS = 1 << 16
-# Set-up holds one mapping per page, so an address space may map no more
-# pages than this (4 GiB; the paper-scale histogram maps 13,580).
-MAX_MAPPED_PAGES = 1 << 20
 
 
 class ConfigError(ValueError):

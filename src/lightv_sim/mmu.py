@@ -3,16 +3,22 @@
 The walker issues one walk transaction (`walk_read`) per table level for
 the 64-byte line holding the descriptor, which is what makes walks visible
 to snooping agents, and decodes each descriptor's present bit, frame and
-attributes inline.  Whether those lines are allowed to allocate into the
-PE cache is a configuration switch (`cache_ptes`).
+attributes from the line it returns.  Whether those lines are allowed to
+allocate into the PE cache is a configuration switch (`cache_ptes`).
 
 A walk whose inputs have not changed is replayed from a memo instead of
-walked again.  A stored walk, keyed by (asid, page), holds the frame and
-attributes it returned, its three fabric line addresses and its simulated
-effects: clock cycles, `walk_reads` and `walk_misses` (3 each),
-`snoops_issued`, `snoops_acked`, DRAM line reads and LightV's
-`lines_manipulated`.  A replay adds those effects and returns the frame and
-attributes without a fabric transaction.  The memo is exact where it acts:
+walked again.  The memo is keyed by (asid, leaf line), the leaf line being
+page >> 3: the eight pages whose leaf entries share one 64-byte line read
+the same three lines, with the same snoops, DRAM reads, LightV serves and
+cycles, and differ only in the entry they decode from the last line.  A
+stored walk holds its three fabric line addresses, its simulated effects
+(clock cycles, `walk_reads` and `walk_misses` (3 each), `snoops_issued`,
+`snoops_acked`, DRAM line reads and LightV's `lines_manipulated`) and the
+eight descriptors of the leaf line as served, as integers.  A replay adds
+those effects and decodes the frame and attributes of the page's
+descriptor without a fabric transaction; a page whose descriptor is not
+present walks for real, faults and stores nothing.  The memo is exact
+where it acts:
   * only a non-allocating walk (`cache_ptes` off) on a fabric with no agent
     or only the machine's own LightV is stored (a foreign agent's answers
     cannot be known), and only one that completed with no walk hit, no
@@ -26,22 +32,28 @@ attributes without a fabric transaction.  The memo is exact where it acts:
     and a new capture window (`begin_page_capture`) drop the whole memo.
     Releasing or closing a window only uncaptures lines, and no stored walk
     read a captured line, so neither needs to;
-  * it holds at most `WALK_MEMO_ENTRIES` walks and is dropped whole when a
-    new walk would pass that bound.
+  * it holds at most `WALK_MEMO_LINES` leaf lines and is dropped whole when
+    a new walk would pass that bound.
 Latencies and `cache_ptes` are fixed for a machine's life, so a walk's
 cycles are too.
 """
 
+import struct
 from collections import OrderedDict
 
 from .addressing import ATTR_MASK, PAGE_SHIFT, PFN_BITS, PTE_BYTES, PTE_PRESENT, VA_BITS
 from .addressing import TranslationFault
 from .coherence import LINE_SHIFT
 
-# The most walks the memo holds (each about 0.3 KB with its share of paths and lines).
-WALK_MEMO_ENTRIES = 1 << 14
+# The most leaf lines the memo holds.  Each takes at most about 0.83 KB with
+# its eight descriptors, path and lines: 3.4 MB at the bound, below the
+# 8.9 MB of 2^14 walks keyed by page, one per leaf line, at 540 B each.
+WALK_MEMO_LINES = 1 << 12
 
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
+# A line holds 8 entries: a page's leaf line is page >> 3, its slot page & 7.
+_LEAF_SHIFT, _LEAF_SLOT = 3, 7
+_LEAF_ENTRIES = struct.Struct("<8Q")
 # A descriptor's frame-number field in place: the base of the next table.
 _FRAME_BITS = ((1 << PFN_BITS) - 1) << PAGE_SHIFT
 _LINE_BASE = ~((1 << LINE_SHIFT) - 1)
@@ -50,21 +62,19 @@ _LINE_BASE = ~((1 << LINE_SHIFT) - 1)
 class WalkMemo:
     """The walks `Mmu.hardware_walk` replays and the DRAM lines they read.
 
-    `walks` maps (asid, page) to (frame, attrs, path): `path` is the walk's
-    three fabric lines and its effects (see `Mmu._effects`), and the walks
-    through one leaf line share one path object, kept in `paths`.  `lines`
-    holds every line a stored walk read.  `forget` empties all three in
-    place.
+    `walks` maps (asid, leaf line) to (entries, path): `entries` are the
+    leaf line's eight descriptors as served, and `path` is the walk's
+    three fabric lines and its effects (see `Mmu._effects`).  `lines` holds every line a stored walk read.
+    `forget` empties both in place.
     """
 
-    __slots__ = ("walks", "paths", "lines")
+    __slots__ = ("walks", "lines")
 
     def __init__(self):
-        self.walks, self.paths, self.lines = {}, {}, set()
+        self.walks, self.lines = {}, set()
 
     def forget(self):
         self.walks.clear()
-        self.paths.clear()
         self.lines.clear()
 
 
@@ -164,20 +174,21 @@ class Mmu:
 
     def hardware_walk(self, asid: int, va: int):
         """Walk the tables level by level via coherent reads, or replay a
-        stored walk of the same page (see the module docstring).
+        stored walk through the same leaf line (see the module docstring).
 
         Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
         first non-present level and its descriptor address.
         """
         page = va >> PAGE_SHIFT
         cci = self.cci
-        stored = self._walks.get((asid, page))
+        stored = self._walks.get((asid, page >> _LEAF_SHIFT))
         if stored is not None:
-            frame, attrs, path = stored
-            l0, l1, l2, cycles, snoops, acks, reads, served = path
+            entries, (l0, l1, l2, cycles, snoops, acks, reads, served) = stored
+            raw = entries[page & _LEAF_SLOT]
             sets, set_mask = self._sets, self._set_mask
             if (
-                l0 not in sets[(l0 >> LINE_SHIFT) & set_mask]
+                raw & PTE_PRESENT
+                and l0 not in sets[(l0 >> LINE_SHIFT) & set_mask]
                 and l1 not in sets[(l1 >> LINE_SHIFT) & set_mask]
                 and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
             ):
@@ -190,7 +201,7 @@ class Mmu:
                 cci.dram.reads += reads
                 if served:
                     self.lightv.lines_manipulated += served
-                return frame, attrs
+                return (raw & _FRAME_BITS) >> PAGE_SHIFT, raw & ATTR_MASK
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
@@ -205,26 +216,28 @@ class Mmu:
         try:
             for level, index in enumerate(self._walk_indices(va)):
                 pte_addr = base + index * PTE_BYTES
-                lines.append(pte_addr & _LINE_BASE)
-                raw = walk_read(cache, pte_addr, allocate)
+                line_addr = pte_addr & _LINE_BASE
+                lines.append(line_addr)
+                line = walk_read(cache, pte_addr, allocate)
+                off = pte_addr - line_addr
+                raw = int.from_bytes(line[off : off + PTE_BYTES], "little")
                 if not raw & PTE_PRESENT:
                     raise TranslationFault(level, pte_addr)
                 base = raw & _FRAME_BITS
         finally:
             dram.read_log = None
-        frame, attrs = base >> PAGE_SHIFT, raw & ATTR_MASK
         if record:
             after = self._effects()
             # No walk hit, context loss or capture serve: the walk read
             # nothing but the lines the memo now watches.
             if after[5:] == before[5:]:
                 memo = self._memo
-                if len(memo.walks) >= WALK_MEMO_ENTRIES:
+                if len(memo.walks) >= WALK_MEMO_LINES:
                     memo.forget()
                 path = (*lines, *(now - then for then, now in zip(before[:5], after[:5])))
-                memo.walks[asid, page] = frame, attrs, memo.paths.setdefault(path, path)
+                memo.walks[asid, page >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
                 memo.lines.update(read)
-        return frame, attrs
+        return base >> PAGE_SHIFT, raw & ATTR_MASK
 
     def _effects(self):
         """The totals a walk may move: the five a replay adds (cycles,

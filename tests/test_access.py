@@ -29,7 +29,7 @@ from lightv_sim.addressing import (
 from lightv_sim.coherence import LINE_BYTES, CacheState, FabricGap
 from lightv_sim.lightv import RewriteRule, RuleError
 from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
-from lightv_sim.mmu import WALK_MEMO_ENTRIES
+from lightv_sim.mmu import WALK_MEMO_LINES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -124,16 +124,20 @@ def run_layered(m, trace):
     return values, faults
 
 
-def run_access(m, trace):
+def run_access(m, trace, after=None):
+    """`Mmu.access` one access at a time; `after()`, if given, runs after
+    each access, faulting or not."""
     values, faults = [], []
     for index, (asid, op, va, value) in enumerate(trace):
         try:
             got = m.mmu.access(asid, va, op == "W", value)
         except TranslationFault as fault:
             faults.append((index, fault.level, fault.pte_address))
-            continue
-        if op == "R":
-            values.append(got)
+        else:
+            if op == "R":
+                values.append(got)
+        if after is not None:
+            after()
     return values, faults
 
 
@@ -455,13 +459,20 @@ def miss_path_cases():
 
 
 def miss_path_digest(m, seed):
-    """Two digests of the run: one of the values read, the faults and
-    `simulated_state`, and one of each cache set's LRU order."""
+    """Three digests of the run: one of the values read, the faults and
+    `simulated_state`, one of each cache set's final LRU order, and one of
+    each set's LRU order after every access."""
     first, upgrade = (0, "R", CAPTURE_VA + 5, None), (0, "W", CAPTURE_VA + 5, 0xA5)
-    result = run_access(m, [first, upgrade] + random_trace(seed))
+    orders = hashlib.sha256()
+    result = run_access(
+        m,
+        [first, upgrade] + random_trace(seed),
+        after=lambda: orders.update(repr(cache_lru(m)).encode()),
+    )
     return (
         hashlib.sha256(repr((result, simulated_state(m))).encode()).hexdigest(),
         hashlib.sha256(repr(cache_lru(m)).encode()).hexdigest(),
+        orders.hexdigest(),
     )
 
 
@@ -470,55 +481,68 @@ def miss_path_digest(m, seed):
 # keep every value read, fault, cycle, counter, cache line and TLB entry.
 # The second, recorded with the two-line replay memo in place, pins the
 # LRU order of every cache set, which `simulated_state`'s sorted cache
-# snapshot does not.
+# snapshot does not.  The third, recorded before the data transaction ran
+# in one body, pins every set's LRU order after each access of the run.
 MISS_PATH_GOLDENS = {
     "active-0-False-False": (
         "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
         "22fab93eab232fd00d0fedbc8ce2e96d2d5bd0cc60c7f7e4ef04fa56c694ceae",
+        "7f522ab9cbaee44558959b4ae5dc7f51c2a3ed09c2414245c98830178c50c368",
     ),
     "active-0-False-True": (
         "6899c962c78d54e0de6b63e28c36b4d6d759a24b350bc35130d2de584ac2aa73",
         "22fab93eab232fd00d0fedbc8ce2e96d2d5bd0cc60c7f7e4ef04fa56c694ceae",
+        "7f522ab9cbaee44558959b4ae5dc7f51c2a3ed09c2414245c98830178c50c368",
     ),
     "active-0-True-False": (
         "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
         "37a2f9f88f84bed88e4295b196b760376650ffb4c211fabe090f37898ed8f6e4",
+        "703aa34c0ff0fafe4fb9bfe91320d9ec8ff0175695d8d6665cc88e9e01275ccd",
     ),
     "active-0-True-True": (
         "cc100d79b276fafb405fb4c44e825991c786a2849a12927fd81928aa76c60d7a",
         "37a2f9f88f84bed88e4295b196b760376650ffb4c211fabe090f37898ed8f6e4",
+        "703aa34c0ff0fafe4fb9bfe91320d9ec8ff0175695d8d6665cc88e9e01275ccd",
     ),
     "active-4-False-False": (
         "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
         "6e56997ed084c889aea431f1f0f87b7a9d9986b234c46020a945d21cfe9a8034",
+        "cc1dc2d4de837e363ff5567c359b5bd40ebb3f180108d34a3794c050a9d93442",
     ),
     "active-4-False-True": (
         "e23347e86792eb11fcc87c6365550689508b496b773b3cab794394015fcf4799",
         "6e56997ed084c889aea431f1f0f87b7a9d9986b234c46020a945d21cfe9a8034",
+        "cc1dc2d4de837e363ff5567c359b5bd40ebb3f180108d34a3794c050a9d93442",
     ),
     "active-4-True-False": (
         "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
         "7dc444a70165edd1959716135d8586ec45f07ba4006a0fb2809eea8a475a8587",
+        "2fd24c5ae63434418cdd5cd758594f46da787a8d4cbf91d66d87fa617c26ce0d",
     ),
     "active-4-True-True": (
         "a86bc14ac36487df01aaf28b5ab459e8f74ff7b8a3afe6f1e5fbe1802a10c820",
         "7dc444a70165edd1959716135d8586ec45f07ba4006a0fb2809eea8a475a8587",
+        "2fd24c5ae63434418cdd5cd758594f46da787a8d4cbf91d66d87fa617c26ce0d",
     ),
     "absent-False": (
         "0df5c76c2851eca395fccd17b95baedd2df6c617b9512a2c802e0ecf5b01d647",
         "f165fccd9a26f3375519c57331bf5f87da07884ac458f36acea432655a7ec20f",
+        "fbc71be3b5a7698f894425a71430a166b5b5da8876499bda7951c1032e3d4f00",
     ),
     "absent-True": (
         "634faedae96c3b833e5b60413e2f50bf1d19a126dcf97dca37af711cd4fafd51",
         "2f48e8404bbc03b57f9387243a826d6b395505e37409407a4ccc5c7395fd2862",
+        "3f31b645e080cb8249aa80da15a6d999e47c72ca42c65b825eb9fe456f44315b",
     ),
     "passive-False": (
         "027a8a701df67a612948ee6e3a0f0b4507ce118bb9cd0e4b5a20007d60f60d69",
         "f165fccd9a26f3375519c57331bf5f87da07884ac458f36acea432655a7ec20f",
+        "fbc71be3b5a7698f894425a71430a166b5b5da8876499bda7951c1032e3d4f00",
     ),
     "passive-True": (
         "f0095d1319f059f262fad867a30e6629861d1743e48f1226f9bb06a9f729421a",
         "2f48e8404bbc03b57f9387243a826d6b395505e37409407a4ccc5c7395fd2862",
+        "3f31b645e080cb8249aa80da15a6d999e47c72ca42c65b825eb9fe456f44315b",
     ),
 }
 
@@ -531,6 +555,10 @@ def test_miss_path_matches_recorded_goldens():
 # -- the walk memo of `Mmu.hardware_walk` ------------------------------------
 
 TABLE_VA = 11 << 30  # asid 1's page over asid 0's leaf table of PLAIN_VAS[:6]
+# Pages whose leaf entries share a line with a page of PLAIN_VAS or RULE_VA:
+# RULE_VA's neighbour is mapped (no rule covers it), slots 6 and 7 of
+# PLAIN_VAS[:6]'s leaf line are not.
+SIBLING_VAS = [RULE_VA + 4096, PLAIN_VAS[5] + 4096, PLAIN_VAS[5] + 2 * 4096]
 _FRAME_FIELD = ((1 << PFN_BITS) - 1) << PAGE_SHIFT
 
 
@@ -548,7 +576,8 @@ def descriptor(m, va, level):
 def build_memo_machine(mode, cache_ptes):
     """A machine on which every input of a walk can change: asid 0 maps
     PLAIN_VAS and RULE_VA; asid 1 maps TABLE_VA over asid 0's leaf table,
-    so data accesses fill and dirty a walked line; `copy` is a data frame
+    so data accesses fill and dirty a walked line; the first of
+    SIBLING_VAS is mapped too; `copy` is a data frame
     holding that leaf table with PLAIN_VAS[1] mapped elsewhere, for moving
     the level-1 entry to and back and for capture windows (it is no table
     frame, so a window may cover it); `src` is a capture source holding the
@@ -559,7 +588,7 @@ def build_memo_machine(mode, cache_ptes):
         )
     )
     alloc = m.allocator.alloc
-    m.register_space(0, [(va, alloc(), RW) for va in PLAIN_VAS + [RULE_VA]])
+    m.register_space(0, [(va, alloc(), RW) for va in PLAIN_VAS + [RULE_VA] + SIBLING_VAS[:1]])
     leaf_table = descriptor(m, PLAIN_VAS[0], 2) & ~0xFFF
     m.register_space(1, [(TABLE_VA, leaf_table >> PAGE_SHIFT, RW)])
     m.copy, m.src, m.elsewhere = alloc() << PAGE_SHIFT, alloc() << PAGE_SHIFT, alloc()
@@ -590,7 +619,7 @@ def random_memo_ops(rng, mode, n):
 
     def access(page=None):
         if page is None or rng.random() < 0.5:
-            page = rng.choice(pages + [UNMAPPED_VA])
+            page = rng.choice(pages + SIBLING_VAS + [UNMAPPED_VA])
         value = rng.randrange(256) if rng.random() < 0.3 else None
         return "access", page + rng.randrange(4096), value
 
@@ -678,15 +707,109 @@ def test_walk_memo_matches_walks_with_no_memo(mode, cache_ptes):
 
 
 def test_walk_memo_never_passes_its_bound():
+    # one page per leaf line, so each page stores a leaf line of its own
     m = Machine(MachineConfig(tlb_entries=0))
-    pages = [(1 << 30) + k * 4096 for k in range(WALK_MEMO_ENTRIES + 100)]
+    pages = [(1 << 30) + k * 8 * 4096 for k in range(WALK_MEMO_LINES + 100)]
     m.register_space(0, [(va, 0x9_0000 + k, RW) for k, va in enumerate(pages)])
     sizes = set()
     for va in pages:
         m.mmu.access(0, va)
         sizes.add(len(m.dram.walk_memo.walks))
-    assert max(sizes) == WALK_MEMO_ENTRIES and len(m.dram.walk_memo.walks) == 100
+    assert max(sizes) == WALK_MEMO_LINES and len(m.dram.walk_memo.walks) == 100
     assert m.counters.walk_reads == 3 * len(pages)
+
+
+def leaf_runs_machine(mode, runs=4, holes=()):
+    """A machine on a 4x2 cache and a 2-entry TLB mapping `runs` runs of 8
+    pages, each run aligned on one leaf line, but for the pages in `holes`;
+    in active mode a rule redirects each run in the first level-0 slot,
+    which holds every second run."""
+    m = Machine(
+        MachineConfig(mode=mode, cache_sets=4, cache_ways=2, tlb_entries=2, fault_policy=FAULT_RECORD)
+    )
+    runs = [((1 + k % 2) << 30) + k * (1 << 21) + (k % 3) * 8 * 4096 for k in range(runs)]
+    pages = [base + j * 4096 for base in runs for j in range(8)]
+    m.register_space(0, [(va, 0x9_0000 + k, RW) for k, va in enumerate(pages) if va not in holes])
+    if mode == "active":
+        m.activate_rules(
+            [
+                RewriteRule(k + 1, 0, base, base + 8 * 4096, 0xA_0000 + 8 * k)
+                for k, base in enumerate(runs[::2])
+            ],
+            strict=False,
+        )
+    return m, pages
+
+
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_a_leaf_line_walks_once_for_its_eight_pages(mode):
+    (memo, pages), (twin, _) = leaf_runs_machine(mode), leaf_runs_machine(mode)
+    walk_reads = {}
+    for m in (memo, twin):
+        real = m.cci.walk_read
+        walk_reads[m] = calls = []
+        m.cci.walk_read = lambda *args, real=real, calls=calls: calls.append(args[1]) or real(*args)
+    rng = random.Random(mode)
+    for _ in range(800):
+        va = rng.choice(pages) + rng.randrange(4096)
+        value = rng.randrange(256) if rng.random() < 0.3 else None
+        twin.dram.walk_memo.forget()
+        got = memo.mmu.access(0, va, value is not None, value)
+        assert got == twin.mmu.access(0, va, value is not None, value)
+        assert simulated_state(memo) == simulated_state(twin)
+        assert cache_lru(memo) == cache_lru(twin)
+    # one real walk (three walk reads) per leaf line, each line walked
+    assert len(walk_reads[memo]) == 3 * len(pages) // 8
+    assert len(walk_reads[twin]) > 10 * len(walk_reads[memo])
+    assert len(memo.dram.walk_memo.walks) == len(pages) // 8
+    assert memo.counters.walk_reads == twin.counters.walk_reads > 800
+
+
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_a_missing_sibling_faults_like_a_walk(mode):
+    (memo, pages), (twin, _) = (leaf_runs_machine(mode, holes={(1 << 30) + 5 * 4096}) for _ in "ab")
+    hole = pages[5]
+    for m in (memo, twin):
+        m.mmu.access(0, pages[0])
+    deltas, faults = [], []
+    for m in (memo, twin):
+        twin.dram.walk_memo.forget()
+        before = m.tally()
+        with pytest.raises(TranslationFault) as fault:
+            m.mmu.access(0, hole + 7)
+        after = m.tally()
+        deltas.append({k: after[k] - before[k] for k in after})
+        faults.append((fault.value.level, fault.value.pte_address))
+    assert deltas[0] == deltas[1] and deltas[0]["walk_reads"] == 3
+    assert faults[0] == faults[1] and faults[0][0] == 2
+    entries, _ = memo.dram.walk_memo.walks[0, pages[0] >> 15]
+    assert not entries[5] & PTE_PRESENT and entries[4] & PTE_PRESENT
+    assert simulated_state(memo) == simulated_state(twin)
+
+
+@pytest.mark.parametrize("edit", ["present", "frame"])
+def test_a_leaf_entry_write_reaches_its_sibling(edit):
+    (memo, pages), (twin, _) = leaf_runs_machine("absent"), leaf_runs_machine("absent")
+    sibling = pages[3]
+    for m in (memo, twin):
+        m.mmu.access(0, pages[0])
+        m.mmu.access(0, sibling, True, 0x5A)
+        m.flush_cache()
+    entry = descriptor(memo, sibling, 2)
+    assert memo.dram.walk_memo.walks and entry == descriptor(twin, sibling, 2)
+    results = []
+    for m in (memo, twin):
+        twin.dram.walk_memo.forget()
+        raw = m.dram.read_qword(entry)
+        new = raw ^ PTE_PRESENT if edit == "present" else raw + (1 << PAGE_SHIFT)
+        m.dram.write_qword(entry, new)
+        m.tlb.invalidate_range(0, sibling, sibling + 4096)
+        try:
+            results.append(m.mmu.access(0, sibling))
+        except TranslationFault as fault:
+            results.append((fault.level, fault.pte_address))
+    assert results[0] == results[1] == ((2, entry) if edit == "present" else 0)
+    assert simulated_state(memo) == simulated_state(twin)
 
 
 # (snoops, SHA-256 of `spy_on_misses`'s log) per machine, recorded before

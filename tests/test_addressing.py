@@ -213,3 +213,18 @@ def test_mapping_file_roundtrip():
 def test_mapping_file_rejects_bad_lines():
     with pytest.raises(MappingError, match="line 2"):
         parse_mappings(["0x1000 0x40\n", "not a line at all\n"])
+
+
+def test_mapping_file_stops_at_the_first_line_past_the_cap(monkeypatch):
+    monkeypatch.setattr(addressing, "MAX_MAPPED_PAGES", 3)
+    read = []
+
+    def lines():
+        for k in range(100):
+            read.append(k)
+            yield "# comment\n" if k == 1 else f"{k << 12:#x} 0x40\n"
+
+    with pytest.raises(MappingError, match="^line 5: more than the 3 pages one address"):
+        parse_mappings(lines())
+    assert read == [0, 1, 2, 3, 4]
+    assert len(parse_mappings(f"{k << 12:#x} 0x40\n" for k in range(3))) == 3

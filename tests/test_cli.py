@@ -1,7 +1,10 @@
 import csv
+import itertools
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -506,6 +509,48 @@ def test_a_histogram_past_the_page_cap_exits_before_set_up(tmp_path):
         f"error: histogram maps {pages} pages, more than the"
         f" {machine.MAX_MAPPED_PAGES} one address space may map\n"
     )
+
+
+def test_a_mapping_stream_past_the_page_cap_exits_at_the_first_line_past_it(tmp_path):
+    # The mappings come from an endless pipe: only the cap ends the read.
+    (tmp_path / "trace.txt").write_text("0 R 0x0\n")
+    argv = ["run", "--scenario", "custom-trace", "--trace", str(tmp_path / "trace.txt"),
+            "--mappings", "/dev/stdin"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+
+    def feed():
+        lines = (f"{k << PAGE_SHIFT:#x} {0x9_0000 + k:#x}\n" for k in itertools.count())
+        try:
+            while True:
+                chunk = "".join(itertools.islice(lines, 4096)).encode()
+                while chunk:
+                    chunk = chunk[os.write(write_end, chunk):]
+        except BrokenPipeError:  # the child is gone
+            pass
+        finally:
+            os.close(write_end)
+
+    feeder = threading.Thread(target=feed)
+    with subprocess.Popen(
+        [sys.executable, "-c", _CAPPED_CHILD, *argv],
+        env={"PYTHONPATH": str(src)},
+        stdin=read_end,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as child:
+        os.close(read_end)
+        feeder.start()
+        try:
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            feeder.join()
+    code = child.returncode
+    cap = machine.MAX_MAPPED_PAGES
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: line {cap + 1}: more than the {cap} pages one address space may map\n"
 
 
 def test_register_space_caps_its_mappings(monkeypatch):

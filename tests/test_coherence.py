@@ -90,8 +90,10 @@ def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
     ones = (bytes([1]) * 64, 3)
     fabric.cci.register_agent(lambda line_addr: ones if line_addr == line_of(1) else None)
     fabric.dram.write_line(line_of(0), bytes(8) + (0x1234).to_bytes(8, "little") + bytes(48))
-    assert fabric.cci.walk_read(fabric.cache, line_of(0) + 8) == 0x1234  # from DRAM
-    assert fabric.cci.walk_read(fabric.cache, line_of(1) + 16) == 0x0101010101010101
+    from_dram = fabric.cci.walk_read(fabric.cache, line_of(0) + 8)
+    assert int.from_bytes(from_dram[8:16], "little") == 0x1234
+    acked = fabric.cci.walk_read(fabric.cache, line_of(1) + 16)
+    assert int.from_bytes(acked[16:24], "little") == 0x0101010101010101
     c = fabric.counters
     assert (c.walk_reads, c.walk_misses, c.snoops_issued, c.snoops_acked) == (2, 2, 2, 1)
     assert fabric.dram.reads == 1
