@@ -145,6 +145,14 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
     with a common index prefix.  Every mapping is checked before the first
     frame is allocated: a bad field or a conflicting duplicate raises
     MappingError; an exact re-statement of a mapping is a no-op.
+
+    Each prefix is resolved once: the first mapping under an index0 or a
+    `va >> 21` reads the entry that leads to its table, linking a new table
+    if it is not present, and later mappings under it write only their
+    leaf.  While every table met was linked by this call, that is what a
+    re-read would give, since nothing else writes them.  An entry already
+    present (stale bytes in a frame handed out) may name any frame, one of
+    these tables too, so from then on each mapping reads its path afresh.
     """
     leaves = {}
     for va, pfn, attrs in mappings:
@@ -153,17 +161,36 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
             raise MappingError(f"conflicting duplicate mapping for {va:#x}")
     table_pfns = [allocator.alloc()]
     pgd_base = table_pfns[0] << PAGE_SHIFT
+    level1, level2 = {}, {}  # index0 / va >> 21 -> table base, while exact
+    exact = True
+
+    def link(known, key, base, index):
+        """The base of the table that entry `index` of table `base` names,
+        allocating and linking one when the entry is not present."""
+        nonlocal exact
+        present, pfn, _ = decode_pte(read_pte(memory, base, index))
+        if not present:
+            pfn = allocator.alloc()
+            table_pfns.append(pfn)
+            write_pte(memory, base, index, encode_pte(True, pfn))
+        elif exact:
+            exact = False
+            level1.clear()
+            level2.clear()
+        table = pfn << PAGE_SHIFT
+        if exact:
+            known[key] = table
+        return table
+
+    write = memory.write_qword
     for va, leaf in leaves.items():
-        index0, index1, index2, _ = split_va(va)
-        base = pgd_base
-        for index in (index0, index1):
-            present, next_pfn, _ = decode_pte(read_pte(memory, base, index))
-            if not present:
-                next_pfn = allocator.alloc()
-                table_pfns.append(next_pfn)
-                write_pte(memory, base, index, encode_pte(True, next_pfn))
-            base = next_pfn << PAGE_SHIFT
-        write_pte(memory, base, index2, leaf)
+        base = level2.get(va >> 21)
+        if base is None:
+            pud = level1.get(va >> 30)
+            if pud is None:
+                pud = link(level1, va >> 30, pgd_base, va >> 30)
+            base = link(level2, va >> 21, pud, (va >> 21) & _INDEX_MASK)
+        write(base + ((va >> PAGE_SHIFT) & _INDEX_MASK) * PTE_BYTES, leaf)
     return AddressSpace(asid, pgd_base, frozenset(table_pfns))
 
 

@@ -45,6 +45,15 @@ _LINE_MASK = LINE_BYTES - 1
 _FRAME_OFF_MASK = PAGE_SIZE - 1
 # One whole page-table frame as its 512 little-endian entries.
 _unpack_table = struct.Struct(f"<{addressing.ENTRIES_PER_TABLE}Q").unpack
+# An entry's low byte -> its present bit, for `bytes.translate`.
+_PRESENT_BIT = bytes(b & addressing.PTE_PRESENT for b in range(256))
+
+
+def _present_entries(table: bytes):
+    """(index, raw) of each present entry of a whole table frame, in index
+    order, found from the low byte of each entry."""
+    present = table[:: addressing.PTE_BYTES].translate(_PRESENT_BIT)
+    return itertools.compress(enumerate(_unpack_table(table)), present)
 
 
 class RuleError(ValueError):
@@ -212,24 +221,23 @@ class LightV:
                     f"rule {rule.rule_id}: replacement frames outside DRAM aperture"
                 )
             for space in self.spaces.values():
-                if any(pfn in run for pfn in space.table_pfns):
+                if not space.table_pfns.isdisjoint(run):
                     raise RuleError(
                         f"rule {rule.rule_id}: replacement frames hold page tables"
                         f" of asid {space.asid}"
                     )
-        for i, rule in enumerate(rules):
+
+        def bounds(rule):
             run = rule.replacement_run
-            for other in rules[:i] + list(self.rules.values()):
-                if (
-                    rule.asid == other.asid
-                    and rule.va_start < other.va_end
-                    and other.va_start < rule.va_end
-                ):
-                    raise RuleError(
-                        f"rules {rule.rule_id} and {other.rule_id} overlap"
-                    )
-                other_run = other.replacement_run
-                if run.start < other_run.stop and other_run.start < run.stop:
+            return rule, rule.asid, rule.va_start, rule.va_end, run.start, run.stop
+
+        batch = [bounds(rule) for rule in rules]
+        active = [bounds(rule) for rule in self.rules.values()]
+        for i, (rule, asid, va_start, va_end, first, stop) in enumerate(batch):
+            for other, o_asid, o_start, o_end, o_first, o_stop in batch[:i] + active:
+                if asid == o_asid and va_start < o_end and o_start < va_end:
+                    raise RuleError(f"rules {rule.rule_id} and {other.rule_id} overlap")
+                if first < o_stop and o_first < stop:
                     raise RuleError(
                         f"rules {rule.rule_id} and {other.rule_id} share"
                         " replacement frames"
@@ -582,15 +590,27 @@ class LightV:
         return base
 
     def _check_premapped(self, rule: RewriteRule):
-        space = self.spaces[rule.asid]
+        """Every page of the rule's range has a present leaf entry.  The
+        leaf table is resolved once per `va >> 21`; the error names the
+        first page that has none and the level of its missing entry."""
+
+        def missing(va, level):
+            return IsolationError(
+                f"rule {rule.rule_id}: {va:#x} not pre-mapped (level {level} non-present)"
+            )
+
+        read = self.dram.read_qword
+        prefix = table = None
         for va in range(rule.va_start, rule.va_end, PAGE_SIZE):
-            try:
-                addressing.reference_walk(space, va, self.dram)
-            except addressing.TranslationFault as fault:
-                raise IsolationError(
-                    f"rule {rule.rule_id}: {va:#x} not pre-mapped"
-                    f" (level {fault.level} non-present)"
-                ) from None
+            if va >> 21 != prefix:
+                prefix, table = va >> 21, self.spaces[rule.asid].pgd_base
+                for level, index in enumerate((va >> 30, prefix & 0x1FF)):
+                    raw = read(table + index * 8)
+                    if not raw & addressing.PTE_PRESENT:
+                        raise missing(va, level)
+                    table = decode_pte(raw)[1] << PAGE_SHIFT
+            if not read(table + ((va >> PAGE_SHIFT) & 0x1FF) * 8) & addressing.PTE_PRESENT:
+                raise missing(va, 2)
 
     def _check_strict(self, rules):
         """Strict activation: every rule is pre-mapped, and every mapped
@@ -598,7 +618,10 @@ class LightV:
         call has activated, so no unrelated neighbour shares them.
 
         Each slot is scanned once, for the first rule (in call order) that
-        meets it, and the error names that rule.
+        meets it, and the error names that rule.  The work follows the
+        tables, not the pages: a rule's leaf tables are resolved once each
+        and its pages read one entry apiece, and each table under a slot
+        is read once, visiting only its present entries.
         """
         ranges = {}
         for r in sorted(list(self.rules.values()) + rules, key=lambda r: r.va_start):
@@ -615,18 +638,15 @@ class LightV:
 
     def _check_isolated(self, rule: RewriteRule, i0: int, starts, ends):
         """Every mapped page under level-0 slot `i0` must lie in one of the
-        sorted, disjoint ranges [starts[k], ends[k])."""
+        sorted, disjoint ranges [starts[k], ends[k]).  Each table under the
+        slot is read once, and only its present entries are visited."""
         pud = self._real_table_base(rule.asid, (i0,))
         if pud is None:
             return
         read = self.dram.read_bytes
-        for i1, raw in enumerate(_unpack_table(read(pud, PAGE_SIZE))):
-            if not raw & addressing.PTE_PRESENT:
-                continue
+        for i1, raw in _present_entries(read(pud, PAGE_SIZE)):
             pmd = decode_pte(raw)[1] << PAGE_SHIFT
-            for i2, raw in enumerate(_unpack_table(read(pmd, PAGE_SIZE))):
-                if not raw & addressing.PTE_PRESENT:
-                    continue
+            for i2, _ in _present_entries(read(pmd, PAGE_SIZE)):
                 va = (i0 << 30) | (i1 << 21) | (i2 << PAGE_SHIFT)
                 k = bisect_right(starts, va) - 1
                 if k < 0 or va >= ends[k]:

@@ -128,7 +128,8 @@ class Dram:
         self._lines[line_addr] = bytearray(payload)
 
     def read_qword(self, addr: int) -> int:
-        self._check(addr, 8)
+        if not (self.base <= addr and addr + 8 <= self.base + self.size):
+            raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         line = self._lines.get(addr & ~_LINE_MASK)
         if line is None:
             return 0
@@ -136,7 +137,8 @@ class Dram:
         return int.from_bytes(line[off : off + 8], "little")
 
     def write_qword(self, addr: int, value: int):
-        self._check(addr, 8)
+        if not (self.base <= addr and addr + 8 <= self.base + self.size):
+            raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         line_addr = addr & ~_LINE_MASK
         if line_addr in self.walk_memo.lines:
             self.walk_memo.forget()
@@ -515,7 +517,8 @@ class Machine:
         the run must fit in the aperture, no line of an open capture window
         may lie in it, and every mapping must be valid (`build_tables`
         checks them all first): a call that raises leaves the machine as it
-        found it.
+        found it.  The build reads one entry per table it links and writes
+        one per table and per mapping (each prefix is resolved once).
         """
         if asid in self.spaces:
             raise addressing.MappingError(f"asid {asid} is already registered")

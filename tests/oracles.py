@@ -83,3 +83,102 @@ class LruShadow:
 
     def contains(self, line_addr):
         return line_addr in self._bucket(line_addr)
+
+
+def build_tables_by_walk(leaves, dram, allocator):
+    """Reference page-table builder that reads the whole path of every
+    mapping afresh.  `leaves` maps each page VA to its leaf descriptor, in
+    mapping order; returns (pgd_base, table_pfns in allocation order)."""
+    table_pfns = [allocator.alloc()]
+    pgd_base = table_pfns[0] * PAGE
+    for va, leaf in leaves.items():
+        i0, i1, i2, _ = brute_split(va)
+        base = pgd_base
+        for index in (i0, i1):
+            raw = dram.read_qword(base + index * 8)
+            if raw % 2 == 0:
+                pfn = allocator.alloc()
+                table_pfns.append(pfn)
+                raw = pfn * PAGE + 1
+                dram.write_qword(base + index * 8, raw)
+            base = raw & ADDR_FIELD_MASK
+        dram.write_qword(base + i2 * 8, leaf)
+    return pgd_base, table_pfns
+
+
+def activation_error(agent, rules, strict=True):
+    """The (exception class name, text) that `LightV.activate` must raise
+    for `rules` before its context-capacity check, or None.
+
+    A reference copy of its checks in their order, reading every pair of
+    rules, every page of a range and every entry of every table under a
+    level-0 slot, as they were first written.
+    """
+    ids = set(agent.rules)
+    for rule in rules:
+        try:
+            rule.validate()
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+        if rule.rule_id in agent.rules:
+            return "RuleError", f"rule id {rule.rule_id} already active"
+        if rule.rule_id in ids:
+            return "RuleError", f"rule id {rule.rule_id} given twice"
+        ids.add(rule.rule_id)
+        if rule.asid not in agent.spaces:
+            return "RuleError", f"rule {rule.rule_id}: unknown asid {rule.asid}"
+        run = rule.replacement_run
+        if not agent.dram.contains(run.start * PAGE, len(run) * PAGE):
+            return "RuleError", f"rule {rule.rule_id}: replacement frames outside DRAM aperture"
+        for space in agent.spaces.values():
+            if any(pfn in run for pfn in space.table_pfns):
+                return ("RuleError", f"rule {rule.rule_id}: replacement frames hold page"
+                        f" tables of asid {space.asid}")
+    for i, rule in enumerate(rules):
+        run = rule.replacement_run
+        for other in rules[:i] + list(agent.rules.values()):
+            if (rule.asid == other.asid and rule.va_start < other.va_end
+                    and other.va_start < rule.va_end):
+                return "RuleError", f"rules {rule.rule_id} and {other.rule_id} overlap"
+            other_run = other.replacement_run
+            if run.start < other_run.stop and other_run.start < run.stop:
+                return ("RuleError", f"rules {rule.rule_id} and {other.rule_id} share"
+                        " replacement frames")
+    if not strict:
+        return None
+    every = list(agent.rules.values()) + list(rules)
+    scanned = set()
+    for rule in rules:
+        pgd_base = agent.spaces[rule.asid].pgd_base
+        for va in range(rule.va_start, rule.va_end, PAGE):
+            outcome = brute_walk(pgd_base, va, agent.dram.read_qword)
+            if outcome[0] == "fault":
+                return ("IsolationError", f"rule {rule.rule_id}: {va:#x} not pre-mapped"
+                        f" (level {outcome[1]} non-present)")
+        first, last = brute_split(rule.va_start)[0], brute_split(rule.va_end - 1)[0]
+        for i0 in range(first, last + 1):
+            if (rule.asid, i0) in scanned:
+                continue
+            scanned.add((rule.asid, i0))
+            for va in _mapped_pages(agent.dram.read_qword, pgd_base, i0):
+                if not any(r.asid == rule.asid and r.va_start <= va < r.va_end for r in every):
+                    return ("IsolationError", f"rule {rule.rule_id}: neighbour mapping"
+                            f" {va:#x} shares level-0 slot {i0}")
+    return None
+
+
+def _mapped_pages(read_qword, pgd_base, i0):
+    """The VA of every page with a present leaf entry under level-0 slot
+    `i0`, in VA order, one entry read at a time."""
+    raw = read_qword(pgd_base + i0 * 8)
+    if raw % 2 == 0:
+        return
+    level1 = raw & ADDR_FIELD_MASK
+    for i1 in range(TABLE_ENTRIES):
+        raw = read_qword(level1 + i1 * 8)
+        if raw % 2 == 0:
+            continue
+        leaf_table = raw & ADDR_FIELD_MASK
+        for i2 in range(TABLE_ENTRIES):
+            if read_qword(leaf_table + i2 * 8) % 2:
+                yield ((i0 * TABLE_ENTRIES + i1) * TABLE_ENTRIES + i2) * PAGE

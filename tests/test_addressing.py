@@ -18,7 +18,7 @@ from lightv_sim.addressing import (
 )
 from lightv_sim.machine import AllocatorExhausted, Dram, FrameAllocator
 
-from oracles import brute_split, brute_walk
+from oracles import brute_split, brute_walk, build_tables_by_walk
 
 
 def test_split_va_zero():
@@ -152,6 +152,105 @@ def test_build_tables_allocator_exhaustion():
     alloc = FrameAllocator(dram)
     with pytest.raises(AllocatorExhausted):
         build_tables([(0x1000, 0x40, 0)], dram, alloc)
+
+
+def _random_build_case(rng):
+    """(mappings, stale entries, first table frame) for one build.
+
+    Pages cluster under a few or many level-0 slots and level-1 prefixes,
+    in shuffled order, with exact restatements and now and then a
+    conflicting duplicate or no mappings at all.  Stale entries are
+    (pfn, index, raw) written before the build into frames the allocator
+    will hand out as tables, at indices the mappings use: present entries
+    naming a data frame, one of those table frames, or a frame outside
+    the aperture.  A first frame near the aperture's end runs it dry.
+    """
+    mappings = []
+    if rng.random() < 0.9:
+        for i0 in rng.sample(range(512), rng.choice((1, 2, 6, 40))):
+            for i1 in rng.sample(range(512), rng.choice((1, 2, 4))):
+                # index2 = index0 now and then: through a stale entry naming
+                # the level-0 table, that leaf overwrites the slot's entry
+                for i2 in {*rng.sample(range(512), rng.randint(1, 12)), i0}:
+                    va = (i0 << 30) | (i1 << 21) | (i2 << 12)
+                    mappings.append((va, rng.randrange(0x90000, 0xA0000), rng.choice((0, 2, 6, 14))))
+        rng.shuffle(mappings)
+        mappings += rng.sample(mappings, len(mappings) // 8)  # exact restatements
+        if rng.random() < 0.1:
+            va, pfn, attrs = rng.choice(mappings)
+            mappings.append((va, pfn + 1, attrs))
+    dram, _ = _fresh_memory()
+    limit = (dram.base + dram.size) >> 12
+    first = rng.choice((dram.base >> 12, dram.base >> 12, limit - rng.randint(1, 30)))
+    stale = []
+    if mappings and rng.random() < 0.5:
+        indices = [index for va, _, _ in mappings for index in brute_split(va)[:3]]
+        for _ in range(rng.randint(1, 6)):
+            pfn = first + rng.randrange(min(8, limit - first))
+            target = rng.choice((0x80800, first + rng.randrange(8), first, first, limit + 5))
+            stale.append((pfn, rng.choice(indices), (target << 12) | rng.choice((1, 3, 7))))
+    return mappings, stale, first
+
+
+def _build_outcome(build, mappings, stale, first):
+    """What building `mappings` over the stale entries leaves behind."""
+    dram, _ = _fresh_memory()
+    alloc = FrameAllocator(dram, first)
+    for pfn, index, raw in stale:
+        dram.write_qword((pfn << 12) + index * 8, raw)
+    try:
+        result = build(mappings, dram, alloc)
+    except (ValueError, AllocatorExhausted) as exc:
+        result = (type(exc), str(exc))
+    return result, dram.content_digest(), sorted(dram._lines), alloc.next_pfn
+
+
+def _reference_build(mappings, dram, alloc):
+    leaves = {}
+    for va, pfn, attrs in mappings:
+        leaf = addressing._leaf(va, pfn, attrs)
+        if leaves.setdefault(va, leaf) != leaf:
+            raise MappingError(f"conflicting duplicate mapping for {va:#x}")
+    pgd_base, table_pfns = build_tables_by_walk(leaves, dram, alloc)
+    return pgd_base, frozenset(table_pfns)
+
+
+def _package_build(mappings, dram, alloc):
+    space = build_tables(mappings, dram, alloc)
+    return space.pgd_base, space.table_pfns
+
+
+def test_build_tables_matches_a_builder_that_rereads_every_path():
+    rng = random.Random(21)
+    kinds = set()
+    for case in range(300):
+        mappings, stale, first = _random_build_case(rng)
+        expected = _build_outcome(_reference_build, mappings, stale, first)
+        assert _build_outcome(_package_build, mappings, stale, first) == expected, case
+        outcome = expected[0]
+        kinds.add(outcome[0].__name__ if isinstance(outcome[0], type) else "built")
+        kinds.add("stale" if stale else "clean")
+        kinds.add("empty" if not mappings else "mapped")
+    assert kinds == {"built", "MappingError", "ValueError", "AllocatorExhausted",
+                     "stale", "clean", "empty", "mapped"}
+
+
+def test_build_tables_rereads_paths_once_a_stale_entry_names_a_table():
+    # The level-1 table of slot 5 holds a stale present entry naming the
+    # level-0 table, so the first leaf write overwrites level-0 entry 5:
+    # the second mapping's path must be read again, not taken from memory.
+    dram, alloc = _fresh_memory()
+    first = alloc.next_pfn
+    mappings = [((5 << 30) | (7 << 21) | (5 << 12), 0x80800, 0), ((5 << 30) | (9 << 21), 0x80801, 0)]
+    stale = [(first + 1, 7, (first << 12) | 1)]
+    expected = _build_outcome(_reference_build, mappings, stale, first)
+    assert _build_outcome(_package_build, mappings, stale, first) == expected
+    dram, _ = _fresh_memory()
+    ref_alloc = FrameAllocator(dram, first)
+    for pfn, index, raw in stale:
+        dram.write_qword((pfn << 12) + index * 8, raw)
+    _reference_build(mappings, dram, ref_alloc)
+    assert dram.read_qword((first << 12) + 5 * 8) == (0x80800 << 12) | 1
 
 
 def test_reference_walk_unmapped_faults_at_level0():

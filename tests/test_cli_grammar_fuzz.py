@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from lightv_sim import cli
+from lightv_sim import addressing, cli, machine
 from lightv_sim.machine import MAX_CACHE_SETS, MachineConfig
 
 SEED = 14
@@ -337,6 +337,38 @@ def test_small_verify_sweeps_pass(capsys):
                 "--vas", str(rng.choice((-1, 0, 1, 6))), "--seed", str(rng.randrange(100))]
         code, out, err = _call(capsys, argv, f"verify #{index}")
         assert (code, err) == (cli.EXIT_OK, "") and out.endswith("failed 0\n"), (argv, out, err)
+
+
+def test_mapping_counts_around_the_page_cap(tmp_path, capsys, monkeypatch):
+    # With the cap patched to 3, mapping files of 2, 3 and 4 pages: the
+    # first two run, the third exits 3 naming its fourth mapping's line.
+    cap = 3
+    monkeypatch.setattr(addressing, "MAX_MAPPED_PAGES", cap)
+    monkeypatch.setattr(machine, "MAX_MAPPED_PAGES", cap)
+    rng = random.Random(f"{SEED}:cap")
+    mappings, trace = tmp_path / "mappings.txt", tmp_path / "trace.txt"
+    counts = [cap - 1, cap, cap + 1] * CASES
+    rng.shuffle(counts)
+    for index, count in enumerate(counts):
+        lines = [f"{page << 12:#x} {0x9_0000 + k:#x} {rng.choice(('wc', 'c', '-'))}\n"
+                 for k, page in enumerate(rng.sample(range(1 << 27), count))]
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(("# comment\n", "\n")))
+        mappings.write_text("".join(lines))
+        reads = [f"0 R {int(line.split()[0], 16) + rng.randrange(4096):#x}\n"
+                 for line in lines if line.startswith("0x")]
+        trace.write_text("".join(reads))
+        argv = ["run", "--scenario", "custom-trace", "--trace", str(trace),
+                "--mappings", str(mappings), "--mode", rng.choice(("baseline", "passive", "all")),
+                "--format", rng.choice(("text", "csv"))]
+        case = f"cap #{index}: {count} mappings"
+        result = _call(capsys, argv, case)
+        if count > cap:
+            past = [n for n, line in enumerate(lines, 1) if line.startswith("0x")][cap]
+            _assert_one_error(result, case, [f"error: line {past}: more than the {cap} pages"])
+        else:
+            _ok(result, case)
+            assert result[0] == cli.EXIT_OK, (case, result)
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,7 @@ from lightv_sim.lightv import (
 from lightv_sim.machine import AllocatorExhausted
 
 from helpers import make_machine
+from oracles import activation_error
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 WINDOW = WatermarkWindow(0x20_0000)
@@ -414,6 +415,92 @@ def agent_state(m):
 def machine_state(m):
     """Everything a failed `register_space` must leave as it found it."""
     return m.allocator.next_pfn, m.dram.content_digest(), dict(m.spaces), agent_state(m)
+
+
+def _activation_case(rng):
+    """A machine with some rules active and a walk memo filled, and a
+    random batch of rules to activate strictly.
+
+    Slots 8, 9 and 10 share a level-0 line, slot 40 has one.  Slot 11 and
+    level-1 index 7 are never mapped, and each leaf table has holes, so a
+    range can miss an entry at any level.  Replacement runs come from a
+    small pool, so they often meet, or start on a page-table frame.
+    """
+    pages = []
+    for i0 in (8, 9, 10):
+        for i1 in (0, 1, 5):
+            pages += [(i0 << 30) | (i1 << 21) | (i2 << 12)
+                      for i2 in (*range(24), *range(504, 512)) if rng.random() < 0.7]
+    pages += [(40 << 30) | (k << 12) for k in range(4)]
+    m = active_machine([(va, 0x90000 + n) for n, va in enumerate(pages)])
+    tables = sorted(m.spaces[0].table_pfns)
+
+    def random_rule(rule_id):
+        if rng.random() < 0.2:
+            va_start, size = 40 << 30, 4
+        else:
+            if rng.random() < 0.6:
+                va_start = rng.choice(pages)
+            elif rng.random() < 0.5 and m.lightv.rules:
+                va_start = rng.choice(list(m.lightv.rules.values())).va_start
+            else:  # may run into the next level-1 index
+                va_start = (rng.choice((8, 9, 11)) << 30) | (rng.choice((1, 5, 7)) << 21)
+                va_start -= rng.randrange(4) << 12
+            size = rng.randint(1, 10)
+        base = rng.choice((0xA0000 + rng.randrange(24), 0xA0000 + rng.randrange(24),
+                           rng.choice(tables) - rng.randrange(2)))
+        return RewriteRule(rule_id, 0, va_start, va_start + size * 4096, base)
+
+    for rule_id in (1, 2, 3)[: rng.randint(0, 3)]:
+        rule = random_rule(rule_id)
+        if activation_error(m.lightv, [rule], strict=False) is None:
+            m.activate_rules([rule], strict=False)
+    for va in rng.sample(pages, 6) + [(40 << 30) | 4096]:
+        try:
+            m.mmu.translate(0, va)
+        except TranslationFault:
+            pass  # an unruled neighbour of a loose rule
+    return m, [random_rule(rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+
+
+def _error_kind(error, agent):
+    if error is None:
+        return "activated"
+    text = error[1]
+    if text.endswith("overlap"):
+        other = int(text.split()[3])
+        return "overlaps an active rule" if other in agent.rules else "overlaps a batch rule"
+    for kind in ("share replacement frames", "hold page tables", "outside DRAM aperture",
+                 "neighbour mapping", "given twice", "already active",
+                 "level 0 ", "level 1 ", "level 2 "):
+        if kind in text:
+            return kind
+    return text
+
+
+def test_strict_activation_matches_a_reference_that_reads_every_entry():
+    rng = random.Random(21)
+    kinds = set()
+    for case in range(400):
+        m, batch = _activation_case(rng)
+        expected = activation_error(m.lightv, batch)
+        kinds.add(_error_kind(expected, m.lightv))
+        before = agent_state(m)
+        memo = dict(m.dram.walk_memo.walks)
+        assert memo, case
+        try:
+            m.activate_rules(batch)
+        except RuleError as exc:
+            assert (type(exc).__name__, str(exc)) == expected, case
+            assert agent_state(m) == before and m.dram.walk_memo.walks == memo, case
+        else:
+            assert expected is None, case
+            assert all(m.lightv.rules[r.rule_id] is r for r in batch)
+    assert kinds == {
+        "activated", "overlaps an active rule", "overlaps a batch rule",
+        "share replacement frames", "hold page tables", "outside DRAM aperture",
+        "neighbour mapping", "given twice", "already active", "level 0 ", "level 1 ", "level 2 ",
+    }
 
 
 def test_activation_rejects_a_run_over_page_tables():

@@ -125,6 +125,50 @@ def test_machine_is_freed_without_the_cycle_collector(mode):
         gc.enable()
 
 
+# -- set-up work counts -----------------------------------------------------------
+# Host-independent guards on set-up cost: a builder or a strict check that
+# went back to walking every page from level 0 reads about three entries a
+# page and fails these, whatever the host's speed.
+
+
+def count_qword_calls(monkeypatch):
+    counts = {"read_qword": 0, "write_qword": 0}
+    for name, method in ((name, getattr(Dram, name)) for name in counts):
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Dram, name, counted)
+    return counts
+
+
+def test_register_space_reads_each_table_entry_it_links_once(monkeypatch):
+    # 3 level-0 slots x 3 level-1 indices x 40 pages: 1 + 3 + 9 tables
+    vas = [(i0 << 30) | (i1 << 21) | (i2 << 12)
+           for i0 in (8, 9, 300) for i1 in (0, 7, 511) for i2 in range(40)]
+    mappings = [(va, 0x9_0000 + n, RW) for n, va in enumerate(vas)]
+    m = make_machine("active")
+    counts = count_qword_calls(monkeypatch)
+    space = m.register_space(0, mappings)
+    tables = len(space.table_pfns)
+    assert tables == 13
+    assert counts["read_qword"] <= 2 * tables
+    assert counts["write_qword"] <= len(mappings) + tables
+
+
+def test_strict_activation_reads_each_page_once_and_a_few_entries_per_table(monkeypatch):
+    # 512 pages from the middle of one leaf table into the next: the rule
+    # meets one level-1 and two leaf tables
+    start = (8 << 30) | (256 << 12)
+    pages = 512
+    m = make_machine("active")
+    m.register_space(0, [(start + (k << 12), 0x9_0000 + k, RW) for k in range(pages)])
+    counts = count_qword_calls(monkeypatch)
+    m.activate_rules([RewriteRule(1, 0, start, start + (pages << 12), 0xA_0000)])
+    assert counts["write_qword"] == 0
+    assert counts["read_qword"] <= pages + 4 * 3
+
+
 # -- dram and allocator ----------------------------------------------------------
 
 
