@@ -133,10 +133,6 @@ def read_pte(memory, table_base: int, index: int) -> int:
     return memory.read_qword(pte_address(table_base, index))
 
 
-def write_pte(memory, table_base: int, index: int, raw: int):
-    memory.write_qword(pte_address(table_base, index), raw)
-
-
 def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
     """Materialize a 3-level radix tree in simulated memory.
 
@@ -172,7 +168,7 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
         if not present:
             pfn = allocator.alloc()
             table_pfns.append(pfn)
-            write_pte(memory, base, index, encode_pte(True, pfn))
+            memory.write_qword(pte_address(base, index), encode_pte(True, pfn))
         elif exact:
             exact = False
             level1.clear()

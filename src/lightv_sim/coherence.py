@@ -296,15 +296,20 @@ class CoherentInterconnect:
         c.walk_reads += 1
         return payload
 
-    def invalidate_line(self, cache, line_addr: int):
-        """Drop a line from the cache, writing Modified data back first."""
-        line = cache.drop(line_addr)
-        if line is not None and line.state is _MODIFIED:
-            self._writeback(line)
+    def invalidate_line(self, cache, *line_addrs: int):
+        """Drop each line in turn; a Modified one is written back after its drop."""
+        sets, set_mask = cache._sets, cache._set_mask
+        for line_addr in line_addrs:
+            if line_addr & _LINE_MASK:
+                raise ValueError(f"address not line-aligned: {line_addr:#x}")
+            line = sets[(line_addr >> LINE_SHIFT) & set_mask].pop(line_addr, None)
+            if line is not None and line.state is _MODIFIED:
+                self._writeback(line)
 
     def flush(self, cache):
-        """Write back and drop every line (cache maintenance sweep)."""
-        for line in list(cache.iter_lines()):
-            cache.drop(line.tag)
-            if line.state is _MODIFIED:
-                self._writeback(line)
+        """Drop every line, set by set in LRU order, each as `invalidate_line` does."""
+        for ways in cache._sets:
+            while ways:
+                line = ways.popitem(last=False)[1]
+                if line.state is _MODIFIED:
+                    self._writeback(line)

@@ -27,6 +27,7 @@ reproduce.
 
 import heapq
 import itertools
+import re
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,17 +44,23 @@ WM_SPAN_FRAMES = 1 << (WM_LEVEL_BITS + WM_CONTEXT_BITS)
 
 _LINE_MASK = LINE_BYTES - 1
 _FRAME_OFF_MASK = PAGE_SIZE - 1
-# One whole page-table frame as its 512 little-endian entries.
+# One whole page-table frame as its 512 little-endian entries, and one entry.
 _unpack_table = struct.Struct(f"<{addressing.ENTRIES_PER_TABLE}Q").unpack
-# An entry's low byte -> its present bit, for `bytes.translate`.
+_unpack_entry = struct.Struct("<Q").unpack_from
+# An entry's low byte -> its present bit, for `bytes.translate`, and a set bit.
 _PRESENT_BIT = bytes(b & addressing.PTE_PRESENT for b in range(256))
+_SET_BIT = re.compile(b"\x01")
 
 
 def _present_entries(table: bytes):
     """(index, raw) of each present entry of a whole table frame, in index
-    order, found from the low byte of each entry."""
+    order, found from each entry's low byte.  Up to 24 present entries are
+    found and unpacked one at a time; past that, one unpack of all costs less."""
     present = table[:: addressing.PTE_BYTES].translate(_PRESENT_BIT)
-    return itertools.compress(enumerate(_unpack_table(table)), present)
+    if present.count(1) > 24:
+        return itertools.compress(enumerate(_unpack_table(table)), present)
+    indices = map(re.Match.start, _SET_BIT.finditer(present))
+    return [(i, _unpack_entry(table, i * addressing.PTE_BYTES)[0]) for i in indices]
 
 
 class RuleError(ValueError):
@@ -168,7 +175,8 @@ class LightV:
         self.lat = latencies
         self.spaces = spaces
         self.rules = {}
-        # Derived from `rules` by `_reindex_rules`:
+        # Derived from `rules` by `_index_rules` and `activate`:
+        self._bounds = {}  # rule id -> the rule's entry of `activate`'s batch
         self._rules_by_slot = {}  # (asid, index0) -> rules meeting that slot
         self.watch = {}  # level-0 table line -> its (asid, index0, pgd_base) slots
         self._ctx_by_key = {}
@@ -206,6 +214,7 @@ class LightV:
         """
         rules = list(rules)
         ids = set(self.rules)
+        batch = []  # each rule's (rule, asid, va_start, va_end, run start, run stop)
         for rule in rules:
             rule.validate()
             if rule.rule_id in self.rules:
@@ -226,15 +235,11 @@ class LightV:
                         f"rule {rule.rule_id}: replacement frames hold page tables"
                         f" of asid {space.asid}"
                     )
+            batch.append((rule, rule.asid, rule.va_start, rule.va_end, run.start, run.stop))
 
-        def bounds(rule):
-            run = rule.replacement_run
-            return rule, rule.asid, rule.va_start, rule.va_end, run.start, run.stop
-
-        batch = [bounds(rule) for rule in rules]
-        active = [bounds(rule) for rule in self.rules.values()]
         for i, (rule, asid, va_start, va_end, first, stop) in enumerate(batch):
-            for other, o_asid, o_start, o_end, o_first, o_stop in batch[:i] + active:
+            others = itertools.chain(batch[:i], self._bounds.values())
+            for other, o_asid, o_start, o_end, o_first, o_stop in others:
                 if asid == o_asid and va_start < o_end and o_start < va_end:
                     raise RuleError(f"rules {rule.rule_id} and {other.rule_id} overlap")
                 if first < o_stop and o_first < stop:
@@ -254,13 +259,13 @@ class LightV:
         self.dram.walk_memo.forget()
         # Only the chunks of contexts that are already live can be cached.
         chunks = self._chunk_lines(rules) if self._ctx_by_key else []
-        watched = self.watch
-        for rule in rules:
+        for rule, bound in zip(rules, batch):
             self.rules[rule.rule_id] = rule
-        self._reindex_rules()
+            self._bounds[rule.rule_id] = bound
+        changed = self._index_rules(rules)
         for asid, prefix in new_paths:
             self._add_context(asid, prefix)
-        new_lines = [line for line, slots in self.watch.items() if slots != watched.get(line)]
+        new_lines = [line for line in self.watch if line in changed] if changed else []
         return [(r.asid, r.va_start, r.va_end) for r in rules], new_lines + chunks
 
     def deactivate(self, rule_id: int):
@@ -276,14 +281,14 @@ class LightV:
         rule = self.rules.pop(rule_id, None)
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
+        del self._bounds[rule_id]
         self._served.clear()
         self.dram.walk_memo.forget()
         watched = self.watch
         stale_lines = set(self._chunk_lines([rule]))
-        self._reindex_rules()
-        stale_lines.update(
-            line for line, slots in watched.items() if slots != self.watch.get(line)
-        )
+        self._rules_by_slot, self.watch = {}, {}
+        self._index_rules(self.rules.values())
+        stale_lines.update(line for line, slots in watched.items() if slots != self.watch.get(line))
         needed = set(self._paths(self.rules.values()))
         for key in [key for key in self._ctx_by_key if key not in needed]:
             ctx = self._ctx_by_key.pop(key)
@@ -441,26 +446,29 @@ class LightV:
         `pairs` maps destination line -> source line.  While the window is
         open, dirty writebacks of captured destination lines are mirrored
         to the source so a later bulk copy cannot clobber newer data.
-        Both lines of every pair must lie in the DRAM aperture, and no
-        capture line may lie in a page-table frame (`Machine.register_space`
-        keeps new tables off open windows): reads of a table line would be
-        served from elsewhere, and mirrored writebacks would overwrite a
-        table.  So a capture line is never a watched table line or a
-        watermark line.  Every pair is checked before any is installed: a
-        call that raises leaves the agent as it found it.
+        Every line must be 64-byte aligned and lie in the DRAM aperture,
+        and none in a page-table frame (`Machine.register_space` keeps new
+        tables off open windows): reads of a table line would be served from
+        elsewhere, and mirrored writebacks would overwrite a table.  So no
+        capture line is a watched table line or a watermark line.  The last
+        two checks hold for all lines of a frame or for none (the aperture
+        is page-aligned), so each frame is checked once, at its first line.
+        Every pair is checked before any is installed: a call that raises
+        leaves the agent as it found it.
         """
-        if any(dst & _LINE_MASK or src & _LINE_MASK for dst, src in pairs.items()):
-            raise ValueError("capture lines must be 64-byte aligned")
-        for dst, src in pairs.items():
-            for line in (dst, src):
-                if not self.dram.contains(line, LINE_BYTES):
-                    raise ValueError(f"capture line {line:#x} outside DRAM aperture")
-                for space in self.spaces.values():
-                    if line >> PAGE_SHIFT in space.table_pfns:
-                        raise ValueError(
-                            f"capture line {line:#x} lies in a page table"
-                            f" of asid {space.asid}"
-                        )
+        first_lines = {}
+        for line in itertools.chain.from_iterable(pairs.items()):
+            if line & _LINE_MASK:
+                raise ValueError("capture lines must be 64-byte aligned")
+            first_lines.setdefault(line >> PAGE_SHIFT, line)
+        for frame, line in first_lines.items():
+            if not self.dram.contains(line, LINE_BYTES):
+                raise ValueError(f"capture line {line:#x} outside DRAM aperture")
+            for space in self.spaces.values():
+                if frame in space.table_pfns:
+                    raise ValueError(
+                        f"capture line {line:#x} lies in a page table of asid {space.asid}"
+                    )
         self.dram.walk_memo.forget()
         self.captures.update(pairs)
         self._mirror.update(pairs)
@@ -497,21 +505,23 @@ class LightV:
             return real
         return (rule.replacement_pfn_for(va) << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
 
-    def _reindex_rules(self):
-        """Derive the rule-side lookups from `self.rules`, in activation
-        order: each rule listed under every level-0 slot its range meets,
-        so a lookup reads only one slot's rules, and `watch`, each level-0
-        table line holding such a slot with its slots."""
-        self._rules_by_slot = {}
-        self.watch = {}
-        for rule in self.rules.values():
+    def _index_rules(self, rules):
+        """Add `rules`, the last of `self.rules`, to the rule-side lookups:
+        each rule listed under every level-0 slot its range meets, and in
+        `watch` each level-0 table line holding such a slot, with its slots.
+        Rules are only appended, so this ends as a rebuild from all rules
+        would.  Returns the watched lines that are new or gained a slot."""
+        changed = set()
+        for rule in rules:
             pgd_base = self.spaces[rule.asid].pgd_base
             for i0 in self._index0_span(rule):
                 slot_rules = self._rules_by_slot.setdefault((rule.asid, i0), [])
                 if not slot_rules:
                     line = (pgd_base + i0 * addressing.PTE_BYTES) & ~_LINE_MASK
                     self.watch.setdefault(line, []).append((rule.asid, i0, pgd_base))
+                    changed.add(line)
                 slot_rules.append(rule)
+        return changed
 
     def _rule_for(self, asid: int, va: int):
         for rule in self._rules_by_slot.get((asid, va >> 30), ()):

@@ -103,10 +103,6 @@ class Dram:
         """Whether the `n` bytes from `addr` all lie in the aperture."""
         return self.base <= addr and addr + n <= self.base + self.size
 
-    def _check(self, addr: int, n: int = 1):
-        if not self.contains(addr, n):
-            raise ValueError(f"address outside DRAM aperture: {addr:#x}")
-
     def read_line(self, line_addr: int):
         """The stored line itself, not a copy (a shared zero line when
         unwritten): callers must not mutate it, and one that keeps or
@@ -119,7 +115,8 @@ class Dram:
         return self._lines.get(line_addr, _ZERO_LINE)
 
     def write_line(self, line_addr: int, payload):
-        self._check(line_addr, LINE_BYTES)
+        if not (self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size):
+            raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         if len(payload) != LINE_BYTES:
             raise ValueError("line payload must be 64 bytes")
         self.writes += 1
@@ -149,26 +146,29 @@ class Dram:
         line[off : off + 8] = value.to_bytes(8, "little")
 
     def read_bytes(self, addr: int, n: int) -> bytes:
-        self._check(addr, n)
+        if not self.contains(addr, n):
+            raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         first = addr & ~_LINE_MASK
         lines = range(first, addr + n, LINE_BYTES)
         data = b"".join(map(self._lines.get, lines, repeat(_ZERO_LINE)))
         return data[addr - first : addr - first + n]
 
     def write_bytes(self, addr: int, data: bytes):
-        self._check(addr, len(data))
+        if not self.contains(addr, len(data)):
+            raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         end = addr + len(data)
         spanned = range(addr & ~_LINE_MASK, end, LINE_BYTES)
         if not self.walk_memo.lines.isdisjoint(spanned):
             self.walk_memo.forget()
         lines = self._lines
+        view = memoryview(data)  # slices of a view copy nothing
         for line_addr in spanned:
             line = lines.get(line_addr)
             if line is None:
                 line = lines[line_addr] = bytearray(LINE_BYTES)
-            lo = max(addr, line_addr)
-            hi = min(end, line_addr + LINE_BYTES)
-            line[lo - line_addr : hi - line_addr] = data[lo - addr : hi - addr]
+            lo = addr if addr > line_addr else line_addr
+            hi = end if end < line_addr + LINE_BYTES else line_addr + LINE_BYTES
+            line[lo - line_addr : hi - line_addr] = view[lo - addr : hi - addr]
 
     def content_digest(self) -> str:
         h = hashlib.sha256()
@@ -558,15 +558,13 @@ class Machine:
     def _invalidate(self, tlb_ranges, lines):
         for asid, va_start, va_end in tlb_ranges:
             self.tlb.invalidate_range(asid, va_start, va_end)
-        for line in lines:
-            self.cci.invalidate_line(self.cache, line)
+        self.cci.invalidate_line(self.cache, *lines)
 
     def flush_cache(self):
         self.cci.flush(self.cache)
 
     def invalidate_page_lines(self, pa_base: int):
-        for k in range(PAGE_SIZE // LINE_BYTES):
-            self.cci.invalidate_line(self.cache, pa_base + (k << 6))
+        self._invalidate((), range(pa_base, pa_base + PAGE_SIZE, LINE_BYTES))
 
     def read_frame(self, pfn: int) -> bytes:
         return self.dram.read_bytes(pfn << PAGE_SHIFT, PAGE_SIZE)

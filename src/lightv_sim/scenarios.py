@@ -12,7 +12,7 @@ randomness is seeded.
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from itertools import islice
 from typing import Optional
 
 from .addressing import (
@@ -589,38 +589,28 @@ class MigrationReport:
         )
 
 
-# Byte maps for `random_bytes`: a word's top byte doubled (mod 256), the
-# top bit of the byte below it, and whether the word's top bit is clear.
-_DOUBLED = bytes((2 * b) & 0xFF for b in range(256))
-_TOP_BIT = bytes(b >> 7 for b in range(256))
-_BELOW_128 = bytes(b < 128 for b in range(256))
+_DRAW_WORDS = 4096  # `random_bytes` draws at most this many words a round
+_NINE_BIT_WORDS = int.from_bytes(b"\xff\x01\x00\x00" * _DRAW_WORDS, "little")
 
 
 def random_bytes(rng: random.Random, n: int) -> bytes:
     """`bytes(rng.randrange(256) for _ in range(n))`, drawn in bulk.
 
     Returns the same bytes and leaves `rng` in the same state.  CPython's
-    `randrange(256)` draws `getrandbits(9)`, the top 9 bits of one 32-bit
-    Mersenne Twister word, and keeps it if it is below 256 (bit 31 of the
-    word is clear), else it draws another word.  `getrandbits(32 * k)`
-    returns k consecutive words, the first least significant, so in its
-    little-endian bytes word j is `raw[4j:4j+4]` with its top byte at
-    `4j + 3`.  A kept word's value is then `top << 1 | next_byte >> 7`
-    with `top = raw[4j+3] < 128`.  Each round draws one word per byte still
-    missing: at most that many are kept, so no word past the last kept one
-    is ever drawn.
+    `randrange(256)` draws `getrandbits(9)`, `word >> 23` of one 32-bit
+    Mersenne Twister word, until that is below 256.  `getrandbits(32 * k)`
+    is k such words, the first least significant: shifted right by 23,
+    each word masked to 9 bits and decoded as UTF-32-LE, they are k code
+    points 0-511, and a Latin-1 encode that ignores errors drops exactly
+    the rejected ones.  A round draws one word per byte still missing (at
+    most `_DRAW_WORDS`), so no word past the last kept one is drawn.
     """
-    out = bytearray()
+    out = b""
     while len(out) < n:
-        k = n - len(out)
-        raw = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-        top = raw[3::4]
-        values = (
-            int.from_bytes(top.translate(_DOUBLED), "little")
-            | int.from_bytes(raw[2::4].translate(_TOP_BIT), "little")
-        ).to_bytes(k, "little")
-        out.extend(compress(values, top.translate(_BELOW_128)))
-    return bytes(out)
+        k = min(n - len(out), _DRAW_WORDS)
+        words = (rng.getrandbits(32 * k) >> 23) & _NINE_BIT_WORDS
+        out += words.to_bytes(4 * k, "little").decode("utf-32-le").encode("latin-1", "ignore")
+    return out
 
 
 def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport:
@@ -630,7 +620,8 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     not-yet-copied destination lines are answered with source content, and
     dirty writebacks are mirrored to the source so the trailing DMA copy
     can never clobber newer data.  After the window the source frame is
-    poisoned to prove nothing reads it again.
+    poisoned to prove nothing reads it again, and `source_clean` holds if
+    no line of it is left in the cache before the final flush.
     """
     plan.validate()
     m = Machine(config.with_mode("active"))
@@ -692,14 +683,12 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
         check_read(rng.randrange(PAGE_SIZE))
     translations_to_destination = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == dst
 
+    source_clean = not any(map(m.cache.lookup, range(src_base, src_base + PAGE_SIZE, LINE_BYTES)))
     m.flush_cache()
     final = m.dram.read_bytes(dst_base, PAGE_SIZE)
     # Equal pages, the usual case, cost one compare; a failing run still
     # gets its per-byte count.
     lost_writes = 0 if final == shadow else sum(map(int.__ne__, final, shadow))
-    source_clean = not any(
-        src_base <= line.tag < src_base + PAGE_SIZE for line in m.cache.iter_lines()
-    )
     return MigrationReport(
         plan=plan,
         events=len(events),

@@ -182,3 +182,57 @@ def _mapped_pages(read_qword, pgd_base, i0):
         for i2 in range(TABLE_ENTRIES):
             if read_qword(leaf_table + i2 * 8) % 2:
                 yield ((i0 * TABLE_ENTRIES + i1) * TABLE_ENTRIES + i2) * PAGE
+
+
+def present_entries_by_entry(table):
+    """(index, raw) of every entry of a table frame whose present bit is
+    set, decoding one entry at a time."""
+    entries = (int.from_bytes(table[i * 8 : i * 8 + 8], "little") for i in range(TABLE_ENTRIES))
+    return [(i, raw) for i, raw in enumerate(entries) if raw % 2]
+
+
+def rule_lookups(agent):
+    """LightV's rule-side lookups rebuilt from every active rule, as they
+    were first written (a rebuild after every change): the (slot, rules)
+    and (watched line, slots) items, in order."""
+    by_slot, watch = {}, {}
+    for rule in agent.rules.values():
+        pgd_base = agent.spaces[rule.asid].pgd_base
+        first, last = brute_split(rule.va_start)[0], brute_split(rule.va_end - 1)[0]
+        for i0 in range(first, last + 1):
+            if (rule.asid, i0) not in by_slot:
+                by_slot[rule.asid, i0] = []
+                line = (pgd_base + i0 * 8) // 64 * 64
+                watch.setdefault(line, []).append((rule.asid, i0, pgd_base))
+            by_slot[rule.asid, i0].append(rule)
+    return list(by_slot.items()), list(watch.items())
+
+
+def capture_error(agent, pairs):
+    """The text of the ValueError `begin_page_capture` must raise for
+    `pairs`, or None: every line's alignment first, then each line in
+    order, the aperture before the page tables, as first written."""
+    lines = [line for pair in pairs.items() for line in pair]
+    if any(line % 64 for line in lines):
+        return "capture lines must be 64-byte aligned"
+    for line in lines:
+        if not agent.dram.contains(line, 64):
+            return f"capture line {line:#x} outside DRAM aperture"
+        for space in agent.spaces.values():
+            if line // PAGE in space.table_pfns:
+                return f"capture line {line:#x} lies in a page table of asid {space.asid}"
+    return None
+
+
+def invalidate_by_line(cci, cache, lines):
+    """Drop each line in turn, writing a Modified one back after its drop."""
+    for addr in lines:
+        line = cache.drop(addr)
+        if line is not None and line.state.value == "M":
+            cci._writeback(line)
+
+
+def flush_by_line(cci, cache):
+    """The maintenance sweep one line at a time: every line in
+    `iter_lines` order, each dropped, then written back if Modified."""
+    invalidate_by_line(cci, cache, [line.tag for line in cache.iter_lines()])

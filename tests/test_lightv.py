@@ -23,7 +23,7 @@ from lightv_sim.lightv import (
 from lightv_sim.machine import AllocatorExhausted
 
 from helpers import make_machine
-from oracles import activation_error
+from oracles import activation_error, capture_error, present_entries_by_entry, rule_lookups
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 WINDOW = WatermarkWindow(0x20_0000)
@@ -254,6 +254,76 @@ def test_strict_accepts_joint_coverage():
     ]
     m.activate_rules(rules, strict=True)
 
+
+
+def test_activation_extends_the_rule_lookups_as_a_rebuild_would():
+    # `activate` extends the lookups for its own rules only; after any run
+    # of activations and deactivations they must equal a rebuild from every
+    # active rule, and the lines it returns those a rebuild gives
+    rng = random.Random(29)
+    for _ in range(25):
+        m = make_machine("active")
+        # four pages under each of slots 8-17 (two level-0 lines) of asid 0
+        # and slots 8-9 of asid 1
+        for asid, slots in ((0, range(8, 18)), (1, (8, 9))):
+            m.register_space(asid, [
+                ((i0 << 30) + (k << 12), 0x90000 + (asid << 12) + (i0 << 4) + k, RW)
+                for i0 in slots for k in range(4)
+            ])
+        agent = m.lightv
+        next_id = 1
+        for _ in range(30):
+            if agent.rules and rng.random() < 0.3:
+                agent.deactivate(rng.choice(list(agent.rules)))
+            else:
+                batch = []
+                for _ in range(rng.randint(1, 3)):
+                    asid = rng.choice((0, 0, 1))
+                    i0 = rng.choice((8, 9) if asid else range(8, 18))
+                    start = (i0 << 30) + (rng.randrange(4) << 12)
+                    end = start + (rng.randint(1, 3) << 12)
+                    if rng.random() < 0.2 and i0 not in (9, 17):  # into the next slot
+                        end = ((i0 + 1) << 30) + (rng.randint(1, 4) << 12)
+                    batch.append(RewriteRule(next_id, asid, start, end, 0xA0000 + 8 * next_id))
+                    next_id += 1
+                old_watch = {line: list(slots) for line, slots in agent.watch.items()}
+                chunks = agent._chunk_lines(batch) if agent._ctx_by_key else []
+                state = agent_state(m)
+                try:
+                    ranges, lines = agent.activate(batch, strict=False)
+                except RuleError:  # an overlap
+                    assert agent_state(m) == state
+                    continue
+                _, watch = rule_lookups(agent)
+                expected = [line for line, slots in watch if slots != old_watch.get(line)]
+                assert lines == expected + chunks
+                assert ranges == [(r.asid, r.va_start, r.va_end) for r in batch]
+            by_slot, watch = rule_lookups(agent)
+            assert list(agent._rules_by_slot.items()) == by_slot
+            assert list(agent.watch.items()) == watch
+            assert list(agent._bounds) == list(agent.rules)
+            for rule_id, (rule, *bounds) in agent._bounds.items():
+                run = rule.replacement_run
+                assert rule is agent.rules[rule_id]
+                assert bounds == [rule.asid, rule.va_start, rule.va_end, run.start, run.stop]
+
+
+def test_present_entries_match_a_per_entry_reference():
+    # empty, one-entry (first, last, anywhere), sparse, around the switch
+    # to one whole unpack, all-but-one and full tables; the entries that
+    # are not present hold random bits with the present bit clear
+    rng = random.Random(17)
+    cases = [set(), {0}, {511}, {rng.randrange(512)}, set(range(1, 512)), set(range(511))]
+    for count in (2, 8, 24, 25, 32, 100, 511, 512):
+        cases += [set(rng.sample(range(512), count)) for _ in range(4)]
+    for present in cases:
+        table = b"".join(
+            (rng.getrandbits(64) | 1 if i in present else rng.getrandbits(64) & ~1).to_bytes(8, "little")
+            for i in range(512)
+        )
+        got = list(lv._present_entries(table))
+        assert got == present_entries_by_entry(table)
+        assert [i for i, _ in got] == sorted(present)
 
 # -- snoop handling ------------------------------------------------------------
 
@@ -646,6 +716,54 @@ def test_register_space_keeps_tables_off_capture_windows():
     ]
     m.activate_rules(rules)
     assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
+
+
+def test_capture_names_the_first_bad_line_of_a_page_window():
+    # Each frame is checked once, at its first line; the error must still
+    # name the line the per-line checks would: the first misaligned line
+    # of any pair, else the first line outside the aperture or in a table
+    # frame, in pair order, destination before source.
+    m, rule, repl = one_rule_machine()
+    m.register_space(1, [(9 << 30, 0x90100, RW)])
+    m.activate_rules([rule])
+    tables = sorted(pfn << 12 for space in m.spaces.values() for pfn in space.table_pfns)
+    bad_lines = [
+        lambda off: tables[0] + off,  # the level-0 table of asid 0
+        lambda off: tables[-1] + off,  # a leaf table of asid 1
+        lambda off: 0x10_0000_0000 + off,  # past the aperture
+        lambda off: 0x7FFF_F000 + off,  # below it
+        lambda off: 0x9300_0000 + off + 8,  # misaligned
+    ]
+    rng = random.Random(3)
+    state = agent_state(m)
+    for case in range(200):
+        dst, src = 0x9100_0000, 0x9200_0000
+        pairs = [[dst + off, src + off] for off in range(0, 4096, 64)]
+        for _ in range(rng.randint(1, 3)):
+            off = rng.randrange(0, 4096, 64)
+            pairs[rng.randrange(64)][rng.randrange(2)] = rng.choice(bad_lines)(off)
+        pairs = dict(pairs)
+        expected = capture_error(m.lightv, pairs)
+        if expected is None:  # two bad destinations landed on one key
+            continue
+        with pytest.raises(ValueError) as err:
+            m.lightv.begin_page_capture(pairs)
+        assert type(err.value) is ValueError and str(err.value) == expected, case
+        assert agent_state(m) == state
+    # pair 20's source in a table frame, a later line of that frame, then
+    # a line outside the aperture: the first of them is named
+    pairs = {0x9100_0000 + off: 0x9200_0000 + off for off in range(0, 4096, 64)}
+    pairs[0x9100_0000 + 20 * 64] = tables[0] + 0x80
+    pairs[0x9100_0000 + 30 * 64] = tables[0] + 0x40
+    pairs[0x9100_0000 + 40 * 64] = 0x10_0000_0000
+    with pytest.raises(ValueError) as err:
+        m.lightv.begin_page_capture(pairs)
+    assert str(err.value) == f"capture line {tables[0] + 0x80:#x} lies in a page table of asid 0"
+    pairs[0x9100_0000 + 10 * 64] = 0x10_0000_0040
+    with pytest.raises(ValueError) as err:
+        m.lightv.begin_page_capture(pairs)
+    assert str(err.value) == "capture line 0x1000000040 outside DRAM aperture"
+    assert agent_state(m) == state
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from lightv_sim.addressing import ATTR_WRITABLE, MappingError
-from lightv_sim.coherence import LatencyConfig
+from lightv_sim.coherence import Cache, CacheState, LatencyConfig
 from lightv_sim.lightv import RewriteRule
 from lightv_sim.machine import (
     AllocatorExhausted,
@@ -25,6 +25,7 @@ from lightv_sim.machine import (
 )
 
 from helpers import make_machine
+from oracles import flush_by_line, invalidate_by_line
 
 RW = ATTR_WRITABLE
 PAGE_VA = 8 << 30
@@ -168,6 +169,89 @@ def test_strict_activation_reads_each_page_once_and_a_few_entries_per_table(monk
     assert counts["write_qword"] == 0
     assert counts["read_qword"] <= pages + 4 * 3
 
+
+
+def count_calls(monkeypatch, owner, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(owner, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_capturing_a_page_checks_each_frame_once(monkeypatch):
+    m = make_machine("active")
+    m.register_space(0, [(PAGE_VA, 0x90000, RW)])
+    counts = count_calls(monkeypatch, Dram, "contains")
+    m.lightv.begin_page_capture({0x9100_0000 + off: 0x9200_0000 + off for off in range(0, 4096, 64)})
+    assert counts["contains"] <= 2
+
+
+def test_flush_sweeps_the_sets_without_per_line_cache_calls(monkeypatch):
+    m = make_machine("absent", cache_sets=16, cache_ways=2)
+    for k in range(40):
+        if k % 3:
+            m.cci.write_byte(m.cache, 0x9000_0000 + 64 * k, k)
+        else:
+            m.cci.read_byte(m.cache, 0x9000_0000 + 64 * k)
+    counts = count_calls(monkeypatch, Cache, "drop", "iter_lines")
+    m.flush_cache()
+    assert counts == {"drop": 0, "iter_lines": 0}
+    assert not any(m.cache._sets)
+
+
+# -- cache sweeps -----------------------------------------------------------------
+
+
+def mixed_cache_machine(seed):
+    """A machine whose 64 x 2 cache is full of lines in random M, E and S
+    states, with random payloads and a shuffled LRU order in every set;
+    it logs each writeback, and whether its line was dropped by then."""
+    m = make_machine("absent", cache_sets=64, cache_ways=2)
+    rng = random.Random(seed)
+    page = 0x9000_0000
+    lines = [page + 64 * k for k in range(64)] + [page + 0x1_0000 + 64 * k for k in range(64)]
+    rng.shuffle(lines)
+    for line in lines:
+        m.cache.fill(line, bytearray(rng.randbytes(64)), rng.choice(list(CacheState)))
+    for _ in range(200):
+        m.cache.probe(rng.choice(lines))
+    m.log = []
+    m.cci.writeback_hook = lambda addr, payload: m.log.append(
+        (addr, bytes(payload), m.cache.lookup(addr) is None)
+    )
+    return m
+
+
+def machine_after(m):
+    return m.log, m.counters.writebacks, m.dram.writes, sorted(m.dram._lines.items()), m.cache.snapshot()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cache_sweeps_write_back_as_a_per_line_sweep_does(seed):
+    # flush: set by set in LRU order; invalidate_page_lines: the page's
+    # lines in address order; either way each Modified line is dropped
+    # before its writeback
+    got, want = mixed_cache_machine(seed), mixed_cache_machine(seed)
+    got.flush_cache()
+    flush_by_line(want.cci, want.cache)
+    assert machine_after(got) == machine_after(want)
+    assert got.log and all(dropped for _, _, dropped in got.log)
+    assert not any(got.cache._sets)
+    page = 0x9000_0000 + 0x1_0000 * (seed % 2)
+    got, want = mixed_cache_machine(seed), mixed_cache_machine(seed)
+    got.invalidate_page_lines(page)
+    invalidate_by_line(want.cci, want.cache, range(page, page + 4096, 64))
+    assert machine_after(got) == machine_after(want)
+    assert got.log and all(dropped for _, _, dropped in got.log)
+    assert len(got.cache.snapshot()) == 64
+    before = machine_after(got)
+    with pytest.raises(ValueError, match=f"address not line-aligned: {page + 8:#x}"):
+        got.invalidate_page_lines(page + 8)
+    assert machine_after(got) == before
 
 # -- dram and allocator ----------------------------------------------------------
 

@@ -174,6 +174,17 @@ def test_small_caches_need_the_writeback_mirror(monkeypatch, sets, ways):
         assert report.lost_writes > 0 and not report.ok, f"seed {plan.seed}"
 
 
+def test_migration_source_check_sees_lines_left_in_the_cache(monkeypatch, config):
+    # Opening the window must flush the source page's lines; without that,
+    # source-tagged lines are still cached when the run ends, and the check
+    # runs before the final flush empties the cache.
+    assert run_migration(MigrationPlan(seed=1), config).source_clean
+    monkeypatch.setattr(Machine, "invalidate_page_lines", lambda self, pa_base: None)
+    report = run_migration(MigrationPlan(seed=1), config)
+    assert not report.source_clean and not report.ok
+    assert "source frame unreferenced: False" in report.text()
+
+
 def test_migration_plan_validation():
     with pytest.raises(ValueError, match="aligned"):
         MigrationPlan(page_va=0x123).validate()
@@ -184,7 +195,7 @@ def test_migration_plan_validation():
 def test_random_bytes_draws_the_randrange_stream():
     # the migration page fill; a CPython change to randrange shows here
     for seed in range(200):
-        for n in (0, 1, 2, 63, 64, 4095, 4096):
+        for n in (0, 1, 2, 63, 64, 4095, 4096, 4097, 10_000):
             want, got = random.Random(seed), random.Random(seed)
             expected = bytes(want.randrange(256) for _ in range(n))
             assert random_bytes(got, n) == expected, (seed, n)
