@@ -125,14 +125,6 @@ def parse_attr_flags(text: str) -> int:
     return attrs
 
 
-def pte_address(table_base: int, index: int) -> int:
-    return table_base + index * PTE_BYTES
-
-
-def read_pte(memory, table_base: int, index: int) -> int:
-    return memory.read_qword(pte_address(table_base, index))
-
-
 def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
     """Materialize a 3-level radix tree in simulated memory.
 
@@ -164,11 +156,12 @@ def build_tables(mappings, memory, allocator, asid: int = 0) -> AddressSpace:
         """The base of the table that entry `index` of table `base` names,
         allocating and linking one when the entry is not present."""
         nonlocal exact
-        present, pfn, _ = decode_pte(read_pte(memory, base, index))
+        addr = base + index * PTE_BYTES
+        present, pfn, _ = decode_pte(memory.read_qword(addr))
         if not present:
             pfn = allocator.alloc()
             table_pfns.append(pfn)
-            memory.write_qword(pte_address(base, index), encode_pte(True, pfn))
+            memory.write_qword(addr, encode_pte(True, pfn))
         elif exact:
             exact = False
             level1.clear()
@@ -213,7 +206,7 @@ def reference_walk(space: AddressSpace, va: int, memory) -> int:
     index0, index1, index2, offset = split_va(va)
     base = space.pgd_base
     for level, index in enumerate((index0, index1, index2)):
-        addr = pte_address(base, index)
+        addr = base + index * PTE_BYTES
         present, pfn, _ = decode_pte(memory.read_qword(addr))
         if not present:
             raise TranslationFault(level, addr)

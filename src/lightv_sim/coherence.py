@@ -148,21 +148,6 @@ class Cache:
         s[line_addr] = CacheLine(line_addr, state, payload)
         return evicted
 
-    def drop(self, line_addr: int) -> Optional[CacheLine]:
-        """Remove a line without any writeback; returns it if present."""
-        return self._set_for(line_addr).pop(line_addr, None)
-
-    def iter_lines(self):
-        for s in self._sets:
-            yield from s.values()
-
-    def snapshot(self):
-        """Deterministic (tag, state, payload) dump for comparisons."""
-        return sorted(
-            (line.tag, line.state.value, bytes(line.payload))
-            for line in self.iter_lines()
-        )
-
 
 class CoherentInterconnect:
     """Serialized snoop fabric between the PE cache, agents, and DRAM.

@@ -16,13 +16,14 @@ lines linger in the PE cache: a cached watermark still routes the next
 miss back here, so partial visibility of the walk is harmless.
 
 Every serve reads the live real line it is built from (one DRAM line
-read per serve) and reuses the last payload of that line only while the
-bytes read are equal to those it was built from, so leaf attributes are
-merged fresh and a non-present real entry is mirrored as non-present: an
-unpopulated mapping faults just as it would have -- except that the
-faulting descriptor address the OS then sees lies in the watermark
-window, which is precisely the demand-paging hazard the scenarios
-reproduce.
+read per serve) and builds its payload from those bytes, so leaf
+attributes are merged fresh and a non-present real entry is mirrored as
+non-present: an unpopulated mapping faults just as it would have --
+except that the faulting descriptor address the OS then sees lies in the
+watermark window, which is precisely the demand-paging hazard the
+scenarios reproduce.  The agent keeps no served payloads; replaying an
+unchanged walk without asking it again is the walker's job
+(`mmu.WalkMemo`).
 """
 
 import heapq
@@ -185,7 +186,6 @@ class LightV:
         self._next_id = 0
         self.captures = {}  # destination line -> source line, while uncopied
         self._mirror = {}  # destination line -> source line, for writebacks
-        self._served = {}  # line -> (real bytes, payload) of its last serve
         self.lines_manipulated = 0
         self.context_lost = 0
         self.data_captures = 0
@@ -255,7 +255,6 @@ class LightV:
         if len(new_paths) > free:
             raise ContextCapacityError("context cache full")
 
-        self._served.clear()
         self.dram.walk_memo.forget()
         # Only the chunks of contexts that are already live can be cached.
         chunks = self._chunk_lines(rules) if self._ctx_by_key else []
@@ -282,7 +281,6 @@ class LightV:
         if rule is None:
             raise RuleError(f"unknown rule id {rule_id}")
         del self._bounds[rule_id]
-        self._served.clear()
         self.dram.walk_memo.forget()
         watched = self.watch
         stale_lines = set(self._chunk_lines([rule]))
@@ -350,33 +348,17 @@ class LightV:
         live table the context shadows at levels 1 and 2 (a context with no
         real table yields a blank chunk without a read).  Only whole 8-byte
         entries on targeted paths change; every other byte of the real line
-        is preserved.
-
-        The last payload of each line is kept with a copy of the real
-        bytes it was built from, and reused while a fresh read of the real
-        line is equal.  The build depends on nothing else that changes
-        outside `activate`/`deactivate`, which drop every entry, and its
-        one side effect (a child context's table base) follows from those
-        bytes, so a reuse leaves the agent as a rebuild would.
+        is preserved.  The payload is built afresh on every serve; its one
+        side effect (a child context's table base) follows from the real
+        bytes, so serving an unchanged line again gives an equal payload
+        and leaves the agent as it was.
         """
-        watermark = isinstance(match, TranslationContext)
-        if not watermark:
-            real = self.dram.read_line(line_addr)
-        elif match.original_table_addr is None:
+        if not isinstance(match, TranslationContext):
+            return self._rewrite_watched_line(self.dram.read_line(line_addr), match)
+        if match.original_table_addr is None:
             return bytes(LINE_BYTES)  # no real table behind the path: all blank
-        else:
-            real = self.dram.read_line(
-                match.original_table_addr + (line_addr & _FRAME_OFF_MASK)
-            )
-        served = self._served.get(line_addr)
-        if served is not None and served[0] == real:
-            return served[1]
-        if watermark:
-            payload = self._synthesize_wm_chunk(line_addr, match, real)
-        else:
-            payload = self._rewrite_watched_line(real, match)
-        self._served[line_addr] = (bytes(real), payload)
-        return payload
+        real = self.dram.read_line(match.original_table_addr + (line_addr & _FRAME_OFF_MASK))
+        return self._synthesize_wm_chunk(line_addr, match, real)
 
     def _rewrite_watched_line(self, real, slots) -> bytes:
         buf = bytearray(real)

@@ -179,12 +179,6 @@ class Dram:
                 h.update(payload)
         return h.hexdigest()
 
-    def clone(self) -> "Dram":
-        """Deep copy of the current image (counters reset)."""
-        other = Dram(self.base, self.size)
-        other._lines = {addr: bytearray(line) for addr, line in self._lines.items()}
-        return other
-
 
 _EXHAUSTED = "no free frames left in the DRAM aperture"
 
@@ -192,9 +186,8 @@ _EXHAUSTED = "no free frames left in the DRAM aperture"
 class FrameAllocator:
     """Bump allocator handing out 4 KB frames from the DRAM aperture."""
 
-    def __init__(self, dram: Dram, start_pfn: Optional[int] = None):
-        self.dram = dram
-        self._next = start_pfn if start_pfn is not None else dram.base >> PAGE_SHIFT
+    def __init__(self, dram: Dram):
+        self._next = dram.base >> PAGE_SHIFT
         self._limit = (dram.base + dram.size) >> PAGE_SHIFT
 
     @property
@@ -531,7 +524,7 @@ class Machine:
         prefixes = {va >> 21 for va, _, _ in mappings}  # (index0, index1) of each page
         count = 1 + len({prefix >> 9 for prefix in prefixes}) + len(prefixes)
         tables = range(self.allocator.next_pfn, self.allocator.next_pfn + count)
-        if tables.stop > self.allocator._limit:
+        if not self.dram.contains(tables.start << PAGE_SHIFT, count << PAGE_SHIFT):
             raise AllocatorExhausted(_EXHAUSTED)
         mirror = self.lightv._mirror if self.lightv is not None else {}
         for line in (*mirror, *mirror.values()):

@@ -4,6 +4,29 @@ from lightv_sim.coherence import Cache, CoherentInterconnect, Counters, LatencyC
 from lightv_sim.machine import Dram, Machine, MachineConfig, SimClock
 
 
+def cache_drop(cache, line_addr):
+    """Remove a line without any writeback; returns it if present."""
+    return cache._set_for(line_addr).pop(line_addr, None)
+
+
+def cache_lines(cache):
+    """Every cached line, set by set, each set in LRU order."""
+    for s in cache._sets:
+        yield from s.values()
+
+
+def cache_snapshot(cache):
+    """Deterministic (tag, state, payload) dump for comparisons."""
+    return sorted((line.tag, line.state.value, bytes(line.payload)) for line in cache_lines(cache))
+
+
+def dram_clone(dram):
+    """Deep copy of a DRAM image (counters reset)."""
+    other = Dram(dram.base, dram.size)
+    other._lines = {addr: bytearray(line) for addr, line in dram._lines.items()}
+    return other
+
+
 def make_machine(mode="absent", **overrides):
     cfg = MachineConfig(mode=mode, **overrides)
     return Machine(cfg)

@@ -6,6 +6,8 @@ explicit output-address field mask instead of the codec helpers.  Keeping
 the derivations separate is what makes agreement meaningful.
 """
 
+from helpers import cache_drop, cache_lines
+
 PAGE = 4096
 TABLE_ENTRIES = 512
 ADDR_FIELD_MASK = 0xFF_FFFF_F000  # descriptor bits [39:12]
@@ -227,12 +229,12 @@ def capture_error(agent, pairs):
 def invalidate_by_line(cci, cache, lines):
     """Drop each line in turn, writing a Modified one back after its drop."""
     for addr in lines:
-        line = cache.drop(addr)
+        line = cache_drop(cache, addr)
         if line is not None and line.state.value == "M":
             cci._writeback(line)
 
 
 def flush_by_line(cci, cache):
     """The maintenance sweep one line at a time: every line in
-    `iter_lines` order, each dropped, then written back if Modified."""
-    invalidate_by_line(cci, cache, [line.tag for line in cache.iter_lines()])
+    `cache_lines` order, each dropped, then written back if Modified."""
+    invalidate_by_line(cci, cache, [line.tag for line in cache_lines(cache)])

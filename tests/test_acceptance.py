@@ -19,6 +19,7 @@ from lightv_sim.coherence import CacheState
 from lightv_sim.lightv import CONTEXT_CAPACITY, RewriteRule, WatermarkWindow
 from lightv_sim.machine import Machine, MachineConfig
 
+from helpers import cache_lines, dram_clone
 from oracles import apply_rule_by_edit, brute_walk
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -108,11 +109,11 @@ def test_criterion_2_redirection_correctness():
             active.register_space(0, mappings)
             # baseline reuses the same data frames; start its table frames
             # past everything active allocated so nothing collides
-            baseline.allocator = type(baseline.allocator)(
-                baseline.dram, start_pfn=active.allocator.next_pfn
+            baseline.allocator.alloc_run(
+                active.allocator.next_pfn - baseline.allocator.next_pfn
             )
             baseline.register_space(0, mappings)
-            ghost = active.dram.clone()
+            ghost = dram_clone(active.dram)
             space = active.spaces[0]
             for rule in rules:
                 apply_rule_by_edit(ghost, space, rule)
@@ -171,7 +172,7 @@ def test_criterion_4_overhead_properties(histogram_experiment):
 def _assert_single_writer(machines):
     owners = {}
     for m in machines:
-        for line in m.cache.iter_lines():
+        for line in cache_lines(m.cache):
             assert line.state in (
                 CacheState.MODIFIED,
                 CacheState.EXCLUSIVE,

@@ -32,6 +32,8 @@ from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
 from lightv_sim.mmu import WALK_MEMO_LINES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
+from helpers import cache_snapshot
+
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 PLAIN_VAS = [(8 << 30) + k * 4096 for k in range(6)] + [(8 << 30) | (3 << 21)]
 RULE_VA = 9 << 30
@@ -164,7 +166,7 @@ def simulated_state(m):
             "contexts_live": len(m.lightv._ctx_by_id),
         },
         "lines_manipulated": m.tally()["lines_manipulated"],
-        "cache": m.cache.snapshot(),
+        "cache": cache_snapshot(m.cache),
         "tlb": list(m.tlb._entries.items()),
     }
 

@@ -109,7 +109,7 @@ def test_build_tables_empty():
     space = build_tables([], dram, alloc)
     assert alloc.next_pfn == first + 1  # just the PGD
     for index in range(512):
-        present, _, _ = decode_pte(addressing.read_pte(dram, space.pgd_base, index))
+        present, _, _ = decode_pte(dram.read_qword(space.pgd_base + index * addressing.PTE_BYTES))
         assert not present
 
 
@@ -195,7 +195,8 @@ def _random_build_case(rng):
 def _build_outcome(build, mappings, stale, first):
     """What building `mappings` over the stale entries leaves behind."""
     dram, _ = _fresh_memory()
-    alloc = FrameAllocator(dram, first)
+    alloc = FrameAllocator(dram)
+    alloc.alloc_run(first - alloc.next_pfn)  # the tables start at `first`
     for pfn, index, raw in stale:
         dram.write_qword((pfn << 12) + index * 8, raw)
     try:
@@ -246,7 +247,7 @@ def test_build_tables_rereads_paths_once_a_stale_entry_names_a_table():
     expected = _build_outcome(_reference_build, mappings, stale, first)
     assert _build_outcome(_package_build, mappings, stale, first) == expected
     dram, _ = _fresh_memory()
-    ref_alloc = FrameAllocator(dram, first)
+    ref_alloc = FrameAllocator(dram)
     for pfn, index, raw in stale:
         dram.write_qword((pfn << 12) + index * 8, raw)
     _reference_build(mappings, dram, ref_alloc)

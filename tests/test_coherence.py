@@ -11,7 +11,7 @@ from lightv_sim.coherence import (
     LatencyConfig,
 )
 
-from helpers import Fabric
+from helpers import Fabric, cache_drop, cache_snapshot
 from oracles import LruShadow
 
 LINE = 64
@@ -48,7 +48,7 @@ def test_lru_eviction_matches_shadow_model():
     for _ in range(500):
         addr = rng.choice(lines)
         if rng.random() < 0.1:
-            cache.drop(addr)
+            cache_drop(cache, addr)
             shadow.drop(addr)
             continue
         hit = cache.probe(addr) is not None
@@ -97,7 +97,7 @@ def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
     c = fabric.counters
     assert (c.walk_reads, c.walk_misses, c.snoops_issued, c.snoops_acked) == (2, 2, 2, 1)
     assert fabric.dram.reads == 1
-    assert built == [] and fabric.cache.snapshot() == []
+    assert built == [] and cache_snapshot(fabric.cache) == []
     assert fabric.clock.now == 2 * fabric.lat.cci + fabric.lat.dram + fabric.lat.snoop + 3
 
 
@@ -187,7 +187,7 @@ def test_silent_agent_changes_nothing():
                 f.cci.write_byte(f.cache, addr, n & 0xFF)
             else:
                 values.append(f.cci.read_byte(f.cache, addr))
-        return values, f.clock.now, f.cache.snapshot()
+        return values, f.clock.now, cache_snapshot(f.cache)
 
     assert run(False) == run(True)
 
@@ -288,7 +288,7 @@ def test_determinism_bitwise():
                 f.cci.write_byte(f.cache, addr, rng.randrange(256))
             else:
                 f.cci.read_byte(f.cache, addr)
-        return f.cache.snapshot(), f.clock.now, f.dram.content_digest()
+        return cache_snapshot(f.cache), f.clock.now, f.dram.content_digest()
 
     assert run() == run()
 

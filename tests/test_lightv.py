@@ -943,7 +943,7 @@ def test_diagnostics_counters():
     assert len(m.lightv._ctx_by_id) == 2 and m.lightv.context_lost == 0
 
 
-# -- reuse of served payloads ----------------------------------------------------
+# -- repeated serves -------------------------------------------------------------
 
 
 def served_lines(m, va):
@@ -970,13 +970,14 @@ def test_served_payload_follows_an_in_place_table_edit():
     cleared = m.dram.read_qword(pte) & ~PTE_PRESENT
     m.dram.write_qword(pte, cleared)
     m.tlb.invalidate_range(0, va, va + 4096)
-    for line in list(m.lightv._served):
-        m.cci.invalidate_line(m.cache, line)
+    lines = served_lines(m, va)
+    m.cci.invalidate_line(m.cache, *lines)
     with pytest.raises(TranslationFault) as fault:
         m.mmu.translate(0, va)
-    wm2 = served_lines(m, va)[2]
+    wm2 = lines[2]
     assert fault.value.level == 2 and fault.value.pte_address == wm2
-    assert m.lightv._served[wm2][1][:8] == cleared.to_bytes(8, "little")
+    payload, _ = m.lightv.handle_snoop(wm2)
+    assert payload[:8] == cleared.to_bytes(8, "little")
 
 
 def test_served_payload_after_real_bytes_return():
@@ -1022,51 +1023,59 @@ def test_rule_changes_drop_served_payloads():
     assert m.mmu.translate(0, 8 << 30) == 0x90008 << 12
 
 
-def test_served_payload_reuse_keeps_the_read_and_the_cost():
+def test_a_repeated_serve_keeps_the_payload_the_read_and_the_cost():
     m, rule, _ = one_rule_machine()
     m.activate_rules([rule])
     m.mmu.translate(0, 8 << 30)
     lat = m.config.latencies
     for line in served_lines(m, 8 << 30):
-        kept = m.lightv._served[line][1]
+        first, _ = m.lightv.handle_snoop(line)
         reads, manipulated = m.dram.reads, m.lightv.lines_manipulated
         payload, serve_cycles = m.lightv.handle_snoop(line)
-        assert payload is kept  # reused, not rebuilt
+        assert payload == first
         assert serve_cycles == lat.lightv + lat.dram
         assert m.dram.reads == reads + 1
         assert m.lightv.lines_manipulated == manipulated + 1
 
 
-def check_served_against_rebuild(agent, dram):
-    """Every kept payload whose real bytes are still current equals a fresh
-    build, and the fresh build changes no context; returns how many were
-    current.  A stale one is rebuilt on its next serve."""
-    current = 0
-    for line, (real, payload) in agent._served.items():
+def check_repeated_serves(agent, dram, vas):
+    """Serve every watched line, then every line of a live context that a
+    walk of one of `vas` reads, level by level as a walk does: each serve
+    must equal a build from the live real bytes, and serving the line again
+    must give an equal payload and change no context.  Returns how many
+    lines were checked."""
+    lines = list(agent.watch)
+    for ctx in sorted(agent._ctx_by_id.values(), key=lambda c: c.level):
+        frame = agent.window.encode(ctx.level, ctx.context_id) << 12
+        shift = 21 if ctx.level == 1 else 12
+        lines += sorted({
+            frame + (((va >> shift) & 0x1FF) * 8 & ~63)
+            for va in vas
+            if (va >> 30, (va >> 21) & 0x1FF)[: len(ctx.prefix)] == ctx.prefix
+        })
+    for line in lines:
         match = agent.path_check(line)
-        watermark = isinstance(match, TranslationContext)
-        if watermark:
-            fresh = bytes(dram.read_line(match.original_table_addr + (line & 0xFFF)))
+        payload = agent.manipulate_line(match, line)
+        if not isinstance(match, TranslationContext):
+            fresh = agent._rewrite_watched_line(dram.read_line(line), match)
+        elif match.original_table_addr is None:
+            fresh = bytes(64)
         else:
-            fresh = bytes(dram.read_line(line))
-        if fresh != real:
-            continue
-        current += 1
+            real = dram.read_line(match.original_table_addr + (line & 0xFFF))
+            fresh = agent._synthesize_wm_chunk(line, match, real)
+        assert payload == fresh, hex(line)
         bases = {k: c.original_table_addr for k, c in agent._ctx_by_key.items()}
-        if watermark:
-            rebuilt = agent._synthesize_wm_chunk(line, match, fresh)
-        else:
-            rebuilt = agent._rewrite_watched_line(fresh, match)
-        assert rebuilt == payload, hex(line)
+        assert agent.manipulate_line(agent.path_check(line), line) == payload, hex(line)
         assert {k: c.original_table_addr for k, c in agent._ctx_by_key.items()} == bases
-    return current
+    return len(lines)
 
 
 def random_interleaving(seed, steps, capture=False):
     """Rules come and go while the OS clears, restores and swaps table
-    entries at every level; after each step every kept payload must equal
-    a fresh build, and every walk the oracle's answer (rules are activated
-    loosely, so an unruled page under a ruled level-0 slot is left out).
+    entries at every level; after each step every watched and walked line
+    must serve as `check_repeated_serves` asks, and every walk must give the
+    oracle's answer (rules are activated loosely, so an unruled page under
+    a ruled level-0 slot is left out).
 
     With `capture`, a share of the steps also opens a capture window (on a
     rule's replacement run or on free data frames, from free source
@@ -1075,7 +1084,7 @@ def random_interleaving(seed, steps, capture=False):
     still-captured destination must return its source bytes, no capture
     line may lie in a page table, and a few walks are checked.
 
-    Returns the machine and the number of kept payloads found current.
+    Returns the machine and the number of served lines checked.
     """
     rng = random.Random(seed)
     vas = [(i0 << 30) | (i1 << 21) | (i2 << 12)
@@ -1138,7 +1147,7 @@ def random_interleaving(seed, steps, capture=False):
             off = rng.randrange(64)
             assert m.cci.read_byte(m.cache, dst + off) == m.dram.read_line(src)[off], step
 
-    current = 0
+    checked = 0
     for step in range(steps):
         if capture and rng.random() < 0.3:
             capture_step()
@@ -1168,20 +1177,20 @@ def random_interleaving(seed, steps, capture=False):
         if capture:
             check_captures(step)
             check_walks(step, 3)
-        current += check_served_against_rebuild(agent, m.dram)
+        checked += check_repeated_serves(agent, m.dram, vas)
     assert agent.context_lost == 0
-    return m, current
+    return m, checked
 
 
-def test_served_payloads_match_a_rebuild_under_random_interleavings():
-    _, current = random_interleaving(7, 150)
-    assert current > 100
+def test_repeated_serves_agree_under_random_interleavings():
+    _, checked = random_interleaving(7, 150)
+    assert checked > 800
 
 
 def test_capture_windows_under_random_interleavings():
-    m, current = random_interleaving(11, 300, capture=True)
+    m, checked = random_interleaving(11, 300, capture=True)
     assert m.lightv.data_captures > 50
-    assert current > 100
+    assert checked > 1600
 
 
 def test_deactivate_leaves_unchanged_cached_lines():

@@ -24,7 +24,7 @@ from lightv_sim.machine import (
     trace_digest,
 )
 
-from helpers import make_machine
+from helpers import cache_snapshot, dram_clone, make_machine
 from oracles import flush_by_line, invalidate_by_line
 
 RW = ATTR_WRITABLE
@@ -197,9 +197,9 @@ def test_flush_sweeps_the_sets_without_per_line_cache_calls(monkeypatch):
             m.cci.write_byte(m.cache, 0x9000_0000 + 64 * k, k)
         else:
             m.cci.read_byte(m.cache, 0x9000_0000 + 64 * k)
-    counts = count_calls(monkeypatch, Cache, "drop", "iter_lines")
+    counts = count_calls(monkeypatch, Cache, "_set_for", "lookup", "probe")
     m.flush_cache()
-    assert counts == {"drop": 0, "iter_lines": 0}
+    assert counts == {"_set_for": 0, "lookup": 0, "probe": 0}
     assert not any(m.cache._sets)
 
 
@@ -227,7 +227,7 @@ def mixed_cache_machine(seed):
 
 
 def machine_after(m):
-    return m.log, m.counters.writebacks, m.dram.writes, sorted(m.dram._lines.items()), m.cache.snapshot()
+    return m.log, m.counters.writebacks, m.dram.writes, sorted(m.dram._lines.items()), cache_snapshot(m.cache)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -247,7 +247,7 @@ def test_cache_sweeps_write_back_as_a_per_line_sweep_does(seed):
     invalidate_by_line(want.cci, want.cache, range(page, page + 4096, 64))
     assert machine_after(got) == machine_after(want)
     assert got.log and all(dropped for _, _, dropped in got.log)
-    assert len(got.cache.snapshot()) == 64
+    assert len(cache_snapshot(got.cache)) == 64
     before = machine_after(got)
     with pytest.raises(ValueError, match=f"address not line-aligned: {page + 8:#x}"):
         got.invalidate_page_lines(page + 8)
@@ -305,7 +305,7 @@ def test_dram_write_bytes_matches_per_byte_reference():
         (base + 0x1000, rng.randbytes(100)),  # aligned start, unaligned length
     ]
     for addr, data in cases:
-        got, want = dram.clone(), dram.clone()
+        got, want = dram_clone(dram), dram_clone(dram)
         got.write_bytes(addr, data)
         per_byte_write(want, addr, data)
         assert got.content_digest() == want.content_digest(), hex(addr)
@@ -313,7 +313,7 @@ def test_dram_write_bytes_matches_per_byte_reference():
         assert got.read_bytes(addr, len(data)) == data
         assert (got.reads, got.writes) == (0, 0)
     for addr, n in ((base + size - 10, 20), (base - 4, 8), (base + size, 1)):
-        d = dram.clone()
+        d = dram_clone(dram)
         digest, lines = d.content_digest(), sorted(d._lines)
         with pytest.raises(ValueError, match="outside DRAM aperture"):
             d.write_bytes(addr, bytes(range(1, n + 1)))
@@ -349,7 +349,7 @@ def test_dram_digest_tracks_content():
     d0 = dram.content_digest()
     dram.write_qword(0x8000_1000, 0xAB)
     assert dram.content_digest() != d0
-    clone = dram.clone()
+    clone = dram_clone(dram)
     assert clone.content_digest() == dram.content_digest()
     clone.write_qword(0x8000_1000, 0xCD)
     assert clone.content_digest() != dram.content_digest()
@@ -388,7 +388,7 @@ def test_determinism_replay():
     def run():
         m = simple_machine("active")
         stats = m.run_trace(trace)
-        return stats, m.dram.content_digest(), m.cache.snapshot()
+        return stats, m.dram.content_digest(), cache_snapshot(m.cache)
 
     assert run() == run()
 

@@ -11,7 +11,7 @@ from lightv_sim.addressing import (
 )
 from lightv_sim.mmu import Tlb
 
-from helpers import make_machine
+from helpers import cache_snapshot, make_machine
 
 RW = ATTR_WRITABLE
 
@@ -85,7 +85,7 @@ def test_cached_pgd_line_saves_fabric_reads():
 def test_noncaching_walker_leaves_no_pte_lines():
     m = mapped_machine(cache_ptes=False, tlb_entries=0)
     m.mmu.translate(0, 8 << 30)
-    assert m.cache.snapshot() == []
+    assert cache_snapshot(m.cache) == []
     misses = m.counters.walk_misses
     m.mmu.translate(0, 8 << 30)
     assert m.counters.walk_misses == misses + 3
