@@ -19,7 +19,7 @@ line itself and never builds a line.  Each counts its hit or miss only
 once it has the line.
 
 Cycle model (flat per-event costs from LatencyConfig), charged to the
-shared clock, which is the single accounting point:
+shared counters' `total_cycles`, the single accounting point:
   * cache hit: `cache_hit`
   * miss, all agents NACK: `cci + dram` -- the DRAM fetch is launched
     speculatively alongside the broadcast, so NACK resolution is hidden
@@ -77,7 +77,7 @@ class LatencyConfig:
 
 
 class Counters:
-    """Per-run event counters shared by the fabric and the MMU."""
+    """Event counters and the cycle total, shared by the fabric and the MMU."""
 
     FIELDS = (
         "data_hits",
@@ -88,6 +88,7 @@ class Counters:
         "snoops_issued",
         "snoops_acked",
         "writebacks",
+        "total_cycles",
     )
 
     def __init__(self):
@@ -156,11 +157,10 @@ class CoherentInterconnect:
     arbitration is deterministic.  One transaction is in flight at a time.
     """
 
-    def __init__(self, dram, latencies: LatencyConfig, counters: Counters, clock):
+    def __init__(self, dram, latencies: LatencyConfig, counters: Counters):
         self.dram = dram
         self.lat = latencies
         self.counters = counters
-        self.clock = clock
         self.agents = []
         # Called as hook(line_addr, payload) after each dirty writeback.
         self.writeback_hook = None
@@ -180,9 +180,8 @@ class CoherentInterconnect:
         from DRAM lands EXCLUSIVE, and its payload is DRAM's own line, so
         a caller that keeps it copies it.
         """
-        lat = self.lat
+        lat, c = self.lat, self.counters
         if self.agents:
-            c = self.counters
             c.snoops_issued += 1
             for agent in self.agents:
                 ack = agent(line_addr)
@@ -193,13 +192,13 @@ class CoherentInterconnect:
                     if serve_cycles < 0:
                         raise ValueError("serve cycles must be >= 0")
                     c.snoops_acked += 1
-                    self.clock.now += lat.cci + lat.snoop + serve_cycles
+                    c.total_cycles += lat.cci + lat.snoop + serve_cycles
                     return payload, _SHARED if shared else _EXCLUSIVE
         try:
             payload = self.dram.read_line(line_addr)
         except ValueError:  # outside the aperture: nothing backs the line
             raise FabricGap(line_addr) from None
-        self.clock.now += lat.cci + lat.dram
+        c.total_cycles += lat.cci + lat.dram
         return payload, _EXCLUSIVE
 
     def _ensure_line(self, cache, line_addr: int, unique: bool) -> CacheLine:
@@ -222,8 +221,9 @@ class CoherentInterconnect:
         if line is not None:
             ways.move_to_end(line_addr)
             if not (unique and line.state is _SHARED):
-                self.counters.data_hits += 1
-                self.clock.now += self.lat.cache_hit
+                c = self.counters
+                c.data_hits += 1
+                c.total_cycles += self.lat.cache_hit
                 return line
         payload, state = self._fetch(line_addr, not unique)
         self.counters.data_misses += 1
@@ -269,7 +269,7 @@ class CoherentInterconnect:
         line = cache.probe(line_addr)
         if line is not None:
             c.walk_hits += 1
-            self.clock.now += self.lat.cache_hit
+            c.total_cycles += self.lat.cache_hit
             payload = line.payload
         else:
             payload, state = self._fetch(line_addr, True)

@@ -286,7 +286,11 @@ class LightV:
         stale_lines = set(self._chunk_lines([rule]))
         self._rules_by_slot, self.watch = {}, {}
         self._index_rules(self.rules.values())
-        stale_lines.update(line for line, slots in watched.items() if slots != self.watch.get(line))
+        # A rebuild may list a line's slots in another order; that changes
+        # no served byte, so only a line whose slot set changed is stale.
+        stale_lines.update(
+            line for line, slots in watched.items() if set(slots) != set(self.watch.get(line, ()))
+        )
         needed = set(self._paths(self.rules.values()))
         for key in [key for key in self._ctx_by_key if key not in needed]:
             ctx = self._ctx_by_key.pop(key)

@@ -1,12 +1,12 @@
 """Composition root: DRAM, configuration, wiring, and run orchestration.
 
 A Machine owns one PE cluster (cache + MMU + TLB), the coherent
-interconnect, sparse DRAM, and optionally the translation-rewriter agent.
+interconnect, sparse DRAM, and the translation-rewriter agent, which is on
+the interconnect in passive and active mode only.
 Runs are deterministic: the same configuration and trace produce
 bit-identical statistics and memory images.
 """
 
-import functools
 import hashlib
 import json
 import struct
@@ -64,13 +64,6 @@ class TraceAbort(RuntimeError):
 
 class AllocatorExhausted(RuntimeError):
     pass
-
-
-class SimClock:
-    """Cycle counter; the fabric and the MMU add their charges to `now`."""
-
-    def __init__(self):
-        self.now = 0
 
 
 class Dram:
@@ -453,33 +446,23 @@ def format_access(access) -> str:
     return f"{asid:#x} R {va:#x}\n"
 
 
-def _real_translation(spaces: dict, dram: Dram, asid: int, va: int):
-    """Physical address a fresh walk of the real tables gives, or None."""
-    try:
-        return addressing.reference_walk(spaces[asid], va, dram)
-    except TranslationFault:
-        return None
-
-
 class Machine:
     """One fully wired simulator instance."""
 
     def __init__(self, config: MachineConfig):
         window = config.validate()
         self.config = config
-        self.clock = SimClock()
         self.counters = Counters()
         self.dram = Dram(config.dram_base, config.dram_size)
         self.allocator = FrameAllocator(self.dram)
         self.cache = Cache(config.cache_sets, config.cache_ways)
-        self.cci = CoherentInterconnect(
-            self.dram, config.latencies, self.counters, self.clock
-        )
+        self.cci = CoherentInterconnect(self.dram, config.latencies, self.counters)
         self.spaces = {}
         self.tlb = Tlb(config.tlb_entries)
-        self.lightv = None
-        if config.mode in ("passive", "active"):
-            self.lightv = LightV(window, self.dram, config.latencies, self.spaces)
+        # Built in every mode; only passive and active mode plug it into the
+        # fabric, where with no rules it NACKs every snoop.
+        self.lightv = LightV(window, self.dram, config.latencies, self.spaces)
+        if config.mode != "absent":
             self.cci.register_agent(self.lightv.handle_snoop)
             self.cci.writeback_hook = self.lightv.on_writeback
         self.mmu = Mmu(
@@ -487,16 +470,9 @@ class Machine:
             self.cache,
             self.tlb,
             self.spaces,
-            lightv=self.lightv,
+            self.lightv,
             cache_ptes=config.cache_ptes,
             debug_tlb_check=config.debug_tlb_check,
-            # Neither refers back to the machine, so dropping the last
-            # reference to a machine frees it without a cyclic collection.
-            expected_translation=(
-                self.lightv.expected_pa
-                if self.lightv is not None
-                else functools.partial(_real_translation, self.spaces, self.dram)
-            ),
         )
 
     def register_space(self, asid: int, mappings) -> addressing.AddressSpace:
@@ -526,7 +502,7 @@ class Machine:
         tables = range(self.allocator.next_pfn, self.allocator.next_pfn + count)
         if not self.dram.contains(tables.start << PAGE_SHIFT, count << PAGE_SHIFT):
             raise AllocatorExhausted(_EXHAUSTED)
-        mirror = self.lightv._mirror if self.lightv is not None else {}
+        mirror = self.lightv._mirror
         for line in (*mirror, *mirror.values()):
             if line >> PAGE_SHIFT in tables:
                 raise addressing.MappingError(
@@ -567,10 +543,9 @@ class Machine:
         fabric counters; `stats_since` turns two of them into a RunStats."""
         totals = self.counters.snapshot()
         totals.update(
-            total_cycles=self.clock.now,
             dram_reads=self.dram.reads,
             dram_writes=self.dram.writes,
-            lines_manipulated=self.lightv.lines_manipulated if self.lightv else 0,
+            lines_manipulated=self.lightv.lines_manipulated,
         )
         return totals
 
@@ -602,9 +577,9 @@ class Machine:
         below would make.  Every other access (a TLB miss, a cache miss, a
         write to a SHARED line, or any access while `debug_tlb_check` is
         on) goes through `Mmu.access`.  Hits are tallied in a local and
-        added to the counters and the clock before each such call and when
-        the loop ends, so every callee sees the totals of a one-access-at-
-        a-time run.
+        added to the counters (cycles included) before each such call and
+        when the loop ends, so every callee sees the totals of a one-access-
+        at-a-time run.
 
         The loop remembers the last two lines it resolved inline, `last` and
         the older `prev` (asid, virtual line and page, TLB key, frame base,
@@ -621,7 +596,7 @@ class Machine:
         is cleared before every `Mmu.access` call, which may evict,
         invalidate or fault, and is never set while `debug_tlb_check` is on.
         """
-        counters, clock = self.counters, self.clock
+        counters = self.counters
         access = self.mmu.access
         tlb_touch = self.tlb._entries.move_to_end
         # With the debug check on, every TLB hit must reach `translate`.
@@ -712,7 +687,7 @@ class Machine:
                 # `last_page` too: the next line resolved shifts it to `prev_page`.
                 last_vline = last_page = prev_vline = prev_page = None
                 counters.data_hits += hits
-                clock.now += hits * hit_cycles
+                counters.total_cycles += hits * hit_cycles
                 hits = 0
                 try:
                     access(asid, va, write, value)
@@ -726,4 +701,4 @@ class Machine:
             if stale:
                 tlb_touch(last_key)
             counters.data_hits += hits
-            clock.now += hits * hit_cycles
+            counters.total_cycles += hits * hit_cycles

@@ -12,17 +12,18 @@ page >> 3: the eight pages whose leaf entries share one 64-byte line read
 the same three lines, with the same snoops, DRAM reads, LightV serves and
 cycles, and differ only in the entry they decode from the last line.  A
 stored walk holds its three fabric line addresses, its simulated effects
-(clock cycles, `walk_reads` and `walk_misses` (3 each), `snoops_issued`,
+(`total_cycles`, `walk_reads` and `walk_misses` (3 each), `snoops_issued`,
 `snoops_acked`, DRAM line reads and LightV's `lines_manipulated`) and the
 eight descriptors of the leaf line as served, as integers.  A replay adds
 those effects and decodes the frame and attributes of the page's
 descriptor without a fabric transaction; a page whose descriptor is not
 present walks for real, faults and stores nothing.  The memo is exact
 where it acts:
-  * only a non-allocating walk (`cache_ptes` off) on a fabric with no agent
-    or only the machine's own LightV is stored (a foreign agent's answers
-    cannot be known), and only one that completed with no walk hit, no
-    context loss and no capture serve; a fault or a FabricGap stores nothing;
+  * only a non-allocating walk (`cache_ptes` off) on a fabric with just the
+    agents it had when the machine was built (none, or its own LightV) is
+    stored (a foreign agent's answers cannot be known), and only one that
+    completed with no walk hit, no context loss and no capture serve; a
+    fault or a FabricGap stores nothing;
   * a replay needs its three fabric lines still absent from the PE cache
     (three set lookups, no LRU move), so any fill, whoever made it, makes
     the walk run for real;
@@ -123,16 +124,16 @@ class Mmu:
         cache,
         tlb: Tlb,
         spaces: dict,
-        expected_translation,
-        lightv=None,
+        lightv,
         cache_ptes: bool = False,
         debug_tlb_check: bool = False,
     ):
         self.cci = cci
         self.cache = cache
         self.lightv = lightv
-        # The only fabric agents under which a walk may be stored.
-        self._own_agents = [] if lightv is None else [lightv.handle_snoop]
+        # The only fabric agents under which a walk may be stored: those
+        # registered before the MMU was built.
+        self._own_agents = list(cci.agents)
         self._memo = cci.dram.walk_memo
         self._walks = self._memo.walks
         self._sets, self._set_mask = cache._sets, cache._set_mask
@@ -142,7 +143,6 @@ class Mmu:
         # Debug cross-check: on every TLB hit, recompute the translation a
         # fresh walk would produce and assert they agree.
         self.debug_tlb_check = debug_tlb_check
-        self._expected_translation = expected_translation
 
     def _walk_indices(self, va: int):
         # Mirrors the hardware bit slicer; kept separate from
@@ -165,7 +165,7 @@ class Mmu:
         return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
 
     def _check_tlb_hit(self, asid: int, va: int, pa: int):
-        expected = self._expected_translation(asid, va)
+        expected = self.lightv.expected_pa(asid, va)
         if expected != pa:
             raise AssertionError(
                 f"stale TLB entry for {va:#x}: cached {pa:#x},"
@@ -192,8 +192,8 @@ class Mmu:
                 and l1 not in sets[(l1 >> LINE_SHIFT) & set_mask]
                 and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
             ):
-                cci.clock.now += cycles
                 c = cci.counters
+                c.total_cycles += cycles
                 c.walk_reads += 3
                 c.walk_misses += 3
                 c.snoops_issued += snoops
@@ -244,14 +244,10 @@ class Mmu:
         snoops issued and acked, DRAM reads, lines manipulated), then the
         three a stored walk leaves as they were (walk hits, context losses,
         capture serves)."""
-        cci, lightv = self.cci, self.lightv
-        c = cci.counters
-        agent = (0, 0, 0) if lightv is None else (
-            lightv.lines_manipulated, lightv.context_lost, lightv.data_captures
-        )
+        c, lightv = self.cci.counters, self.lightv
         return (
-            cci.clock.now, c.snoops_issued, c.snoops_acked, cci.dram.reads, agent[0],
-            c.walk_hits, agent[1], agent[2],
+            c.total_cycles, c.snoops_issued, c.snoops_acked, self.cci.dram.reads,
+            lightv.lines_manipulated, c.walk_hits, lightv.context_lost, lightv.data_captures,
         )
 
     def access(self, asid: int, va: int, write: bool = False, value=None):

@@ -1,7 +1,7 @@
 """Machine and fabric builders shared by the unit tests."""
 
 from lightv_sim.coherence import Cache, CoherentInterconnect, Counters, LatencyConfig
-from lightv_sim.machine import Dram, Machine, MachineConfig, SimClock
+from lightv_sim.machine import Dram, Machine, MachineConfig
 
 
 def cache_drop(cache, line_addr):
@@ -37,8 +37,7 @@ class Fabric:
 
     def __init__(self, sets=16, ways=2, base=0x8000_0000, size=1 << 22):
         self.dram = Dram(base, size)
-        self.clock = SimClock()
         self.counters = Counters()
         self.lat = LatencyConfig()
         self.cache = Cache(sets, ways)
-        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters, self.clock)
+        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters)

@@ -5,8 +5,8 @@ cache hit inline, serves an access to either of the two lines it resolved
 last without a lookup, tallies those hits in a local, and hands everything
 else to the walker and the fabric.  The reference below drives the layers
 one call at a time (`translate`, then `read_byte`/`write_byte`), and every
-simulated result must come out identical -- including the clock and the
-counters each fabric miss sees while the loop runs, and the LRU order of
+simulated result must come out identical -- including the cycle total and
+the counters each fabric miss sees while the loop runs, and the LRU order of
 the TLB and of every cache set.  The walk memo of `Mmu.hardware_walk` is
 checked the same way, against a twin machine whose memo is always empty.
 """
@@ -143,13 +143,21 @@ def run_access(m, trace, after=None):
     return values, faults
 
 
+def event_counters(m):
+    """The counter snapshot without `total_cycles`, which the logs and
+    states below record on their own, ahead of the counters."""
+    counters = m.counters.snapshot()
+    del counters["total_cycles"]
+    return counters
+
+
 def spy_on_misses(m):
-    """Log the clock and counters at every snoop the fabric broadcasts (the
-    spy NACKs, so it changes nothing); returns the log."""
+    """Log the cycle total and counters at every snoop the fabric broadcasts
+    (the spy NACKs, so it changes nothing); returns the log."""
     log = []
 
     def spy(line_addr):
-        log.append((line_addr, m.clock.now, m.counters.snapshot()))
+        log.append((line_addr, m.counters.total_cycles, event_counters(m)))
 
     m.cci.register_agent(spy)
     return log
@@ -157,10 +165,10 @@ def spy_on_misses(m):
 
 def simulated_state(m):
     return {
-        "cycles": m.clock.now,
-        "counters": m.counters.snapshot(),
+        "cycles": m.counters.total_cycles,
+        "counters": event_counters(m),
         "dram": (m.dram.reads, m.dram.writes, m.dram.content_digest()),
-        "lightv": None if m.lightv is None else {
+        "lightv": None if m.config.mode == "absent" else {
             "data_captures": m.lightv.data_captures,
             "context_lost": m.lightv.context_lost,
             "contexts_live": len(m.lightv._ctx_by_id),

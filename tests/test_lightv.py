@@ -1208,6 +1208,31 @@ def test_deactivate_leaves_unchanged_cached_lines():
     assert m.counters.snoops_issued == snoops  # every level still cached
 
 
+def test_deactivate_keeps_a_level0_line_whose_slots_only_change_order():
+    # Slots 9 and 8 share one level-0 line.  Removing rule 1 rebuilds the
+    # watch set as [8, 9] from [9, 8]: the same slots, so the same served
+    # line, and the cached copy must stay.
+    nine = 9 << 30
+    m = active_machine([(8 << 30, 0x90000), (nine, 0x90001), (nine + 4096, 0x90002)],
+                       cache_ptes=True)
+    for rule in (
+        RewriteRule(1, 0, nine, nine + 4096, 0xA0000),
+        RewriteRule(2, 0, 8 << 30, (8 << 30) + 4096, 0xA0001),
+        RewriteRule(3, 0, nine + 4096, nine + 8192, 0xA0002),
+    ):
+        m.activate_rules([rule], strict=False)
+    m.mmu.translate(0, 8 << 30)  # caches the level-0 line
+    m.deactivate_rule(1)
+    before = m.tally()
+    assert m.mmu.translate(0, nine + 4096) == 0xA0002 << 12
+    after = m.tally()
+    lat = m.config.latencies
+    served = lat.cci + lat.snoop + lat.lightv + lat.dram
+    assert after["total_cycles"] - before["total_cycles"] == lat.cache_hit + 2 * served
+    assert after["walk_hits"] - before["walk_hits"] == 1
+    assert after["lines_manipulated"] - before["lines_manipulated"] == 2
+
+
 @pytest.mark.parametrize("case", ["shared leaf chunk", "shared level-1 chunk", "late rule"])
 def test_rule_changes_drop_cached_watermark_chunks(case):
     # Two pages whose leaf entries (or level-1 entries) share one

@@ -41,9 +41,20 @@ def simple_machine(mode="absent", **overrides):
 
 
 def test_default_build_shapes():
-    assert len(make_machine("absent").cci.agents) == 0
-    assert len(make_machine("passive").cci.agents) == 1
-    assert len(make_machine("active").cci.agents) == 1
+    # Every mode builds LightV; only passive and active mode plug it in.
+    for mode in ("absent", "passive", "active"):
+        m = make_machine(mode)
+        assert m.lightv is not None and m.mmu.lightv is m.lightv
+        if mode == "absent":
+            assert m.cci.agents == [] and m.cci.writeback_hook is None
+        else:
+            assert m.cci.agents == [m.lightv.handle_snoop]
+            assert m.cci.writeback_hook == m.lightv.on_writeback
+        # The walker's own agents are a copy: a foreign agent registered
+        # later is not one of them.
+        assert m.mmu._own_agents == m.cci.agents
+        m.cci.register_agent(lambda line_addr: None)
+        assert m.mmu._own_agents != m.cci.agents
 
 
 def test_window_overlapping_dram_rejected():
@@ -413,12 +424,12 @@ def test_cycle_additivity_against_manual_accumulation():
     manual = simple_machine()
     total = 0
     for asid, op, va, data in ops:
-        before = manual.clock.now
+        before = manual.counters.total_cycles
         if op == "W":
             manual.mmu.access(asid, va, True, data)
         else:
             manual.mmu.access(asid, va)
-        total += manual.clock.now - before
+        total += manual.counters.total_cycles - before
     fresh = simple_machine()
     stats = fresh.run_trace(ops)
     assert stats.total_cycles == total

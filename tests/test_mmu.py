@@ -163,8 +163,11 @@ def test_walk_length_bounded():
         assert m.counters.walk_reads - reads == levels
 
 
-def test_debug_tlb_check_catches_tampering():
-    m = mapped_machine(debug_tlb_check=True)
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_debug_tlb_check_catches_tampering(mode):
+    # One oracle, LightV's `expected_pa`, serves every mode: with no rules
+    # it is a fresh walk of the real tables.
+    m = mapped_machine(mode, debug_tlb_check=True)
     m.mmu.translate(0, 8 << 30)  # clean hit path raises nothing
     m.mmu.translate(0, 8 << 30)
     m.tlb.insert(0, (8 << 30) >> 12, 0xDEAD, 0)  # poison the cached frame
