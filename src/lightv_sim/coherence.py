@@ -11,12 +11,13 @@ cycles >= 0) before counting it, and charges a miss.  Two transactions
 share it.  The data transaction (`read_byte`/`write_byte`, both through
 `_ensure_line`) runs in one body: the set lookup and LRU move, then on a
 miss the fetch, the fill, the eviction and the writeback of an evicted
-Modified line, with no call into `Cache`.  The walk transaction
-(`walk_read`) returns the line holding one descriptor for the walker to
-decode, through `Cache.probe` and, when it allocates (`cache_ptes`),
-`Cache.fill`; a non-allocating one returns the ACK payload or the DRAM
-line itself and never builds a line.  Each counts its hit or miss only
-once it has the line.
+Modified line, with no call into `Cache`; a fill into a full set reuses the
+victim's `CacheLine` record, after its writeback, for the new line.  The
+walk transaction (`walk_read`) returns the line holding one descriptor for
+the walker to decode, through `Cache.probe` and, when it allocates
+(`cache_ptes`), `Cache.fill`; a non-allocating one returns the ACK payload
+or the DRAM line itself and never builds a line.  Each counts its hit or
+miss only once it has the line.
 
 Cycle model (flat per-event costs from LatencyConfig), charged to the
 shared counters' `total_cycles`, the single accounting point:
@@ -209,8 +210,10 @@ class CoherentInterconnect:
         allocating walk read: the set lookup and LRU move, then on a miss
         `_fetch`, the fill (in place for a SHARED line a write upgrades),
         the eviction of the set's least recently used line and the
-        writeback of an evicted Modified one.  The lookup's answer and the
-        LRU move hold for the whole transaction: no agent touches the
+        writeback of an evicted Modified one, whose record then holds the
+        new line with a fresh payload (the bytes DRAM and the writeback
+        hook were handed never change).  The lookup's answer and the LRU
+        move hold for the whole transaction: no agent touches the
         requester's cache while it serves a snoop.
         """
         if line_addr & _LINE_MASK:
@@ -227,14 +230,17 @@ class CoherentInterconnect:
                 return line
         payload, state = self._fetch(line_addr, not unique)
         self.counters.data_misses += 1
-        if line is not None:
-            line.payload = bytearray(payload)
-            line.state = state
-            return line
-        evicted = ways.popitem(last=False)[1] if len(ways) >= cache.ways else None
-        line = ways[line_addr] = CacheLine(line_addr, state, bytearray(payload))
-        if evicted is not None and evicted.state is _MODIFIED:
-            self._writeback(evicted)
+        if line is None:
+            if len(ways) < cache.ways:
+                line = ways[line_addr] = CacheLine(line_addr, state, None)
+            else:
+                line = ways.popitem(last=False)[1]
+                if line.state is _MODIFIED:
+                    self._writeback(line)
+                line.tag = line_addr
+                ways[line_addr] = line
+        line.payload = bytearray(payload)
+        line.state = state
         return line
 
     def _writeback(self, line: CacheLine):

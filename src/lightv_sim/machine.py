@@ -10,6 +10,7 @@ bit-identical statistics and memory images.
 import hashlib
 import json
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from typing import Optional
@@ -31,6 +32,7 @@ from .mmu import Mmu, Tlb, WalkMemo
 _LINE_MASK = LINE_BYTES - 1
 _PAGE_MASK = PAGE_SIZE - 1
 _ZERO_LINE = bytes(LINE_BYTES)
+_ZERO_FRAME = bytes(PAGE_SIZE)
 _DIGEST_RECORD = struct.Struct("<IQBH")
 
 FAULT_ABORT = "abort"
@@ -72,6 +74,12 @@ class Dram:
     Line-granular reads/writes model fabric traffic and are counted;
     the qword/byte accessors are the uncounted direct port used for
     table construction, oracles, and debug readback.
+
+    `_frames` maps a frame number to its stored lines' addresses, each added
+    when its line is created (no line is ever deleted).  A whole-frame
+    `read_bytes` costs what the frame holds: an empty frame is one shared
+    zero frame (safe, as `bytes` is immutable), a full one a join of its 64
+    lines, any other a copy of its stored lines into a zeroed frame.
     """
 
     def __init__(self, base: int, size: int):
@@ -84,6 +92,7 @@ class Dram:
         self.base = base
         self.size = size
         self._lines = {}
+        self._frames = defaultdict(list)
         self.reads = 0
         self.writes = 0
         # The walks `Mmu.hardware_walk` replays; writing a line one of them
@@ -115,6 +124,8 @@ class Dram:
         self.writes += 1
         if line_addr in self.walk_memo.lines:
             self.walk_memo.forget()
+        if line_addr not in self._lines:
+            self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
         self._lines[line_addr] = bytearray(payload)
 
     def read_qword(self, addr: int) -> int:
@@ -135,12 +146,24 @@ class Dram:
         line = self._lines.get(line_addr)
         if line is None:
             line = self._lines[line_addr] = bytearray(LINE_BYTES)
+            self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
         off = addr & _LINE_MASK
         line[off : off + 8] = value.to_bytes(8, "little")
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         if not self.contains(addr, n):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
+        if n == PAGE_SIZE and not addr & _PAGE_MASK:
+            stored = self._frames.get(addr >> PAGE_SHIFT)
+            if stored is None:
+                return _ZERO_FRAME
+            whole = range(addr, addr + PAGE_SIZE, LINE_BYTES)
+            if len(stored) == len(whole):
+                return b"".join(map(self._lines.__getitem__, whole))
+            frame = bytearray(PAGE_SIZE)
+            for line_addr in stored:
+                frame[line_addr - addr : line_addr - addr + LINE_BYTES] = self._lines[line_addr]
+            return bytes(frame)
         first = addr & ~_LINE_MASK
         lines = range(first, addr + n, LINE_BYTES)
         data = b"".join(map(self._lines.get, lines, repeat(_ZERO_LINE)))
@@ -159,6 +182,7 @@ class Dram:
             line = lines.get(line_addr)
             if line is None:
                 line = lines[line_addr] = bytearray(LINE_BYTES)
+                self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
             lo = addr if addr > line_addr else line_addr
             hi = end if end < line_addr + LINE_BYTES else line_addr + LINE_BYTES
             line[lo - line_addr : hi - line_addr] = view[lo - addr : hi - addr]

@@ -21,9 +21,12 @@ def cache_snapshot(cache):
 
 
 def dram_clone(dram):
-    """Deep copy of a DRAM image (counters reset)."""
+    """Deep copy of a DRAM image (counters reset), stored line by line
+    through `write_line`, so the copy keeps its own frame index."""
     other = Dram(dram.base, dram.size)
-    other._lines = {addr: bytearray(line) for addr, line in dram._lines.items()}
+    for addr, line in dram._lines.items():
+        other.write_line(addr, line)
+    other.writes = 0
     return other
 
 

@@ -589,6 +589,35 @@ def test_reports_are_byte_identical(tmp_path):
     assert paths[2] == paths[3]
 
 
+HASH_SEED_CALLS = (
+    ("run", "--scenario", "histogram", "--scale", "0.001", "--format", "csv"),
+    ("run", "--scenario", "migration"),
+    ("run", "--scenario", "demand-paging"),
+    ("run", "--scenario", "isolation"),
+    ("verify", "--configs", "6", "--vas", "200", "--seed", "3"),
+)
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed():
+    """Each call prints the same bytes and exits the same way in a fresh
+    interpreter under `PYTHONHASHSEED` 0 and 1, so no output depends on
+    the order of a set or dict of strings."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in HASH_SEED_CALLS:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "lightv_sim.cli", *argv],
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                timeout=60,
+            )
+            for hash_seed in ("0", "1")
+        ]
+        first, second = ((r.returncode, r.stdout, r.stderr) for r in runs)
+        assert first == second, argv
+        assert first[0] == 0 and first[1], argv
+
+
 def test_verify_passes_on_correct_build(capsys):
     assert run_cli("verify", "--configs", "4", "--vas", "60") == 0
     assert "failed 0" in capsys.readouterr().out

@@ -257,6 +257,27 @@ def test_eviction_writes_back_dirty_lines(fabric):
     assert fabric.dram.read_bytes(addrs[0], 1) == b"\x11"
 
 
+def test_a_refill_reuses_the_victim_record_after_its_writeback(fabric):
+    # 16 sets x 2 ways: a read of a third line of one set evicts the first,
+    # which a write left Modified
+    addrs = [0x8000_0000 + s * 16 * LINE for s in range(3)]
+    fabric.dram.write_line(addrs[2], bytes([7]) * 64)
+    hooked = []
+    fabric.cci.writeback_hook = lambda addr, payload: hooked.append((addr, payload, bytes(payload)))
+    fabric.cci.write_byte(fabric.cache, addrs[0], 0x11)
+    fabric.cci.read_byte(fabric.cache, addrs[1])
+    victim = fabric.cache.lookup(addrs[0])
+    assert fabric.cci.read_byte(fabric.cache, addrs[2]) == 7
+    written = b"\x11" + bytes(63)
+    [(addr, payload, at_call)] = hooked
+    assert (addr, payload, at_call) == (addrs[0], written, written)  # unchanged by the refill
+    assert fabric.dram.read_line(addrs[0]) == written
+    assert (fabric.dram.writes, fabric.counters.writebacks) == (2, 1)
+    assert fabric.cache.lookup(addrs[2]) is victim and fabric.cache.lookup(addrs[0]) is None
+    assert (victim.tag, victim.state, victim.payload) == (addrs[2], CacheState.EXCLUSIVE, bytes([7]) * 64)
+    assert victim.payload is not payload
+
+
 def test_fabric_gap_outside_aperture(fabric):
     with pytest.raises(FabricGap):
         fabric.cci.read_byte(fabric.cache, 0x2_0000_0000)

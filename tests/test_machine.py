@@ -355,6 +355,64 @@ def test_dram_read_bytes_matches_per_byte_reference():
             dram.read_bytes(addr, n)
 
 
+def per_line_frame(dram, pfn):
+    """Reference for a whole-frame `read_bytes`: its 64 lines joined in
+    address order, one `read_line` each."""
+    base = pfn << 12
+    return b"".join(bytes(dram.read_line(a)) for a in range(base, base + 4096, 64))
+
+
+def test_dram_whole_frame_reads_match_a_per_line_join():
+    base = 0x8000_0000
+    dram = Dram(base, 1 << 20)
+    rng = random.Random(13)
+    pfn = base >> 12
+    dram.write_line(base + 0x1040, rng.randbytes(64))  # sparse, write_line only
+    dram.write_qword(base + 0x2FF8, 0x1122_3344_5566_7788)  # sparse, write_qword only
+    dram.write_bytes(base + 0x3FC0, rng.randbytes(4096 + 128))  # spans frames 3, 4 and 5
+    for line in rng.sample(range(base + 0x6000, base + 0x7000, 64), 64):  # full, write_line
+        dram.write_line(line, rng.randbytes(64))
+    for line in rng.sample(range(base + 0x7000, base + 0x8000, 64), 64):  # full, write_qword
+        dram.write_qword(line + 8 * rng.randrange(8), rng.getrandbits(64))
+    dram.write_line(base + 0x8000, rng.randbytes(64))  # sparse, all three paths
+    dram.write_qword(base + 0x8F00, rng.getrandbits(64))
+    dram.write_bytes(base + 0x8100, rng.randbytes(100))
+    frames = [0, 1, 2, 3, 4, 5, 6, 7, 8]  # frame 0 is unwritten
+    for k in frames:
+        got = dram.read_bytes(base + (k << 12), 4096)
+        assert type(got) is bytes
+        assert got == per_line_frame(dram, pfn + k), k
+    assert {k for k in frames if any(dram.read_bytes(base + (k << 12), 4096))} == set(frames[1:])
+    assert len(dram._frames[pfn + 4]) == len(dram._frames[pfn + 6]) == 64
+    assert dram.read_bytes(base, 4096) is dram.read_bytes(base + 0x9000, 4096)
+
+
+def test_dram_frame_index_groups_the_stored_lines_by_frame():
+    base = 0x8000_0000
+    dram = Dram(base, 16 << 12)
+    rng = random.Random(21)
+    for _ in range(300):  # frames 12-15 stay unwritten
+        kind = rng.randrange(3)
+        if kind == 0:
+            dram.write_line(base + 64 * rng.randrange(12 * 64), rng.randbytes(64))
+        elif kind == 1:
+            dram.write_qword(base + 8 * rng.randrange(12 * 512), rng.getrandbits(64))
+        else:
+            n = rng.choice((rng.randrange(600), 4096 + rng.randrange(64)))
+            dram.write_bytes(base + rng.randrange((12 << 12) - n), rng.randbytes(n))
+        if rng.random() < 0.1:
+            k = rng.randrange(16)
+            assert dram.read_bytes(base + (k << 12), 4096) == per_line_frame(dram, (base >> 12) + k)
+    grouped = {}
+    for line in dram._lines:
+        grouped.setdefault(line >> 12, []).append(line)
+    assert dram._frames == grouped
+    sizes = set(map(len, grouped.values()))
+    assert len(grouped) == 12 and min(sizes) < 64 and 64 in sizes  # sparse and full frames
+    for k in range(16):
+        assert dram.read_bytes(base + (k << 12), 4096) == per_line_frame(dram, (base >> 12) + k)
+
+
 def test_dram_digest_tracks_content():
     dram = Dram(0x8000_0000, 1 << 20)
     d0 = dram.content_digest()
