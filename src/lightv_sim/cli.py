@@ -20,7 +20,9 @@ Exit codes (stable contract); `main` alone turns an exception into one:
      mapping file with more mappings than that (named at the first
      line past the cap, where the read stops)
   4  a trace access faulted under the abort policy
-  5  a scenario's own assertions failed (its `ok` verdict alone decides)
+  5  a check of the scenario failed: its `scenarios.Report.ok` verdict, the
+     conjunction of its named checks, alone decides, and stderr names each
+     failed check on a `check failed: <name>` line, in check order
 
 custom-trace reads the mapping and rule files whole, and streams the trace
 file through `run_modes` as it runs: a bad trace line is reported when the
@@ -188,6 +190,9 @@ def cmd_run(args) -> int:
 
     rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
     _emit(args, _render(args, rows, result.text()))
+    for name, held in result.checks.items():
+        if not held:
+            print(f"check failed: {name}", file=sys.stderr)
     return EXIT_OK if result.ok else EXIT_ASSERTION
 
 

@@ -4,14 +4,15 @@ Five scenarios: a histogram-style workload and a user-supplied trace, each
 compared across the three agent modes, two hazard reproductions (demand
 paging and isolation), and chunked page migration with live accessors.
 `run_modes` runs every scenario that runs one trace on several machines:
-the histogram, the custom trace and the demand-paging hazard.  Each
-scenario returns a report object carrying labelled machine statistics
-(rendered by `csv_rows`), a pass/fail verdict and a text rendering.  All
-randomness is seeded.
+the histogram, the custom trace and the demand-paging hazard.  Every
+scenario returns one `Report`: labelled machine statistics (rendered by
+`csv_rows`), named checks whose conjunction is its `ok` verdict, and its
+text lines.  The CLI exits 5 when a check fails and names each failed
+check on stderr.  All randomness is seeded.
 """
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
 
@@ -56,6 +57,34 @@ IMAGE_BASE_VA = 9 << 30
 
 PASSIVE_OVERHEAD_EPSILON = 0.005
 ACTIVE_OVERHEAD_MAX = 0.015
+
+
+@dataclass
+class Report:
+    """What one scenario run found.
+
+    `stats` maps a label to its run's RunStats, in report order.  `checks`
+    maps a check name to whether it held, in the order they were made;
+    `ok` is their conjunction.  The text is `lines`, then the `verdict`
+    line when the scenario has one."""
+
+    stats: dict
+    checks: dict
+    lines: list
+    verdict: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return all(self.checks.values())
+
+    def text(self) -> str:
+        verdict = [f"{self.verdict}: {self.ok}"] if self.verdict else []
+        return "\n".join(self.lines + verdict)
+
+
+def _stats_lines(stats: dict) -> list:
+    """Each labelled run's text under its `[label]` header."""
+    return [f"[{label}]\n{s.text()}" for label, s in stats.items()]
 
 
 def csv_rows(scenario: str, stats: dict, seed, scale) -> list:
@@ -235,73 +264,14 @@ def _layout_histogram(m: Machine, w: HistogramWorkload):
     return hot_pfn, rule
 
 
-@dataclass
-class OverheadExperiment:
-    workload: HistogramWorkload
-    stats: dict
-    passive_overhead: object
-    active_overhead: object
-    hot_contents: dict
-    expected_hot: bytes
-    active_original_untouched: bool = True
-
-    @property
-    def functional_equal(self) -> bool:
-        contents = set(self.hot_contents.values())
-        return len(contents) == 1 and contents == {self.expected_hot}
-
-    @property
-    def passive_ok(self) -> bool:
-        if self.passive_overhead is None:
-            return True
-        return abs(self.passive_overhead.relative) < PASSIVE_OVERHEAD_EPSILON
-
-    @property
-    def active_ok(self) -> bool:
-        if self.active_overhead is None:
-            return True
-        return 0.0 < self.active_overhead.relative < ACTIVE_OVERHEAD_MAX
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.functional_equal
-            and self.active_original_untouched
-            and self.passive_ok
-            and self.active_ok
-        )
-
-    def text(self) -> str:
-        lines = []
-        for mode, stats in self.stats.items():
-            lines.append(f"[{mode}]")
-            lines.append(stats.text())
-        if self.passive_overhead is not None:
-            lines.append(self.passive_overhead.text("passive vs baseline"))
-        if self.active_overhead is not None:
-            lines.append(self.active_overhead.text("active vs baseline"))
-            lines.append(
-                f"hot page identical across modes: {self.functional_equal};"
-                f" active data in replacement frame: {self.active_ok_frame}"
-            )
-        lines.append(f"experiment ok: {self.ok}")
-        return "\n".join(lines)
-
-    @property
-    def active_ok_frame(self) -> bool:
-        return (
-            "active" in self.hot_contents
-            and self.hot_contents["active"] == self.expected_hot
-        )
-
-
 def run_overhead_experiment(
     config: MachineConfig,
     workload: Optional[HistogramWorkload] = None,
     modes=MODES,
     trace=None,
-) -> OverheadExperiment:
-    """Run the identical histogram trace under the requested modes.
+) -> Report:
+    """Run the identical histogram trace under the requested modes, which
+    include the baseline the others are compared with.
 
     The active run redirects the hot page to a replacement frame; its
     aggregation output must land there and match the other modes byte for
@@ -330,65 +300,32 @@ def run_overhead_experiment(
             # every aggregation byte must have landed in the replacement
             # frame; the originally mapped frame stays untouched
             original_untouched = not any(m.read_frame(hot_pfn))
-    passive = active = None
-    if "baseline" in stats and "passive" in stats:
+    expected = expected_hot_content(w)
+    equal = set(hot_contents.values()) == {expected}
+    checks = {"functional_equal": equal}
+    lines = _stats_lines(stats)
+    if "passive" in stats:
         passive = compare_runs(stats["baseline"], stats["passive"])
-    if "baseline" in stats and "active" in stats:
+        checks["passive_ok"] = abs(passive.relative) < PASSIVE_OVERHEAD_EPSILON
+        lines.append(passive.text("passive vs baseline"))
+    if "active" in stats:
         active = compare_runs(stats["baseline"], stats["active"])
-    return OverheadExperiment(
-        workload=w,
-        stats=stats,
-        passive_overhead=passive,
-        active_overhead=active,
-        hot_contents=hot_contents,
-        expected_hot=expected_hot_content(w),
-        active_original_untouched=original_untouched,
-    )
+        in_frame = hot_contents["active"] == expected
+        checks["active_ok"] = 0.0 < active.relative < ACTIVE_OVERHEAD_MAX
+        checks["active_in_replacement_frame"] = in_frame
+        checks["active_original_untouched"] = original_untouched
+        checks["hot_page_redirected"] = stats["active"].lines_manipulated > 0
+        lines.append(active.text("active vs baseline"))
+        lines.append(
+            f"hot page identical across modes: {equal};"
+            f" active data in replacement frame: {in_frame}"
+        )
+    return Report(stats, checks, lines, "experiment ok")
 
 
 # ---------------------------------------------------------------------------
 # demand-paging hazard
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DemandPagingReport:
-    """Shows what a fault looks like when the rewriter serves the walk.
-
-    With the agent active on an unpopulated target, the faulting
-    descriptor address lies in the watermark window -- useless to a fault
-    handler without the module's context cache.  Passive control faults
-    carry the real descriptor address; a pre-populated control does not
-    fault at all.
-    """
-
-    control_faults: int
-    active_fault: object
-    active_in_window: bool
-    passive_fault: object
-    passive_in_window: bool
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.control_faults == 0
-            and self.active_fault is not None
-            and self.active_in_window
-            and self.passive_fault is not None
-            and not self.passive_in_window
-        )
-
-    def text(self) -> str:
-        lines = [
-            f"control (pre-populated) faults: {self.control_faults}",
-            f"active fault pte @ {self.active_fault.pte_address:#x}"
-            f" (watermark window: {self.active_in_window})",
-            f"passive fault pte @ {self.passive_fault.pte_address:#x}"
-            f" (watermark window: {self.passive_in_window})",
-            f"hazard reproduced: {self.ok}",
-        ]
-        return "\n".join(lines)
 
 
 def _map_then_reserve(m: Machine, vas, target_va: int, unmapped=()) -> RewriteRule:
@@ -402,10 +339,16 @@ def _map_then_reserve(m: Machine, vas, target_va: int, unmapped=()) -> RewriteRu
     return RewriteRule(1, 0, target_va, target_va + PAGE_SIZE, m.allocator.alloc())
 
 
-def run_demand_paging_hazard(config: MachineConfig) -> DemandPagingReport:
+def run_demand_paging_hazard(config: MachineConfig) -> Report:
     """Read an unpopulated target page with the rule active (the hazard),
     with the agent passive, and as a control with the target populated
-    and the rule active."""
+    and the rule active.
+
+    With the agent active, the faulting descriptor address lies in the
+    watermark window -- useless to a fault handler without the module's
+    context cache.  The passive fault carries the real descriptor address;
+    the pre-populated control does not fault at all.
+    """
     target_va = (8 << 30) | (5 << 21) | (7 << PAGE_SHIFT)
     sibling_va = target_va + PAGE_SIZE  # keeps the intermediate tables populated
 
@@ -418,22 +361,24 @@ def run_demand_paging_hazard(config: MachineConfig) -> DemandPagingReport:
     # the sibling shares the target's level-0 slot by design
     config = replace(config, fault_policy=FAULT_RECORD, strict_isolation=False)
     trace = [(0, "R", target_va, None)]
-    stats, faults = {}, {}
+    stats, in_window = {}, {}
     for mode, m, run in run_modes(config, ("control", "active", "passive"), trace, prepare):
         stats[mode] = run
-        fault = run.faults[0] if run.faults else None
-        in_window = fault is not None and m.lightv.window.contains_pfn(
-            fault.pte_address >> PAGE_SHIFT
+        in_window[mode] = bool(run.faults) and m.lightv.window.contains_pfn(
+            run.faults[0].pte_address >> PAGE_SHIFT
         )
-        faults[mode] = (fault, in_window)
-    return DemandPagingReport(
-        control_faults=len(stats["control"].faults),
-        active_fault=faults["active"][0],
-        active_in_window=faults["active"][1],
-        passive_fault=faults["passive"][0],
-        passive_in_window=faults["passive"][1],
-        stats=stats,
-    )
+    control_faults = len(stats["control"].faults)
+    checks = {
+        "control_does_not_fault": control_faults == 0,
+        "active_fault_in_window": in_window["active"],
+        "passive_fault_outside_window": bool(stats["passive"].faults) and not in_window["passive"],
+    }
+    lines = [f"control (pre-populated) faults: {control_faults}"]
+    for mode in ("active", "passive"):
+        faults = stats[mode].faults
+        pte = f"{faults[0].pte_address:#x}" if faults else "none"
+        lines.append(f"{mode} fault pte @ {pte} (watermark window: {in_window[mode]})")
+    return Report(stats, checks, lines, "hazard reproduced")
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +386,7 @@ def run_demand_paging_hazard(config: MachineConfig) -> DemandPagingReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IsolationReport:
-    strict_rejected: bool
-    rejection: str
-    neighbor_baseline_pa: int
-    neighbor_outcome: str  # "pa:<hex>" or "fault:L<level>"
-    deviated: bool
-    control_unaffected: bool
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.strict_rejected and self.deviated and self.control_unaffected
-
-    def text(self) -> str:
-        return "\n".join(
-            [
-                f"strict activation rejected: {self.strict_rejected} ({self.rejection})",
-                f"neighbour baseline pa: {self.neighbor_baseline_pa:#x}",
-                f"neighbour under permissive activation: {self.neighbor_outcome}",
-                f"neighbour deviated: {self.deviated}",
-                f"isolated control unaffected: {self.control_unaffected}",
-                f"hazard reproduced: {self.ok}",
-            ]
-        )
-
-
-def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
+def run_isolation_hazard(config: MachineConfig) -> Report:
     """Demonstrate why the target range must own its level-0 slot.
 
     A neighbour page sharing the target's first index mistranslates (here:
@@ -517,15 +435,19 @@ def run_isolation_hazard(config: MachineConfig) -> IsolationReport:
         pa = permissive.mmu.translate(0, isolated_neighbor_va)
         control_unaffected = pa == isolated_base_pa
 
-    return IsolationReport(
-        strict_rejected=strict_rejected,
-        rejection=rejection,
-        neighbor_baseline_pa=shared_base_pa,
-        neighbor_outcome=outcome,
-        deviated=deviated,
-        control_unaffected=control_unaffected,
-        stats=stats,
-    )
+    checks = {
+        "strict_rejected": strict_rejected,
+        "deviated": deviated,
+        "control_unaffected": control_unaffected,
+    }
+    lines = [
+        f"strict activation rejected: {strict_rejected} ({rejection})",
+        f"neighbour baseline pa: {shared_base_pa:#x}",
+        f"neighbour under permissive activation: {outcome}",
+        f"neighbour deviated: {deviated}",
+        f"isolated control unaffected: {control_unaffected}",
+    ]
+    return Report(stats, checks, lines, "hazard reproduced")
 
 
 # ---------------------------------------------------------------------------
@@ -553,42 +475,6 @@ class MigrationPlan:
             raise ValueError("dma_chunk_bytes must be a line multiple dividing the page")
 
 
-@dataclass
-class MigrationReport:
-    plan: MigrationPlan
-    events: int
-    reads_checked: int
-    stale_reads: int
-    lost_writes: int
-    translated_to_source_before: bool
-    translations_to_destination: bool
-    source_clean: bool
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.stale_reads == 0
-            and self.lost_writes == 0
-            and self.translated_to_source_before
-            and self.translations_to_destination
-            and self.source_clean
-        )
-
-    def text(self) -> str:
-        return "\n".join(
-            [
-                f"events interleaved: {self.events}",
-                f"reads checked: {self.reads_checked}, stale: {self.stale_reads}",
-                f"lost writes: {self.lost_writes}",
-                f"translations now resolve to destination:"
-                f" {self.translations_to_destination}",
-                f"source frame unreferenced: {self.source_clean}",
-                f"migration ok: {self.ok}",
-            ]
-        )
-
-
 _DRAW_WORDS = 4096  # `random_bytes` draws at most this many words a round
 _NINE_BIT_WORDS = int.from_bytes(b"\xff\x01\x00\x00" * _DRAW_WORDS, "little")
 
@@ -613,7 +499,7 @@ def random_bytes(rng: random.Random, n: int) -> bytes:
     return out
 
 
-def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport:
+def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     """Copy a live page by DMA chunks while redirecting its translation.
 
     Accesses issued mid-copy are captured at the coherence level: reads of
@@ -637,10 +523,10 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     shadow = bytearray(init)
     before = m.tally()
     access = m.mmu.access
-    checks = []  # per checked read: did it return the latest write?
+    reads = []  # per checked read: did it return the latest write?
 
     def check_read(off):
-        checks.append(access(plan.asid, va + off) == shadow[off])
+        reads.append(access(plan.asid, va + off) == shadow[off])
 
     for _ in range(4):
         check_read(rng.randrange(PAGE_SIZE))
@@ -681,7 +567,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     m.dram.write_bytes(src_base, b"\xee" * PAGE_SIZE)
     for _ in range(plan.post_ops):
         check_read(rng.randrange(PAGE_SIZE))
-    translations_to_destination = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == dst
+    to_destination = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == dst
 
     source_clean = not any(map(m.cache.lookup, range(src_base, src_base + PAGE_SIZE, LINE_BYTES)))
     m.flush_cache()
@@ -689,17 +575,22 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
     # Equal pages, the usual case, cost one compare; a failing run still
     # gets its per-byte count.
     lost_writes = 0 if final == shadow else sum(map(int.__ne__, final, shadow))
-    return MigrationReport(
-        plan=plan,
-        events=len(events),
-        reads_checked=len(checks),
-        stale_reads=checks.count(False),
-        lost_writes=lost_writes,
-        translated_to_source_before=translated_to_source_before,
-        translations_to_destination=translations_to_destination,
-        source_clean=source_clean,
-        stats={"active": m.stats_since(before)},
-    )
+    stale_reads = reads.count(False)
+    checks = {
+        "no_stale_reads": stale_reads == 0,
+        "no_lost_writes": lost_writes == 0,
+        "translated_to_source_before": translated_to_source_before,
+        "translations_to_destination": to_destination,
+        "source_clean": source_clean,
+    }
+    lines = [
+        f"events interleaved: {len(events)}",
+        f"reads checked: {len(reads)}, stale: {stale_reads}",
+        f"lost writes: {lost_writes}",
+        f"translations now resolve to destination: {to_destination}",
+        f"source frame unreferenced: {source_clean}",
+    ]
+    return Report({"active": m.stats_since(before)}, checks, lines, "migration ok")
 
 
 # ---------------------------------------------------------------------------
@@ -707,25 +598,14 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> MigrationReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CustomTraceReport:
-    """Statistics of a user-supplied trace, per mode; it has no verdict."""
-
-    stats: dict
-    ok = True
-
-    def text(self) -> str:
-        return "\n".join(f"[{mode}]\n{s.text()}" for mode, s in self.stats.items())
-
-
-def run_custom_trace(config: MachineConfig, mappings, rules, trace, modes=MODES):
+def run_custom_trace(config: MachineConfig, mappings, rules, trace, modes=MODES) -> Report:
     """Replay `trace` in address space 0, mapped by `mappings`, under each
-    mode; `rules` are activated in active mode."""
+    mode; `rules` are activated in active mode.  The report has no checks
+    and no verdict."""
 
     def prepare(m, _):
         m.register_space(0, mappings)
         return rules
 
-    return CustomTraceReport(
-        {mode: run for mode, _, run in run_modes(config, modes, trace, prepare)}
-    )
+    stats = {mode: run for mode, _, run in run_modes(config, modes, trace, prepare)}
+    return Report(stats, {}, _stats_lines(stats))

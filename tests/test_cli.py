@@ -12,6 +12,7 @@ import pytest
 
 from lightv_sim import cli, machine, scenarios
 from lightv_sim.addressing import PAGE_SHIFT, PAGE_SIZE, MappingError, reference_walk
+from lightv_sim.lightv import LightV
 from lightv_sim.machine import Machine, MachineConfig, format_access, iter_trace
 from lightv_sim.mmu import Mmu
 from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
@@ -196,6 +197,33 @@ def test_small_scenario_csv_is_pinned(scenario, rows, capsys):
     assert capsys.readouterr().out == CSV_HEADER + rows
 
 
+# the per-mode blocks of a histogram run at --scale 0.0002 --seed 4
+HISTOGRAM_0002_BASELINE = (
+    "[baseline]\n"
+    "  total_cycles      113874\n"
+    "  data_hits         33122\n"
+    "  data_misses       412\n"
+    "  walk_reads        21\n"
+    "  snoops_issued     0\n"
+    "  snoops_acked      0\n"
+    "  dram_reads        433\n"
+    "  dram_writes       0\n"
+    "  lines_manipulated 0\n"
+)
+HISTOGRAM_0002_PASSIVE = (
+    "[passive]\n"
+    "  total_cycles      113874\n"
+    "  data_hits         33122\n"
+    "  data_misses       412\n"
+    "  walk_reads        21\n"
+    "  snoops_issued     433\n"
+    "  snoops_acked      0\n"
+    "  dram_reads        433\n"
+    "  dram_writes       0\n"
+    "  lines_manipulated 0\n"
+)
+
+
 @pytest.mark.parametrize("scenario, text", [
     # the descriptor addresses depend on the order the frames are taken in
     ("demand-paging",
@@ -211,9 +239,40 @@ def test_small_scenario_csv_is_pinned(scenario, rows, capsys):
      "neighbour deviated: True\n"
      "isolated control unaffected: True\n"
      "hazard reproduced: True\n"),
+    ("migration",
+     "events interleaved: 40\n"
+     "reads checked: 20, stale: 0\n"
+     "lost writes: 0\n"
+     "translations now resolve to destination: True\n"
+     "source frame unreferenced: True\n"
+     "migration ok: True\n"),
+    ("histogram --scale 0.0002 --mode all",
+     HISTOGRAM_0002_BASELINE
+     + HISTOGRAM_0002_PASSIVE
+     + "[active]\n"
+     "  total_cycles      114084\n"
+     "  data_hits         33122\n"
+     "  data_misses       412\n"
+     "  walk_reads        21\n"
+     "  snoops_issued     433\n"
+     "  snoops_acked      6\n"
+     "  dram_reads        433\n"
+     "  dram_writes       0\n"
+     "  lines_manipulated 6\n"
+     "passive vs baseline: 113874 vs 113874 cycles, overhead +0.0000%\n"
+     "active vs baseline: 114084 vs 113874 cycles, overhead +0.1844%\n"
+     "hot page identical across modes: True; active data in replacement frame: True\n"
+     "experiment ok: True\n"),
+    ("histogram --scale 0.0002 --mode passive",
+     HISTOGRAM_0002_BASELINE
+     + HISTOGRAM_0002_PASSIVE
+     + "passive vs baseline: 113874 vs 113874 cycles, overhead +0.0000%\n"
+     "experiment ok: True\n"),
 ])
 def test_hazard_text_report_is_pinned(scenario, text, capsys):
-    assert run_cli("run", "--scenario", scenario, "--seed", "4", "--format", "text") == 0
+    # `scenario` is the scenario name, then any further flags
+    argv = ["run", "--scenario", *scenario.split(), "--seed", "4", "--format", "text"]
+    assert run_cli(*argv) == 0
     assert capsys.readouterr().out == text
 
 
@@ -566,10 +625,31 @@ def test_register_space_caps_its_mappings(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["baseline", "passive"])
 def test_histogram_verdict_alone_sets_the_exit_code(monkeypatch, capsys, mode):
-    monkeypatch.setattr(scenarios.OverheadExperiment, "passive_ok", property(lambda self: False))
+    monkeypatch.setattr(scenarios, "expected_hot_content", lambda w: b"\xff" * PAGE_SIZE)
     code = run_cli("run", "--scenario", "histogram", "--mode", mode, "--scale", "0.0001")
-    assert "experiment ok: False" in capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == cli.EXIT_ASSERTION
+    assert "experiment ok: False" in captured.out
+    assert captured.err == "check failed: functional_equal\n"
+
+
+def test_a_lightv_that_never_serves_fails_the_redirect_check(monkeypatch, capsys):
+    # every walk then reads the real tables, so the hot page is never
+    # redirected and its bytes land in the original frame
+    monkeypatch.setattr(LightV, "handle_snoop", lambda self, line_addr: None)
+    code = run_cli("run", "--scenario", "histogram", "--mode", "active", "--scale", "0.0001")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ASSERTION
+    assert captured.err == "".join(
+        f"check failed: {name}\n"
+        for name in (
+            "functional_equal",
+            "active_ok",
+            "active_in_replacement_frame",
+            "active_original_untouched",
+            "hot_page_redirected",
+        )
+    )
 
 
 def test_reports_are_byte_identical(tmp_path):

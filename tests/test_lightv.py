@@ -885,6 +885,24 @@ def test_deactivate_keeps_sibling_rule_on_shared_line():
     assert m.mmu.translate(0, 9 << 30) == 0xA0001 << 12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=TranslationFault,
+    reason="the watermark chunk leaves an entry no rule covers non-present, so the"
+    " page of a rule removed from a still-watched level-0 slot faults at level 2",
+)
+@pytest.mark.parametrize("cache_ptes", [False, True])
+def test_deactivate_under_a_shared_slot_restores_the_real_frame(cache_ptes):
+    a = 8 << 30
+    m = active_machine([(a, 0x90000), (a + 4096, 0x90001)], cache_ptes=cache_ptes)
+    m.activate_rules([
+        RewriteRule(1, 0, a, a + 4096, 0xA0000),
+        RewriteRule(2, 0, a + 4096, a + 8192, 0xA0001),
+    ])
+    m.deactivate_rule(1)
+    assert m.mmu.translate(0, a) == m.lightv.expected_pa(0, a)
+
+
 def test_cache_robustness_under_pte_caching():
     # interleave target / non-target walks with PTE caching on and no TLB:
     # cached watermark lines must keep redirection and transparency intact

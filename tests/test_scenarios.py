@@ -12,7 +12,7 @@ from lightv_sim.addressing import (
     reference_walk,
 )
 from lightv_sim.lightv import LightV, RewriteRule, RuleError
-from lightv_sim.machine import AllocatorExhausted, Machine, MachineConfig, TraceAbort
+from lightv_sim.machine import AllocatorExhausted, Machine, MachineConfig, TraceAbort, compare_runs
 from lightv_sim.scenarios import (
     HistogramWorkload,
     MigrationPlan,
@@ -97,21 +97,24 @@ def test_an_oversized_histogram_fails_before_it_takes_a_frame(capsys):
 
 def test_histogram_functional_equivalence(tiny_experiment):
     exp = tiny_experiment
-    assert exp.functional_equal
-    assert exp.hot_contents["active"] == exp.expected_hot
+    assert exp.checks["functional_equal"]
+    assert exp.checks["active_in_replacement_frame"]
     assert exp.stats["active"].lines_manipulated > 0
-    assert exp.active_original_untouched
+    assert exp.checks["hot_page_redirected"]
+    assert exp.checks["active_original_untouched"]
 
 
 def test_histogram_overhead_bounds(tiny_experiment):
     exp = tiny_experiment
-    assert exp.passive_overhead.relative == 0.0
-    assert 0.0 < exp.active_overhead.relative < scenarios.ACTIVE_OVERHEAD_MAX
+    assert compare_runs(exp.stats["baseline"], exp.stats["passive"]).relative == 0.0
+    active = compare_runs(exp.stats["baseline"], exp.stats["active"]).relative
+    assert 0.0 < active < scenarios.ACTIVE_OVERHEAD_MAX
     assert exp.ok
 
 
 def test_histogram_ok_requires_untouched_original(tiny_experiment):
-    written = dataclasses.replace(tiny_experiment, active_original_untouched=False)
+    checks = {**tiny_experiment.checks, "active_original_untouched": False}
+    written = dataclasses.replace(tiny_experiment, checks=checks)
     assert tiny_experiment.ok
     assert not written.ok
 
@@ -125,24 +128,27 @@ def test_histogram_csv_rows(tiny_experiment):
 def test_demand_paging_hazard(config):
     report = run_demand_paging_hazard(config)
     assert report.ok
-    assert report.control_faults == 0
-    assert report.active_in_window and not report.passive_in_window
-    assert report.active_fault.level == 2
+    assert report.checks["control_does_not_fault"]
+    assert report.checks["active_fault_in_window"]
+    assert report.checks["passive_fault_outside_window"]
+    assert report.stats["active"].faults[0].level == 2
     assert "watermark window: True" in report.text()
 
 
 def test_isolation_hazard(config):
     report = run_isolation_hazard(config)
     assert report.ok
-    assert report.strict_rejected and "level-0" in report.rejection
-    assert report.deviated and report.neighbor_outcome.startswith("fault:L1")
-    assert report.control_unaffected
+    text = report.text().splitlines()
+    assert report.checks["strict_rejected"] and "level-0" in text[0]
+    assert report.checks["deviated"]
+    assert text[2] == "neighbour under permissive activation: fault:L1"
+    assert report.checks["control_unaffected"]
 
 
 def test_migration_idle_accessor_copies_page(config):
     report = run_migration(MigrationPlan(accessor_ops=0, post_ops=4, seed=2), config)
     assert report.ok
-    assert report.lost_writes == 0 and report.stale_reads == 0
+    assert report.checks["no_lost_writes"] and report.checks["no_stale_reads"]
 
 
 def test_migration_interleaved_batch(config):
@@ -155,7 +161,7 @@ def test_migration_write_mid_copy_lands_at_destination(config):
     # heavy write mix so some writes land between DMA chunks
     plan = MigrationPlan(accessor_ops=60, seed=13)
     report = run_migration(plan, config)
-    assert report.ok and report.lost_writes == 0
+    assert report.ok and report.checks["no_lost_writes"]
 
 
 @pytest.mark.parametrize("sets, ways", [(4, 1), (1, 2)])
@@ -171,17 +177,17 @@ def test_small_caches_need_the_writeback_mirror(monkeypatch, sets, ways):
     monkeypatch.setattr(LightV, "on_writeback", lambda self, line_addr, payload: None)
     for plan in plans:
         report = run_migration(plan, config)
-        assert report.lost_writes > 0 and not report.ok, f"seed {plan.seed}"
+        assert not report.checks["no_lost_writes"] and not report.ok, f"seed {plan.seed}"
 
 
 def test_migration_source_check_sees_lines_left_in_the_cache(monkeypatch, config):
     # Opening the window must flush the source page's lines; without that,
     # source-tagged lines are still cached when the run ends, and the check
     # runs before the final flush empties the cache.
-    assert run_migration(MigrationPlan(seed=1), config).source_clean
+    assert run_migration(MigrationPlan(seed=1), config).checks["source_clean"]
     monkeypatch.setattr(Machine, "invalidate_page_lines", lambda self, pa_base: None)
     report = run_migration(MigrationPlan(seed=1), config)
-    assert not report.source_clean and not report.ok
+    assert not report.checks["source_clean"] and not report.ok
     assert "source frame unreferenced: False" in report.text()
 
 
