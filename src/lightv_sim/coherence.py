@@ -8,11 +8,11 @@ the interconnect polls the agents in registration order; the first ACK
 supplies the line, otherwise the line comes from DRAM.  `_fetch` is the one
 place that polls the agents, checks an ACK (a full-line payload, serve
 cycles >= 0) before counting it, and charges a miss.  Two transactions
-share it.  The data transaction (`read_byte`/`write_byte`, both through
-`_ensure_line`) runs in one body: the set lookup and LRU move, then on a
-miss the fetch, the fill, the eviction and the writeback of an evicted
-Modified line, with no call into `Cache`; a fill into a full set reuses the
-victim's `CacheLine` record, after its writeback, for the new line.  The
+share it.  The data transaction (`access`, which `read_byte`/`write_byte`
+wrap) runs in one body: the set lookup and LRU move, then on a miss the
+fetch, the fill, the eviction and the writeback of an evicted Modified
+line, with no call into `Cache`; then the byte read or write.  A fill into
+a full set reuses the victim's `CacheLine` record for the new line.  The
 walk transaction (`walk_read`) returns the line holding one descriptor for
 the walker to decode, through `Cache.probe` and, when it allocates
 (`cache_ptes`), `Cache.fill`; a non-allocating one returns the ACK payload
@@ -202,46 +202,49 @@ class CoherentInterconnect:
         c.total_cycles += lat.cci + lat.dram
         return payload, _EXCLUSIVE
 
-    def _ensure_line(self, cache, line_addr: int, unique: bool) -> CacheLine:
-        """The data transaction: resolve a line into the requester's cache,
-        as an owner (`unique`, a write) or as a sharer.
+    def access(self, cache, addr: int, write: bool, value=None):
+        """The data transaction: read the byte at `addr` or store `value`
+        there, through the requester's cache.
 
         One body does what `Cache.probe` and `Cache.fill` do for an
         allocating walk read: the set lookup and LRU move, then on a miss
-        `_fetch`, the fill (in place for a SHARED line a write upgrades),
-        the eviction of the set's least recently used line and the
-        writeback of an evicted Modified one, whose record then holds the
-        new line with a fresh payload (the bytes DRAM and the writeback
-        hook were handed never change).  The lookup's answer and the LRU
-        move hold for the whole transaction: no agent touches the
-        requester's cache while it serves a snoop.
+        (or a write to a SHARED line, which upgrades it in place) `_fetch`,
+        the fill, the eviction of the set's least recently used line and
+        the writeback of an evicted Modified one, whose record then holds
+        the new line with a fresh payload (the bytes DRAM and the writeback
+        hook were handed never change); then the byte read or write.  The
+        lookup's answer and the LRU move hold for the whole transaction: no
+        agent touches the requester's cache while it serves a snoop.
         """
-        if line_addr & _LINE_MASK:
-            raise ValueError(f"address not line-aligned: {line_addr:#x}")
         self.started = True
-        ways = cache._sets[(line_addr >> LINE_SHIFT) & cache._set_mask]
+        line_addr = addr & ~_LINE_MASK
+        ways = cache._sets[(addr >> LINE_SHIFT) & cache._set_mask]
         line = ways.get(line_addr)
         if line is not None:
             ways.move_to_end(line_addr)
-            if not (unique and line.state is _SHARED):
-                c = self.counters
-                c.data_hits += 1
-                c.total_cycles += self.lat.cache_hit
-                return line
-        payload, state = self._fetch(line_addr, not unique)
-        self.counters.data_misses += 1
-        if line is None:
-            if len(ways) < cache.ways:
-                line = ways[line_addr] = CacheLine(line_addr, state, None)
-            else:
-                line = ways.popitem(last=False)[1]
-                if line.state is _MODIFIED:
-                    self._writeback(line)
-                line.tag = line_addr
-                ways[line_addr] = line
-        line.payload = bytearray(payload)
-        line.state = state
-        return line
+        if line is None or write and line.state is _SHARED:
+            payload, state = self._fetch(line_addr, not write)
+            self.counters.data_misses += 1
+            if line is None:
+                if len(ways) < cache.ways:
+                    line = ways[line_addr] = CacheLine(line_addr, state, None)
+                else:
+                    line = ways.popitem(last=False)[1]
+                    if line.state is _MODIFIED:
+                        self._writeback(line)
+                    line.tag = line_addr
+                    ways[line_addr] = line
+            line.payload = bytearray(payload)
+            line.state = state
+        else:
+            c = self.counters
+            c.data_hits += 1
+            c.total_cycles += self.lat.cache_hit
+        if write:
+            line.payload[addr & _LINE_MASK] = value & 0xFF
+            line.state = _MODIFIED
+            return None
+        return line.payload[addr & _LINE_MASK]
 
     def _writeback(self, line: CacheLine):
         self.dram.write_line(line.tag, line.payload)
@@ -252,13 +255,10 @@ class CoherentInterconnect:
     # -- public operations ---------------------------------------------------
 
     def read_byte(self, cache, addr: int) -> int:
-        line = self._ensure_line(cache, addr & ~_LINE_MASK, False)
-        return line.payload[addr & _LINE_MASK]
+        return self.access(cache, addr, False)
 
     def write_byte(self, cache, addr: int, value: int):
-        line = self._ensure_line(cache, addr & ~_LINE_MASK, True)
-        line.payload[addr & _LINE_MASK] = value & 0xFF
-        line.state = _MODIFIED
+        self.access(cache, addr, True, value)
 
     def walk_read(self, cache, pte_addr: int, allocate: bool = False):
         """The walk transaction: the 64-byte line holding the descriptor
@@ -288,11 +288,13 @@ class CoherentInterconnect:
         return payload
 
     def invalidate_line(self, cache, *line_addrs: int):
-        """Drop each line in turn; a Modified one is written back after its drop."""
-        sets, set_mask = cache._sets, cache._set_mask
+        """Check every address, then drop each line in turn; a Modified one
+        is written back after its drop."""
         for line_addr in line_addrs:
             if line_addr & _LINE_MASK:
                 raise ValueError(f"address not line-aligned: {line_addr:#x}")
+        sets, set_mask = cache._sets, cache._set_mask
+        for line_addr in line_addrs:
             line = sets[(line_addr >> LINE_SHIFT) & set_mask].pop(line_addr, None)
             if line is not None and line.state is _MODIFIED:
                 self._writeback(line)

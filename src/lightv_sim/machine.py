@@ -95,7 +95,7 @@ class Dram:
         self._frames = defaultdict(list)
         self.reads = 0
         self.writes = 0
-        # The walks `Mmu.hardware_walk` replays; writing a line one of them
+        # The walks `Mmu.translate` replays; writing a line one of them
         # read drops them all.
         self.walk_memo = WalkMemo()
         # While a walk is recorded, the list each line read is appended to.
@@ -600,7 +600,8 @@ class Machine:
         resolved inline, with the LRU, counter and cycle updates the layers
         below would make.  Every other access (a TLB miss, a cache miss, a
         write to a SHARED line, or any access while `debug_tlb_check` is
-        on) goes through `Mmu.access`.  Hits are tallied in a local and
+        on) calls `Mmu.translate`, then `CoherentInterconnect.access`, the
+        fabric's data transaction.  Hits are tallied in a local and
         added to the counters (cycles included) before each such call and
         when the loop ends, so every callee sees the totals of a one-access-
         at-a-time run.
@@ -613,19 +614,20 @@ class Machine:
         of its set only if that is `last`'s set, and owes its TLB touch:
         while `stale`, the TLB ends with `prev`'s key, not `last`'s.  The
         debt is paid before a TLB hit on any page but `prev`'s, before each
-        `Mmu.access` call and at the end; a TLB hit on `prev`'s page needs
+        `translate` call and at the end; a TLB hit on `prev`'s page needs
         neither it nor a touch of its own.  An access to `prev`'s page on
         another line reuses its TLB key and frame base, since only
-        `Mmu.access` changes the TLB.  The memo starts empty in each call,
-        is cleared before every `Mmu.access` call, which may evict,
-        invalidate or fault, and is never set while `debug_tlb_check` is on.
+        `translate` changes the TLB.  The memo starts empty in each call,
+        is cleared before every `translate` call, which (with the data
+        transaction after it) may evict, invalidate or fault, and is never
+        set while `debug_tlb_check` is on.
         """
         counters = self.counters
-        access = self.mmu.access
+        translate, access, cache = self.mmu.translate, self.cci.access, self.cache
         tlb_touch = self.tlb._entries.move_to_end
         # With the debug check on, every TLB hit must reach `translate`.
         tlb_get = {}.get if self.config.debug_tlb_check else self.tlb._entries.get
-        sets, set_mask = self.cache._sets, self.cache._set_mask
+        sets, set_mask = cache._sets, cache._set_mask
         hit_cycles = self.cci.lat.cache_hit
         record = self.config.fault_policy == FAULT_RECORD
         # Local names for the constants the loop reads on every access.
@@ -710,11 +712,12 @@ class Machine:
                     stale = False
                 # `last_page` too: the next line resolved shifts it to `prev_page`.
                 last_vline = last_page = prev_vline = prev_page = None
-                counters.data_hits += hits
-                counters.total_cycles += hits * hit_cycles
-                hits = 0
+                if hits:
+                    counters.data_hits += hits
+                    counters.total_cycles += hits * hit_cycles
+                    hits = 0
                 try:
-                    access(asid, va, write, value)
+                    access(cache, translate(asid, va), write, value)
                 except TranslationFault as fault:
                     if not record:
                         raise TraceAbort(index, asid, va, fault) from None

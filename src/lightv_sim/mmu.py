@@ -6,19 +6,21 @@ to snooping agents, and decodes each descriptor's present bit, frame and
 attributes from the line it returns.  Whether those lines are allowed to
 allocate into the PE cache is a configuration switch (`cache_ptes`).
 
-A walk whose inputs have not changed is replayed from a memo instead of
-walked again.  The memo is keyed by (asid, leaf line), the leaf line being
-page >> 3: the eight pages whose leaf entries share one 64-byte line read
-the same three lines, with the same snoops, DRAM reads, LightV serves and
-cycles, and differ only in the entry they decode from the last line.  A
-stored walk holds its three fabric line addresses, its simulated effects
-(`total_cycles`, `walk_reads` and `walk_misses` (3 each), `snoops_issued`,
-`snoops_acked`, DRAM line reads and LightV's `lines_manipulated`) and the
-eight descriptors of the leaf line as served, as integers.  A replay adds
-those effects and decodes the frame and attributes of the page's
-descriptor without a fabric transaction; a page whose descriptor is not
-present walks for real, faults and stores nothing.  The memo is exact
-where it acts:
+A TLB miss is resolved in `Mmu.translate`: a walk whose inputs have not
+changed is replayed there from a memo, and any other walk runs in
+`hardware_walk`, which stores it in the memo when it may be replayed; the
+TLB is filled either way.  The memo is keyed by (asid, leaf line), the leaf
+line being page >> 3: the eight pages whose leaf entries share one 64-byte
+line read the same three lines, with the same snoops, DRAM reads, LightV
+serves and cycles, and differ only in the entry they decode from the last
+line.  A stored walk holds its three fabric line addresses, its simulated
+effects (`total_cycles`, `walk_reads` and `walk_misses` (3 each),
+`snoops_issued`, `snoops_acked`, DRAM line reads and LightV's
+`lines_manipulated`) and the eight descriptors of the leaf line as served,
+as integers.  A replay adds those effects and decodes the frame and
+attributes of the page's descriptor without a fabric transaction; a page
+whose descriptor is not present walks for real, faults and stores nothing.
+The memo is exact where it acts:
   * only a non-allocating walk (`cache_ptes` off) on a fabric with just the
     agents it had when the machine was built (none, or its own LightV) is
     stored (a foreign agent's answers cannot be known), and only one that
@@ -61,12 +63,12 @@ _LINE_BASE = ~((1 << LINE_SHIFT) - 1)
 
 
 class WalkMemo:
-    """The walks `Mmu.hardware_walk` replays and the DRAM lines they read.
+    """The walks `Mmu.translate` replays and the DRAM lines they read.
 
     `walks` maps (asid, leaf line) to (entries, path): `entries` are the
     leaf line's eight descriptors as served, and `path` is the walk's
-    three fabric lines and its effects (see `Mmu._effects`).  `lines` holds every line a stored walk read.
-    `forget` empties both in place.
+    three fabric lines and its effects (see `Mmu._effects`).  `lines` holds
+    every line a stored walk read.  `forget` empties both in place.
     """
 
     __slots__ = ("walks", "lines")
@@ -100,11 +102,12 @@ class Tlb:
     def insert(self, asid: int, va_page: int, pa_frame: int, attrs: int):
         if self.capacity == 0:
             return
-        key = (asid, va_page)
-        if key not in self._entries and len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = (pa_frame, attrs)
-        self._entries.move_to_end(key)
+        key, entries = (asid, va_page), self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        elif len(entries) >= self.capacity:
+            entries.popitem(last=False)
+        entries[key] = (pa_frame, attrs)
 
     def invalidate_range(self, asid: int, va_start: int, va_end: int):
         lo, hi = va_start >> PAGE_SHIFT, (va_end - 1) >> PAGE_SHIFT
@@ -134,6 +137,7 @@ class Mmu:
         # The only fabric agents under which a walk may be stored: those
         # registered before the MMU was built.
         self._own_agents = list(cci.agents)
+        self._counters, self._dram = cci.counters, cci.dram
         self._memo = cci.dram.walk_memo
         self._walks = self._memo.walks
         self._sets, self._set_mask = cache._sets, cache._set_mask
@@ -150,37 +154,19 @@ class Mmu:
         return (va >> 30) & 0x1FF, (va >> 21) & 0x1FF, (va >> PAGE_SHIFT) & 0x1FF
 
     def translate(self, asid: int, va: int):
-        """Resolve va to its physical address, walking on a TLB miss."""
+        """Resolve va to its physical address; a TLB miss replays a stored
+        walk (see the module docstring) or walks, then fills the TLB."""
         if va < 0 or va >> VA_BITS:
             raise ValueError(f"virtual address out of range: {va:#x}")
         page = va >> PAGE_SHIFT
         hit = self.tlb.lookup(asid, page)
         if hit is not None:
             pa = (hit[0] << PAGE_SHIFT) | (va & _PAGE_MASK)
-            if self.debug_tlb_check:
-                self._check_tlb_hit(asid, va, pa)
+            if self.debug_tlb_check and (expected := self.lightv.expected_pa(asid, va)) != pa:
+                raise AssertionError(
+                    f"stale TLB entry for {va:#x}: cached {pa:#x}, fresh walk gives {expected:#x}"
+                )
             return pa
-        frame, attrs = self.hardware_walk(asid, va)
-        self.tlb.insert(asid, page, frame, attrs)
-        return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
-
-    def _check_tlb_hit(self, asid: int, va: int, pa: int):
-        expected = self.lightv.expected_pa(asid, va)
-        if expected != pa:
-            raise AssertionError(
-                f"stale TLB entry for {va:#x}: cached {pa:#x},"
-                f" fresh walk gives {expected:#x}"
-            )
-
-    def hardware_walk(self, asid: int, va: int):
-        """Walk the tables level by level via coherent reads, or replay a
-        stored walk through the same leaf line (see the module docstring).
-
-        Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
-        first non-present level and its descriptor address.
-        """
-        page = va >> PAGE_SHIFT
-        cci = self.cci
         stored = self._walks.get((asid, page >> _LEAF_SHIFT))
         if stored is not None:
             entries, (l0, l1, l2, cycles, snoops, acks, reads, served) = stored
@@ -192,20 +178,34 @@ class Mmu:
                 and l1 not in sets[(l1 >> LINE_SHIFT) & set_mask]
                 and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
             ):
-                c = cci.counters
+                c = self._counters
                 c.total_cycles += cycles
                 c.walk_reads += 3
                 c.walk_misses += 3
                 c.snoops_issued += snoops
                 c.snoops_acked += acks
-                cci.dram.reads += reads
+                self._dram.reads += reads
                 if served:
                     self.lightv.lines_manipulated += served
-                return (raw & _FRAME_BITS) >> PAGE_SHIFT, raw & ATTR_MASK
+                frame = raw & _FRAME_BITS
+                self.tlb.insert(asid, page, frame >> PAGE_SHIFT, raw & ATTR_MASK)
+                return frame | (va & _PAGE_MASK)
+        frame, attrs = self.hardware_walk(asid, va)
+        self.tlb.insert(asid, page, frame, attrs)
+        return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
+
+    def hardware_walk(self, asid: int, va: int):
+        """Walk the tables level by level via coherent reads, and store the
+        walk in the memo when it may be replayed (see the module docstring).
+
+        Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
+        first non-present level and its descriptor address.
+        """
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
-        cache, dram, allocate = self.cache, cci.dram, self.cache_ptes
+        cci = self.cci
+        cache, dram, allocate = self.cache, self._dram, self.cache_ptes
         record = not allocate and cci.agents == self._own_agents
         if record:
             before = self._effects()
@@ -235,7 +235,7 @@ class Mmu:
                 if len(memo.walks) >= WALK_MEMO_LINES:
                     memo.forget()
                 path = (*lines, *(now - then for then, now in zip(before[:5], after[:5])))
-                memo.walks[asid, page >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
+                memo.walks[asid, va >> PAGE_SHIFT >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
                 memo.lines.update(read)
         return base >> PAGE_SHIFT, raw & ATTR_MASK
 
@@ -244,23 +244,15 @@ class Mmu:
         snoops issued and acked, DRAM reads, lines manipulated), then the
         three a stored walk leaves as they were (walk hits, context losses,
         capture serves)."""
-        c, lightv = self.cci.counters, self.lightv
+        c, lightv = self._counters, self.lightv
         return (
-            c.total_cycles, c.snoops_issued, c.snoops_acked, self.cci.dram.reads,
+            c.total_cycles, c.snoops_issued, c.snoops_acked, self._dram.reads,
             lightv.lines_manipulated, c.walk_hits, lightv.context_lost, lightv.data_captures,
         )
 
     def access(self, asid: int, va: int, write: bool = False, value=None):
-        """One data access: returns the byte read, or stores `value`.
-
-        `translate`, then the fabric's `read_byte`/`write_byte`.
-        `Machine.replay` resolves a TLB and cache hit inline and calls this
-        for every other access.
-        """
+        """One data access: returns the byte read, or stores `value`;
+        `translate`, then the fabric's data transaction."""
         if write:
             value &= 0xFF  # a missing value fails here, before any state moves
-        pa = self.translate(asid, va)
-        if write:
-            self.cci.write_byte(self.cache, pa, value)
-            return None
-        return self.cci.read_byte(self.cache, pa)
+        return self.cci.access(self.cache, self.translate(asid, va), write, value)

@@ -198,22 +198,20 @@ def histogram_workload(scale: float = 1.0, seed: int = 0) -> HistogramWorkload:
 
 def iter_histogram_trace(w: HistogramWorkload):
     """One streaming pass over the image; per byte, a read-modify-write of
-    a shuffled hot-page slot; a code-page read every `code_period` bytes.
-    Yields the accesses one at a time."""
+    a shuffled hot-page slot (`order` is a permutation, so byte i's write
+    is its slot's count, (i >> 12) + 1); a code-page read every
+    `code_period` bytes.  Yields the accesses one at a time."""
     w.validate()
     rng = random.Random(w.seed)
     order = list(range(PAGE_SIZE))
     rng.shuffle(order)
-    counts = [0] * PAGE_SIZE
     code_span = w.code_pages * PAGE_SIZE
     asid = w.asid
     for i in range(w.image_bytes):
         yield (asid, "R", w.image_base_va + i, None)
-        slot = order[i % PAGE_SIZE]
-        counts[slot] += 1
-        hot = w.hot_page_va + slot
+        hot = w.hot_page_va + order[i % PAGE_SIZE]
         yield (asid, "R", hot, None)
-        yield (asid, "W", hot, counts[slot] & 0xFF)
+        yield (asid, "W", hot, ((i >> PAGE_SHIFT) + 1) & 0xFF)
         if i % w.code_period == 0:
             yield (asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
     if w.image_bytes == 0:
@@ -227,13 +225,16 @@ def gen_histogram_trace(w: HistogramWorkload) -> list:
 
 
 def expected_hot_content(w: HistogramWorkload) -> bytes:
+    """The hot page after the trace: slot order[k] counts every full pass
+    over the page, plus one if k < the remainder."""
     rng = random.Random(w.seed)
     order = list(range(PAGE_SIZE))
     rng.shuffle(order)
-    counts = [0] * PAGE_SIZE
-    for i in range(w.image_bytes):
-        counts[order[i % PAGE_SIZE]] += 1
-    return bytes(c & 0xFF for c in counts)
+    full, rest = divmod(w.image_bytes, PAGE_SIZE)
+    counts = bytearray(PAGE_SIZE)
+    for k, slot in enumerate(order):
+        counts[slot] = (full + (k < rest)) & 0xFF
+    return bytes(counts)
 
 
 def _layout_histogram(m: Machine, w: HistogramWorkload):

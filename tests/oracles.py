@@ -6,6 +6,8 @@ explicit output-address field mask instead of the codec helpers.  Keeping
 the derivations separate is what makes agreement meaningful.
 """
 
+import random
+
 from helpers import cache_drop, cache_lines
 
 PAGE = 4096
@@ -53,6 +55,41 @@ def apply_rule_by_edit(dram, space, rule):
             attrs |= rule.attr_overrides
         new_pfn = rule.replacement_base_pfn + (page_va - rule.va_start) // PAGE
         dram.write_qword(leaf_addr, new_pfn * PAGE + attrs + 1)
+
+
+def _hot_slot_order(seed):
+    order = list(range(PAGE))
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def histogram_trace_by_byte(w):
+    """The histogram trace with a running count per hot-page slot, bumped
+    once per image byte."""
+    order = _hot_slot_order(w.seed)
+    counts = [0] * PAGE
+    code_span = w.code_pages * PAGE
+    for i in range(w.image_bytes):
+        yield (w.asid, "R", w.image_base_va + i, None)
+        slot = order[i % PAGE]
+        counts[slot] += 1
+        yield (w.asid, "R", w.hot_page_va + slot, None)
+        yield (w.asid, "W", w.hot_page_va + slot, counts[slot] & 0xFF)
+        if i % w.code_period == 0:
+            yield (w.asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
+    if w.image_bytes == 0:
+        for k in range(w.code_pages):
+            yield (w.asid, "R", w.code_base_va + k * PAGE, None)
+
+
+def hot_content_by_byte(w):
+    """The hot page after the histogram trace, counted one image byte at a
+    time."""
+    order = _hot_slot_order(w.seed)
+    counts = [0] * PAGE
+    for i in range(w.image_bytes):
+        counts[order[i % PAGE]] += 1
+    return bytes(c & 0xFF for c in counts)
 
 
 class LruShadow:

@@ -7,7 +7,7 @@ else to the walker and the fabric.  The reference below drives the layers
 one call at a time (`translate`, then `read_byte`/`write_byte`), and every
 simulated result must come out identical -- including the cycle total and
 the counters each fabric miss sees while the loop runs, and the LRU order of
-the TLB and of every cache set.  The walk memo of `Mmu.hardware_walk` is
+the TLB and of every cache set.  The walk memo `Mmu.translate` replays is
 checked the same way, against a twin machine whose memo is always empty.
 """
 
@@ -562,7 +562,7 @@ def test_miss_path_matches_recorded_goldens():
     assert got == MISS_PATH_GOLDENS
 
 
-# -- the walk memo of `Mmu.hardware_walk` ------------------------------------
+# -- the walk memo that `Mmu.translate` replays -----------------------------
 
 TABLE_VA = 11 << 30  # asid 1's page over asid 0's leaf table of PLAIN_VAS[:6]
 # Pages whose leaf entries share a line with a page of PLAIN_VAS or RULE_VA:
@@ -651,11 +651,14 @@ def random_memo_ops(rng, mode, n):
             yield kind, None, None
 
 
-def apply_memo_op(m, op):
-    """Run one operation; returns what it returned or raised."""
+def apply_memo_op(m, op, translate_reads=False):
+    """Run one operation; returns what it returned or raised.  With
+    `translate_reads`, a read only translates its address."""
     kind, arg, extra = op
     try:
         if kind == "access":
+            if extra is None and translate_reads:
+                return m.mmu.translate(0, arg)
             return m.mmu.access(0, arg, extra is not None, extra)
         if kind == "flip":  # the present bit of one level's descriptor
             addr = descriptor(m, (PLAIN_VAS + [RULE_VA])[arg], extra)
@@ -691,9 +694,7 @@ def apply_memo_op(m, op):
     return None
 
 
-@pytest.mark.parametrize("cache_ptes", [False, True])
-@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
-def test_walk_memo_matches_walks_with_no_memo(mode, cache_ptes):
+def compare_with_memo_emptied_twin(mode, cache_ptes, translate_reads):
     """A machine against a twin whose memo is emptied before every step,
     compared after every step.  The twin registers no agent: a foreign
     agent would turn the memo off on both."""
@@ -706,14 +707,28 @@ def test_walk_memo_matches_walks_with_no_memo(mode, cache_ptes):
     rng = random.Random(f"{mode}-{cache_ptes}")
     for step, op in enumerate(random_memo_ops(rng, mode, 1500)):
         twin.dram.walk_memo.forget()
-        got, want = apply_memo_op(memo, op), apply_memo_op(twin, op)
-        assert got == want, (step, op)
+        got = apply_memo_op(memo, op, translate_reads)
+        assert got == apply_memo_op(twin, op, translate_reads), (step, op)
         assert simulated_state(memo) == simulated_state(twin), (step, op)
         assert cache_lru(memo) == cache_lru(twin), (step, op)
     # the memo replayed walks unless PTE caching turned it off
     replayed = len(walk_reads[twin]) - len(walk_reads[memo])
     assert (replayed > 0) != cache_ptes and replayed >= 0
     assert memo.counters.walk_hits and memo.counters.writebacks
+
+
+@pytest.mark.parametrize("cache_ptes", [False, True])
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_walk_memo_matches_walks_with_no_memo(mode, cache_ptes):
+    compare_with_memo_emptied_twin(mode, cache_ptes, translate_reads=False)
+
+
+@pytest.mark.parametrize("cache_ptes", [False, True])
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_walk_memo_matches_walks_with_no_memo_through_translate(mode, cache_ptes):
+    """The same operations, each read a bare `translate`: the hazards,
+    `verify` and migration reach the memo that way, with no data access."""
+    compare_with_memo_emptied_twin(mode, cache_ptes, translate_reads=True)
 
 
 def test_walk_memo_never_passes_its_bound():

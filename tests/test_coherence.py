@@ -101,15 +101,22 @@ def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
     assert c.total_cycles == 2 * fabric.lat.cci + fabric.lat.dram + fabric.lat.snoop + 3
 
 
-def test_misaligned_read_fails_before_anything_moves(fabric):
-    # every public operation aligns its address; the transaction core
-    # rejects one that is not before it counts, charges or snoops
-    fabric.cci.register_agent(nack)
+def test_misaligned_invalidation_fails_before_anything_moves(fabric):
+    # every address is checked before any line is dropped, so a Modified
+    # line named before a misaligned address stays cached and unwritten
+    fabric.cci.write_byte(fabric.cache, line_of(0) + 5, 0x5A)
+    fabric.cci.read_byte(fabric.cache, line_of(1))
+    lru = [list(ways) for ways in fabric.cache._sets]
+    lines, counters = cache_snapshot(fabric.cache), fabric.counters.snapshot()
+    hooked = []
+    fabric.cci.writeback_hook = lambda addr, payload: hooked.append(addr)
     with pytest.raises(ValueError, match="not line-aligned"):
-        fabric.cci._ensure_line(fabric.cache, line_of(0) + 8, False)
-    # The snapshot holds `total_cycles` too.
-    assert fabric.counters.snapshot() == dict.fromkeys(fabric.counters.FIELDS, 0)
-    assert fabric.dram.reads == 0
+        fabric.cci.invalidate_line(fabric.cache, line_of(0), line_of(1) + 8)
+    assert cache_snapshot(fabric.cache) == lines
+    assert [list(ways) for ways in fabric.cache._sets] == lru
+    # The snapshot holds `writebacks` and `total_cycles` too.
+    assert fabric.counters.snapshot() == counters
+    assert fabric.dram.writes == 0 and hooked == []
 
 
 def test_latency_validation():

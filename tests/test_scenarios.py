@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -25,6 +26,8 @@ from lightv_sim.scenarios import (
     run_migration,
     run_overhead_experiment,
 )
+
+from oracles import histogram_trace_by_byte, hot_content_by_byte
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,22 @@ def test_trace_generation_is_seeded():
     assert gen_histogram_trace(w) == gen_histogram_trace(w)
     w2 = HistogramWorkload(image_bytes=5000, seed=10)
     assert gen_histogram_trace(w) != gen_histogram_trace(w2)
+
+
+HISTOGRAM_SIZES = [
+    pytest.param(HistogramWorkload(image_bytes=n, seed=7), id=str(n))
+    for n in (0, 1, 4095, 4096, 4097, 70_000, 257 * 4096 + 3)
+] + [
+    pytest.param(histogram_workload(scale=0.001, seed=seed), id=f"scale-0.001-seed-{seed}")
+    for seed in (0, 3)
+]
+
+
+@pytest.mark.parametrize("w", HISTOGRAM_SIZES)
+def test_histogram_closed_forms_match_the_per_byte_counts(w):
+    assert scenarios.expected_hot_content(w) == hot_content_by_byte(w)
+    got = scenarios.iter_histogram_trace(w)
+    assert all(a == b for a, b in zip_longest(got, histogram_trace_by_byte(w)))
 
 
 def test_workload_region_overlap_rejected():
