@@ -9,7 +9,10 @@ Two subcommands:
 Exit codes (stable contract); `main` alone turns an exception into one:
   0  success
   1  verify found a mismatch
-  2  usage error (unknown scenario, bad flags)
+  2  usage error (unknown scenario, bad flags, or a flag the scenario never
+     reads: --export-trace outside histogram, or --trace, --mappings or
+     --rules outside custom-trace), named on one `error:` line before any
+     file is opened
   3  bad input, reported on one `error:` line: an unreadable or invalid
      config (not UTF-8, not JSON, nested too deeply, more cache sets than
      `machine.MAX_CACHE_SETS`, a negative DRAM base) or input file, an
@@ -68,6 +71,14 @@ CSV_COLUMNS = ("scenario", "mode", "seed", "scale") + machine.STATS_COLUMNS
 SCENARIOS = ("histogram", "demand-paging", "isolation", "migration", "custom-trace")
 
 CONFIG_ENV = "LIGHTV_SIM_CONFIG"
+
+# The `run` flags only one scenario reads, and that scenario.
+SCENARIO_FLAGS = {
+    "export_trace": "histogram",
+    "trace": "custom-trace",
+    "mappings": "custom-trace",
+    "rules": "custom-trace",
+}
 
 
 @functools.cache
@@ -149,6 +160,11 @@ def _render(args, rows, text_body: str) -> str:
 
 
 def cmd_run(args) -> int:
+    for dest, scenario in SCENARIO_FLAGS.items():
+        if getattr(args, dest) is not None and args.scenario != scenario:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} is read by --scenario {scenario} only", file=sys.stderr)
+            return EXIT_USAGE
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise ConfigError(f"--scale must be finite and > 0, got {args.scale}")
     config = _load_machine_config(args.config)

@@ -1,8 +1,9 @@
 """MESI cache and the snoop-broadcast interconnect it hangs off.
 
-One PE-side cache is modeled; additional coherent agents (the translation
-rewriter, test doubles) register with the interconnect.  An agent is a
-plain callable, `agent(line_addr)`, that returns None to NACK the snoop or
+The interconnect holds the one PE-side cache, the requester of every
+transaction; other coherent agents (the translation rewriter, test
+doubles) register with it.  An agent is a plain callable,
+`agent(line_addr)`, that returns None to NACK the snoop or
 `(payload, serve_cycles)` to ACK it with a full 64-byte line.  On a miss
 the interconnect polls the agents in registration order; the first ACK
 supplies the line, otherwise the line comes from DRAM.  `_fetch` is the one
@@ -112,7 +113,7 @@ class CacheLine:
 class Cache:
     """Set-associative cache of 64-byte lines with LRU replacement."""
 
-    def __init__(self, sets: int = 256, ways: int = 4):
+    def __init__(self, sets: int, ways: int):
         if sets <= 0 or sets & (sets - 1):
             raise ValueError("sets must be a power of two")
         if ways <= 0:
@@ -152,16 +153,17 @@ class Cache:
 
 
 class CoherentInterconnect:
-    """Serialized snoop fabric between the PE cache, agents, and DRAM.
+    """Serialized snoop fabric between the PE cache it holds, agents, and DRAM.
 
     Agents are polled in registration order and the first ACK wins, so
     arbitration is deterministic.  One transaction is in flight at a time.
     """
 
-    def __init__(self, dram, latencies: LatencyConfig, counters: Counters):
+    def __init__(self, dram, latencies: LatencyConfig, counters: Counters, cache: Cache):
         self.dram = dram
         self.lat = latencies
         self.counters = counters
+        self.cache = cache
         self.agents = []
         # Called as hook(line_addr, payload) after each dirty writeback.
         self.writeback_hook = None
@@ -202,9 +204,9 @@ class CoherentInterconnect:
         c.total_cycles += lat.cci + lat.dram
         return payload, _EXCLUSIVE
 
-    def access(self, cache, addr: int, write: bool, value=None):
+    def access(self, addr: int, write: bool, value=None):
         """The data transaction: read the byte at `addr` or store `value`
-        there, through the requester's cache.
+        there, through the PE cache.
 
         One body does what `Cache.probe` and `Cache.fill` do for an
         allocating walk read: the set lookup and LRU move, then on a miss
@@ -218,6 +220,7 @@ class CoherentInterconnect:
         """
         self.started = True
         line_addr = addr & ~_LINE_MASK
+        cache = self.cache
         ways = cache._sets[(addr >> LINE_SHIFT) & cache._set_mask]
         line = ways.get(line_addr)
         if line is not None:
@@ -254,13 +257,13 @@ class CoherentInterconnect:
 
     # -- public operations ---------------------------------------------------
 
-    def read_byte(self, cache, addr: int) -> int:
-        return self.access(cache, addr, False)
+    def read_byte(self, addr: int) -> int:
+        return self.access(addr, False)
 
-    def write_byte(self, cache, addr: int, value: int):
-        self.access(cache, addr, True, value)
+    def write_byte(self, addr: int, value: int):
+        self.access(addr, True, value)
 
-    def walk_read(self, cache, pte_addr: int, allocate: bool = False):
+    def walk_read(self, pte_addr: int, allocate: bool = False):
         """The walk transaction: the 64-byte line holding the descriptor
         at pte_addr, read shared; the caller decodes the descriptor and
         must not mutate the line.
@@ -272,7 +275,7 @@ class CoherentInterconnect:
         self.started = True
         line_addr = pte_addr & ~_LINE_MASK
         c = self.counters
-        line = cache.probe(line_addr)
+        line = self.cache.probe(line_addr)
         if line is not None:
             c.walk_hits += 1
             c.total_cycles += self.lat.cache_hit
@@ -281,27 +284,27 @@ class CoherentInterconnect:
             payload, state = self._fetch(line_addr, True)
             c.walk_misses += 1
             if allocate:
-                evicted = cache.fill(line_addr, bytearray(payload), state)
+                evicted = self.cache.fill(line_addr, bytearray(payload), state)
                 if evicted is not None and evicted.state is _MODIFIED:
                     self._writeback(evicted)
         c.walk_reads += 1
         return payload
 
-    def invalidate_line(self, cache, *line_addrs: int):
+    def invalidate_line(self, *line_addrs: int):
         """Check every address, then drop each line in turn; a Modified one
         is written back after its drop."""
         for line_addr in line_addrs:
             if line_addr & _LINE_MASK:
                 raise ValueError(f"address not line-aligned: {line_addr:#x}")
-        sets, set_mask = cache._sets, cache._set_mask
+        sets, set_mask = self.cache._sets, self.cache._set_mask
         for line_addr in line_addrs:
             line = sets[(line_addr >> LINE_SHIFT) & set_mask].pop(line_addr, None)
             if line is not None and line.state is _MODIFIED:
                 self._writeback(line)
 
-    def flush(self, cache):
+    def flush(self):
         """Drop every line, set by set in LRU order, each as `invalidate_line` does."""
-        for ways in cache._sets:
+        for ways in self.cache._sets:
             while ways:
                 line = ways.popitem(last=False)[1]
                 if line.state is _MODIFIED:

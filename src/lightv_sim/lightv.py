@@ -365,6 +365,7 @@ class LightV:
         return self._synthesize_wm_chunk(line_addr, match, real)
 
     def _rewrite_watched_line(self, real, slots) -> bytes:
+        """Every watched slot has a live level-1 context."""
         buf = bytearray(real)
         for asid, i0, pgd_base in slots:
             off = (pgd_base + i0 * 8) & _LINE_MASK
@@ -372,15 +373,14 @@ class LightV:
             present, pfn, attrs = decode_pte(raw)
             if not present:
                 continue  # unpopulated slot: mirrored untouched
-            ctx = self._ctx_by_key.get((asid, (i0,)))
-            if ctx is None:
-                continue
+            ctx = self._ctx_by_key[asid, (i0,)]
             ctx.original_table_addr = pfn << PAGE_SHIFT
             marked = encode_pte(True, self.window.encode(1, ctx.context_id), attrs)
             buf[off : off + 8] = marked.to_bytes(8, "little")
         return bytes(buf)
 
     def _synthesize_wm_chunk(self, line_addr: int, ctx: TranslationContext, real) -> bytes:
+        """A rule that meets a level-1 entry put its (i0, i1) context in place."""
         buf = bytearray(LINE_BYTES)
         asid = ctx.asid
         i0 = ctx.prefix[0]
@@ -412,9 +412,7 @@ class LightV:
                 buf[off : off + 8] = real[off : off + 8]
                 continue
             if ctx.level == 1:
-                child = self._ctx_by_key.get((asid, (i0, first_index + slot)))
-                if child is None:
-                    continue
+                child = self._ctx_by_key[asid, (i0, first_index + slot)]
                 child.original_table_addr = pfn << PAGE_SHIFT
                 entry = encode_pte(True, self.window.encode(2, child.context_id), attrs)
             else:
@@ -635,10 +633,10 @@ class LightV:
     def _check_isolated(self, rule: RewriteRule, i0: int, starts, ends):
         """Every mapped page under level-0 slot `i0` must lie in one of the
         sorted, disjoint ranges [starts[k], ends[k]).  Each table under the
-        slot is read once, and only its present entries are visited."""
+        slot is read once, and only its present entries are visited.
+        `_check_premapped` has passed for a rule under the slot, so its
+        level-1 table exists."""
         pud = self._real_table_base(rule.asid, (i0,))
-        if pud is None:
-            return
         read = self.dram.read_bytes
         for i1, raw in _present_entries(read(pud, PAGE_SIZE)):
             pmd = decode_pte(raw)[1] << PAGE_SHIFT

@@ -1,8 +1,9 @@
 """Composition root: DRAM, configuration, wiring, and run orchestration.
 
-A Machine owns one PE cluster (cache + MMU + TLB), the coherent
-interconnect, sparse DRAM, and the translation-rewriter agent, which is on
-the interconnect in passive and active mode only.
+A Machine owns one PE cluster (MMU + TLB, and the cache the coherent
+interconnect holds and every fabric transaction goes through), sparse
+DRAM, and the translation-rewriter agent, which is on the interconnect in
+passive and active mode only.
 Runs are deterministic: the same configuration and trace produce
 bit-identical statistics and memory images.
 """
@@ -480,7 +481,7 @@ class Machine:
         self.dram = Dram(config.dram_base, config.dram_size)
         self.allocator = FrameAllocator(self.dram)
         self.cache = Cache(config.cache_sets, config.cache_ways)
-        self.cci = CoherentInterconnect(self.dram, config.latencies, self.counters)
+        self.cci = CoherentInterconnect(self.dram, config.latencies, self.counters, self.cache)
         self.spaces = {}
         self.tlb = Tlb(config.tlb_entries)
         # Built in every mode; only passive and active mode plug it into the
@@ -490,13 +491,7 @@ class Machine:
             self.cci.register_agent(self.lightv.handle_snoop)
             self.cci.writeback_hook = self.lightv.on_writeback
         self.mmu = Mmu(
-            self.cci,
-            self.cache,
-            self.tlb,
-            self.spaces,
-            self.lightv,
-            cache_ptes=config.cache_ptes,
-            debug_tlb_check=config.debug_tlb_check,
+            self.cci, self.tlb, self.spaces, self.lightv, config.cache_ptes, config.debug_tlb_check
         )
 
     def register_space(self, asid: int, mappings) -> addressing.AddressSpace:
@@ -551,10 +546,10 @@ class Machine:
     def _invalidate(self, tlb_ranges, lines):
         for asid, va_start, va_end in tlb_ranges:
             self.tlb.invalidate_range(asid, va_start, va_end)
-        self.cci.invalidate_line(self.cache, *lines)
+        self.cci.invalidate_line(*lines)
 
     def flush_cache(self):
-        self.cci.flush(self.cache)
+        self.cci.flush()
 
     def invalidate_page_lines(self, pa_base: int):
         self._invalidate((), range(pa_base, pa_base + PAGE_SIZE, LINE_BYTES))
@@ -623,11 +618,11 @@ class Machine:
         set while `debug_tlb_check` is on.
         """
         counters = self.counters
-        translate, access, cache = self.mmu.translate, self.cci.access, self.cache
+        translate, access = self.mmu.translate, self.cci.access
         tlb_touch = self.tlb._entries.move_to_end
         # With the debug check on, every TLB hit must reach `translate`.
         tlb_get = {}.get if self.config.debug_tlb_check else self.tlb._entries.get
-        sets, set_mask = cache._sets, cache._set_mask
+        sets, set_mask = self.cache._sets, self.cache._set_mask
         hit_cycles = self.cci.lat.cache_hit
         record = self.config.fault_policy == FAULT_RECORD
         # Local names for the constants the loop reads on every access.
@@ -717,7 +712,7 @@ class Machine:
                     counters.total_cycles += hits * hit_cycles
                     hits = 0
                 try:
-                    access(cache, translate(asid, va), write, value)
+                    access(translate(asid, va), write, value)
                 except TranslationFault as fault:
                     if not record:
                         raise TraceAbort(index, asid, va, fault) from None

@@ -4,7 +4,9 @@ The walker issues one walk transaction (`walk_read`) per table level for
 the 64-byte line holding the descriptor, which is what makes walks visible
 to snooping agents, and decodes each descriptor's present bit, frame and
 attributes from the line it returns.  Whether those lines are allowed to
-allocate into the PE cache is a configuration switch (`cache_ptes`).
+allocate into the PE cache, which the fabric holds, is a configuration
+switch (`cache_ptes`); a data access (`Mmu.access`) is `translate`, then the
+fabric's data transaction.
 
 A TLB miss is resolved in `Mmu.translate`: a walk whose inputs have not
 changed is replayed there from a memo, and any other walk runs in
@@ -87,7 +89,7 @@ class Tlb:
     Keyed by (asid, va_page); capacity 0 disables caching entirely.
     """
 
-    def __init__(self, entries: int = 64):
+    def __init__(self, entries: int):
         if entries < 0:
             raise ValueError("tlb size must be >= 0")
         self.capacity = entries
@@ -121,18 +123,8 @@ class Tlb:
 class Mmu:
     """Per-cluster MMU driving walks and data accesses through the fabric."""
 
-    def __init__(
-        self,
-        cci,
-        cache,
-        tlb: Tlb,
-        spaces: dict,
-        lightv,
-        cache_ptes: bool = False,
-        debug_tlb_check: bool = False,
-    ):
+    def __init__(self, cci, tlb: Tlb, spaces: dict, lightv, cache_ptes: bool, debug_tlb_check: bool):
         self.cci = cci
-        self.cache = cache
         self.lightv = lightv
         # The only fabric agents under which a walk may be stored: those
         # registered before the MMU was built.
@@ -140,7 +132,7 @@ class Mmu:
         self._counters, self._dram = cci.counters, cci.dram
         self._memo = cci.dram.walk_memo
         self._walks = self._memo.walks
-        self._sets, self._set_mask = cache._sets, cache._set_mask
+        self._sets, self._set_mask = cci.cache._sets, cci.cache._set_mask
         self.tlb = tlb
         self.spaces = spaces
         self.cache_ptes = cache_ptes
@@ -205,7 +197,7 @@ class Mmu:
         if space is None:
             raise ValueError(f"unknown address space {asid}")
         cci = self.cci
-        cache, dram, allocate = self.cache, self._dram, self.cache_ptes
+        dram, allocate = self._dram, self.cache_ptes
         record = not allocate and cci.agents == self._own_agents
         if record:
             before = self._effects()
@@ -218,7 +210,7 @@ class Mmu:
                 pte_addr = base + index * PTE_BYTES
                 line_addr = pte_addr & _LINE_BASE
                 lines.append(line_addr)
-                line = walk_read(cache, pte_addr, allocate)
+                line = walk_read(pte_addr, allocate)
                 off = pte_addr - line_addr
                 raw = int.from_bytes(line[off : off + PTE_BYTES], "little")
                 if not raw & PTE_PRESENT:
@@ -255,4 +247,4 @@ class Mmu:
         `translate`, then the fabric's data transaction."""
         if write:
             value &= 0xFF  # a missing value fails here, before any state moves
-        return self.cci.access(self.cache, self.translate(asid, va), write, value)
+        return self.cci.access(self.translate(asid, va), write, value)

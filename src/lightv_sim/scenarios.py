@@ -14,7 +14,6 @@ check on stderr.  All randomness is seeded.
 import random
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Optional
 
 from .addressing import (
     ATTR_CACHEABLE,
@@ -47,13 +46,20 @@ CHUNK = 4096
 
 DEFAULT_IMAGE_BYTES = 55_600_000
 
-# Default VA layout: three disjoint level-0 regions.  The hot page owns
-# its level-0 slot outright (the redirect target must), while the image
-# region's slot sits in the same 64-byte table line, which exercises the
-# untouched-neighbour path on every image walk.
+# The histogram's VA layout, in address space 0: three disjoint level-0
+# regions.  The hot page owns its level-0 slot outright (the redirect
+# target must), while the image region's slot sits in the same 64-byte
+# table line, which exercises the untouched-neighbour path on every image
+# walk.  The image, under `MAX_MAPPED_PAGES` pages, ends below 13 GiB.
 CODE_BASE_VA = 0x0
 HOT_PAGE_VA = 8 << 30
 IMAGE_BASE_VA = 9 << 30
+CODE_PAGES = 4
+CODE_PERIOD = 64  # image bytes per code-page read
+
+# The migrated page, in address space 0, and the bytes one DMA event copies.
+MIGRATED_PAGE_VA = 10 << 30
+DMA_CHUNK_BYTES = 256
 
 PASSIVE_OVERHEAD_EPSILON = 0.005
 ACTIVE_OVERHEAD_MAX = 0.015
@@ -155,30 +161,16 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
 
 @dataclass
 class HistogramWorkload:
-    """Streaming image read with a hot aggregation page and warm code pages."""
+    """Streaming image read with a hot aggregation page and warm code
+    pages, laid out at the module's constants."""
 
-    image_bytes: int = DEFAULT_IMAGE_BYTES
-    hot_page_va: int = HOT_PAGE_VA
-    image_base_va: int = IMAGE_BASE_VA
-    code_base_va: int = CODE_BASE_VA
-    code_pages: int = 4
-    code_period: int = 64
+    image_bytes: int
     seed: int = 0
-    asid: int = 0
 
     def validate(self):
         if self.image_bytes < 0:
             raise ValueError("image_bytes must be >= 0")
-        regions = [
-            (self.code_base_va, self.code_base_va + self.code_pages * PAGE_SIZE),
-            (self.hot_page_va, self.hot_page_va + PAGE_SIZE),
-            (self.image_base_va, self.image_base_va + max(self.image_bytes, 1)),
-        ]
-        for i, (lo_a, hi_a) in enumerate(regions):
-            for lo_b, hi_b in regions[i + 1 :]:
-                if lo_a < hi_b and lo_b < hi_a:
-                    raise ValueError("workload regions overlap")
-        pages = self.image_pages + 1 + self.code_pages
+        pages = self.image_pages + 1 + CODE_PAGES
         if pages > MAX_MAPPED_PAGES:
             raise ValueError(
                 f"histogram maps {pages} pages, more than the {MAX_MAPPED_PAGES}"
@@ -190,7 +182,7 @@ class HistogramWorkload:
         return -(-self.image_bytes // PAGE_SIZE)
 
 
-def histogram_workload(scale: float = 1.0, seed: int = 0) -> HistogramWorkload:
+def histogram_workload(scale: float, seed: int = 0) -> HistogramWorkload:
     w = HistogramWorkload(image_bytes=int(DEFAULT_IMAGE_BYTES * scale), seed=seed)
     w.validate()
     return w
@@ -200,23 +192,22 @@ def iter_histogram_trace(w: HistogramWorkload):
     """One streaming pass over the image; per byte, a read-modify-write of
     a shuffled hot-page slot (`order` is a permutation, so byte i's write
     is its slot's count, (i >> 12) + 1); a code-page read every
-    `code_period` bytes.  Yields the accesses one at a time."""
+    `CODE_PERIOD` bytes.  Yields the accesses one at a time."""
     w.validate()
     rng = random.Random(w.seed)
     order = list(range(PAGE_SIZE))
     rng.shuffle(order)
-    code_span = w.code_pages * PAGE_SIZE
-    asid = w.asid
+    code_span = CODE_PAGES * PAGE_SIZE
     for i in range(w.image_bytes):
-        yield (asid, "R", w.image_base_va + i, None)
-        hot = w.hot_page_va + order[i % PAGE_SIZE]
-        yield (asid, "R", hot, None)
-        yield (asid, "W", hot, ((i >> PAGE_SHIFT) + 1) & 0xFF)
-        if i % w.code_period == 0:
-            yield (asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
+        yield (0, "R", IMAGE_BASE_VA + i, None)
+        hot = HOT_PAGE_VA + order[i % PAGE_SIZE]
+        yield (0, "R", hot, None)
+        yield (0, "W", hot, ((i >> PAGE_SHIFT) + 1) & 0xFF)
+        if i % CODE_PERIOD == 0:
+            yield (0, "R", CODE_BASE_VA + (i // CODE_PERIOD * 64) % code_span, None)
     if w.image_bytes == 0:
-        for k in range(w.code_pages):
-            yield (asid, "R", w.code_base_va + k * PAGE_SIZE, None)
+        for k in range(CODE_PAGES):
+            yield (0, "R", CODE_BASE_VA + k * PAGE_SIZE, None)
 
 
 def gen_histogram_trace(w: HistogramWorkload) -> list:
@@ -243,33 +234,30 @@ def _layout_histogram(m: Machine, w: HistogramWorkload):
     rw = ATTR_WRITABLE | ATTR_CACHEABLE
     # One run for the image, the hot page and the code pages, so a
     # workload that cannot fit fails before any mapping is built.
-    pfns = m.allocator.alloc_run(w.image_pages + 1 + w.code_pages)
+    pfns = m.allocator.alloc_run(w.image_pages + 1 + CODE_PAGES)
     hot_pfn = pfns[w.image_pages]
     mappings = [
-        (w.image_base_va + k * PAGE_SIZE, pfn, rw)
+        (IMAGE_BASE_VA + k * PAGE_SIZE, pfn, rw)
         for k, pfn in enumerate(pfns[: w.image_pages])
     ]
-    mappings.append((w.hot_page_va, hot_pfn, rw))
+    mappings.append((HOT_PAGE_VA, hot_pfn, rw))
     mappings += [
-        (w.code_base_va + k * PAGE_SIZE, pfn, ATTR_CACHEABLE)
+        (CODE_BASE_VA + k * PAGE_SIZE, pfn, ATTR_CACHEABLE)
         for k, pfn in enumerate(pfns[w.image_pages + 1 :])
     ]
-    m.register_space(w.asid, mappings)
+    m.register_space(0, mappings)
     # Replacement frame with the same set alignment as the hot frame, so
     # the data-side cache behaviour is identical in every mode and the
     # cycle delta is purely the walk path.
     replacement_pfn = m.allocator.alloc()
     while (replacement_pfn & 3) != (hot_pfn & 3):
         replacement_pfn = m.allocator.alloc()
-    rule = RewriteRule(1, w.asid, w.hot_page_va, w.hot_page_va + PAGE_SIZE, replacement_pfn)
+    rule = RewriteRule(1, 0, HOT_PAGE_VA, HOT_PAGE_VA + PAGE_SIZE, replacement_pfn)
     return hot_pfn, rule
 
 
 def run_overhead_experiment(
-    config: MachineConfig,
-    workload: Optional[HistogramWorkload] = None,
-    modes=MODES,
-    trace=None,
+    config: MachineConfig, workload: HistogramWorkload, modes=MODES, trace=None
 ) -> Report:
     """Run the identical histogram trace under the requested modes, which
     include the baseline the others are compared with.
@@ -280,16 +268,15 @@ def run_overhead_experiment(
     `trace` is the workload's trace, any iterable, when the caller supplies
     it; it is read once.
     """
-    w = workload if workload is not None else histogram_workload()
     if trace is None:
-        trace = iter_histogram_trace(w)
+        trace = iter_histogram_trace(workload)
     stats, hot_contents = {}, {}
     original_untouched = True
     hot_pfn = rule = None
 
     def prepare(m, _):
         nonlocal hot_pfn, rule
-        hot_pfn, rule = _layout_histogram(m, w)
+        hot_pfn, rule = _layout_histogram(m, workload)
         return [rule]
 
     for mode, m, run in run_modes(config, modes, trace, prepare):
@@ -301,7 +288,7 @@ def run_overhead_experiment(
             # every aggregation byte must have landed in the replacement
             # frame; the originally mapped frame stays untouched
             original_untouched = not any(m.read_frame(hot_pfn))
-    expected = expected_hot_content(w)
+    expected = expected_hot_content(workload)
     equal = set(hot_contents.values()) == {expected}
     checks = {"functional_equal": equal}
     lines = _stats_lines(stats)
@@ -458,22 +445,12 @@ def run_isolation_hazard(config: MachineConfig) -> Report:
 
 @dataclass
 class MigrationPlan:
-    page_va: int = 10 << 30
-    dma_chunk_bytes: int = 256
+    """How many accesses run during the copy and after it, and their seed;
+    the page is at `MIGRATED_PAGE_VA`, copied `DMA_CHUNK_BYTES` at a time."""
+
     accessor_ops: int = 24
     post_ops: int = 8
     seed: int = 0
-    asid: int = 0
-
-    def validate(self):
-        if self.page_va & (PAGE_SIZE - 1):
-            raise ValueError("page_va must be page-aligned")
-        if (
-            self.dma_chunk_bytes <= 0
-            or self.dma_chunk_bytes % LINE_BYTES
-            or PAGE_SIZE % self.dma_chunk_bytes
-        ):
-            raise ValueError("dma_chunk_bytes must be a line multiple dividing the page")
 
 
 _DRAW_WORDS = 4096  # `random_bytes` draws at most this many words a round
@@ -510,14 +487,13 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     poisoned to prove nothing reads it again, and `source_clean` holds if
     no line of it is left in the cache before the final flush.
     """
-    plan.validate()
     m = Machine(config.with_mode("active"))
     rng = random.Random(plan.seed)
     src = m.allocator.alloc()
     dst = m.allocator.alloc()
     src_base, dst_base = src << PAGE_SHIFT, dst << PAGE_SHIFT
-    va = plan.page_va
-    m.register_space(plan.asid, [(va, src, ATTR_WRITABLE | ATTR_CACHEABLE)])
+    va = MIGRATED_PAGE_VA
+    m.register_space(0, [(va, src, ATTR_WRITABLE | ATTR_CACHEABLE)])
 
     init = random_bytes(rng, PAGE_SIZE)
     m.dram.write_bytes(src_base, init)
@@ -527,21 +503,21 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     reads = []  # per checked read: did it return the latest write?
 
     def check_read(off):
-        reads.append(access(plan.asid, va + off) == shadow[off])
+        reads.append(access(0, va + off) == shadow[off])
 
     for _ in range(4):
         check_read(rng.randrange(PAGE_SIZE))
-    translated_to_source_before = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == src
+    translated_to_source_before = m.mmu.translate(0, va) >> PAGE_SHIFT == src
 
     # open the window: flush source-tagged lines, redirect, capture
     m.invalidate_page_lines(src_base)
-    rule = RewriteRule(1, plan.asid, va, va + PAGE_SIZE, dst)
+    rule = RewriteRule(1, 0, va, va + PAGE_SIZE, dst)
     m.activate_rules([rule])
     line_offs = range(0, PAGE_SIZE, LINE_BYTES)
     m.lightv.begin_page_capture({dst_base + off: src_base + off for off in line_offs})
 
     # a DMA event names the index of its chunk's first line
-    chunk_lines = plan.dma_chunk_bytes // LINE_BYTES
+    chunk_lines = DMA_CHUNK_BYTES // LINE_BYTES
     events = [("dma", k, 0) for k in range(0, len(line_offs), chunk_lines)]
     for _ in range(plan.accessor_ops):
         pos = rng.randrange(len(events) + 1)
@@ -560,7 +536,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
         elif kind == "R":
             check_read(arg)
         else:
-            access(plan.asid, va + arg, True, value)
+            access(0, va + arg, True, value)
             shadow[arg] = value
     m.lightv.end_page_capture()
 
@@ -568,7 +544,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     m.dram.write_bytes(src_base, b"\xee" * PAGE_SIZE)
     for _ in range(plan.post_ops):
         check_read(rng.randrange(PAGE_SIZE))
-    to_destination = m.mmu.translate(plan.asid, va) >> PAGE_SHIFT == dst
+    to_destination = m.mmu.translate(0, va) >> PAGE_SHIFT == dst
 
     source_clean = not any(map(m.cache.lookup, range(src_base, src_base + PAGE_SIZE, LINE_BYTES)))
     m.flush_cache()

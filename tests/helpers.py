@@ -43,4 +43,4 @@ class Fabric:
         self.counters = Counters()
         self.lat = LatencyConfig()
         self.cache = Cache(sets, ways)
-        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters)
+        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters, self.cache)

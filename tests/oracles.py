@@ -9,6 +9,7 @@ the derivations separate is what makes agreement meaningful.
 import random
 
 from helpers import cache_drop, cache_lines
+from lightv_sim.scenarios import CODE_BASE_VA, CODE_PAGES, CODE_PERIOD, HOT_PAGE_VA, IMAGE_BASE_VA
 
 PAGE = 4096
 TABLE_ENTRIES = 512
@@ -68,18 +69,18 @@ def histogram_trace_by_byte(w):
     once per image byte."""
     order = _hot_slot_order(w.seed)
     counts = [0] * PAGE
-    code_span = w.code_pages * PAGE
+    code_span = CODE_PAGES * PAGE
     for i in range(w.image_bytes):
-        yield (w.asid, "R", w.image_base_va + i, None)
+        yield (0, "R", IMAGE_BASE_VA + i, None)
         slot = order[i % PAGE]
         counts[slot] += 1
-        yield (w.asid, "R", w.hot_page_va + slot, None)
-        yield (w.asid, "W", w.hot_page_va + slot, counts[slot] & 0xFF)
-        if i % w.code_period == 0:
-            yield (w.asid, "R", w.code_base_va + (i // w.code_period * 64) % code_span, None)
+        yield (0, "R", HOT_PAGE_VA + slot, None)
+        yield (0, "W", HOT_PAGE_VA + slot, counts[slot] & 0xFF)
+        if i % CODE_PERIOD == 0:
+            yield (0, "R", CODE_BASE_VA + (i // CODE_PERIOD * 64) % code_span, None)
     if w.image_bytes == 0:
-        for k in range(w.code_pages):
-            yield (w.asid, "R", w.code_base_va + k * PAGE, None)
+        for k in range(CODE_PAGES):
+            yield (0, "R", CODE_BASE_VA + k * PAGE, None)
 
 
 def hot_content_by_byte(w):

@@ -208,7 +208,7 @@ def test_criterion_5_coherence_invariant_suite():
                 assert m.mmu.access(0, va) == shadow.get(va, 0), f"va {va:#x}"
             elif roll < 0.99:
                 pa = m.mmu.translate(0, va)
-                m.cci.invalidate_line(m.cache, pa & ~63)
+                m.cci.invalidate_line(pa & ~63)
             else:
                 page = va & ~4095
                 m.tlb.invalidate_range(0, page, page + 4096)

@@ -120,9 +120,9 @@ def run_layered(m, trace):
             faults.append((index, fault.level, fault.pte_address))
             continue
         if op == "W":
-            m.cci.write_byte(m.cache, pa, value)
+            m.cci.write_byte(pa, value)
         else:
-            values.append(m.cci.read_byte(m.cache, pa))
+            values.append(m.cci.read_byte(pa))
     return values, faults
 
 
@@ -773,7 +773,7 @@ def test_a_leaf_line_walks_once_for_its_eight_pages(mode):
     for m in (memo, twin):
         real = m.cci.walk_read
         walk_reads[m] = calls = []
-        m.cci.walk_read = lambda *args, real=real, calls=calls: calls.append(args[1]) or real(*args)
+        m.cci.walk_read = lambda *args, real=real, calls=calls: calls.append(args[0]) or real(*args)
     rng = random.Random(mode)
     for _ in range(800):
         va = rng.choice(pages) + rng.randrange(4096)

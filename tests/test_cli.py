@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -280,6 +281,38 @@ def test_custom_trace_missing_inputs():
     assert run_cli("run", "--scenario", "custom-trace") == cli.EXIT_USAGE
 
 
+UNREAD_FLAGS = [
+    (flag, scenario)
+    for flag, reader in (
+        ("--export-trace", "histogram"),
+        ("--trace", "custom-trace"),
+        ("--mappings", "custom-trace"),
+        ("--rules", "custom-trace"),
+    )
+    for scenario in cli.SCENARIOS
+    if scenario != reader
+]
+
+
+@pytest.mark.parametrize("flag, scenario", UNREAD_FLAGS)
+def test_a_flag_the_scenario_never_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, flag, scenario):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the call went past the flag check")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    monkeypatch.setattr(Machine, "__init__", refuse)
+    (tmp_path / "trace.txt").write_text("0 R 0x0\n")
+    (tmp_path / "map.txt").write_text("0x0 0x80100 wc\n")
+    argv = ["run", "--scenario", scenario, "--scale", "0.0001",
+            "--out", str(tmp_path / "report"), flag, str(tmp_path / "flag.txt")]
+    if scenario == "custom-trace":  # its own inputs, so only the unread flag is wrong
+        argv += ["--trace", str(tmp_path / "trace.txt"), "--mappings", str(tmp_path / "map.txt")]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.txt", "trace.txt"]
+
+
 def test_exported_trace_replays_identically(tmp_path):
     # the scenario's generated trace, replayed through custom-trace against
     # an equivalent address space, produces the same statistics in every mode
@@ -300,17 +333,18 @@ def test_exported_trace_replays_identically(tmp_path):
     SHIFT = 0x1000
     layout = Machine(MachineConfig())
     _, rule = _layout_histogram(layout, w)
-    space = layout.spaces[w.asid]
-    pages = [w.image_base_va + k * PAGE_SIZE for k in range(w.image_pages)]
-    pages += [w.hot_page_va] + [w.code_base_va + k * PAGE_SIZE for k in range(w.code_pages)]
+    space = layout.spaces[0]
+    pages = [scenarios.IMAGE_BASE_VA + k * PAGE_SIZE for k in range(w.image_pages)]
+    pages += [scenarios.HOT_PAGE_VA]
+    pages += [scenarios.CODE_BASE_VA + k * PAGE_SIZE for k in range(scenarios.CODE_PAGES)]
     mappings = []
     for va in pages:
         pfn = reference_walk(space, va, layout.dram) >> PAGE_SHIFT
-        flags = "c" if va < w.hot_page_va else "wc"  # code pages are read-only
+        flags = "c" if va < scenarios.HOT_PAGE_VA else "wc"  # code pages are read-only
         mappings.append(f"{va:#x} {pfn + SHIFT:#x} {flags}\n")
     (tmp_path / "map.txt").write_text("".join(mappings))
     (tmp_path / "rules.txt").write_text(
-        f"{w.asid} {rule.va_start:#x} {rule.va_end:#x} {rule.replacement_base_pfn + SHIFT:#x}\n"
+        f"0 {rule.va_start:#x} {rule.va_end:#x} {rule.replacement_base_pfn + SHIFT:#x}\n"
     )
     replay_csv = tmp_path / "replay.csv"
     assert run_cli(
@@ -562,7 +596,7 @@ def test_a_histogram_past_the_page_cap_exits_before_set_up(tmp_path):
         timeout=60,
     )
     image = scenarios.HistogramWorkload(image_bytes=int(scenarios.DEFAULT_IMAGE_BYTES * 1000))
-    pages = image.image_pages + 1 + image.code_pages
+    pages = image.image_pages + 1 + scenarios.CODE_PAGES
     assert (child.returncode, child.stdout) == (cli.EXIT_CONFIG, "")
     assert child.stderr == (
         f"error: histogram maps {pages} pages, more than the"
@@ -669,21 +703,30 @@ def test_reports_are_byte_identical(tmp_path):
     assert paths[2] == paths[3]
 
 
-HASH_SEED_CALLS = (
-    ("run", "--scenario", "histogram", "--scale", "0.001", "--format", "csv"),
-    ("run", "--scenario", "migration"),
-    ("run", "--scenario", "demand-paging"),
-    ("run", "--scenario", "isolation"),
-    ("verify", "--configs", "6", "--vas", "200", "--seed", "3"),
-)
+# Each call with its recorded (exit code, sha256 of stdout, sha256 of
+# stderr).  A change that moves any simulated output fails here.
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+HASH_SEED_CALLS = {
+    ("run", "--scenario", "histogram", "--scale", "0.001", "--format", "csv"):
+        (0, "10a2fbb47231abd2501b867dc823bdeae2ecb332526c1370733a4f8496b18de5", _EMPTY),
+    ("run", "--scenario", "migration"):
+        (0, "adc6feb247bd6e1bfefbe4bcba7d08aaffde84ce0666a6dd0ecf1ca21da74ff0", _EMPTY),
+    ("run", "--scenario", "demand-paging"):
+        (0, "48de7ee072ae16177ee1250c6ada96aba7e2953c14cdafe1b957a6a0c5835ece", _EMPTY),
+    ("run", "--scenario", "isolation"):
+        (0, "1fd19992d07b816ca3e19746fe804caa2066b20dbe3ce3447764626f35fe32dd", _EMPTY),
+    ("verify", "--configs", "6", "--vas", "200", "--seed", "3"):
+        (0, "723a15f3b9d2d45ccdc0c7c733d0ada7890f35cf0336c49f30d9ebce32b9ab0d", _EMPTY),
+}
 
 
 def test_cli_output_does_not_depend_on_the_hash_seed():
     """Each call prints the same bytes and exits the same way in a fresh
     interpreter under `PYTHONHASHSEED` 0 and 1, so no output depends on
-    the order of a set or dict of strings."""
+    the order of a set or dict of strings; and what it prints is the
+    recorded output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for argv in HASH_SEED_CALLS:
+    for argv, recorded in HASH_SEED_CALLS.items():
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "lightv_sim.cli", *argv],
@@ -696,6 +739,9 @@ def test_cli_output_does_not_depend_on_the_hash_seed():
         first, second = ((r.returncode, r.stdout, r.stderr) for r in runs)
         assert first == second, argv
         assert first[0] == 0 and first[1], argv
+        code, stdout, stderr = first
+        digests = (code, hashlib.sha256(stdout).hexdigest(), hashlib.sha256(stderr).hexdigest())
+        assert digests == recorded, argv
 
 
 def test_verify_passes_on_correct_build(capsys):

@@ -40,6 +40,15 @@ def test_fill_then_lookup_hits():
     assert hit is not None and bytes(hit.payload) == bytes(range(64))
 
 
+def test_fill_rejects_a_short_payload_and_leaves_the_set():
+    cache = Cache(16, 2)
+    cache.fill(line_of(16), bytearray(64), CacheState.EXCLUSIVE)
+    before = cache_snapshot(cache)
+    with pytest.raises(ValueError, match="payload must be one full line"):
+        cache.fill(line_of(0), bytearray(63), CacheState.EXCLUSIVE)
+    assert cache_snapshot(cache) == before
+
+
 def test_lru_eviction_matches_shadow_model():
     rng = random.Random(11)
     cache = Cache(4, 2)
@@ -71,9 +80,9 @@ def test_snoop_response_validation():
         ((bytes(64), -1), "serve cycles"),
     ]
     reads = [
-        lambda f: f.cci.read_byte(f.cache, line_of(0)),
-        lambda f: f.cci.walk_read(f.cache, line_of(0) + 8, allocate=False),
-        lambda f: f.cci.walk_read(f.cache, line_of(0) + 8, allocate=True),
+        lambda f: f.cci.read_byte(line_of(0)),
+        lambda f: f.cci.walk_read(line_of(0) + 8, allocate=False),
+        lambda f: f.cci.walk_read(line_of(0) + 8, allocate=True),
     ]
     for (ack, message), read in itertools.product(cases, reads):
         f = Fabric()
@@ -90,9 +99,9 @@ def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
     ones = (bytes([1]) * 64, 3)
     fabric.cci.register_agent(lambda line_addr: ones if line_addr == line_of(1) else None)
     fabric.dram.write_line(line_of(0), bytes(8) + (0x1234).to_bytes(8, "little") + bytes(48))
-    from_dram = fabric.cci.walk_read(fabric.cache, line_of(0) + 8)
+    from_dram = fabric.cci.walk_read(line_of(0) + 8)
     assert int.from_bytes(from_dram[8:16], "little") == 0x1234
-    acked = fabric.cci.walk_read(fabric.cache, line_of(1) + 16)
+    acked = fabric.cci.walk_read(line_of(1) + 16)
     assert int.from_bytes(acked[16:24], "little") == 0x0101010101010101
     c = fabric.counters
     assert (c.walk_reads, c.walk_misses, c.snoops_issued, c.snoops_acked) == (2, 2, 2, 1)
@@ -104,14 +113,14 @@ def test_non_allocating_walk_read_builds_no_line(fabric, monkeypatch):
 def test_misaligned_invalidation_fails_before_anything_moves(fabric):
     # every address is checked before any line is dropped, so a Modified
     # line named before a misaligned address stays cached and unwritten
-    fabric.cci.write_byte(fabric.cache, line_of(0) + 5, 0x5A)
-    fabric.cci.read_byte(fabric.cache, line_of(1))
+    fabric.cci.write_byte(line_of(0) + 5, 0x5A)
+    fabric.cci.read_byte(line_of(1))
     lru = [list(ways) for ways in fabric.cache._sets]
     lines, counters = cache_snapshot(fabric.cache), fabric.counters.snapshot()
     hooked = []
     fabric.cci.writeback_hook = lambda addr, payload: hooked.append(addr)
     with pytest.raises(ValueError, match="not line-aligned"):
-        fabric.cci.invalidate_line(fabric.cache, line_of(0), line_of(1) + 8)
+        fabric.cci.invalidate_line(line_of(0), line_of(1) + 8)
     assert cache_snapshot(fabric.cache) == lines
     assert [list(ways) for ways in fabric.cache._sets] == lru
     # The snapshot holds `writebacks` and `total_cycles` too.
@@ -126,7 +135,7 @@ def test_latency_validation():
 
 def test_read_no_agents_comes_from_dram(fabric):
     fabric.dram.write_line(line_of(0), bytes([7]) * 64)
-    assert fabric.cci.read_byte(fabric.cache, line_of(0) + 3) == 7
+    assert fabric.cci.read_byte(line_of(0) + 3) == 7
     assert fabric.dram.reads == 1 and fabric.counters.data_misses == 1
     line = fabric.cache.lookup(line_of(0))
     assert line.state is CacheState.EXCLUSIVE and line.payload == bytes([7]) * 64
@@ -135,10 +144,10 @@ def test_read_no_agents_comes_from_dram(fabric):
 
 def test_second_read_hits_cache_without_snoops(fabric):
     fabric.cci.register_agent(nack)
-    fabric.cci.read_byte(fabric.cache, line_of(1))
+    fabric.cci.read_byte(line_of(1))
     issued = fabric.counters.snoops_issued
     before = fabric.counters.total_cycles
-    fabric.cci.read_byte(fabric.cache, line_of(1) + 9)
+    fabric.cci.read_byte(line_of(1) + 9)
     assert fabric.counters.data_hits == 1 and fabric.dram.reads == 1
     assert fabric.counters.total_cycles - before == fabric.lat.cache_hit
     assert fabric.counters.snoops_issued == issued
@@ -148,7 +157,7 @@ def test_agent_ack_short_circuits_dram(fabric):
     canned = bytes(range(64))
     fabric.cci.register_agent(lambda line_addr: (canned, 5))
     reads_before = fabric.dram.reads
-    assert fabric.cci.read_byte(fabric.cache, line_of(2) + 5) == canned[5]
+    assert fabric.cci.read_byte(line_of(2) + 5) == canned[5]
     line = fabric.cache.lookup(line_of(2))
     assert line.state is CacheState.SHARED and line.payload == canned
     assert fabric.dram.reads == reads_before  # the fabric never touched DRAM
@@ -168,7 +177,7 @@ def test_first_ack_wins_in_registration_order(fabric):
 
     fabric.cci.register_agent(agent("a", (bytes([1]) * 64, 0)))
     fabric.cci.register_agent(agent("b", (bytes([2]) * 64, 0)))
-    assert fabric.cci.read_byte(fabric.cache, line_of(3)) == 1
+    assert fabric.cci.read_byte(line_of(3)) == 1
     assert calls == ["a"]  # second agent never consulted
 
 
@@ -176,7 +185,7 @@ def test_all_nack_falls_back_to_dram(fabric):
     fabric.cci.register_agent(nack)
     fabric.cci.register_agent(nack)
     fabric.dram.write_line(line_of(4), bytes([9]) * 64)
-    assert fabric.cci.read_byte(fabric.cache, line_of(4)) == 9
+    assert fabric.cci.read_byte(line_of(4)) == 9
     assert fabric.counters.snoops_issued == 1 and fabric.counters.snoops_acked == 0
     assert fabric.dram.reads == 1
 
@@ -192,29 +201,29 @@ def test_silent_agent_changes_nothing():
         for n, is_write in ops:
             addr = line_of(n) + (n % 64)
             if is_write:
-                f.cci.write_byte(f.cache, addr, n & 0xFF)
+                f.cci.write_byte(addr, n & 0xFF)
             else:
-                values.append(f.cci.read_byte(f.cache, addr))
+                values.append(f.cci.read_byte(addr))
         return values, f.counters.total_cycles, cache_snapshot(f.cache)
 
     assert run(False) == run(True)
 
 
 def test_registration_after_start_rejected(fabric):
-    fabric.cci.read_byte(fabric.cache, line_of(0))
+    fabric.cci.read_byte(line_of(0))
     with pytest.raises(RuntimeError):
         fabric.cci.register_agent(nack)
 
 
 def test_invalidate_absent_line_is_noop(fabric):
-    fabric.cci.invalidate_line(fabric.cache, line_of(9))
+    fabric.cci.invalidate_line(line_of(9))
 
 
 def test_invalidate_modified_writes_back(fabric):
     addr = line_of(5) + 13
-    fabric.cci.write_byte(fabric.cache, addr, 0x5A)
+    fabric.cci.write_byte(addr, 0x5A)
     assert fabric.dram.read_bytes(addr, 1) == b"\x00"  # still only in cache
-    fabric.cci.invalidate_line(fabric.cache, line_of(5))
+    fabric.cci.invalidate_line(line_of(5))
     assert fabric.dram.read_bytes(addr, 1) == b"\x5a"
     assert fabric.cache.lookup(line_of(5)) is None
     assert fabric.counters.writebacks == 1
@@ -222,21 +231,21 @@ def test_invalidate_modified_writes_back(fabric):
 
 def test_write_sets_modified_and_read_returns_it(fabric):
     addr = line_of(6) + 1
-    fabric.cci.write_byte(fabric.cache, addr, 0xEE)
+    fabric.cci.write_byte(addr, 0xEE)
     line = fabric.cache.lookup(line_of(6))
     assert line.state is CacheState.MODIFIED
     before = fabric.counters.total_cycles
-    assert fabric.cci.read_byte(fabric.cache, addr) == 0xEE
+    assert fabric.cci.read_byte(addr) == 0xEE
     assert fabric.counters.total_cycles - before == fabric.lat.cache_hit
 
 
 def test_read_unique_upgrades_shared_line(fabric):
     # a snoop-supplied fill lands Shared; writing it requires a fabric trip
     fabric.cci.register_agent(lambda line_addr: (bytes(64), 0))
-    fabric.cci.read_byte(fabric.cache, line_of(7))
+    fabric.cci.read_byte(line_of(7))
     assert fabric.cache.lookup(line_of(7)).state is CacheState.SHARED
     misses = fabric.counters.data_misses
-    fabric.cci.write_byte(fabric.cache, line_of(7), 1)
+    fabric.cci.write_byte(line_of(7), 1)
     assert fabric.counters.data_misses == misses + 1
     assert fabric.cache.lookup(line_of(7)).state is CacheState.MODIFIED
 
@@ -244,13 +253,13 @@ def test_read_unique_upgrades_shared_line(fabric):
 def test_cached_write_leaves_dram_line_until_writeback(fabric):
     # Dram.read_line hands out the stored line; the fabric's fill is a copy
     fabric.dram.write_line(line_of(8), bytes([3]) * 64)
-    assert fabric.cci.read_byte(fabric.cache, line_of(8)) == 3
-    fabric.cci.write_byte(fabric.cache, line_of(8) + 2, 0x44)  # Exclusive: a hit
+    assert fabric.cci.read_byte(line_of(8)) == 3
+    fabric.cci.write_byte(line_of(8) + 2, 0x44)  # Exclusive: a hit
     assert fabric.counters.data_hits == 1
     assert fabric.dram.read_line(line_of(8)) == bytes([3]) * 64
-    fabric.cci.write_byte(fabric.cache, line_of(9), 0x55)  # filled from a zero line
+    fabric.cci.write_byte(line_of(9), 0x55)  # filled from a zero line
     assert fabric.dram.read_line(line_of(10)) == bytes(64)
-    fabric.cci.flush(fabric.cache)
+    fabric.cci.flush()
     assert fabric.dram.read_line(line_of(8)) == b"\x03\x03\x44" + bytes([3]) * 61
     assert fabric.dram.read_line(line_of(9)) == b"\x55" + bytes(63)
 
@@ -258,9 +267,9 @@ def test_cached_write_leaves_dram_line_until_writeback(fabric):
 def test_eviction_writes_back_dirty_lines(fabric):
     # 16 sets x 2 ways; three lines mapping to the same set force an eviction
     addrs = [0x8000_0000 + s * 16 * LINE for s in range(3)]
-    fabric.cci.write_byte(fabric.cache, addrs[0], 0x11)
-    fabric.cci.write_byte(fabric.cache, addrs[1], 0x22)
-    fabric.cci.write_byte(fabric.cache, addrs[2], 0x33)
+    fabric.cci.write_byte(addrs[0], 0x11)
+    fabric.cci.write_byte(addrs[1], 0x22)
+    fabric.cci.write_byte(addrs[2], 0x33)
     assert fabric.dram.read_bytes(addrs[0], 1) == b"\x11"
 
 
@@ -271,10 +280,10 @@ def test_a_refill_reuses_the_victim_record_after_its_writeback(fabric):
     fabric.dram.write_line(addrs[2], bytes([7]) * 64)
     hooked = []
     fabric.cci.writeback_hook = lambda addr, payload: hooked.append((addr, payload, bytes(payload)))
-    fabric.cci.write_byte(fabric.cache, addrs[0], 0x11)
-    fabric.cci.read_byte(fabric.cache, addrs[1])
+    fabric.cci.write_byte(addrs[0], 0x11)
+    fabric.cci.read_byte(addrs[1])
     victim = fabric.cache.lookup(addrs[0])
-    assert fabric.cci.read_byte(fabric.cache, addrs[2]) == 7
+    assert fabric.cci.read_byte(addrs[2]) == 7
     written = b"\x11" + bytes(63)
     [(addr, payload, at_call)] = hooked
     assert (addr, payload, at_call) == (addrs[0], written, written)  # unchanged by the refill
@@ -287,7 +296,7 @@ def test_a_refill_reuses_the_victim_record_after_its_writeback(fabric):
 
 def test_fabric_gap_outside_aperture(fabric):
     with pytest.raises(FabricGap):
-        fabric.cci.read_byte(fabric.cache, 0x2_0000_0000)
+        fabric.cci.read_byte(0x2_0000_0000)
 
 
 def test_reads_match_flat_shadow():
@@ -299,12 +308,12 @@ def test_reads_match_flat_shadow():
         addr = 0x8000_0000 + rng.randrange(span)
         if rng.random() < 0.4:
             value = rng.randrange(256)
-            f.cci.write_byte(f.cache, addr, value)
+            f.cci.write_byte(addr, value)
             shadow[addr] = value
         elif rng.random() < 0.05:
-            f.cci.invalidate_line(f.cache, addr & ~63)
+            f.cci.invalidate_line(addr & ~63)
         else:
-            assert f.cci.read_byte(f.cache, addr) == shadow.get(addr, 0)
+            assert f.cci.read_byte(addr) == shadow.get(addr, 0)
 
 
 def test_determinism_bitwise():
@@ -314,9 +323,9 @@ def test_determinism_bitwise():
         for _ in range(800):
             addr = 0x8000_0000 + rng.randrange(64 * LINE)
             if rng.random() < 0.5:
-                f.cci.write_byte(f.cache, addr, rng.randrange(256))
+                f.cci.write_byte(addr, rng.randrange(256))
             else:
-                f.cci.read_byte(f.cache, addr)
+                f.cci.read_byte(addr)
         return cache_snapshot(f.cache), f.counters.total_cycles, f.dram.content_digest()
 
     assert run() == run()

@@ -151,6 +151,15 @@ def test_rule_validation_errors():
         m.activate_rules([RewriteRule(9, 0, 8 << 30, (8 << 30) + 4096, 0x20_0000)])
 
 
+def test_unknown_attribute_override_bits_fail_activation_before_any_change():
+    m, rule, _ = one_rule_machine()
+    before = agent_state(m)
+    bad = RewriteRule(1, 0, rule.va_start, rule.va_end, rule.replacement_base_pfn, 0x10)
+    with pytest.raises(RuleError, match="rule 1: unknown attribute override bits"):
+        m.activate_rules([bad])
+    assert agent_state(m) == before
+
+
 def test_overlapping_rules_rejected():
     m, rule, _ = one_rule_machine(rule_pages=2)
     other = RewriteRule(2, 0, rule.va_start + 4096, rule.va_start + 8192, 0xA8000)
@@ -435,7 +444,7 @@ def test_context_lost_is_diagnosed_and_unclaimed():
     assert m.lightv.handle_snoop(dead_line) is None
     assert m.lightv.context_lost == 1
     with pytest.raises(FabricGap):
-        m.cci.read_byte(m.cache, dead_line)
+        m.cci.read_byte(dead_line)
 
 
 def test_context_capacity_bound(monkeypatch):
@@ -643,7 +652,7 @@ def test_capture_rejects_a_watched_table_line():
     assert agent_state(m) == state
     m.lightv.end_page_capture()
     m.tlb.invalidate_range(0, 8 << 30, (8 << 30) + 4096)
-    m.cci.invalidate_line(m.cache, pgd_line)
+    m.cci.invalidate_line(pgd_line)
     assert m.mmu.translate(0, 8 << 30) == repl << 12
 
 
@@ -989,7 +998,7 @@ def test_served_payload_follows_an_in_place_table_edit():
     m.dram.write_qword(pte, cleared)
     m.tlb.invalidate_range(0, va, va + 4096)
     lines = served_lines(m, va)
-    m.cci.invalidate_line(m.cache, *lines)
+    m.cci.invalidate_line(*lines)
     with pytest.raises(TranslationFault) as fault:
         m.mmu.translate(0, va)
     wm2 = lines[2]
@@ -1163,7 +1172,7 @@ def random_interleaving(seed, steps, capture=False):
         for dst in rng.sample(sorted(agent.captures), min(3, len(agent.captures))):
             src = agent.captures[dst]
             off = rng.randrange(64)
-            assert m.cci.read_byte(m.cache, dst + off) == m.dram.read_line(src)[off], step
+            assert m.cci.read_byte(dst + off) == m.dram.read_line(src)[off], step
 
     checked = 0
     for step in range(steps):

@@ -205,9 +205,9 @@ def test_flush_sweeps_the_sets_without_per_line_cache_calls(monkeypatch):
     m = make_machine("absent", cache_sets=16, cache_ways=2)
     for k in range(40):
         if k % 3:
-            m.cci.write_byte(m.cache, 0x9000_0000 + 64 * k, k)
+            m.cci.write_byte(0x9000_0000 + 64 * k, k)
         else:
-            m.cci.read_byte(m.cache, 0x9000_0000 + 64 * k)
+            m.cci.read_byte(0x9000_0000 + 64 * k)
     counts = count_calls(monkeypatch, Cache, "_set_for", "lookup", "probe")
     m.flush_cache()
     assert counts == {"_set_for": 0, "lookup": 0, "probe": 0}
@@ -275,6 +275,15 @@ def test_dram_zero_fill_and_bounds():
         dram.read_line(0x7FFF_FFC0)
     with pytest.raises(ValueError):
         dram.write_line(0x8000_0000 + (1 << 20), bytes(64))
+
+
+def test_dram_write_line_rejects_a_short_payload():
+    dram = Dram(0x8000_0000, 1 << 20)
+    dram.write_line(0x8000_0040, bytes(range(64)))
+    lines, writes = dict(dram._lines), dram.writes
+    with pytest.raises(ValueError, match="line payload must be 64 bytes"):
+        dram.write_line(0x8000_0000, bytes(63))
+    assert (dram._lines, dram.writes) == (lines, writes)
 
 
 def test_dram_byte_ops_cross_lines():

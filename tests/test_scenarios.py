@@ -15,6 +15,10 @@ from lightv_sim.addressing import (
 from lightv_sim.lightv import LightV, RewriteRule, RuleError
 from lightv_sim.machine import AllocatorExhausted, Machine, MachineConfig, TraceAbort, compare_runs
 from lightv_sim.scenarios import (
+    CODE_BASE_VA,
+    CODE_PAGES,
+    HOT_PAGE_VA,
+    IMAGE_BASE_VA,
     HistogramWorkload,
     MigrationPlan,
     _layout_histogram,
@@ -44,15 +48,15 @@ def test_empty_image_touches_only_code_pages():
     w = HistogramWorkload(image_bytes=0)
     trace = gen_histogram_trace(w)
     assert trace
-    code_end = w.code_base_va + w.code_pages * 4096
-    assert all(w.code_base_va <= va < code_end for _, _, va, _ in trace)
+    code_end = CODE_BASE_VA + CODE_PAGES * 4096
+    assert all(CODE_BASE_VA <= va < code_end for _, _, va, _ in trace)
 
 
 def test_hot_page_access_census():
     w = HistogramWorkload(image_bytes=10_000)
     trace = gen_histogram_trace(w)
     hot = sum(
-        1 for _, _, va, _ in trace if w.hot_page_va <= va < w.hot_page_va + 4096
+        1 for _, _, va, _ in trace if HOT_PAGE_VA <= va < HOT_PAGE_VA + 4096
     )
     assert hot == 2 * w.image_bytes  # one read + one write per image byte
 
@@ -80,10 +84,9 @@ def test_histogram_closed_forms_match_the_per_byte_counts(w):
     assert all(a == b for a, b in zip_longest(got, histogram_trace_by_byte(w)))
 
 
-def test_workload_region_overlap_rejected():
-    w = HistogramWorkload(image_base_va=HistogramWorkload.hot_page_va)
-    with pytest.raises(ValueError, match="overlap"):
-        w.validate()
+def test_a_negative_image_size_is_rejected():
+    with pytest.raises(ValueError, match="image_bytes must be >= 0"):
+        HistogramWorkload(image_bytes=-1).validate()
 
 
 def test_histogram_layout_takes_its_data_frames_in_one_run():
@@ -92,11 +95,11 @@ def test_histogram_layout_takes_its_data_frames_in_one_run():
     first = m.allocator.next_pfn
     hot_pfn, _ = _layout_histogram(m, w)
     vas = (
-        [w.image_base_va + k * PAGE_SIZE for k in range(w.image_pages)]
-        + [w.hot_page_va]
-        + [w.code_base_va + k * PAGE_SIZE for k in range(w.code_pages)]
+        [IMAGE_BASE_VA + k * PAGE_SIZE for k in range(w.image_pages)]
+        + [HOT_PAGE_VA]
+        + [CODE_BASE_VA + k * PAGE_SIZE for k in range(CODE_PAGES)]
     )
-    space = m.spaces[w.asid]
+    space = m.spaces[0]
     pfns = [reference_walk(space, va, m.dram) >> PAGE_SHIFT for va in vas]
     assert pfns == list(range(first, first + len(vas)))  # what one alloc each gave
     assert hot_pfn == first + w.image_pages
@@ -208,13 +211,6 @@ def test_migration_source_check_sees_lines_left_in_the_cache(monkeypatch, config
     report = run_migration(MigrationPlan(seed=1), config)
     assert not report.checks["source_clean"] and not report.ok
     assert "source frame unreferenced: False" in report.text()
-
-
-def test_migration_plan_validation():
-    with pytest.raises(ValueError, match="aligned"):
-        MigrationPlan(page_va=0x123).validate()
-    with pytest.raises(ValueError, match="chunk"):
-        MigrationPlan(dma_chunk_bytes=100).validate()
 
 
 def test_random_bytes_draws_the_randrange_stream():
