@@ -148,12 +148,6 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _render(args, rows, text_body: str) -> str:
-    if args.format == "csv":
-        return _render_csv(rows)
-    return text_body + "\n"
-
-
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -204,8 +198,11 @@ def cmd_run(args) -> int:
             trace = machine.iter_trace(f)
             result = scenarios.run_custom_trace(config, mappings, rules, trace, modes)
 
-    rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
-    _emit(args, _render(args, rows, result.text()))
+    if args.format == "csv":
+        rows = scenarios.csv_rows(args.scenario, result.stats, args.seed, args.scale)
+        _emit(args, _render_csv(rows))
+    else:
+        _emit(args, result.text() + "\n")
     for name, held in result.checks.items():
         if not held:
             print(f"check failed: {name}", file=sys.stderr)

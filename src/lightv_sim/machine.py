@@ -589,7 +589,11 @@ class Machine:
         index `start_index`.
 
         Faults follow the configured policy: `abort` raises TraceAbort,
-        `record` appends a FaultRecord to `faults` and continues.
+        `record` appends a FaultRecord to `faults` and continues.  The loop
+        keeps no per-access index.  Before each `translate` call, `done`
+        adds the inline hits since the last call plus this access, so it
+        counts the accesses run so far, and a fault's index is
+        `start_index + done - 1`.
 
         This is the hit path: a TLB hit followed by a PE-cache hit is
         resolved inline, with the LRU, counter and cycle updates the layers
@@ -632,9 +636,9 @@ class Machine:
         last_asid = last_vline = last_page = last_key = last_base = last_line = last_ways = None
         prev_asid = prev_vline = prev_page = prev_key = prev_base = prev_line = prev_ways = None
         stale = False
-        hits = 0
+        hits = done = 0
         try:
-            for index, (asid, op, va, value) in enumerate(chunk, start_index):
+            for asid, op, va, value in chunk:
                 write = op == "W"
                 if write:
                     value &= 0xFF  # a missing value fails here, before any state moves
@@ -707,6 +711,7 @@ class Machine:
                     stale = False
                 # `last_page` too: the next line resolved shifts it to `prev_page`.
                 last_vline = last_page = prev_vline = prev_page = None
+                done += hits + 1
                 if hits:
                     counters.data_hits += hits
                     counters.total_cycles += hits * hit_cycles
@@ -714,6 +719,7 @@ class Machine:
                 try:
                     access(translate(asid, va), write, value)
                 except TranslationFault as fault:
+                    index = start_index + done - 1
                     if not record:
                         raise TraceAbort(index, asid, va, fault) from None
                     faults.append(

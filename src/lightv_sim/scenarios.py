@@ -13,7 +13,7 @@ check on stderr.  All randomness is seeded.
 
 import random
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .addressing import (
     ATTR_CACHEABLE,
@@ -108,10 +108,10 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
     `prepare(machine, label)` maps the address spaces and returns the
     rewrite rules; they are activated on every machine in active mode.
     Every mode's machine is built and prepared first.  Then `trace`, any
-    iterable of accesses, is read once, `CHUNK` accesses at a time, and
-    each chunk runs on each machine in mode order, so that no mode keeps
-    the trace.  Every mode runs the same accesses, so their RunStats
-    compare (`compare_runs`).
+    iterable of accesses, is read once, `CHUNK` accesses at a time with one
+    chunk held, and each chunk runs on each machine in mode order, so that
+    no mode keeps the trace.  Every mode runs the same accesses, so their
+    RunStats compare (`compare_runs`).
 
     A failure is raised as if the modes had run one after another: the
     first mode's at once; a later mode's, which stops that mode and every
@@ -149,6 +149,7 @@ def run_modes(config: MachineConfig, modes, trace, prepare):
                 del live[pos:]
                 break
         start += len(chunk)
+        del chunk  # so the next chunk is read with none held
     if held is not None:
         raise held
     return [(mode, m, m.stats_since(before, faults)) for mode, m, before, faults in live]
@@ -188,26 +189,49 @@ def histogram_workload(scale: float, seed: int = 0) -> HistogramWorkload:
     return w
 
 
+def _hot_slot_order(seed: int) -> list:
+    """The hot-page slots in the order the image's bytes count into them:
+    a permutation of the page's offsets, shuffled by `seed`."""
+    order = list(range(PAGE_SIZE))
+    random.Random(seed).shuffle(order)
+    return order
+
+
 def iter_histogram_trace(w: HistogramWorkload):
     """One streaming pass over the image; per byte, a read-modify-write of
-    a shuffled hot-page slot (`order` is a permutation, so byte i's write
-    is its slot's count, (i >> 12) + 1); a code-page read every
-    `CODE_PERIOD` bytes.  Yields the accesses one at a time."""
+    a shuffled hot-page slot (`_hot_slot_order` is a permutation, so byte
+    i's write is its slot's count, (i >> 12) + 1); a code-page read every
+    `CODE_PERIOD` bytes.
+
+    Validates `w` when called and returns a lazy iterator built from
+    itertools (`_histogram_periods`), so no Python code runs per access."""
     w.validate()
-    rng = random.Random(w.seed)
-    order = list(range(PAGE_SIZE))
-    rng.shuffle(order)
-    code_span = CODE_PAGES * PAGE_SIZE
-    for i in range(w.image_bytes):
-        yield (0, "R", IMAGE_BASE_VA + i, None)
-        hot = HOT_PAGE_VA + order[i % PAGE_SIZE]
-        yield (0, "R", hot, None)
-        yield (0, "W", hot, ((i >> PAGE_SHIFT) + 1) & 0xFF)
-        if i % CODE_PERIOD == 0:
-            yield (0, "R", CODE_BASE_VA + (i // CODE_PERIOD * 64) % code_span, None)
     if w.image_bytes == 0:
-        for k in range(CODE_PAGES):
-            yield (0, "R", CODE_BASE_VA + k * PAGE_SIZE, None)
+        return iter([(0, "R", CODE_BASE_VA + k * PAGE_SIZE, None) for k in range(CODE_PAGES)])
+    return chain.from_iterable(_histogram_periods(w))
+
+
+def _histogram_periods(w: HistogramWorkload):
+    """Yield the trace of `w` as iterables, per `CODE_PERIOD` image bytes:
+    the first byte's three accesses, the code read, then the other bytes'.
+    Each 4096-byte pass zips its image reads, the hot reads and its hot
+    writes into triples; the 4096 hot-read tuples are built once and
+    shared by every pass."""
+    hot_vas = [HOT_PAGE_VA + slot for slot in _hot_slot_order(w.seed)]
+    hot_reads = list(zip(repeat(0), repeat("R"), hot_vas, repeat(None)))
+    code_span = CODE_PAGES * PAGE_SIZE
+    for base in range(0, w.image_bytes, PAGE_SIZE):
+        end = min(base + PAGE_SIZE, w.image_bytes)
+        image_vas = range(IMAGE_BASE_VA + base, IMAGE_BASE_VA + end)
+        image = zip(repeat(0), repeat("R"), image_vas, repeat(None))
+        count = ((base >> PAGE_SHIFT) + 1) & 0xFF
+        writes = zip(repeat(0), repeat("W"), hot_vas, repeat(count))
+        accesses = chain.from_iterable(zip(image, hot_reads, writes))
+        for i in range(base, end, CODE_PERIOD):
+            yield islice(accesses, 3)
+            yield ((0, "R", CODE_BASE_VA + (i // CODE_PERIOD * 64) % code_span, None),)
+            # The pass's last period may be short; its run ends with the image.
+            yield islice(accesses, 3 * (CODE_PERIOD - 1))
 
 
 def gen_histogram_trace(w: HistogramWorkload) -> list:
@@ -218,12 +242,9 @@ def gen_histogram_trace(w: HistogramWorkload) -> list:
 def expected_hot_content(w: HistogramWorkload) -> bytes:
     """The hot page after the trace: slot order[k] counts every full pass
     over the page, plus one if k < the remainder."""
-    rng = random.Random(w.seed)
-    order = list(range(PAGE_SIZE))
-    rng.shuffle(order)
     full, rest = divmod(w.image_bytes, PAGE_SIZE)
     counts = bytearray(PAGE_SIZE)
-    for k, slot in enumerate(order):
+    for k, slot in enumerate(_hot_slot_order(w.seed)):
         counts[slot] = (full + (k < rest)) & 0xFF
     return bytes(counts)
 

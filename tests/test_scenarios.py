@@ -70,7 +70,7 @@ def test_trace_generation_is_seeded():
 
 HISTOGRAM_SIZES = [
     pytest.param(HistogramWorkload(image_bytes=n, seed=7), id=str(n))
-    for n in (0, 1, 4095, 4096, 4097, 70_000, 257 * 4096 + 3)
+    for n in (0, 1, 63, 64, 65, 4095, 4096, 4097, 4096 + 63, 2 * 4096 + 64, 70_000, 257 * 4096 + 3)
 ] + [
     pytest.param(histogram_workload(scale=0.001, seed=seed), id=f"scale-0.001-seed-{seed}")
     for seed in (0, 3)
@@ -87,6 +87,9 @@ def test_histogram_closed_forms_match_the_per_byte_counts(w):
 def test_a_negative_image_size_is_rejected():
     with pytest.raises(ValueError, match="image_bytes must be >= 0"):
         HistogramWorkload(image_bytes=-1).validate()
+    # The trace validates when it is asked for, before any access is read.
+    with pytest.raises(ValueError, match="image_bytes must be >= 0"):
+        scenarios.iter_histogram_trace(HistogramWorkload(image_bytes=-1))
 
 
 def test_histogram_layout_takes_its_data_frames_in_one_run():
