@@ -9,10 +9,10 @@ Two subcommands:
 Exit codes (stable contract); `main` alone turns an exception into one:
   0  success
   1  verify found a mismatch
-  2  usage error (unknown scenario, bad flags, or a flag the scenario never
+  2  usage error (unknown scenario, bad flags, a flag the scenario never
      reads: --export-trace outside histogram, or --trace, --mappings or
-     --rules outside custom-trace), named on one `error:` line before any
-     file is opened
+     --rules outside custom-trace, or a negative verify --configs or
+     --vas), named on one `error:` line before any file is opened
   3  bad input, reported on one `error:` line: an unreadable or invalid
      config (not UTF-8, not JSON, nested too deeply, more cache sets than
      `machine.MAX_CACHE_SETS`, a negative DRAM base) or input file, an
@@ -143,8 +143,7 @@ def _render_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -235,6 +234,10 @@ def _read(path, parse):
 def cmd_verify(args) -> int:
     """Sweep random page tables and compare the full cached/coherent
     translation path against the direct software walker, exactly."""
+    for flag, count in (("--configs", args.configs), ("--vas", args.vas)):
+        if count < 0:
+            print(f"error: {flag} must be >= 0, got {count}", file=sys.stderr)
+            return EXIT_USAGE
     config = _load_machine_config(args.config)
     rng = random.Random(args.seed)
     checked = 0

@@ -8,7 +8,7 @@ doubles) register with it.  An agent is a plain callable,
 the interconnect polls the agents in registration order; the first ACK
 supplies the line, otherwise the line comes from DRAM.  `_fetch` is the one
 place that polls the agents, checks an ACK (a full-line payload, serve
-cycles >= 0) before counting it, and charges a miss.  Two transactions
+cycles >= 0) before counting it, and sums its serve cycles.  Two transactions
 share it.  The data transaction (`access`, which `read_byte`/`write_byte`
 wrap) runs in one body: the set lookup and LRU move, then on a miss the
 fetch, the fill, the eviction and the writeback of an evicted Modified
@@ -20,8 +20,8 @@ the walker to decode, through `Cache.probe` and, when it allocates
 or the DRAM line itself and never builds a line.  Each counts its hit or
 miss only once it has the line.
 
-Cycle model (flat per-event costs from LatencyConfig), charged to the
-shared counters' `total_cycles`, the single accounting point:
+Cycle model: transactions count events and charge no cycles; only
+`Counters.total_cycles` prices them, at the flat costs of LatencyConfig:
   * cache hit: `cache_hit`
   * miss, all agents NACK: `cci + dram` -- the DRAM fetch is launched
     speculatively alongside the broadcast, so NACK resolution is hidden
@@ -79,26 +79,32 @@ class LatencyConfig:
 
 
 class Counters:
-    """Event counters and the cycle total, shared by the fabric and the MMU."""
+    """Event counters shared by the fabric and the MMU.  `total_cycles`, the
+    one place cycles are priced, is the cycle model over them (see the
+    module docstring); `serve_cycles`, summed over ACKs, is not reported."""
 
-    FIELDS = (
-        "data_hits",
-        "data_misses",
-        "walk_reads",
-        "walk_hits",
-        "walk_misses",
-        "snoops_issued",
-        "snoops_acked",
-        "writebacks",
-        "total_cycles",
+    EVENTS = (
+        "data_hits", "data_misses", "walk_reads", "walk_hits", "walk_misses",
+        "snoops_issued", "snoops_acked", "writebacks",
     )
 
-    def __init__(self):
-        for name in self.FIELDS:
+    def __init__(self, latencies: LatencyConfig):
+        for name in self.EVENTS:
             setattr(self, name, 0)
+        self.serve_cycles = 0
+        self._lat = latencies
+
+    @property
+    def total_cycles(self) -> int:
+        lat, acked, misses = self._lat, self.snoops_acked, self.data_misses + self.walk_misses
+        return (
+            lat.cache_hit * (self.data_hits + self.walk_hits) + lat.cci * misses
+            + lat.dram * (misses - acked) + lat.snoop * acked + self.serve_cycles
+        )
 
     def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        """The event counts in report order, then `total_cycles`."""
+        return {name: getattr(self, name) for name in (*self.EVENTS, "total_cycles")}
 
 
 class CacheLine:
@@ -159,9 +165,8 @@ class CoherentInterconnect:
     arbitration is deterministic.  One transaction is in flight at a time.
     """
 
-    def __init__(self, dram, latencies: LatencyConfig, counters: Counters, cache: Cache):
+    def __init__(self, dram, counters: Counters, cache: Cache):
         self.dram = dram
-        self.lat = latencies
         self.counters = counters
         self.cache = cache
         self.agents = []
@@ -183,7 +188,7 @@ class CoherentInterconnect:
         from DRAM lands EXCLUSIVE, and its payload is DRAM's own line, so
         a caller that keeps it copies it.
         """
-        lat, c = self.lat, self.counters
+        c = self.counters
         if self.agents:
             c.snoops_issued += 1
             for agent in self.agents:
@@ -195,13 +200,12 @@ class CoherentInterconnect:
                     if serve_cycles < 0:
                         raise ValueError("serve cycles must be >= 0")
                     c.snoops_acked += 1
-                    c.total_cycles += lat.cci + lat.snoop + serve_cycles
+                    c.serve_cycles += serve_cycles
                     return payload, _SHARED if shared else _EXCLUSIVE
         try:
             payload = self.dram.read_line(line_addr)
         except ValueError:  # outside the aperture: nothing backs the line
             raise FabricGap(line_addr) from None
-        c.total_cycles += lat.cci + lat.dram
         return payload, _EXCLUSIVE
 
     def access(self, addr: int, write: bool, value=None):
@@ -240,9 +244,7 @@ class CoherentInterconnect:
             line.payload = bytearray(payload)
             line.state = state
         else:
-            c = self.counters
-            c.data_hits += 1
-            c.total_cycles += self.lat.cache_hit
+            self.counters.data_hits += 1
         if write:
             line.payload[addr & _LINE_MASK] = value & 0xFF
             line.state = _MODIFIED
@@ -278,7 +280,6 @@ class CoherentInterconnect:
         line = self.cache.probe(line_addr)
         if line is not None:
             c.walk_hits += 1
-            c.total_cycles += self.lat.cache_hit
             payload = line.payload
         else:
             payload, state = self._fetch(line_addr, True)

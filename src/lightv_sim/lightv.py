@@ -251,8 +251,7 @@ class LightV:
             self._check_strict(rules)
         # An insertion-ordered set: context ids go out in rule order.
         new_paths = dict.fromkeys(p for p in self._paths(rules) if p not in self._ctx_by_key)
-        free = len(self._free_ids) + max(0, CONTEXT_CAPACITY - self._next_id)
-        if len(new_paths) > free:
+        if len(new_paths) > CONTEXT_CAPACITY - len(self._ctx_by_id):
             raise ContextCapacityError("context cache full")
 
         self.dram.walk_memo.forget()

@@ -477,11 +477,11 @@ class Machine:
     def __init__(self, config: MachineConfig):
         window = config.validate()
         self.config = config
-        self.counters = Counters()
+        self.counters = Counters(config.latencies)
         self.dram = Dram(config.dram_base, config.dram_size)
         self.allocator = FrameAllocator(self.dram)
         self.cache = Cache(config.cache_sets, config.cache_ways)
-        self.cci = CoherentInterconnect(self.dram, config.latencies, self.counters, self.cache)
+        self.cci = CoherentInterconnect(self.dram, self.counters, self.cache)
         self.spaces = {}
         self.tlb = Tlb(config.tlb_entries)
         # Built in every mode; only passive and active mode plug it into the
@@ -596,14 +596,14 @@ class Machine:
         `start_index + done - 1`.
 
         This is the hit path: a TLB hit followed by a PE-cache hit is
-        resolved inline, with the LRU, counter and cycle updates the layers
-        below would make.  Every other access (a TLB miss, a cache miss, a
-        write to a SHARED line, or any access while `debug_tlb_check` is
-        on) calls `Mmu.translate`, then `CoherentInterconnect.access`, the
-        fabric's data transaction.  Hits are tallied in a local and
-        added to the counters (cycles included) before each such call and
-        when the loop ends, so every callee sees the totals of a one-access-
-        at-a-time run.
+        resolved inline, with the LRU and counter updates the layers below
+        would make; like them, it prices no cycles.  Every other access (a
+        TLB miss, a cache miss, a write to a SHARED line, or any access while
+        `debug_tlb_check` is on) calls `Mmu.translate`, then
+        `CoherentInterconnect.access`, the fabric's data transaction.  Hits
+        are tallied in a local and added to `data_hits` before each such
+        call and when the loop ends, so every callee sees the counts (and so
+        `total_cycles`) of a one-access-at-a-time run.
 
         The loop remembers the last two lines it resolved inline, `last` and
         the older `prev` (asid, virtual line and page, TLB key, frame base,
@@ -627,7 +627,6 @@ class Machine:
         # With the debug check on, every TLB hit must reach `translate`.
         tlb_get = {}.get if self.config.debug_tlb_check else self.tlb._entries.get
         sets, set_mask = self.cache._sets, self.cache._set_mask
-        hit_cycles = self.cci.lat.cache_hit
         record = self.config.fault_policy == FAULT_RECORD
         # Local names for the constants the loop reads on every access.
         page_shift, page_mask = PAGE_SHIFT, _PAGE_MASK
@@ -712,10 +711,8 @@ class Machine:
                 # `last_page` too: the next line resolved shifts it to `prev_page`.
                 last_vline = last_page = prev_vline = prev_page = None
                 done += hits + 1
-                if hits:
-                    counters.data_hits += hits
-                    counters.total_cycles += hits * hit_cycles
-                    hits = 0
+                counters.data_hits += hits
+                hits = 0
                 try:
                     access(translate(asid, va), write, value)
                 except TranslationFault as fault:
@@ -729,4 +726,3 @@ class Machine:
             if stale:
                 tlb_touch(last_key)
             counters.data_hits += hits
-            counters.total_cycles += hits * hit_cycles

@@ -13,11 +13,11 @@ changed is replayed there from a memo, and any other walk runs in
 `hardware_walk`, which stores it in the memo when it may be replayed; the
 TLB is filled either way.  The memo is keyed by (asid, leaf line), the leaf
 line being page >> 3: the eight pages whose leaf entries share one 64-byte
-line read the same three lines, with the same snoops, DRAM reads, LightV
-serves and cycles, and differ only in the entry they decode from the last
-line.  A stored walk holds its three fabric line addresses, its simulated
-effects (`total_cycles`, `walk_reads` and `walk_misses` (3 each),
-`snoops_issued`, `snoops_acked`, DRAM line reads and LightV's
+line read the same three lines, with the same snoops, DRAM reads and LightV
+serves, and differ only in the entry they decode from the last line.  A
+stored walk holds its three fabric line addresses, its simulated effects
+(`walk_reads` and `walk_misses` (3 each), `snoops_issued`, `snoops_acked`,
+the serve cycles of its ACKs, DRAM line reads and LightV's
 `lines_manipulated`) and the eight descriptors of the leaf line as served,
 as integers.  A replay adds those effects and decodes the frame and
 attributes of the page's descriptor without a fabric transaction; a page
@@ -39,8 +39,7 @@ The memo is exact where it acts:
     read a captured line, so neither needs to;
   * it holds at most `WALK_MEMO_LINES` leaf lines and is dropped whole when
     a new walk would pass that bound.
-Latencies and `cache_ptes` are fixed for a machine's life, so a walk's
-cycles are too.
+Latencies are fixed for a machine's life, so a walk's serve cycles are too.
 """
 
 import struct
@@ -161,7 +160,7 @@ class Mmu:
             return pa
         stored = self._walks.get((asid, page >> _LEAF_SHIFT))
         if stored is not None:
-            entries, (l0, l1, l2, cycles, snoops, acks, reads, served) = stored
+            entries, (l0, l1, l2, serve, snoops, acks, reads, served) = stored
             raw = entries[page & _LEAF_SLOT]
             sets, set_mask = self._sets, self._set_mask
             if (
@@ -171,7 +170,7 @@ class Mmu:
                 and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
             ):
                 c = self._counters
-                c.total_cycles += cycles
+                c.serve_cycles += serve
                 c.walk_reads += 3
                 c.walk_misses += 3
                 c.snoops_issued += snoops
@@ -232,13 +231,13 @@ class Mmu:
         return base >> PAGE_SHIFT, raw & ATTR_MASK
 
     def _effects(self):
-        """The totals a walk may move: the five a replay adds (cycles,
+        """The totals a walk may move: the five a replay adds (serve cycles,
         snoops issued and acked, DRAM reads, lines manipulated), then the
         three a stored walk leaves as they were (walk hits, context losses,
         capture serves)."""
         c, lightv = self._counters, self.lightv
         return (
-            c.total_cycles, c.snoops_issued, c.snoops_acked, self._dram.reads,
+            c.serve_cycles, c.snoops_issued, c.snoops_acked, self._dram.reads,
             lightv.lines_manipulated, c.walk_hits, lightv.context_lost, lightv.data_captures,
         )
 

@@ -1,5 +1,10 @@
 """Machine and fabric builders shared by the unit tests."""
 
+from contextlib import contextmanager
+
+import pytest
+
+from lightv_sim import scenarios
 from lightv_sim.coherence import Cache, CoherentInterconnect, Counters, LatencyConfig
 from lightv_sim.machine import Dram, Machine, MachineConfig
 
@@ -30,6 +35,21 @@ def dram_clone(dram):
     return other
 
 
+@contextmanager
+def machines_built():
+    """Within the block, collect every Machine the scenarios build, in
+    order of construction."""
+    built = []
+
+    def build(config):
+        built.append(Machine(config))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "Machine", build)
+        yield built
+
+
 def make_machine(mode="absent", **overrides):
     cfg = MachineConfig(mode=mode, **overrides)
     return Machine(cfg)
@@ -40,7 +60,7 @@ class Fabric:
 
     def __init__(self, sets=16, ways=2, base=0x8000_0000, size=1 << 22):
         self.dram = Dram(base, size)
-        self.counters = Counters()
         self.lat = LatencyConfig()
+        self.counters = Counters(self.lat)
         self.cache = Cache(sets, ways)
-        self.cci = CoherentInterconnect(self.dram, self.lat, self.counters, self.cache)
+        self.cci = CoherentInterconnect(self.dram, self.counters, self.cache)

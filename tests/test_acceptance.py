@@ -19,8 +19,8 @@ from lightv_sim.coherence import CacheState
 from lightv_sim.lightv import CONTEXT_CAPACITY, RewriteRule, WatermarkWindow
 from lightv_sim.machine import Machine, MachineConfig, compare_runs
 
-from helpers import cache_lines, dram_clone
-from oracles import apply_rule_by_edit, brute_walk
+from helpers import cache_lines, dram_clone, machines_built
+from oracles import MIGRATION_DMA_READS, apply_rule_by_edit, brute_walk, cycle_law_gap
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 
@@ -28,9 +28,12 @@ RW = ATTR_WRITABLE | ATTR_CACHEABLE
 @pytest.fixture(scope="module")
 def histogram_experiment():
     # default latency config, histogram trace at scale 1/100
-    return scenarios.run_overhead_experiment(
-        MachineConfig(), scenarios.histogram_workload(scale=0.01, seed=0)
-    )
+    with machines_built() as machines:
+        experiment = scenarios.run_overhead_experiment(
+            MachineConfig(), scenarios.histogram_workload(scale=0.01, seed=0)
+        )
+    assert [cycle_law_gap(m) for m in machines] == [0, 0, 0]
+    return experiment
 
 
 def _outcome(fn):
@@ -239,11 +242,13 @@ def test_criterion_6_watermark_codec_exhaustive():
 
 def test_criterion_7_hazard_reproductions():
     cfg = MachineConfig()
-    demand = scenarios.run_demand_paging_hazard(cfg)
+    with machines_built() as machines:
+        demand = scenarios.run_demand_paging_hazard(cfg)
+        isolation = scenarios.run_isolation_hazard(cfg)
+    assert machines and all(cycle_law_gap(m) == 0 for m in machines)
     assert demand.checks["control_does_not_fault"]
     assert demand.checks["active_fault_in_window"]
     assert demand.checks["passive_fault_outside_window"]
-    isolation = scenarios.run_isolation_hazard(cfg)
     assert isolation.checks["strict_rejected"]
     assert isolation.checks["deviated"]
     assert isolation.checks["control_unaffected"]
@@ -258,7 +263,9 @@ def test_criterion_8_migration_linearizability():
     cfg = MachineConfig(cache_sets=32, cache_ways=2)
     for seed in range(1000):
         plan = scenarios.MigrationPlan(seed=seed, accessor_ops=20, post_ops=6)
-        report = scenarios.run_migration(plan, cfg)
+        with machines_built() as machines:
+            report = scenarios.run_migration(plan, cfg)
+        assert cycle_law_gap(*machines, dma_reads=MIGRATION_DMA_READS) == 0, f"seed {seed}"
         assert report.checks["no_stale_reads"], f"seed {seed}"
         assert report.checks["no_lost_writes"], f"seed {seed}"
         assert report.checks["translations_to_destination"], f"seed {seed}"

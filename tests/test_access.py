@@ -33,6 +33,7 @@ from lightv_sim.mmu import WALK_MEMO_LINES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
 from helpers import cache_snapshot
+from oracles import cycle_law_gap
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 PLAIN_VAS = [(8 << 30) + k * 4096 for k in range(6)] + [(8 << 30) | (3 << 21)]
@@ -558,8 +559,12 @@ MISS_PATH_GOLDENS = {
 
 
 def test_miss_path_matches_recorded_goldens():
-    got = {case: miss_path_digest(m, seed) for case, m, seed in miss_path_cases()}
+    got, gaps = {}, {}
+    for case, m, seed in miss_path_cases():
+        got[case] = miss_path_digest(m, seed)
+        gaps[case] = cycle_law_gap(m)
     assert got == MISS_PATH_GOLDENS
+    assert gaps == dict.fromkeys(MISS_PATH_GOLDENS, 0)
 
 
 # -- the walk memo that `Mmu.translate` replays -----------------------------
@@ -715,6 +720,7 @@ def compare_with_memo_emptied_twin(mode, cache_ptes, translate_reads):
     replayed = len(walk_reads[twin]) - len(walk_reads[memo])
     assert (replayed > 0) != cache_ptes and replayed >= 0
     assert memo.counters.walk_hits and memo.counters.writebacks
+    assert cycle_law_gap(memo) == cycle_law_gap(twin) == 0
 
 
 @pytest.mark.parametrize("cache_ptes", [False, True])

@@ -754,6 +754,15 @@ def test_verify_zero_sweep_is_vacuous(capsys):
     assert "checked 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--configs", "--vas"])
+def test_verify_rejects_a_negative_count(flag, tmp_path, capsys):
+    # A usage error, named on one line before the config file is opened.
+    missing = tmp_path / "absent.json"
+    assert run_cli("verify", "--config", str(missing), flag, "-3") == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag} must be >= 0, got -3\n")
+
+
 def test_verify_catches_index_mutation(monkeypatch, capsys):
     real = Mmu._walk_indices
 

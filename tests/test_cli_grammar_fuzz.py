@@ -336,6 +336,10 @@ def test_small_verify_sweeps_pass(capsys):
         argv = ["verify", "--configs", str(rng.choice((-1, 0, 1, 2))),
                 "--vas", str(rng.choice((-1, 0, 1, 6))), "--seed", str(rng.randrange(100))]
         code, out, err = _call(capsys, argv, f"verify #{index}")
+        if "-1" in argv:  # a negative count is a usage error, named on one line
+            assert (code, out) == (cli.EXIT_USAGE, "") and err.count("\n") == 1, (argv, err)
+            assert err.startswith(f"error: {argv[argv.index('-1') - 1]} must be >= 0"), (argv, err)
+            continue
         assert (code, err) == (cli.EXIT_OK, "") and out.endswith("failed 0\n"), (argv, out, err)
 
 

@@ -31,7 +31,8 @@ from lightv_sim.scenarios import (
     run_overhead_experiment,
 )
 
-from oracles import histogram_trace_by_byte, hot_content_by_byte
+from helpers import machines_built
+from oracles import MIGRATION_DMA_READS, cycle_law_gap, histogram_trace_by_byte, hot_content_by_byte
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,10 @@ def config():
 
 @pytest.fixture(scope="module")
 def tiny_experiment(config):
-    return run_overhead_experiment(config, histogram_workload(scale=0.001, seed=5))
+    with machines_built() as machines:
+        experiment = run_overhead_experiment(config, histogram_workload(scale=0.001, seed=5))
+    assert [cycle_law_gap(m) for m in machines] == [0, 0, 0]
+    return experiment
 
 
 def test_empty_image_touches_only_code_pages():
@@ -151,7 +155,9 @@ def test_histogram_csv_rows(tiny_experiment):
 
 
 def test_demand_paging_hazard(config):
-    report = run_demand_paging_hazard(config)
+    with machines_built() as machines:
+        report = run_demand_paging_hazard(config)
+    assert machines and all(cycle_law_gap(m) == 0 for m in machines)
     assert report.ok
     assert report.checks["control_does_not_fault"]
     assert report.checks["active_fault_in_window"]
@@ -161,7 +167,9 @@ def test_demand_paging_hazard(config):
 
 
 def test_isolation_hazard(config):
-    report = run_isolation_hazard(config)
+    with machines_built() as machines:
+        report = run_isolation_hazard(config)
+    assert len(machines) == 3 and all(cycle_law_gap(m) == 0 for m in machines)
     assert report.ok
     text = report.text().splitlines()
     assert report.checks["strict_rejected"] and "level-0" in text[0]
@@ -178,8 +186,10 @@ def test_migration_idle_accessor_copies_page(config):
 
 def test_migration_interleaved_batch(config):
     for seed in range(25):
-        report = run_migration(MigrationPlan(seed=seed), config)
+        with machines_built() as machines:
+            report = run_migration(MigrationPlan(seed=seed), config)
         assert report.ok, f"seed {seed}: {report.text()}"
+        assert cycle_law_gap(*machines, dma_reads=MIGRATION_DMA_READS) == 0, f"seed {seed}"
 
 
 def test_migration_write_mid_copy_lands_at_destination(config):
