@@ -1,11 +1,12 @@
 """Address decomposition, page-table entry codec, and radix-table construction.
 
 Models a 39-bit virtual address space translated through three 512-entry
-table levels at 4 KB granularity.  Everything here is pure software: tables
-live in a simulated memory handle, and `reference_walk` resolves addresses
-by reading that memory directly, bypassing caches and the coherent fabric.
-It is the ground-truth translator the rest of the simulator is checked
-against.
+table levels at 4 KB granularity.  Tables live in a simulated memory
+handle, and `table_base` is the one software walk of them, reading that
+memory directly, bypassing caches and the fabric.  `reference_walk`, the
+ground truth the simulator is checked against, sits on top of it;
+`build_tables` links tables as it walks; `mmu.Mmu.hardware_walk` is the
+modelled walk.
 """
 
 from dataclasses import dataclass
@@ -197,21 +198,25 @@ def _leaf(va: int, pfn: int, attrs: int) -> int:
         raise MappingError(str(exc)) from None
 
 
-def reference_walk(space: AddressSpace, va: int, memory) -> int:
-    """Resolve va by reading the tables directly from memory.
-
-    Returns the physical address, or raises TranslationFault naming the
-    first non-present level and the entry address it consulted.
-    """
-    index0, index1, index2, offset = split_va(va)
-    base = space.pgd_base
-    for level, index in enumerate((index0, index1, index2)):
+def table_base(pgd_base: int, indices, memory) -> int:
+    """The base that the last entry names, following one entry per index
+    from the level-0 table at `pgd_base`; TranslationFault(level, entry
+    address) at the first entry that is not present."""
+    base = pgd_base
+    for level, index in enumerate(indices):
         addr = base + index * PTE_BYTES
         present, pfn, _ = decode_pte(memory.read_qword(addr))
         if not present:
             raise TranslationFault(level, addr)
         base = pfn << PAGE_SHIFT
-    return base | offset
+    return base
+
+
+def reference_walk(space: AddressSpace, va: int, memory) -> int:
+    """Resolve va by reading the tables directly from memory: the physical
+    address, or the TranslationFault of `table_base`."""
+    *indices, offset = split_va(va)
+    return table_base(space.pgd_base, indices, memory) | offset
 
 
 def read_records(lines, usage: str, error, convert):

@@ -183,7 +183,6 @@ class LightV:
         self._ctx_by_key = {}
         self._ctx_by_id = {}
         self._free_ids = []
-        self._next_id = 0
         self.captures = {}  # destination line -> source line, while uncopied
         self._mirror = {}  # destination line -> source line, for writebacks
         self.lines_manipulated = 0
@@ -556,54 +555,37 @@ class LightV:
         return lines
 
     def _add_context(self, asid: int, prefix: tuple):
-        # `activate` has checked that a context id is free.
-        if self._free_ids:
-            context_id = heapq.heappop(self._free_ids)
-        else:
-            context_id = self._next_id
-            self._next_id += 1
-        ctx = TranslationContext(
-            context_id=context_id,
-            asid=asid,
-            level=len(prefix),
-            prefix=prefix,
-            original_table_addr=self._real_table_base(asid, prefix),
-        )
+        # `activate` has checked that a context id is free; the ids handed
+        # out so far are the live ones and the freed ones.
+        context_id = heapq.heappop(self._free_ids) if self._free_ids else len(self._ctx_by_id)
+        # Seeded with the real table behind the path by `addressing.table_base`, or None.
+        try:
+            table = addressing.table_base(self.spaces[asid].pgd_base, prefix, self.dram)
+        except addressing.TranslationFault:
+            table = None
+        ctx = TranslationContext(context_id=context_id, asid=asid, level=len(prefix),
+                                 prefix=prefix, original_table_addr=table)
         self._ctx_by_key[asid, prefix] = ctx
         self._ctx_by_id[context_id] = ctx
-
-    def _real_table_base(self, asid: int, prefix: tuple):
-        base = self.spaces[asid].pgd_base
-        for index in prefix:
-            raw = self.dram.read_qword(base + index * 8)
-            present, pfn, _ = decode_pte(raw)
-            if not present:
-                return None
-            base = pfn << PAGE_SHIFT
-        return base
 
     def _check_premapped(self, rule: RewriteRule):
         """Every page of the rule's range has a present leaf entry.  The
         leaf table is resolved once per `va >> 21`; the error names the
         first page that has none and the level of its missing entry."""
-
-        def missing(va, level):
-            return IsolationError(
-                f"rule {rule.rule_id}: {va:#x} not pre-mapped (level {level} non-present)"
-            )
-
-        read = self.dram.read_qword
-        prefix = table = None
-        for va in range(rule.va_start, rule.va_end, PAGE_SIZE):
-            if va >> 21 != prefix:
-                prefix, table = va >> 21, self.spaces[rule.asid].pgd_base
-                for level, index in enumerate((va >> 30, prefix & 0x1FF)):
-                    raw = read(table + index * 8)
-                    if not raw & addressing.PTE_PRESENT:
-                        raise missing(va, level)
-                    table = decode_pte(raw)[1] << PAGE_SHIFT
-            if not read(table + ((va >> PAGE_SHIFT) & 0x1FF) * 8) & addressing.PTE_PRESENT:
-                raise missing(va, 2)
+        pgd_base, read = self.spaces[rule.asid].pgd_base, self.dram.read_qword
+        prefix = None
+        try:
+            for va in range(rule.va_start, rule.va_end, PAGE_SIZE):
+                if va >> 21 != prefix:
+                    prefix = va >> 21
+                    table = addressing.table_base(pgd_base, (va >> 30, prefix & 0x1FF), self.dram)
+                leaf = table + ((va >> PAGE_SHIFT) & 0x1FF) * 8
+                if not read(leaf) & addressing.PTE_PRESENT:
+                    raise addressing.TranslationFault(2, leaf)
+        except addressing.TranslationFault as fault:
+            raise IsolationError(
+                f"rule {rule.rule_id}: {va:#x} not pre-mapped (level {fault.level} non-present)"
+            ) from None
 
     def _check_strict(self, rules):
         """Strict activation: every rule is pre-mapped, and every mapped
@@ -632,10 +614,10 @@ class LightV:
     def _check_isolated(self, rule: RewriteRule, i0: int, starts, ends):
         """Every mapped page under level-0 slot `i0` must lie in one of the
         sorted, disjoint ranges [starts[k], ends[k]).  Each table under the
-        slot is read once, and only its present entries are visited.
-        `_check_premapped` has passed for a rule under the slot, so its
-        level-1 table exists."""
-        pud = self._real_table_base(rule.asid, (i0,))
+        slot is read once, and only its present entries are visited.  The
+        slot's level-1 table comes from `addressing.table_base`; it exists,
+        as `_check_premapped` has passed for a rule under the slot."""
+        pud = addressing.table_base(self.spaces[rule.asid].pgd_base, (i0,), self.dram)
         read = self.dram.read_bytes
         for i1, raw in _present_entries(read(pud, PAGE_SIZE)):
             pmd = decode_pte(raw)[1] << PAGE_SHIFT

@@ -74,7 +74,8 @@ class Dram:
 
     Line-granular reads/writes model fabric traffic and are counted;
     the qword/byte accessors are the uncounted direct port used for
-    table construction, oracles, and debug readback.
+    table construction, oracles, and debug readback (a qword's address
+    must be 8-byte aligned, so it lies in one line).
 
     `_frames` maps a frame number to its stored lines' addresses, each added
     when its line is created (no line is ever deleted).  A whole-frame
@@ -132,6 +133,8 @@ class Dram:
     def read_qword(self, addr: int) -> int:
         if not (self.base <= addr and addr + 8 <= self.base + self.size):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
+        if addr & 7:
+            raise ValueError(f"qword address not 8-byte aligned: {addr:#x}")
         line = self._lines.get(addr & ~_LINE_MASK)
         if line is None:
             return 0
@@ -141,6 +144,8 @@ class Dram:
     def write_qword(self, addr: int, value: int):
         if not (self.base <= addr and addr + 8 <= self.base + self.size):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
+        if addr & 7:
+            raise ValueError(f"qword address not 8-byte aligned: {addr:#x}")
         line_addr = addr & ~_LINE_MASK
         if line_addr in self.walk_memo.lines:
             self.walk_memo.forget()

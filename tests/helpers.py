@@ -36,9 +36,9 @@ def dram_clone(dram):
 
 
 @contextmanager
-def machines_built():
-    """Within the block, collect every Machine the scenarios build, in
-    order of construction."""
+def machines_built(module=scenarios):
+    """Within the block, collect every Machine that `module` (the scenarios
+    by default) builds, in order of construction."""
     built = []
 
     def build(config):
@@ -46,7 +46,7 @@ def machines_built():
         return built[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "Machine", build)
+        patch.setattr(module, "Machine", build)
         yield built
 
 

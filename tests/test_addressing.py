@@ -15,6 +15,7 @@ from lightv_sim.addressing import (
     parse_mappings,
     reference_walk,
     split_va,
+    table_base,
 )
 from lightv_sim.machine import AllocatorExhausted, Dram, FrameAllocator
 
@@ -292,6 +293,42 @@ def test_reference_walk_matches_brute_force():
             except TranslationFault as fault:
                 got = ("fault", fault.level)
             assert got == expected, f"va={va:#x}"
+
+
+def test_table_base_matches_brute_force_with_a_hole_at_every_level():
+    """`table_base` over the first one, two and three indices of a walk
+    against the oracle's walk: the base the oracle reads next (or its PA
+    less the offset), or its fault's level and the entry it read last."""
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(10):
+        dram, alloc = _fresh_memory()
+        slots = rng.sample(range(512), 4)
+        pages = [(rng.choice(slots) << 18) | (rng.randrange(4) << 9) | rng.randrange(512)
+                 for _ in range(rng.randint(5, 40))]
+        space = build_tables({(p << 12, rng.randrange(1 << 20), 0) for p in pages}, dram, alloc)
+        for _ in range(300):
+            indices = list(brute_split(rng.choice(pages) << 12)[:3])
+            hole = rng.randrange(4)  # the level to move off the mapped page; 3 keeps it
+            if hole < 3:
+                indices[hole] = rng.randrange(512)
+            reads = []
+            va = ((indices[0] * 512 + indices[1]) * 512 + indices[2]) * 4096
+            outcome = brute_walk(space.pgd_base, va, lambda a: reads.append(a) or dram.read_qword(a))
+            for n in (1, 2, 3):
+                if outcome[0] == "fault" and outcome[1] < n:
+                    expected = ("fault", outcome[1], reads[-1])
+                elif n < 3:
+                    expected = ("base", reads[n] - indices[n] * 8)
+                else:
+                    expected = ("base", outcome[1])
+                try:
+                    got = ("base", table_base(space.pgd_base, indices[:n], dram))
+                except TranslationFault as fault:
+                    got = ("fault", fault.level, fault.pte_address)
+                assert got == expected, (hex(va), n)
+                seen.add(got[:2] if got[0] == "fault" else "base")
+    assert seen == {("fault", 0), ("fault", 1), ("fault", 2), "base"}
 
 
 def test_attr_flags_roundtrip():

@@ -18,6 +18,9 @@ from lightv_sim.machine import Machine, MachineConfig, format_access, iter_trace
 from lightv_sim.mmu import Mmu
 from lightv_sim.scenarios import _layout_histogram, gen_histogram_trace, histogram_workload
 
+from helpers import machines_built
+from oracles import cycle_law_gap
+
 
 CSV_HEADER = (
     "scenario,mode,seed,scale,total_cycles,data_hits,data_misses,walk_reads,"
@@ -747,6 +750,13 @@ def test_cli_output_does_not_depend_on_the_hash_seed():
 def test_verify_passes_on_correct_build(capsys):
     assert run_cli("verify", "--configs", "4", "--vas", "60") == 0
     assert "failed 0" in capsys.readouterr().out
+
+
+def test_verify_machines_obey_the_cycle_law(capsys):
+    with machines_built(cli) as machines:
+        assert run_cli("verify", "--configs", "6", "--vas", "200", "--seed", "3") == 0
+    assert [m.config.mode for m in machines] == ["absent", "passive"] * 3
+    assert [cycle_law_gap(m) for m in machines] == [0] * 6
 
 
 def test_verify_zero_sweep_is_vacuous(capsys):

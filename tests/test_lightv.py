@@ -485,7 +485,7 @@ def agent_state(m):
         repr(agent.watch),
         repr(agent._ctx_by_key),
         dict(agent._rules_by_slot),
-        (list(agent._free_ids), agent._next_id),
+        list(agent._free_ids),
         dict(agent.captures),
         dict(agent._mirror),
     )
@@ -945,6 +945,24 @@ def test_watch_set_grows_during_walk():
     m.lightv.handle_snoop(wm1)
     ctx2 = m.lightv._ctx_by_key[(0, (8, 0))]
     assert ctx2.original_table_addr is not None
+
+
+def test_a_context_without_a_real_table_is_seeded_none_and_served_blank():
+    # slot 9 has a level-1 table but no entry at index1 0; slot 10 has none
+    m = active_machine([(8 << 30, 0x90000), ((9 << 30) | (5 << 21), 0x90001)])
+    rules = [RewriteRule(1, 0, 9 << 30, (9 << 30) + 4096, 0xA0000),
+             RewriteRule(2, 0, 10 << 30, (10 << 30) + 4096, 0xA0001)]
+    m.activate_rules(rules, strict=False)
+    bases = {k[1]: c.original_table_addr for k, c in m.lightv._ctx_by_key.items()}
+    assert bases[(9,)] is not None
+    assert [bases[p] for p in ((9, 0), (10,), (10, 0))] == [None, None, None]
+    reads = m.dram.reads
+    for prefix in ((9, 0), (10,), (10, 0)):
+        ctx = m.lightv._ctx_by_key[0, prefix]
+        wm_frame = m.lightv.window.encode(ctx.level, ctx.context_id) << 12
+        payload, _ = m.lightv.handle_snoop(wm_frame)
+        assert payload == bytes(64), prefix
+    assert m.dram.reads == reads  # a blank chunk reads no DRAM line
 
 
 def test_rule_file_parsing():

@@ -286,6 +286,23 @@ def test_dram_write_line_rejects_a_short_payload():
     assert (dram._lines, dram.writes) == (lines, writes)
 
 
+def test_dram_qword_ports_reject_an_address_off_the_qword_grid():
+    """A qword lies in one line: an unaligned address, one that would
+    cross a line among them, is refused before any state moves."""
+    base = 0x8000_0000
+    dram = Dram(base, 1 << 20)
+    dram.write_qword(base + 56, 0x1122_3344_5566_7788)
+    before = {a: bytes(line) for a, line in dram._lines.items()}, dict(dram._frames)
+    for addr in (base + 60, base + 4, base + 0x1FFC):
+        with pytest.raises(ValueError, match=f"^qword address not 8-byte aligned: {addr:#x}$"):
+            dram.write_qword(addr, 0x1122_3344_5566_7788)
+        with pytest.raises(ValueError, match=f"^qword address not 8-byte aligned: {addr:#x}$"):
+            dram.read_qword(addr)
+    assert ({a: bytes(line) for a, line in dram._lines.items()}, dict(dram._frames)) == before
+    assert len(dram.read_line(base)) == 64
+    assert dram.read_qword(base + 56) == 0x1122_3344_5566_7788
+
+
 def test_dram_byte_ops_cross_lines():
     dram = Dram(0x8000_0000, 1 << 20)
     data = bytes(range(200))
