@@ -45,6 +45,8 @@ import math
 import os
 import random
 import sys
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from . import addressing, machine, scenarios
 from .addressing import TranslationFault
@@ -209,10 +211,20 @@ def cmd_run(args) -> int:
 
 
 def _exporting(trace, f):
-    """Pass the accesses of `trace` through, writing each to `f` as it goes."""
-    for access in trace:
-        f.write(machine.format_access(access))
-        yield access
+    """Pass the accesses of `trace` through, writing them to `f` as they
+    are read, `scenarios.CHUNK` at a time: a chunk's lines are one `%` of
+    its accesses' joined `machine.LINE_TEMPLATES` over their fields, and
+    one `f.write`, so no Python code runs per access."""
+    accesses = iter(trace)
+    op, templates = itemgetter(1), machine.LINE_TEMPLATES
+
+    def write_chunk(chunk):
+        template = "".join(map(templates.get, map(op, chunk), repeat(machine.READ_TEMPLATE)))
+        f.write(template % tuple(chain.from_iterable(chunk)))
+        return chunk
+
+    chunks = iter(lambda: list(islice(accesses, scenarios.CHUNK)), [])
+    return chain.from_iterable(map(write_chunk, chunks))
 
 
 def _open_records(path):

@@ -18,7 +18,11 @@ walk transaction (`walk_read`) returns the line holding one descriptor for
 the walker to decode, through `Cache.probe` and, when it allocates
 (`cache_ptes`), `Cache.fill`; a non-allocating one returns the ACK payload
 or the DRAM line itself and never builds a line.  Each counts its hit or
-miss only once it has the line.
+miss only once it has the line: a walk read adds to `walk_reads`, and to
+`walk_hits` on a hit, and `Counters.walk_misses` is derived from the two,
+never counted.  Both fills, the data transaction's and an allocating walk
+read's, drop the walk memo (`mmu.WalkMemo`) when they install a line a
+stored walk read; nothing else fills the PE cache.
 
 Cycle model: transactions count events and charge no cycles; only
 `Counters.total_cycles` prices them, at the flat costs of LatencyConfig:
@@ -81,18 +85,25 @@ class LatencyConfig:
 class Counters:
     """Event counters shared by the fabric and the MMU.  `total_cycles`, the
     one place cycles are priced, is the cycle model over them (see the
-    module docstring); `serve_cycles`, summed over ACKs, is not reported."""
+    module docstring); `serve_cycles`, summed over ACKs, is not reported.
+    Seven event counts are stored; `walk_misses` is derived, as
+    `walk_reads - walk_hits`, since a walk read counts one or the other."""
 
+    # Report order.
     EVENTS = (
         "data_hits", "data_misses", "walk_reads", "walk_hits", "walk_misses",
         "snoops_issued", "snoops_acked", "writebacks",
     )
 
     def __init__(self, latencies: LatencyConfig):
-        for name in self.EVENTS:
-            setattr(self, name, 0)
+        self.data_hits = self.data_misses = self.walk_reads = self.walk_hits = 0
+        self.snoops_issued = self.snoops_acked = self.writebacks = 0
         self.serve_cycles = 0
         self._lat = latencies
+
+    @property
+    def walk_misses(self) -> int:
+        return self.walk_reads - self.walk_hits
 
     @property
     def total_cycles(self) -> int:
@@ -169,6 +180,8 @@ class CoherentInterconnect:
         self.dram = dram
         self.counters = counters
         self.cache = cache
+        # A fill of any line in `lines` drops the walk memo (see mmu.py).
+        self._walk_memo = dram.walk_memo
         self.agents = []
         # Called as hook(line_addr, payload) after each dirty writeback.
         self.writeback_hook = None
@@ -233,6 +246,8 @@ class CoherentInterconnect:
             payload, state = self._fetch(line_addr, not write)
             self.counters.data_misses += 1
             if line is None:
+                if line_addr in self._walk_memo.lines:
+                    self._walk_memo.forget()
                 if len(ways) < cache.ways:
                     line = ways[line_addr] = CacheLine(line_addr, state, None)
                 else:
@@ -280,15 +295,16 @@ class CoherentInterconnect:
         line = self.cache.probe(line_addr)
         if line is not None:
             c.walk_hits += 1
-            payload = line.payload
-        else:
-            payload, state = self._fetch(line_addr, True)
-            c.walk_misses += 1
-            if allocate:
-                evicted = self.cache.fill(line_addr, bytearray(payload), state)
-                if evicted is not None and evicted.state is _MODIFIED:
-                    self._writeback(evicted)
+            c.walk_reads += 1
+            return line.payload
+        payload, state = self._fetch(line_addr, True)
         c.walk_reads += 1
+        if allocate:
+            if line_addr in self._walk_memo.lines:
+                self._walk_memo.forget()
+            evicted = self.cache.fill(line_addr, bytearray(payload), state)
+            if evicted is not None and evicted.state is _MODIFIED:
+                self._writeback(evicted)
         return payload
 
     def invalidate_line(self, *line_addrs: int):

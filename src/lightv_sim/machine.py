@@ -72,7 +72,8 @@ class AllocatorExhausted(RuntimeError):
 class Dram:
     """Sparse 64-byte-line store; unwritten bytes read as zero.
 
-    Line-granular reads/writes model fabric traffic and are counted;
+    Line-granular reads/writes model fabric and DMA traffic and are
+    counted, a `dma_copy`'s reads in `dma_reads` as well as in `reads`;
     the qword/byte accessors are the uncounted direct port used for
     table construction, oracles, and debug readback (a qword's address
     must be 8-byte aligned, so it lies in one line).
@@ -93,12 +94,16 @@ class Dram:
             raise ValueError("DRAM aperture exceeds the physical address width")
         self.base = base
         self.size = size
+        # The aperture's last line: one compare bounds a line port's address.
+        self._last_line = base + size - LINE_BYTES
         self._lines = {}
         self._frames = defaultdict(list)
         self.reads = 0
         self.writes = 0
+        # The share of `reads` that `dma_copy` made; nothing prices them.
+        self.dma_reads = 0
         # The walks `Mmu.translate` replays; writing a line one of them
-        # read drops them all.
+        # read, or the fabric filling it into the PE cache, drops them all.
         self.walk_memo = WalkMemo()
         # While a walk is recorded, the list each line read is appended to.
         self.read_log = None
@@ -111,7 +116,7 @@ class Dram:
         """The stored line itself, not a copy (a shared zero line when
         unwritten): callers must not mutate it, and one that keeps or
         edits the content copies it."""
-        if not (self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size):
+        if not self.base <= line_addr <= self._last_line:
             raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         self.reads += 1
         if self.read_log is not None:
@@ -119,7 +124,7 @@ class Dram:
         return self._lines.get(line_addr, _ZERO_LINE)
 
     def write_line(self, line_addr: int, payload):
-        if not (self.base <= line_addr and line_addr + LINE_BYTES <= self.base + self.size):
+        if not self.base <= line_addr <= self._last_line:
             raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         if len(payload) != LINE_BYTES:
             raise ValueError("line payload must be 64 bytes")
@@ -129,6 +134,15 @@ class Dram:
         if line_addr not in self._lines:
             self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
         self._lines[line_addr] = bytearray(payload)
+
+    def dma_copy(self, dst: int, src: int, n: int):
+        """Copy the `n` lines from `src` to the `n` from `dst`, as a DMA
+        engine does: through `read_line` and `write_line`, each read also
+        counted in `dma_reads`."""
+        for off in range(0, n * LINE_BYTES, LINE_BYTES):
+            line = self.read_line(src + off)
+            self.dma_reads += 1
+            self.write_line(dst + off, line)
 
     def read_qword(self, addr: int) -> int:
         if not (self.base <= addr and addr + 8 <= self.base + self.size):
@@ -468,12 +482,17 @@ def iter_trace(lines):
     return addressing.read_records(lines, "asid op va [data]", TraceError, _trace_access)
 
 
+# An access's trace line, as a `%` template over its four fields (asid, op,
+# va, value) keyed by op, `%.0s` taking a field and printing nothing; any op
+# but "W" is written as a read.  A writer of many accesses can join their
+# templates and format all their fields with one `%`.
+LINE_TEMPLATES = {"W": "%#x W%.0s %#x %#x\n"}
+READ_TEMPLATE = "%#x R%.0s %#x%.0s\n"
+
+
 def format_access(access) -> str:
     """One trace line, newline included, in the format `iter_trace` reads."""
-    asid, op, va, value = access
-    if op == "W":
-        return f"{asid:#x} W {va:#x} {value:#x}\n"
-    return f"{asid:#x} R {va:#x}\n"
+    return LINE_TEMPLATES.get(access[1], READ_TEMPLATE) % tuple(access)
 
 
 class Machine:
@@ -689,7 +708,8 @@ class Machine:
                     ways = sets[(pa >> line_shift) & set_mask]
                     line = ways.get(line_addr)
                     # Only the fabric fills the cache, so on a hit its
-                    # `started` flag is already set.
+                    # `started` flag is already set.  The walk memo relies
+                    # on this too: the fabric's fills are what drop it.
                     if line is not None and not (write and line.state is shared):
                         if not stale:
                             tlb_touch(key)

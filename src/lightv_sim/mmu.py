@@ -15,26 +15,30 @@ TLB is filled either way.  The memo is keyed by (asid, leaf line), the leaf
 line being page >> 3: the eight pages whose leaf entries share one 64-byte
 line read the same three lines, with the same snoops, DRAM reads and LightV
 serves, and differ only in the entry they decode from the last line.  A
-stored walk holds its three fabric line addresses, its simulated effects
-(`walk_reads` and `walk_misses` (3 each), `snoops_issued`, `snoops_acked`,
-the serve cycles of its ACKs, DRAM line reads and LightV's
+stored walk holds its simulated effects (`walk_reads` (3), `snoops_issued`,
+`snoops_acked`, the serve cycles of its ACKs, DRAM line reads and LightV's
 `lines_manipulated`) and the eight descriptors of the leaf line as served,
 as integers.  A replay adds those effects and decodes the frame and
-attributes of the page's descriptor without a fabric transaction; a page
-whose descriptor is not present walks for real, faults and stores nothing.
-The memo is exact where it acts:
+attributes of the page's descriptor without a fabric transaction and with
+no check; a page whose descriptor is not present walks for real, faults and
+stores nothing.  The memo is exact because it is dropped whole on every
+event that changes a stored walk's inputs, as a hardware MMU cache is:
   * only a non-allocating walk (`cache_ptes` off) on a fabric with just the
     agents it had when the machine was built (none, or its own LightV) is
     stored (a foreign agent's answers cannot be known), and only one that
     completed with no walk hit, no context loss and no capture serve; a
     fault or a FabricGap stores nothing;
-  * a replay needs its three fabric lines still absent from the PE cache
-    (three set lookups, no LRU move), so any fill, whoever made it, makes
-    the walk run for real;
-  * `Dram` holds the memo (`WalkMemo`) with every line a stored walk read
-    (the fabric's lines and the real lines LightV built a served chunk
-    from); a DRAM write to one of them, a LightV rule change (`activate`, `deactivate`)
-    and a new capture window (`begin_page_capture`) drop the whole memo.
+  * `Dram` holds the memo (`WalkMemo`) with every line a stored walk read:
+    its three fabric lines and the real lines LightV built a served chunk
+    from.  These drop the whole memo:
+      - a DRAM write to one of those lines;
+      - a fill of one of them into the PE cache (the fabric's data fill or
+        allocating walk fill).  A stored walk had no walk hit and filled
+        nothing, so its fabric lines were absent when it was stored, and
+        only the fabric fills the PE cache: while the memo holds a walk,
+        its lines are still absent, as the real walk needs them to be;
+      - a LightV rule change (`activate`, `deactivate`);
+      - a new capture window (`begin_page_capture`).
     Releasing or closing a window only uncaptures lines, and no stored walk
     read a captured line, so neither needs to;
   * it holds at most `WALK_MEMO_LINES` leaf lines and is dropped whole when
@@ -68,8 +72,9 @@ class WalkMemo:
 
     `walks` maps (asid, leaf line) to (entries, path): `entries` are the
     leaf line's eight descriptors as served, and `path` is the walk's
-    three fabric lines and its effects (see `Mmu._effects`).  `lines` holds
-    every line a stored walk read.  `forget` empties both in place.
+    effects (see `Mmu._effects`).  `lines` holds every line a stored walk
+    read, its fabric lines and its DRAM lines; a DRAM write or a PE-cache
+    fill of one of them drops the memo.  `forget` empties both in place.
     """
 
     __slots__ = ("walks", "lines")
@@ -131,7 +136,6 @@ class Mmu:
         self._counters, self._dram = cci.counters, cci.dram
         self._memo = cci.dram.walk_memo
         self._walks = self._memo.walks
-        self._sets, self._set_mask = cci.cache._sets, cci.cache._set_mask
         self.tlb = tlb
         self.spaces = spaces
         self.cache_ptes = cache_ptes
@@ -160,19 +164,12 @@ class Mmu:
             return pa
         stored = self._walks.get((asid, page >> _LEAF_SHIFT))
         if stored is not None:
-            entries, (l0, l1, l2, serve, snoops, acks, reads, served) = stored
+            entries, (serve, snoops, acks, reads, served) = stored
             raw = entries[page & _LEAF_SLOT]
-            sets, set_mask = self._sets, self._set_mask
-            if (
-                raw & PTE_PRESENT
-                and l0 not in sets[(l0 >> LINE_SHIFT) & set_mask]
-                and l1 not in sets[(l1 >> LINE_SHIFT) & set_mask]
-                and l2 not in sets[(l2 >> LINE_SHIFT) & set_mask]
-            ):
+            if raw & PTE_PRESENT:
                 c = self._counters
                 c.serve_cycles += serve
                 c.walk_reads += 3
-                c.walk_misses += 3
                 c.snoops_issued += snoops
                 c.snoops_acked += acks
                 self._dram.reads += reads
@@ -219,15 +216,16 @@ class Mmu:
             dram.read_log = None
         if record:
             after = self._effects()
-            # No walk hit, context loss or capture serve: the walk read
-            # nothing but the lines the memo now watches.
+            # No walk hit, context loss or capture serve: the walk's fabric
+            # lines are absent from the PE cache, and it read nothing but
+            # the lines the memo now watches.
             if after[5:] == before[5:]:
                 memo = self._memo
                 if len(memo.walks) >= WALK_MEMO_LINES:
                     memo.forget()
-                path = (*lines, *(now - then for then, now in zip(before[:5], after[:5])))
+                path = tuple(now - then for then, now in zip(before[:5], after[:5]))
                 memo.walks[asid, va >> PAGE_SHIFT >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
-                memo.lines.update(read)
+                memo.lines.update(lines, read)
         return base >> PAGE_SHIFT, raw & ATTR_MASK
 
     def _effects(self):

@@ -551,8 +551,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     for kind, arg, value in events:
         if kind == "dma":
             chunk = line_offs[arg : arg + chunk_lines]
-            for off in chunk:
-                m.dram.write_line(dst_base + off, m.dram.read_line(src_base + off))
+            m.dram.dma_copy(dst_base + chunk[0], src_base + chunk[0], len(chunk))
             m.lightv.release_captured([dst_base + off for off in chunk])
         elif kind == "R":
             check_read(arg)

@@ -14,9 +14,6 @@ from lightv_sim.scenarios import CODE_BASE_VA, CODE_PAGES, CODE_PERIOD, HOT_PAGE
 PAGE = 4096
 TABLE_ENTRIES = 512
 ADDR_FIELD_MASK = 0xFF_FFFF_F000  # descriptor bits [39:12]
-# `run_migration`'s DMA copy reads each of its page's 64-byte lines once,
-# through `Dram.read_line`; nothing prices those reads.
-MIGRATION_DMA_READS = PAGE // 64
 
 
 def brute_split(va):
@@ -61,23 +58,24 @@ def apply_rule_by_edit(dram, space, rule):
         dram.write_qword(leaf_addr, new_pfn * PAGE + attrs + 1)
 
 
-def cycle_law_gap(m, dma_reads=0):
+def cycle_law_gap(m):
     """How far a machine's reported cycle total lies from the conservation
     law of the cycle model, over its lifetime counters; 0 when it holds.
 
     Every cache hit costs `cache_hit`, every miss `cci`, every DRAM line
     the PE side read `dram`, and every ACK `snoop + lightv`.  DRAM is
-    priced by the lines DRAM served, less `dma_reads` (reads a DMA engine
-    made, which nothing prices), and an ACK by the agent's latency: never
-    by the serve cycles the fabric sums.  So a serve that under-reports
-    its DRAM reads, or a walk replay that skips them, breaks the law.
+    priced by the lines DRAM served, less `Dram.dma_reads` (reads a DMA
+    engine made, which nothing prices), and an ACK by the agent's latency:
+    never by the serve cycles the fabric sums.  So a serve that
+    under-reports its DRAM reads, or a walk replay that skips them, breaks
+    the law.
     Holds only on a machine whose one agent, if any, is its own LightV.
     """
     lat, c = m.config.latencies, m.counters
     law = (
         lat.cache_hit * (c.data_hits + c.walk_hits)
         + lat.cci * (c.data_misses + c.walk_misses)
-        + lat.dram * (m.dram.reads - dma_reads)
+        + lat.dram * (m.dram.reads - m.dram.dma_reads)
         + (lat.snoop + lat.lightv) * c.snoops_acked
     )
     return c.total_cycles - law

@@ -750,6 +750,40 @@ def test_walk_memo_never_passes_its_bound():
     assert m.counters.walk_reads == 3 * len(pages)
 
 
+def test_a_fill_of_a_served_walk_line_drops_the_memo():
+    """Asid 1 maps a data page onto the level-2 watermark frame of RULE_VA's
+    context.  Reading it after a walk of RULE_VA was stored makes LightV's
+    ACK fill the PE cache with the watermark line that walk read, which no
+    DRAM read logs; the walk of the other page of that leaf line must then
+    hit that line, as it does on a twin whose memo is emptied."""
+    data_va = 12 << 30
+    machines = []
+    for _ in range(2):
+        m = Machine(MachineConfig(mode="active", tlb_entries=0))
+        m.register_space(0, [(RULE_VA, m.allocator.alloc(), RW), (RULE_VA + 4096, m.allocator.alloc(), RW)])
+        m.activate_rules([RewriteRule(1, 0, RULE_VA, RULE_VA + 2 * 4096, m.allocator.alloc_run(2).start)])
+        ctx = m.lightv._ctx_by_key[0, (RULE_VA >> 30, 0)]
+        leaf_frame = m.lightv.window.encode(2, ctx.context_id)
+        m.register_space(1, [(data_va, leaf_frame, RW)])
+        machines.append(m)
+    memo, twin = machines
+    outcomes = []
+    for m in machines:
+        m.mmu.translate(0, RULE_VA)
+        if m is memo:
+            assert memo.dram.walk_memo.walks
+        twin.dram.walk_memo.forget()
+        m.mmu.access(1, data_va)  # the leaf line of RULE_VA and its neighbour
+        assert m.cache.lookup(leaf_frame << PAGE_SHIFT) is not None
+        twin.dram.walk_memo.forget()
+        hits = m.counters.walk_hits
+        outcomes.append(m.mmu.translate(0, RULE_VA + 4096 + 5))
+        assert m.counters.walk_hits == hits + 1
+    assert outcomes[0] == outcomes[1]
+    assert memo.tally() == twin.tally()
+    assert cycle_law_gap(memo) == cycle_law_gap(twin) == 0
+
+
 def leaf_runs_machine(mode, runs=4, holes=()):
     """A machine on a 4x2 cache and a 2-entry TLB mapping `runs` runs of 8
     pages, each run aligned on one leaf line, but for the pages in `holes`;

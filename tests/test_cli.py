@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -386,6 +387,26 @@ def test_export_generates_the_trace_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert produced == want
     assert trace_path.read_text() == "".join(map(format_access, want))
+
+
+def test_export_writes_each_access_as_format_access_does(tmp_path):
+    # Two full chunks and a short third; writes of 0, of a byte and of a
+    # wider value (both writers format any int), and asids past 0.
+    rng = random.Random(4)
+    trace = [
+        (rng.choice([0, 1, 0xFFFF_FFFF]), "W", rng.randrange(1 << 39), rng.choice([0, 0x5A, 0x1FF]))
+        if rng.random() < 0.4 else (rng.randrange(3), "R", rng.randrange(1 << 39), None)
+        for _ in range(2 * scenarios.CHUNK + 3)
+    ]
+    path = tmp_path / "t.trace"
+    with open(path, "w") as f:
+        passed = list(cli._exporting(iter(trace), f))
+    assert passed == trace
+    want = "".join(
+        f"{asid:#x} {op} {va:#x}" + (f" {value:#x}" if op == "W" else "") + "\n"
+        for asid, op, va, value in trace
+    )
+    assert path.read_text() == want == "".join(map(format_access, trace))
 
 
 def test_histogram_memory_stays_flat_as_the_image_grows(capsys):

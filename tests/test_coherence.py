@@ -297,6 +297,12 @@ def test_a_refill_reuses_the_victim_record_after_its_writeback(fabric):
 def test_fabric_gap_outside_aperture(fabric):
     with pytest.raises(FabricGap):
         fabric.cci.read_byte(0x2_0000_0000)
+    # a walk read counts its hit or miss only once it has its line
+    for allocate in (False, True):
+        with pytest.raises(FabricGap):
+            fabric.cci.walk_read(0x2_0000_0000, allocate)
+    c = fabric.counters
+    assert (c.walk_reads, c.walk_hits, c.walk_misses, c.data_misses) == (0, 0, 0, 0)
 
 
 def test_reads_match_flat_shadow():

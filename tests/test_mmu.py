@@ -98,6 +98,13 @@ def test_caching_walker_hits_on_rewalk():
     m.mmu.translate(0, 8 << 30)
     assert m.counters.walk_misses == misses
     assert m.counters.walk_hits == hits + 3
+    # `walk_misses` is derived: every walk read is one hit or one miss
+    snapshot = m.counters.snapshot()
+    assert list(snapshot) == [
+        "data_hits", "data_misses", "walk_reads", "walk_hits", "walk_misses",
+        "snoops_issued", "snoops_acked", "writebacks", "total_cycles",
+    ]
+    assert snapshot["walk_misses"] == snapshot["walk_reads"] - snapshot["walk_hits"] == 3
 
 
 def test_unmapped_va_truncates_trace():
