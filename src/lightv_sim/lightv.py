@@ -1,29 +1,33 @@
 """Coherent agent that rewrites translations by answering walk snoops.
 
 The module sits on the snoop fabric and claims ownership of cache lines
-that belong to table-walk paths it wants to redirect.  For a watched
-level-0 line it serves the real DRAM content with the targeted entry's
-frame number swapped for a watermark: a fabricated frame number inside a
-reserved window that no memory backs.  When the walker then asks for the
-next-level line inside that window, the watermark itself identifies the
-walk (level plus a context-cache key), so the module can synthesize the
-next chunk -- another watermark for intermediate levels, or the final
-redirected leaf entry.  Entries it is not targeting are passed through
-byte-for-byte, so neighbouring translations are unaffected.
+that belong to table-walk paths it wants to redirect: the watched level-0
+table lines, and the lines of a reserved window of watermarks, fabricated
+frame numbers that no memory backs.  A watermark identifies a walk (level
+plus a context-cache key), so the walker's next-level read, inside the
+window, tells the module which chunk to build.
+
+One builder, `LightV.manipulate_line`, serves every chunk, by one rule.
+A chunk starts from the real line at level 0 and from a blank line at
+levels 1 and 2, and only its targeted entries change: the watched slots
+of a level-0 line, or the entries of a watermark chunk whose span a rule
+meets.  A targeted entry that is not present is mirrored.  A present one
+is rewritten: at levels 0 and 1 to the child context's watermark, which
+also refreshes the child's table base, and at level 2 to the rule's
+replacement frame with its attribute overrides.  So neighbouring
+translations that share a level-0 line are unaffected.
 
 Watermarking keeps redirection correct even when previously served PTE
 lines linger in the PE cache: a cached watermark still routes the next
 miss back here, so partial visibility of the walk is harmless.
 
 Every serve reads the live real line it is built from (one DRAM line
-read per serve) and builds its payload from those bytes, so leaf
-attributes are merged fresh and a non-present real entry is mirrored as
-non-present: an unpopulated mapping faults just as it would have --
-except that the faulting descriptor address the OS then sees lies in the
-watermark window, which is precisely the demand-paging hazard the
-scenarios reproduce.  The agent keeps no served payloads; replaying an
-unchanged walk without asking it again is the walker's job
-(`mmu.WalkMemo`).
+read per serve), so leaf attributes are merged fresh, and a mirrored
+unpopulated mapping faults just as it would have -- except that the
+faulting descriptor address the OS then sees lies in the watermark
+window, which is precisely the demand-paging hazard the scenarios
+reproduce.  The agent keeps no served payloads; replaying an unchanged
+walk without asking it again is the walker's job (`mmu.WalkMemo`).
 """
 
 import heapq
@@ -142,9 +146,6 @@ class RewriteRule:
     def replacement_run(self) -> range:
         """The replacement frame numbers, one per page of the range."""
         return range(self.replacement_base_pfn, self.replacement_base_pfn + self.page_count)
-
-    def covers(self, va: int) -> bool:
-        return self.va_start <= va < self.va_end
 
     def replacement_pfn_for(self, va: int) -> int:
         return self.replacement_base_pfn + ((va - self.va_start) >> PAGE_SHIFT)
@@ -268,8 +269,11 @@ class LightV:
     def deactivate(self, rule_id: int):
         """Remove a rule; future walks of its range see the true tables.
         While another rule still watches one of its level-0 slots, its
-        pages under that slot fault instead: a watermark chunk leaves an
-        entry that no rule covers non-present.
+        pages under that slot fault instead: `manipulate_line` starts a
+        watermark chunk from a blank line, so an entry that no rule meets
+        stays non-present.  Starting it from the real line instead would
+        pass such entries through; refusing the deactivation would keep
+        them covered.
 
         Returns (tlb_ranges, lines) to invalidate, as `activate` does: the
         watched lines that lost a slot, the watermark chunks that held an
@@ -344,80 +348,55 @@ class LightV:
         """Build the served content of one 64-byte chunk on a watched path.
 
         `match` is what `path_check` returned: the slot list of a watched
-        table line (level 0) or a TranslationContext (level 1 or 2).  This
-        is the one place that reads the real content a chunk is built
-        from: the watched line itself at level 0, the matching line of the
-        live table the context shadows at levels 1 and 2 (a context with no
-        real table yields a blank chunk without a read).  Only whole 8-byte
-        entries on targeted paths change; every other byte of the real line
-        is preserved.  The payload is built afresh on every serve; its one
-        side effect (a child context's table base) follows from the real
-        bytes, so serving an unchanged line again gives an equal payload
-        and leaves the agent as it was.
+        table line (level 0) or a TranslationContext (level 1 or 2).  The
+        chunk starts from the real line at level 0 and from a blank line at
+        levels 1 and 2, and only its targeted entries change: the watched
+        slots of a level-0 line, or the entries of a watermark chunk whose
+        span a rule meets (`_rule_meeting`).  A targeted entry that is not
+        present is mirrored.  A present one is rewritten: at levels 0 and 1
+        to the child context's watermark, which also refreshes the child's
+        table base, and at level 2 to the rule's replacement frame with its
+        attribute overrides.
+
+        This is the one place that reads the real line a chunk is built
+        from: at levels 1 and 2, the matching line of the real table the
+        context stands in for (with none, the chunk is blank without a
+        read).  Its one side effect follows from the real bytes, so serving
+        an unchanged line again gives an equal payload and leaves the agent
+        as it was.
         """
-        if not isinstance(match, TranslationContext):
-            return self._rewrite_watched_line(self.dram.read_line(line_addr), match)
-        if match.original_table_addr is None:
-            return bytes(LINE_BYTES)  # no real table behind the path: all blank
-        real = self.dram.read_line(match.original_table_addr + (line_addr & _FRAME_OFF_MASK))
-        return self._synthesize_wm_chunk(line_addr, match, real)
-
-    def _rewrite_watched_line(self, real, slots) -> bytes:
-        """Every watched slot has a live level-1 context."""
-        buf = bytearray(real)
-        for asid, i0, pgd_base in slots:
-            off = (pgd_base + i0 * 8) & _LINE_MASK
-            raw = int.from_bytes(buf[off : off + 8], "little")
-            present, pfn, attrs = decode_pte(raw)
-            if not present:
-                continue  # unpopulated slot: mirrored untouched
-            ctx = self._ctx_by_key[asid, (i0,)]
-            ctx.original_table_addr = pfn << PAGE_SHIFT
-            marked = encode_pte(True, self.window.encode(1, ctx.context_id), attrs)
-            buf[off : off + 8] = marked.to_bytes(8, "little")
-        return bytes(buf)
-
-    def _synthesize_wm_chunk(self, line_addr: int, ctx: TranslationContext, real) -> bytes:
-        """A rule that meets a level-1 entry put its (i0, i1) context in place."""
-        buf = bytearray(LINE_BYTES)
-        asid = ctx.asid
-        i0 = ctx.prefix[0]
-        # The chunk's 8 entries map 8 consecutive spans of `span` bytes.
-        span = 1 << (21 if ctx.level == 1 else PAGE_SHIFT)
-        first_index = (line_addr & _FRAME_OFF_MASK) >> 3
-        if ctx.level == 1:
-            chunk_lo = (i0 << 30) | (first_index << 21)
+        if isinstance(match, TranslationContext):
+            asid, prefix, table = match.asid, match.prefix, match.original_table_addr
+            if table is None:
+                return bytes(LINE_BYTES)  # no real table behind the path: all blank
+            real = self.dram.read_line(table + (line_addr & _FRAME_OFF_MASK))
+            buf = bytearray(LINE_BYTES)
+            table_lo, shift = self._table_span(prefix)
+            first = (line_addr & _FRAME_OFF_MASK) >> 3
+            targets = []
+            for index in range(first, first + 8):
+                lo = table_lo | index << shift
+                rule = self._rule_meeting(asid, lo, lo + (1 << shift))
+                if rule is not None:
+                    targets.append((asid, index, lo, rule))
         else:
-            chunk_lo = (i0 << 30) | (ctx.prefix[1] << 21) | (first_index << PAGE_SHIFT)
-        chunk_hi = chunk_lo + 8 * span
-        rules = [
-            r
-            for r in self._rules_by_slot.get((asid, i0), ())
-            if r.va_start < chunk_hi and chunk_lo < r.va_end
-        ]
-        for slot in range(8 if rules else 0):
-            lo = chunk_lo + slot * span
-            rule = None
-            for r in rules:
-                if r.va_start < lo + span and lo < r.va_end:
-                    rule = r
-                    break
-            if rule is None:
-                continue
-            off = slot * 8
+            real = self.dram.read_line(line_addr)
+            buf, prefix = bytearray(real), ()
+            targets = [(asid, i0, None, None) for asid, i0, _ in match]
+        for asid, index, lo, rule in targets:
+            off = index * addressing.PTE_BYTES & _LINE_MASK
             present, pfn, attrs = decode_pte(int.from_bytes(real[off : off + 8], "little"))
             if not present:
                 buf[off : off + 8] = real[off : off + 8]
                 continue
-            if ctx.level == 1:
-                child = self._ctx_by_key[asid, (i0, first_index + slot)]
+            if len(prefix) < 2:
+                child = self._ctx_by_key[asid, prefix + (index,)]
                 child.original_table_addr = pfn << PAGE_SHIFT
-                entry = encode_pte(True, self.window.encode(2, child.context_id), attrs)
+                pfn = self.window.encode(len(prefix) + 1, child.context_id)
             else:
-                if rule.attr_overrides is not None:
-                    attrs |= rule.attr_overrides
-                entry = encode_pte(True, rule.replacement_pfn_for(lo), attrs)
-            buf[off : off + 8] = entry.to_bytes(8, "little")
+                pfn = rule.replacement_pfn_for(lo)
+                attrs |= rule.attr_overrides or 0
+            buf[off : off + 8] = encode_pte(True, pfn, attrs).to_bytes(8, "little")
         return bytes(buf)
 
     # -- migration data capture ------------------------------------------------
@@ -482,7 +461,7 @@ class LightV:
             real = addressing.reference_walk(space, va, self.dram)
         except addressing.TranslationFault:
             return None
-        rule = self._rule_for(asid, va)
+        rule = self._rule_meeting(asid, va, va + 1)
         if rule is None:
             return real
         return (rule.replacement_pfn_for(va) << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
@@ -505,11 +484,20 @@ class LightV:
                 slot_rules.append(rule)
         return changed
 
-    def _rule_for(self, asid: int, va: int):
-        for rule in self._rules_by_slot.get((asid, va >> 30), ()):
-            if rule.covers(va):
+    def _rule_meeting(self, asid: int, lo: int, hi: int):
+        """The first listed rule of `asid` whose range meets the VA span
+        [lo, hi), a span under one level-0 slot; or None."""
+        for rule in self._rules_by_slot.get((asid, lo >> 30), ()):
+            if rule.va_start < hi and lo < rule.va_end:
                 return rule
         return None
+
+    @staticmethod
+    def _table_span(prefix: tuple):
+        """The first VA that the table at the end of walk path `prefix`
+        maps, and the log2 of the span one of its entries maps."""
+        first_va = sum(i << (30 - 9 * level) for level, i in enumerate(prefix))
+        return first_va, 30 - 9 * len(prefix)
 
     @staticmethod
     def _index0_span(rule: RewriteRule):
@@ -544,8 +532,7 @@ class LightV:
                 ctx = self._ctx_by_key.get((asid, prefix))
                 if ctx is None:
                     continue
-                shift = 21 if ctx.level == 1 else PAGE_SHIFT  # one entry's span
-                table_lo = (prefix[0] << 30) | (prefix[1] << 21 if ctx.level == 2 else 0)
+                table_lo, shift = self._table_span(prefix)
                 lo = max(rule.va_start, table_lo)
                 hi = min(rule.va_end, table_lo + (addressing.ENTRIES_PER_TABLE << shift))
                 frame = self.window.encode(ctx.level, ctx.context_id) << PAGE_SHIFT

@@ -1,12 +1,11 @@
-"""Translation engine: TLB, hardware table walker, and load/store front-end.
+"""Translation engine: TLB and hardware table walker.
 
 The walker issues one walk transaction (`walk_read`) per table level for
 the 64-byte line holding the descriptor, which is what makes walks visible
 to snooping agents, and decodes each descriptor's present bit, frame and
 attributes from the line it returns.  Whether those lines are allowed to
 allocate into the PE cache, which the fabric holds, is a configuration
-switch (`cache_ptes`); a data access (`Mmu.access`) is `translate`, then the
-fabric's data transaction.
+switch (`cache_ptes`).
 
 A TLB miss is resolved in `Mmu.translate`: a walk whose inputs have not
 changed is replayed there from a memo, and any other walk runs in
@@ -125,7 +124,7 @@ class Tlb:
 
 
 class Mmu:
-    """Per-cluster MMU driving walks and data accesses through the fabric."""
+    """Per-cluster MMU driving walks through the fabric."""
 
     def __init__(self, cci, tlb: Tlb, spaces: dict, lightv, cache_ptes: bool, debug_tlb_check: bool):
         self.cci = cci
@@ -238,10 +237,3 @@ class Mmu:
             c.serve_cycles, c.snoops_issued, c.snoops_acked, self._dram.reads,
             lightv.lines_manipulated, c.walk_hits, lightv.context_lost, lightv.data_captures,
         )
-
-    def access(self, asid: int, va: int, write: bool = False, value=None):
-        """One data access: returns the byte read, or stores `value`;
-        `translate`, then the fabric's data transaction."""
-        if write:
-            value &= 0xFF  # a missing value fails here, before any state moves
-        return self.cci.access(self.translate(asid, va), write, value)

@@ -520,15 +520,15 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     m.dram.write_bytes(src_base, init)
     shadow = bytearray(init)
     before = m.tally()
-    access = m.mmu.access
+    translate, access = m.mmu.translate, m.cci.access
     reads = []  # per checked read: did it return the latest write?
 
     def check_read(off):
-        reads.append(access(0, va + off) == shadow[off])
+        reads.append(access(translate(0, va + off), False) == shadow[off])
 
     for _ in range(4):
         check_read(rng.randrange(PAGE_SIZE))
-    translated_to_source_before = m.mmu.translate(0, va) >> PAGE_SHIFT == src
+    translated_to_source_before = translate(0, va) >> PAGE_SHIFT == src
 
     # open the window: flush source-tagged lines, redirect, capture
     m.invalidate_page_lines(src_base)
@@ -556,7 +556,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
         elif kind == "R":
             check_read(arg)
         else:
-            access(0, va + arg, True, value)
+            access(translate(0, va + arg), True, value)
             shadow[arg] = value
     m.lightv.end_page_capture()
 
@@ -564,7 +564,7 @@ def run_migration(plan: MigrationPlan, config: MachineConfig) -> Report:
     m.dram.write_bytes(src_base, b"\xee" * PAGE_SIZE)
     for _ in range(plan.post_ops):
         check_read(rng.randrange(PAGE_SIZE))
-    to_destination = m.mmu.translate(0, va) >> PAGE_SHIFT == dst
+    to_destination = translate(0, va) >> PAGE_SHIFT == dst
 
     source_clean = not any(map(m.cache.lookup, range(src_base, src_base + PAGE_SIZE, LINE_BYTES)))
     m.flush_cache()

@@ -9,6 +9,12 @@ from lightv_sim.coherence import Cache, CoherentInterconnect, Counters, LatencyC
 from lightv_sim.machine import Dram, Machine, MachineConfig
 
 
+def data_access(m, asid, va, write=False, value=None):
+    """One data access on machine `m`: `translate`, then the fabric's data
+    transaction; returns the byte read, or None after a write."""
+    return m.cci.access(m.mmu.translate(asid, va), write, value)
+
+
 def cache_drop(cache, line_addr):
     """Remove a line without any writeback; returns it if present."""
     return cache._set_for(line_addr).pop(line_addr, None)

@@ -58,6 +58,81 @@ def apply_rule_by_edit(dram, space, rule):
         dram.write_qword(leaf_addr, new_pfn * PAGE + attrs + 1)
 
 
+WM_CONTEXTS = 4096  # watermark frames per level: frame = window base + level * 4096 + id
+
+
+def served_chunk(agent, dram, line_addr):
+    """The payload LightV must serve for the line at `line_addr`, or None
+    for a line it must not claim, built entry by entry from `agent.rules`
+    and DRAM's qword port.  Of the agent's state it reads only each
+    context's id and table base.
+
+    An entry's span is the VA range it maps; a rule meets an entry when
+    its range meets that span.  A level-0 table line holding an entry that
+    a rule meets is the real line, with each such entry that is present
+    made a watermark of its level-1 context.  A watermark line of a live
+    context is blank but for the entries a rule meets: a non-present one
+    is copied from the context's real table, a present one becomes a
+    watermark of its level-2 context (level 1) or the replacement frame
+    of the first rule that meets it, with the real attributes and the
+    rule's overrides (level 2).  A context with no real table serves a
+    blank line.
+    """
+    contexts = {key: (ctx.context_id, ctx.original_table_addr)
+                for key, ctx in agent._ctx_by_key.items()}
+    by_id = {cid: (key, table) for key, (cid, table) in contexts.items()}
+    frame, offset = divmod(line_addr, PAGE)
+    first = offset // 8
+
+    def meeting(asid, digits):
+        """The first rule of `asid` that meets the entry at walk path `digits`."""
+        number = 0
+        for digit in digits:
+            number = number * TABLE_ENTRIES + digit
+        size = PAGE * TABLE_ENTRIES ** (3 - len(digits))
+        lo = number * size
+        for rule in agent.rules.values():
+            if rule.asid == asid and rule.va_start < lo + size and lo < rule.va_end:
+                return rule, lo
+        return None, lo
+
+    def watermark(raw, asid, path):
+        """`raw` with its output address made the watermark of context `path`."""
+        wm_frame = agent.window.base_pfn + len(path) * WM_CONTEXTS + contexts[asid, path][0]
+        return wm_frame * PAGE + (raw & 0xE) + 1
+
+    owners = [s.asid for s in agent.spaces.values() if s.pgd_base == frame * PAGE]
+    if owners:
+        asid, entries, claimed = owners[0], [], False
+        for k in range(8):
+            raw = dram.read_qword(line_addr + k * 8)
+            rule, _ = meeting(asid, (first + k,))
+            claimed = claimed or rule is not None
+            entries.append(watermark(raw, asid, (first + k,)) if rule and raw % 2 else raw)
+        return b"".join(e.to_bytes(8, "little") for e in entries) if claimed else None
+    level, cid = divmod(frame - agent.window.base_pfn, WM_CONTEXTS)
+    if not (0 <= frame - agent.window.base_pfn < 4 * WM_CONTEXTS and cid in by_id):
+        return None
+    (asid, path), table = by_id[cid]
+    if len(path) != level:
+        return None
+    if table is None:
+        return bytes(64)
+    entries = []
+    for k in range(8):
+        raw = dram.read_qword(table + offset + k * 8)
+        rule, lo = meeting(asid, path + (first + k,))
+        if rule is None:
+            raw = 0
+        elif raw % 2 and level == 1:
+            raw = watermark(raw, asid, path + (first + k,))
+        elif raw % 2:
+            attrs = (raw & 0xE) | (rule.attr_overrides or 0)
+            raw = rule.replacement_base_pfn * PAGE + (lo - rule.va_start) + attrs + 1
+        entries.append(raw)
+    return b"".join(e.to_bytes(8, "little") for e in entries)
+
+
 def cycle_law_gap(m):
     """How far a machine's reported cycle total lies from the conservation
     law of the cycle model, over its lifetime counters; 0 when it holds.

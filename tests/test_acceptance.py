@@ -19,7 +19,7 @@ from lightv_sim.coherence import CacheState
 from lightv_sim.lightv import CONTEXT_CAPACITY, RewriteRule, WatermarkWindow
 from lightv_sim.machine import Machine, MachineConfig, compare_runs
 
-from helpers import cache_lines, dram_clone, machines_built
+from helpers import cache_lines, data_access, dram_clone, machines_built
 from oracles import apply_rule_by_edit, brute_walk, cycle_law_gap
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -205,10 +205,10 @@ def test_criterion_5_coherence_invariant_suite():
             roll = rng.random()
             if roll < 0.4:
                 value = rng.randrange(256)
-                m.mmu.access(0, va, True, value)
+                data_access(m, 0, va, True, value)
                 shadow[va] = value
             elif roll < 0.97:
-                assert m.mmu.access(0, va) == shadow.get(va, 0), f"va {va:#x}"
+                assert data_access(m, 0, va) == shadow.get(va, 0), f"va {va:#x}"
             elif roll < 0.99:
                 pa = m.mmu.translate(0, va)
                 m.cci.invalidate_line(pa & ~63)

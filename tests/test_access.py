@@ -32,7 +32,7 @@ from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
 from lightv_sim.mmu import WALK_MEMO_LINES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
-from helpers import cache_snapshot
+from helpers import cache_snapshot, data_access
 from oracles import cycle_law_gap
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
@@ -128,12 +128,12 @@ def run_layered(m, trace):
 
 
 def run_access(m, trace, after=None):
-    """`Mmu.access` one access at a time; `after()`, if given, runs after
+    """`data_access` one access at a time; `after()`, if given, runs after
     each access, faulting or not."""
     values, faults = [], []
     for index, (asid, op, va, value) in enumerate(trace):
         try:
-            got = m.mmu.access(asid, va, op == "W", value)
+            got = data_access(m, asid, va, op == "W", value)
         except TranslationFault as fault:
             faults.append((index, fault.level, fault.pte_address))
         else:
@@ -246,7 +246,7 @@ def test_out_of_range_va_is_rejected():
     m = build(4, False, False)
     for va in (-1, 1 << 39):
         with pytest.raises(ValueError, match="out of range"):
-            m.mmu.access(0, va)
+            data_access(m, 0, va)
         with pytest.raises(ValueError, match="out of range"):
             m.run_trace([(0, "R", va, None)])
 
@@ -257,22 +257,20 @@ def test_write_without_value_fails_before_any_state_moves():
     before = simulated_state(m)
     with pytest.raises(TypeError):
         m.run_trace([(0, "W", PLAIN_VAS[0], None)])
-    with pytest.raises(TypeError):
-        m.mmu.access(0, PLAIN_VAS[1], True, None)
     assert simulated_state(m) == before
 
 
 def test_debug_tlb_check_guards_the_hit_path():
     m = build(4, False, True)
-    m.mmu.access(0, PLAIN_VAS[0])
-    m.mmu.access(0, PLAIN_VAS[0])  # a clean TLB and cache hit raises nothing
+    data_access(m, 0, PLAIN_VAS[0])
+    data_access(m, 0, PLAIN_VAS[0])  # a clean TLB and cache hit raises nothing
     # Poison the cached frame with another page's, whose line is cached, so
     # that the stale entry gives a TLB hit and a cache hit.
-    m.mmu.access(0, PLAIN_VAS[1])
+    data_access(m, 0, PLAIN_VAS[1])
     other = m.mmu.translate(0, PLAIN_VAS[1]) >> 12
     m.tlb.insert(0, PLAIN_VAS[0] >> 12, other, 0)
     with pytest.raises(AssertionError, match="stale TLB entry"):
-        m.mmu.access(0, PLAIN_VAS[0])
+        data_access(m, 0, PLAIN_VAS[0])
     with pytest.raises(AssertionError, match="stale TLB entry"):
         m.run_trace([(0, "R", PLAIN_VAS[0], None)])
 
@@ -315,7 +313,7 @@ def test_a_repeated_line_in_another_asid_is_not_served_from_the_first():
     trace = [(0, "W", va, 1), (1, "W", va, 2), (0, "R", va, None), (1, "W", va, 3),
              (1, "R", va, None), (0, "R", va, None)]
     m, _ = replay_vs_layered(make, trace)
-    assert (m.mmu.access(0, va), m.mmu.access(1, va)) == (1, 3)
+    assert (data_access(m, 0, va), data_access(m, 1, va)) == (1, 3)
 
 
 @pytest.mark.parametrize("middle", ["evict", "fault"])
@@ -341,7 +339,7 @@ def test_the_repeat_memo_resets_after_a_full_path_access(middle):
     assert (stats.data_hits, stats.data_misses, len(stats.faults)) == (
         (2, 4, 0) if middle == "evict" else (3, 2, 1)
     )
-    assert m.mmu.access(0, x) == 8
+    assert data_access(m, 0, x) == 8
 
 
 @pytest.mark.parametrize("tlb_entries, debug_tlb_check", [(0, False), (4, True), (4, False)])
@@ -394,7 +392,7 @@ def two_line_trace(rng, x, y, n=300):
 def lockstep(fused, stepped, trace, rng, longest=40):
     """Run `trace` on `fused` by `run_trace` in chunks of random length, so
     that chunks end with and without a TLB touch owed, and on `stepped` one
-    `Mmu.access` at a time; after each chunk the TLB and cache LRU orders
+    `data_access` at a time; after each chunk the TLB and cache LRU orders
     must agree.  Returns the fused run's faults."""
     faults, start = [], 0
     while start < len(trace):
@@ -664,7 +662,7 @@ def apply_memo_op(m, op, translate_reads=False):
         if kind == "access":
             if extra is None and translate_reads:
                 return m.mmu.translate(0, arg)
-            return m.mmu.access(0, arg, extra is not None, extra)
+            return data_access(m, 0, arg, extra is not None, extra)
         if kind == "flip":  # the present bit of one level's descriptor
             addr = descriptor(m, (PLAIN_VAS + [RULE_VA])[arg], extra)
             m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
@@ -679,7 +677,7 @@ def apply_memo_op(m, op, translate_reads=False):
             m.dram.write_bytes(addr, (m.dram.read_qword(addr) ^ PTE_PRESENT).to_bytes(8, "little"))
         elif kind == "poke":  # one leaf entry's present bit, through the PE cache
             va = TABLE_VA + arg * 8
-            m.mmu.access(1, va, True, m.mmu.access(1, va) ^ PTE_PRESENT)
+            data_access(m, 1, va, True, data_access(m, 1, va) ^ PTE_PRESENT)
             if extra == 0:  # and written back at once
                 m.invalidate_page_lines(m.tables[0])
         elif kind == "rule":
@@ -744,7 +742,7 @@ def test_walk_memo_never_passes_its_bound():
     m.register_space(0, [(va, 0x9_0000 + k, RW) for k, va in enumerate(pages)])
     sizes = set()
     for va in pages:
-        m.mmu.access(0, va)
+        data_access(m, 0, va)
         sizes.add(len(m.dram.walk_memo.walks))
     assert max(sizes) == WALK_MEMO_LINES and len(m.dram.walk_memo.walks) == 100
     assert m.counters.walk_reads == 3 * len(pages)
@@ -773,7 +771,7 @@ def test_a_fill_of_a_served_walk_line_drops_the_memo():
         if m is memo:
             assert memo.dram.walk_memo.walks
         twin.dram.walk_memo.forget()
-        m.mmu.access(1, data_va)  # the leaf line of RULE_VA and its neighbour
+        data_access(m, 1, data_va)  # the leaf line of RULE_VA and its neighbour
         assert m.cache.lookup(leaf_frame << PAGE_SHIFT) is not None
         twin.dram.walk_memo.forget()
         hits = m.counters.walk_hits
@@ -782,6 +780,34 @@ def test_a_fill_of_a_served_walk_line_drops_the_memo():
     assert outcomes[0] == outcomes[1]
     assert memo.tally() == twin.tally()
     assert cycle_law_gap(memo) == cycle_law_gap(twin) == 0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["absent", "passive", "active"])
+def test_an_allocating_walk_fill_of_a_walked_line_drops_the_memo(mode, level):
+    """`cache_ptes` is fixed for a machine's life, so `Mmu` never both
+    stores walks and allocates; only a direct allocating `walk_read` fills
+    a line of a stored walk.  The walk of a sibling page must then hit
+    that line, as it does on a twin whose memo is emptied.  In active mode
+    the walk's level-0 line is a served one."""
+    (memo, pages), (twin, _) = leaf_runs_machine(mode), leaf_runs_machine(mode)
+    walked, sibling = pages[8], pages[11]  # one leaf line, outside every rule
+    for m in (memo, twin):
+        m.mmu.translate(0, walked)
+    assert memo.dram.walk_memo.walks
+    line = descriptor(memo, walked, level) & ~63
+    outcomes = []
+    for m in (memo, twin):
+        twin.dram.walk_memo.forget()
+        m.cci.walk_read(line, allocate=True)
+        assert m.cache.lookup(line) is not None
+        twin.dram.walk_memo.forget()
+        hits = m.counters.walk_hits
+        outcomes.append(m.mmu.translate(0, sibling))
+        assert m.counters.walk_hits == hits + 1
+    assert outcomes[0] == outcomes[1]
+    assert simulated_state(memo) == simulated_state(twin)
+    assert cache_lru(memo) == cache_lru(twin)
 
 
 def leaf_runs_machine(mode, runs=4, holes=()):
@@ -819,8 +845,8 @@ def test_a_leaf_line_walks_once_for_its_eight_pages(mode):
         va = rng.choice(pages) + rng.randrange(4096)
         value = rng.randrange(256) if rng.random() < 0.3 else None
         twin.dram.walk_memo.forget()
-        got = memo.mmu.access(0, va, value is not None, value)
-        assert got == twin.mmu.access(0, va, value is not None, value)
+        got = data_access(memo, 0, va, value is not None, value)
+        assert got == data_access(twin, 0, va, value is not None, value)
         assert simulated_state(memo) == simulated_state(twin)
         assert cache_lru(memo) == cache_lru(twin)
     # one real walk (three walk reads) per leaf line, each line walked
@@ -835,13 +861,13 @@ def test_a_missing_sibling_faults_like_a_walk(mode):
     (memo, pages), (twin, _) = (leaf_runs_machine(mode, holes={(1 << 30) + 5 * 4096}) for _ in "ab")
     hole = pages[5]
     for m in (memo, twin):
-        m.mmu.access(0, pages[0])
+        data_access(m, 0, pages[0])
     deltas, faults = [], []
     for m in (memo, twin):
         twin.dram.walk_memo.forget()
         before = m.tally()
         with pytest.raises(TranslationFault) as fault:
-            m.mmu.access(0, hole + 7)
+            data_access(m, 0, hole + 7)
         after = m.tally()
         deltas.append({k: after[k] - before[k] for k in after})
         faults.append((fault.value.level, fault.value.pte_address))
@@ -857,8 +883,8 @@ def test_a_leaf_entry_write_reaches_its_sibling(edit):
     (memo, pages), (twin, _) = leaf_runs_machine("absent"), leaf_runs_machine("absent")
     sibling = pages[3]
     for m in (memo, twin):
-        m.mmu.access(0, pages[0])
-        m.mmu.access(0, sibling, True, 0x5A)
+        data_access(m, 0, pages[0])
+        data_access(m, 0, sibling, True, 0x5A)
         m.flush_cache()
     entry = descriptor(memo, sibling, 2)
     assert memo.dram.walk_memo.walks and entry == descriptor(twin, sibling, 2)
@@ -870,7 +896,7 @@ def test_a_leaf_entry_write_reaches_its_sibling(edit):
         m.dram.write_qword(entry, new)
         m.tlb.invalidate_range(0, sibling, sibling + 4096)
         try:
-            results.append(m.mmu.access(0, sibling))
+            results.append(data_access(m, 0, sibling))
         except TranslationFault as fault:
             results.append((fault.level, fault.pte_address))
     assert results[0] == results[1] == ((2, entry) if edit == "present" else 0)

@@ -5,6 +5,7 @@ import pytest
 from lightv_sim import lightv as lv
 from lightv_sim.addressing import (
     ATTR_CACHEABLE,
+    ATTR_USER,
     ATTR_WRITABLE,
     PTE_PRESENT,
     MappingError,
@@ -16,14 +17,19 @@ from lightv_sim.lightv import (
     IsolationError,
     RewriteRule,
     RuleError,
-    TranslationContext,
     WatermarkWindow,
     parse_rules,
 )
 from lightv_sim.machine import AllocatorExhausted
 
 from helpers import make_machine
-from oracles import activation_error, capture_error, present_entries_by_entry, rule_lookups
+from oracles import (
+    activation_error,
+    capture_error,
+    present_entries_by_entry,
+    rule_lookups,
+    served_chunk,
+)
 
 RW = ATTR_WRITABLE | ATTR_CACHEABLE
 WINDOW = WatermarkWindow(0x20_0000)
@@ -472,7 +478,7 @@ def test_failed_activation_leaves_no_trace():
         m.activate_rules(big, strict=False)
     assert m.lightv.rules == {} and m.lightv.watch == {}
     assert m.lightv._ctx_by_id == {} and m.lightv._ctx_by_key == {}
-    assert m.lightv._rule_for(0, 0) is None
+    assert m.lightv._rules_by_slot == {}
     m.activate_rules([RewriteRule(9, 0, 11 << 30, (11 << 30) + 4096, 0xA0000)])
     assert m.mmu.translate(0, 11 << 30) == 0xA0000 << 12
 
@@ -1086,7 +1092,7 @@ def test_a_repeated_serve_keeps_the_payload_the_read_and_the_cost():
 def check_repeated_serves(agent, dram, vas):
     """Serve every watched line, then every line of a live context that a
     walk of one of `vas` reads, level by level as a walk does: each serve
-    must equal a build from the live real bytes, and serving the line again
+    must equal the oracle's `served_chunk`, and serving the line again
     must give an equal payload and change no context.  Returns how many
     lines were checked."""
     lines = list(agent.watch)
@@ -1101,14 +1107,7 @@ def check_repeated_serves(agent, dram, vas):
     for line in lines:
         match = agent.path_check(line)
         payload = agent.manipulate_line(match, line)
-        if not isinstance(match, TranslationContext):
-            fresh = agent._rewrite_watched_line(dram.read_line(line), match)
-        elif match.original_table_addr is None:
-            fresh = bytes(64)
-        else:
-            real = dram.read_line(match.original_table_addr + (line & 0xFFF))
-            fresh = agent._synthesize_wm_chunk(line, match, real)
-        assert payload == fresh, hex(line)
+        assert payload == served_chunk(agent, dram, line), hex(line)
         bases = {k: c.original_table_addr for k, c in agent._ctx_by_key.items()}
         assert agent.manipulate_line(agent.path_check(line), line) == payload, hex(line)
         assert {k: c.original_table_addr for k, c in agent._ctx_by_key.items()} == bases
@@ -1155,7 +1154,8 @@ def random_interleaving(seed, steps, capture=False):
     def check_walks(step, n):
         for _ in range(n):
             va = rng.choice(vas) + rng.randrange(4096)
-            if agent._rule_for(0, va) is None and (0, va >> 30) in agent._rules_by_slot:
+            ruled = any(r.va_start <= va < r.va_end for r in agent.rules.values())
+            if not ruled and (0, va >> 30) in agent._rules_by_slot:
                 continue  # an unruled neighbour of a rule: the isolation hazard
             expected = agent.expected_pa(0, va)
             try:
@@ -1236,6 +1236,87 @@ def test_capture_windows_under_random_interleavings():
     m, checked = random_interleaving(11, 300, capture=True)
     assert m.lightv.data_captures > 50
     assert checked > 1600
+
+
+# Slots 8, 9 and 12 share one level-0 line, 70 and 71 another; slots 12
+# and 71, and level-1 entry 2 of every slot, hold no table.
+SERVED_PAGES = [(i0 << 30 | i1 << 21 | i2 << 12) for i0 in (8, 9, 70) for i1 in (0, 1, 3)
+                for i2 in range(12)]
+SERVED_RULE_SPANS = [
+    (8 << 30, (8 << 30) + 3 * 4096),  # part of one level-1 entry
+    ((8 << 30) + 5 * 4096, (8 << 30) + 7 * 4096),
+    (8 << 30 | 1 << 21 | 10 << 12, 8 << 30 | 3 << 21 | 2 << 12),  # across a missing table
+    (9 << 30 | 3 << 21 | 4 << 12, 9 << 30 | 3 << 21 | 8 << 12),
+    (9 << 30, (9 << 30) + 12 * 4096),
+    (70 << 30 | 1 << 21, 70 << 30 | 2 << 21),  # one whole level-1 entry
+    (12 << 30, (12 << 30) + 2 * 4096),  # under a missing level-0 entry
+    (70 << 30 | 511 << 21 | 510 << 12, 71 << 30 | 2 << 12),  # across two level-0 slots
+]
+
+
+def check_served_chunks(m):
+    """Serve every watched line, then every line of every live context's
+    frame, level by level: each payload must equal the oracle's, and then
+    every context whose real path is present holds its real table."""
+    agent = m.lightv
+    lines = list(agent.watch)
+    for ctx in sorted(agent._ctx_by_id.values(), key=lambda c: c.level):
+        frame = agent.window.encode(ctx.level, ctx.context_id) << 12
+        lines += range(frame, frame + 4096, 64)
+    for line in lines:
+        payload = agent.manipulate_line(agent.path_check(line), line)
+        assert payload == served_chunk(agent, m.dram, line), hex(line)
+    for ctx in agent._ctx_by_id.values():
+        base = m.spaces[0].pgd_base
+        for index in ctx.prefix:
+            raw = m.dram.read_qword(base + index * 8)
+            if not raw & PTE_PRESENT:
+                break
+            base = decode_pte(raw)[1] << 12
+        else:
+            assert ctx.original_table_addr == base, ctx
+    return len(lines)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_served_chunks_match_the_oracle_on_random_active_machines(seed):
+    # Rules come and go and entries at every level lose and regain their
+    # present bit; after each step every chunk LightV can serve must be the
+    # oracle's.  Loose activation leaves unruled pages beside the rules.
+    rng = random.Random(seed)
+    m = active_machine([(va, 0x90000 + n) for n, va in enumerate(SERVED_PAGES)],
+                       cache_ptes=seed % 2 == 1, tlb_entries=4)
+    overrides = [None, ATTR_USER, ATTR_USER | ATTR_CACHEABLE]
+    rules = [
+        RewriteRule(n + 1, 0, lo, hi, 0xA0000 + n * 0x1000,
+                    ATTR_USER if n in (3, 4) else rng.choice(overrides))
+        for n, (lo, hi) in enumerate(SERVED_RULE_SPANS)
+    ]
+    vas = SERVED_PAGES + [r.va_start for r in rules]
+    checked = 0
+    for step in range(40):
+        op = rng.random()
+        if op < 0.4:
+            rule = rng.choice(rules)
+            if rule.rule_id in m.lightv.rules:
+                m.deactivate_rule(rule.rule_id)
+            else:
+                m.activate_rules([rule], strict=False)
+        elif op < 0.7:
+            va, level = rng.choice(vas), rng.choice((0, 1, 2))
+            addr = m.spaces[0].pgd_base + (va >> 30) * 8
+            for shift in (21, 12)[:level]:
+                addr = (decode_pte(m.dram.read_qword(addr))[1] << 12) + ((va >> shift) & 0x1FF) * 8
+            if m.dram.contains(addr, 8):
+                m.dram.write_qword(addr, m.dram.read_qword(addr) ^ PTE_PRESENT)
+        else:
+            for va in rng.sample(vas, 6):
+                try:
+                    m.mmu.translate(0, va)
+                except (TranslationFault, FabricGap):
+                    pass
+        checked += check_served_chunks(m)
+    assert m.lightv.rules and checked > 1000
 
 
 def test_deactivate_leaves_unchanged_cached_lines():

@@ -24,7 +24,7 @@ from lightv_sim.machine import (
     trace_digest,
 )
 
-from helpers import cache_snapshot, dram_clone, make_machine
+from helpers import cache_snapshot, data_access, dram_clone, make_machine
 from oracles import flush_by_line, invalidate_by_line
 
 RW = ATTR_WRITABLE
@@ -510,9 +510,9 @@ def test_cycle_additivity_against_manual_accumulation():
     for asid, op, va, data in ops:
         before = manual.counters.total_cycles
         if op == "W":
-            manual.mmu.access(asid, va, True, data)
+            data_access(manual, asid, va, True, data)
         else:
-            manual.mmu.access(asid, va)
+            data_access(manual, asid, va)
         total += manual.counters.total_cycles - before
     fresh = simple_machine()
     stats = fresh.run_trace(ops)
@@ -527,10 +527,10 @@ def test_conservation_against_flat_shadow():
         va = (PAGE_VA if rng.random() < 0.5 else 9 << 30) + rng.randrange(4096)
         if rng.random() < 0.4:
             value = rng.randrange(256)
-            m.mmu.access(0, va, True, value)
+            data_access(m, 0, va, True, value)
             shadow[va] = value
         else:
-            assert m.mmu.access(0, va) == shadow.get(va, 0)
+            assert data_access(m, 0, va) == shadow.get(va, 0)
 
 
 def test_compare_runs_relative_overhead():

@@ -11,7 +11,7 @@ from lightv_sim.addressing import (
 )
 from lightv_sim.mmu import Tlb
 
-from helpers import cache_snapshot, make_machine
+from helpers import cache_snapshot, data_access, make_machine
 
 RW = ATTR_WRITABLE
 
@@ -122,8 +122,8 @@ def test_unmapped_va_truncates_trace():
 
 def test_mem_write_then_read():
     m = mapped_machine()
-    m.mmu.access(0, (8 << 30) + 77, True, 0xC3)
-    assert m.mmu.access(0, (8 << 30) + 77) == 0xC3
+    data_access(m, 0, (8 << 30) + 77, True, 0xC3)
+    assert data_access(m, 0, (8 << 30) + 77) == 0xC3
 
 
 def test_tlb_invalidate_forces_rewalk():
