@@ -28,7 +28,7 @@ from .coherence import (
     LatencyConfig,
 )
 from .lightv import LightV, WatermarkWindow, WM_SPAN_FRAMES
-from .mmu import Mmu, Tlb, WalkMemo
+from .mmu import ASID_SHIFT, Mmu, Tlb, WalkMemo
 
 _LINE_MASK = LINE_BYTES - 1
 _PAGE_MASK = PAGE_SIZE - 1
@@ -109,8 +109,8 @@ class Dram:
         self.read_log = None
 
     def contains(self, addr: int, n: int = 1) -> bool:
-        """Whether the `n` bytes from `addr` all lie in the aperture."""
-        return self.base <= addr and addr + n <= self.base + self.size
+        """Whether the `n` bytes from `addr` all lie in the aperture (never for n < 0)."""
+        return self.base <= addr and 0 <= n and addr + n <= self.base + self.size
 
     def read_line(self, line_addr: int):
         """The stored line itself, not a copy (a shared zero line when
@@ -522,16 +522,18 @@ class Machine:
         """Build the page tables of a new address space from (va, pfn,
         attrs) mappings (see `addressing.build_tables`).
 
-        The tables take one frame for the level-0 table and one per
-        distinct level-0 and level-1 prefix, which the bump allocator hands
-        out as one run from `next_pfn`.  Before the first is taken, the
-        asid must be new, there may be at most `MAX_MAPPED_PAGES` mappings,
-        the run must fit in the aperture, no line of an open capture window
-        may lie in it, and every mapping must be valid (`build_tables`
-        checks them all first): a call that raises leaves the machine as it
-        found it.  The build reads one entry per table it links and writes
-        one per table and per mapping (each prefix is resolved once).
+        The tables take one frame for the level-0 table and one per distinct
+        level-0 and level-1 prefix, which the bump allocator hands out as one
+        run from `next_pfn`.  Before the first is taken, the asid must be a new
+        32-bit one, there may be at most `MAX_MAPPED_PAGES` mappings, the run
+        must fit in the aperture, no line of an open capture window may lie in
+        it, and every mapping must be valid (`build_tables` checks them all
+        first): a call that raises leaves the machine as it found it.  The
+        build reads one entry per table it links and writes one per table and
+        per mapping (each prefix is resolved once).
         """
+        if not 0 <= asid < 1 << 32:
+            raise addressing.MappingError(f"asid {asid:#x} outside 32 bits")
         if asid in self.spaces:
             raise addressing.MappingError(f"asid {asid} is already registered")
         mappings = list(mappings)
@@ -630,20 +632,20 @@ class Machine:
         `total_cycles`) of a one-access-at-a-time run.
 
         The loop remembers the last two lines it resolved inline, `last` and
-        the older `prev` (asid, virtual line and page, TLB key, frame base,
-        cache line and set), and serves an access to either with no lookup
-        (a write to a SHARED line excepted).  A hit on `last` touches
-        nothing.  A hit on `prev` swaps the two, moves the line to the end
-        of its set only if that is `last`'s set, and owes its TLB touch:
-        while `stale`, the TLB ends with `prev`'s key, not `last`'s.  The
-        debt is paid before a TLB hit on any page but `prev`'s, before each
-        `translate` call and at the end; a TLB hit on `prev`'s page needs
-        neither it nor a touch of its own.  An access to `prev`'s page on
-        another line reuses its TLB key and frame base, since only
-        `translate` changes the TLB.  The memo starts empty in each call,
-        is cleared before every `translate` call, which (with the data
-        transaction after it) may evict, invalidate or fault, and is never
-        set while `debug_tlb_check` is on.
+        the older `prev` (asid, virtual line and page, TLB key (`asid <<
+        ASID_SHIFT | page`), frame base, cache line and set), and serves an
+        access to either with no lookup (a write to a SHARED line excepted).  A
+        hit on `last` touches nothing.  A hit on `prev` swaps the two, moves
+        the line to the end of its set only if that is `last`'s set, and owes
+        its TLB touch: while `stale`, the TLB ends with `prev`'s key, not
+        `last`'s.  The debt is paid before a TLB hit on any page but `prev`'s,
+        before each `translate` call and at the end; a TLB hit on `prev`'s page
+        needs neither it nor a touch of its own.  An access to `prev`'s page on
+        another line reuses its TLB key and frame base, since only `translate`
+        changes the TLB; an out-of-range page is never probed.  The memo starts
+        empty in each call, is cleared before every `translate` call, which
+        (with the data transaction after it) may evict, invalidate or fault,
+        and is never set while `debug_tlb_check` is on.
         """
         counters = self.counters
         translate, access = self.mmu.translate, self.cci.access
@@ -653,7 +655,7 @@ class Machine:
         sets, set_mask = self.cache._sets, self.cache._set_mask
         record = self.config.fault_policy == FAULT_RECORD
         # Local names for the constants the loop reads on every access.
-        page_shift, page_mask = PAGE_SHIFT, _PAGE_MASK
+        page_shift, page_mask, asid_shift = PAGE_SHIFT, _PAGE_MASK, ASID_SHIFT
         line_shift, line_mask, line_base = LINE_SHIFT, _LINE_MASK, ~_LINE_MASK
         shared, modified = CacheState.SHARED, CacheState.MODIFIED
         last_asid = last_vline = last_page = last_key = last_base = last_line = last_ways = None
@@ -693,14 +695,14 @@ class Machine:
                     last_line, prev_line = prev_line, last_line
                     last_ways, prev_ways = prev_ways, last_ways
                     continue
-                # Only an in-range page is ever a TLB key, so an
-                # out-of-range va misses and `translate` rejects it.
+                # Only an in-range page is ever a TLB key: any other page
+                # (a negative one too) is not probed, and `translate` rejects it.
                 page = va >> page_shift
                 if page == prev_page and asid == prev_asid:
                     key, base = prev_key, prev_base
                 else:
-                    key = (asid, page)
-                    hit = tlb_get(key)
+                    key = asid << asid_shift | page
+                    hit = None if page >> asid_shift else tlb_get(key)
                     base = None if hit is None else hit[0] << page_shift
                 if base is not None:
                     pa = base | (va & page_mask)

@@ -9,9 +9,10 @@ switch (`cache_ptes`).
 
 A TLB miss is resolved in `Mmu.translate`: a walk whose inputs have not
 changed is replayed there from a memo, and any other walk runs in
-`hardware_walk`, which stores it in the memo when it may be replayed; the
-TLB is filled either way.  The memo is keyed by (asid, leaf line), the leaf
-line being page >> 3: the eight pages whose leaf entries share one 64-byte
+`hardware_walk`, which stores it in the memo when it may be replayed;
+`translate` then makes the one TLB fill.  The TLB keys a translation by
+`asid << ASID_SHIFT | page`, for an in-range page only, and the memo by its
+leaf line, key >> 3: the eight pages whose leaf entries share one 64-byte
 line read the same three lines, with the same snoops, DRAM reads and LightV
 serves, and differ only in the entry they decode from the last line.  A
 stored walk holds its simulated effects (`walk_reads` (3), `snoops_issued`,
@@ -57,6 +58,9 @@ from .coherence import LINE_SHIFT
 # 8.9 MB of 2^14 walks keyed by page, one per leaf line, at 540 B each.
 WALK_MEMO_LINES = 1 << 12
 
+# A translation's key is asid << ASID_SHIFT | page; key & PAGE_FIELD is the page.
+ASID_SHIFT = VA_BITS - PAGE_SHIFT
+PAGE_FIELD = (1 << ASID_SHIFT) - 1
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 # A line holds 8 entries: a page's leaf line is page >> 3, its slot page & 7.
 _LEAF_SHIFT, _LEAF_SLOT = 3, 7
@@ -69,11 +73,11 @@ _LINE_BASE = ~((1 << LINE_SHIFT) - 1)
 class WalkMemo:
     """The walks `Mmu.translate` replays and the DRAM lines they read.
 
-    `walks` maps (asid, leaf line) to (entries, path): `entries` are the
-    leaf line's eight descriptors as served, and `path` is the walk's
-    effects (see `Mmu._effects`).  `lines` holds every line a stored walk
-    read, its fabric lines and its DRAM lines; a DRAM write or a PE-cache
-    fill of one of them drops the memo.  `forget` empties both in place.
+    `walks` maps a leaf line's key (key >> 3) to (entries, path): `entries`
+    are the leaf line's eight descriptors as served, and `path` is the
+    walk's effects (see `Mmu._effects`).  `lines` holds every line a stored
+    walk read, its fabric lines and its DRAM lines; a DRAM write or a
+    PE-cache fill of one of them drops the memo.  `forget` empties both.
     """
 
     __slots__ = ("walks", "lines")
@@ -89,7 +93,7 @@ class WalkMemo:
 class Tlb:
     """Fully associative translation cache with LRU replacement.
 
-    Keyed by (asid, va_page); capacity 0 disables caching entirely.
+    Keyed by `asid << ASID_SHIFT | va_page`, filled by `Mmu.translate`; capacity 0 caches nothing.
     """
 
     def __init__(self, entries: int):
@@ -99,25 +103,16 @@ class Tlb:
         self._entries = OrderedDict()
 
     def lookup(self, asid: int, va_page: int):
-        hit = self._entries.get((asid, va_page))
+        hit = self._entries.get(key := asid << ASID_SHIFT | va_page)
         if hit is not None:
-            self._entries.move_to_end((asid, va_page))
+            self._entries.move_to_end(key)
         return hit
-
-    def insert(self, asid: int, va_page: int, pa_frame: int, attrs: int):
-        if self.capacity == 0:
-            return
-        key, entries = (asid, va_page), self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        elif len(entries) >= self.capacity:
-            entries.popitem(last=False)
-        entries[key] = (pa_frame, attrs)
 
     def invalidate_range(self, asid: int, va_start: int, va_end: int):
         lo, hi = va_start >> PAGE_SHIFT, (va_end - 1) >> PAGE_SHIFT
         doomed = [
-            key for key in self._entries if key[0] == asid and lo <= key[1] <= hi
+            key for key in self._entries
+            if key >> ASID_SHIFT == asid and lo <= key & PAGE_FIELD <= hi
         ]
         for key in doomed:
             del self._entries[key]
@@ -135,7 +130,7 @@ class Mmu:
         self._counters, self._dram = cci.counters, cci.dram
         self._memo = cci.dram.walk_memo
         self._walks = self._memo.walks
-        self.tlb = tlb
+        self.tlb, self._tlb_entries = tlb, tlb._entries
         self.spaces = spaces
         self.cache_ptes = cache_ptes
         # Debug cross-check: on every TLB hit, recompute the translation a
@@ -150,7 +145,7 @@ class Mmu:
     def translate(self, asid: int, va: int):
         """Resolve va to its physical address; a TLB miss replays a stored
         walk (see the module docstring) or walks, then fills the TLB."""
-        if va < 0 or va >> VA_BITS:
+        if va >> VA_BITS:
             raise ValueError(f"virtual address out of range: {va:#x}")
         page = va >> PAGE_SHIFT
         hit = self.tlb.lookup(asid, page)
@@ -161,38 +156,40 @@ class Mmu:
                     f"stale TLB entry for {va:#x}: cached {pa:#x}, fresh walk gives {expected:#x}"
                 )
             return pa
-        stored = self._walks.get((asid, page >> _LEAF_SHIFT))
-        if stored is not None:
-            entries, (serve, snoops, acks, reads, served) = stored
-            raw = entries[page & _LEAF_SLOT]
-            if raw & PTE_PRESENT:
-                c = self._counters
-                c.serve_cycles += serve
-                c.walk_reads += 3
-                c.snoops_issued += snoops
-                c.snoops_acked += acks
-                self._dram.reads += reads
-                if served:
-                    self.lightv.lines_manipulated += served
-                frame = raw & _FRAME_BITS
-                self.tlb.insert(asid, page, frame >> PAGE_SHIFT, raw & ATTR_MASK)
-                return frame | (va & _PAGE_MASK)
-        frame, attrs = self.hardware_walk(asid, va)
-        self.tlb.insert(asid, page, frame, attrs)
+        key = asid << ASID_SHIFT | page
+        stored = self._walks.get(key >> _LEAF_SHIFT)
+        if stored is not None and (raw := stored[0][page & _LEAF_SLOT]) & PTE_PRESENT:
+            serve, snoops, acks, reads, served = stored[1]
+            c = self._counters
+            c.serve_cycles += serve
+            c.walk_reads += 3
+            c.snoops_issued += snoops
+            c.snoops_acked += acks
+            self._dram.reads += reads
+            if served:
+                self.lightv.lines_manipulated += served
+            frame, attrs = (raw & _FRAME_BITS) >> PAGE_SHIFT, raw & ATTR_MASK
+        else:
+            frame, attrs = self.hardware_walk(asid, va)
+        capacity, entries = self.tlb.capacity, self._tlb_entries
+        if capacity:  # the probe missed and nothing since touched the TLB: a new key
+            if len(entries) >= capacity:
+                entries.popitem(False)
+            entries[key] = frame, attrs
         return (frame << PAGE_SHIFT) | (va & _PAGE_MASK)
 
     def hardware_walk(self, asid: int, va: int):
         """Walk the tables level by level via coherent reads, and store the
         walk in the memo when it may be replayed (see the module docstring).
 
-        Returns (leaf_pfn, leaf_attrs); raises TranslationFault naming the
-        first non-present level and its descriptor address.
+        Returns (leaf_pfn, leaf_attrs) of `va`, which `translate` checked;
+        raises TranslationFault naming the first non-present level and its
+        descriptor address.
         """
         space = self.spaces.get(asid)
         if space is None:
             raise ValueError(f"unknown address space {asid}")
-        cci = self.cci
-        dram, allocate = self._dram, self.cache_ptes
+        cci, dram, allocate = self.cci, self._dram, self.cache_ptes
         record = not allocate and cci.agents == self._own_agents
         if record:
             before = self._effects()
@@ -223,7 +220,8 @@ class Mmu:
                 if len(memo.walks) >= WALK_MEMO_LINES:
                     memo.forget()
                 path = tuple(now - then for then, now in zip(before[:5], after[:5]))
-                memo.walks[asid, va >> PAGE_SHIFT >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
+                key = asid << ASID_SHIFT | va >> PAGE_SHIFT
+                memo.walks[key >> _LEAF_SHIFT] = _LEAF_ENTRIES.unpack(line), path
                 memo.lines.update(lines, read)
         return base >> PAGE_SHIFT, raw & ATTR_MASK
 

@@ -29,7 +29,7 @@ from lightv_sim.addressing import (
 from lightv_sim.coherence import LINE_BYTES, CacheState, FabricGap
 from lightv_sim.lightv import RewriteRule, RuleError
 from lightv_sim.machine import FAULT_RECORD, Machine, MachineConfig
-from lightv_sim.mmu import WALK_MEMO_LINES
+from lightv_sim.mmu import ASID_SHIFT, PAGE_FIELD, WALK_MEMO_LINES
 from lightv_sim.scenarios import _layout_histogram, histogram_workload, iter_histogram_trace
 
 from helpers import cache_snapshot, data_access
@@ -176,7 +176,10 @@ def simulated_state(m):
         },
         "lines_manipulated": m.tally()["lines_manipulated"],
         "cache": cache_snapshot(m.cache),
-        "tlb": list(m.tlb._entries.items()),
+        # Each entry as (asid, page), its key decoded, in LRU order.
+        "tlb": [
+            ((key >> ASID_SHIFT, key & PAGE_FIELD), entry) for key, entry in m.tlb._entries.items()
+        ],
     }
 
 
@@ -239,7 +242,7 @@ def test_a_failing_access_keeps_the_hits_before_it():
     run_layered(ref, hits)
     assert simulated_state(m) == simulated_state(ref)
     assert cache_lru(m) == cache_lru(ref)
-    assert [key[1] for key in m.tlb._entries][-2:] == [y >> 12, x >> 12]
+    assert [key & PAGE_FIELD for key in m.tlb._entries][-2:] == [y >> 12, x >> 12]
 
 
 def test_out_of_range_va_is_rejected():
@@ -268,7 +271,7 @@ def test_debug_tlb_check_guards_the_hit_path():
     # that the stale entry gives a TLB hit and a cache hit.
     data_access(m, 0, PLAIN_VAS[1])
     other = m.mmu.translate(0, PLAIN_VAS[1]) >> 12
-    m.tlb.insert(0, PLAIN_VAS[0] >> 12, other, 0)
+    m.tlb._entries[0 << ASID_SHIFT | PLAIN_VAS[0] >> 12] = other, 0
     with pytest.raises(AssertionError, match="stale TLB entry"):
         data_access(m, 0, PLAIN_VAS[0])
     with pytest.raises(AssertionError, match="stale TLB entry"):
@@ -873,7 +876,7 @@ def test_a_missing_sibling_faults_like_a_walk(mode):
         faults.append((fault.value.level, fault.value.pte_address))
     assert deltas[0] == deltas[1] and deltas[0]["walk_reads"] == 3
     assert faults[0] == faults[1] and faults[0][0] == 2
-    entries, _ = memo.dram.walk_memo.walks[0, pages[0] >> 15]
+    entries, _ = memo.dram.walk_memo.walks[(0 << ASID_SHIFT | pages[0] >> 12) >> 3]
     assert not entries[5] & PTE_PRESENT and entries[4] & PTE_PRESENT
     assert simulated_state(memo) == simulated_state(twin)
 

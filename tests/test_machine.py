@@ -107,6 +107,18 @@ def test_register_space_rejects_a_registered_asid():
     assert m.spaces == {0: first}
 
 
+@pytest.mark.parametrize("asid", [-1, 1 << 32])
+def test_register_space_rejects_an_asid_outside_32_bits(asid):
+    m = simple_machine("active")
+    first = m.spaces[0]
+    state = m.allocator.next_pfn, m.dram.content_digest()
+    with pytest.raises(MappingError, match="outside 32 bits"):
+        m.register_space(asid, [(10 << 30, 0x90002, RW)])
+    assert (m.allocator.next_pfn, m.dram.content_digest()) == state
+    assert m.spaces == {0: first}
+    m.register_space((1 << 32) - 1, [(10 << 30, 0x90002, RW)])
+
+
 def test_activate_requires_active_mode():
     m = simple_machine("passive")
     with pytest.raises(RuntimeError, match="mode"):
@@ -376,7 +388,7 @@ def test_dram_read_bytes_matches_per_byte_reference():
     for addr, n in cases:
         assert dram.read_bytes(addr, n) == per_byte(addr, n), (hex(addr), n)
     assert dram.reads == 0
-    for addr, n in ((base + size - 10, 20), (base - 4, 8)):
+    for addr, n in ((base + size - 10, 20), (base - 4, 8), (base + 0x40, -1)):
         with pytest.raises(ValueError, match="outside DRAM aperture"):
             dram.read_bytes(addr, n)
 

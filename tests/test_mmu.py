@@ -9,7 +9,7 @@ from lightv_sim.addressing import (
     reference_walk,
     split_va,
 )
-from lightv_sim.mmu import Tlb
+from lightv_sim.mmu import ASID_SHIFT
 
 from helpers import cache_snapshot, data_access, make_machine
 
@@ -146,14 +146,46 @@ def test_tlb_invalidate_unrelated_page_keeps_hit():
 
 
 def test_tlb_lru_and_capacity():
-    tlb = Tlb(2)
-    tlb.insert(0, 1, 0xA, 0)
-    tlb.insert(0, 2, 0xB, 0)
-    tlb.lookup(0, 1)  # refresh
-    tlb.insert(0, 3, 0xC, 0)  # evicts page 2
-    assert tlb.lookup(0, 2) is None
-    assert tlb.lookup(0, 1) is not None
-    assert Tlb(0).lookup(0, 1) is None
+    # `translate` is the one TLB fill: a hit refreshes its page, and a fill
+    # into a full TLB evicts the least recently used page.
+    pages = [(8 << 30) + k * 4096 for k in range(3)]
+    m = mapped_machine(pages=[(va, 0x90000 + k) for k, va in enumerate(pages)], tlb_entries=2)
+
+    def walks(m, va):
+        reads = m.counters.walk_reads
+        m.mmu.translate(0, va)
+        return (m.counters.walk_reads - reads) // 3
+
+    assert [walks(m, pages[0]), walks(m, pages[1]), walks(m, pages[0])] == [1, 1, 0]  # a refresh
+    assert list(m.tlb._entries) == [pages[1] >> 12, pages[0] >> 12]
+    assert walks(m, pages[2]) == 1  # evicts page 1, not the refreshed page 0
+    assert list(m.tlb._entries) == [pages[0] >> 12, pages[2] >> 12]
+    assert m.tlb._entries[pages[2] >> 12] == (0x90002, RW)
+    assert [walks(m, pages[0]), walks(m, pages[1])] == [0, 1]
+    assert m.tlb.lookup(0, pages[2] >> 12) is None
+
+    m = mapped_machine(pages=[(va, 0x90000 + k) for k, va in enumerate(pages)], tlb_entries=0)
+    assert [walks(m, pages[0]), walks(m, pages[0])] == [1, 1]
+    assert not m.tlb._entries and m.tlb.lookup(0, pages[0] >> 12) is None
+
+
+def test_a_page_past_the_va_range_does_not_alias_another_asid():
+    # Asid 1's page 0 has the key 1 << ASID_SHIFT, which asid 0's page
+    # 1 << 27 (va 1 << 39, out of range) would have too.
+    m = mapped_machine()
+    m.register_space(1, [(0, 0x90001, RW)])
+    m.run_trace([(1, "R", 0, None)])  # caches asid 1's page 0 and line
+    assert list(m.tlb._entries) == [1 << ASID_SHIFT]
+    for va in (1 << 39, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            m.run_trace([(0, "R", va, None)])
+        with pytest.raises(ValueError, match="out of range"):
+            m.mmu.translate(0, va)
+    for end in (1 << 39, (1 << 39) + 4096, 1 << 41):
+        m.tlb.invalidate_range(0, 0, end)
+        assert list(m.tlb._entries) == [1 << ASID_SHIFT]
+    m.tlb.invalidate_range(1, 0, 4096)
+    assert not m.tlb._entries
 
 
 def test_walk_length_bounded():
@@ -177,7 +209,7 @@ def test_debug_tlb_check_catches_tampering(mode):
     m = mapped_machine(mode, debug_tlb_check=True)
     m.mmu.translate(0, 8 << 30)  # clean hit path raises nothing
     m.mmu.translate(0, 8 << 30)
-    m.tlb.insert(0, (8 << 30) >> 12, 0xDEAD, 0)  # poison the cached frame
+    m.tlb._entries[0 << ASID_SHIFT | (8 << 30) >> 12] = 0xDEAD, 0  # poison the cached frame
     with pytest.raises(AssertionError):
         m.mmu.translate(0, 8 << 30)
 
