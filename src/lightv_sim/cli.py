@@ -88,7 +88,7 @@ def _build_parser():
     """The one parser of this process: `parse_args` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lightv-sim",
-        description="Event-driven SoC memory-subsystem simulator with a"
+        description="Trace-driven SoC memory-subsystem simulator with a"
         " snoop-level translation rewriter",
     )
     sub = parser.add_subparsers(dest="command", required=True)

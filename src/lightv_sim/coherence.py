@@ -244,6 +244,7 @@ class CoherentInterconnect:
             ways.move_to_end(line_addr)
         if line is None or write and line.state is _SHARED:
             payload, state = self._fetch(line_addr, not write)
+            payload = bytearray(payload)  # before a writeback can write DRAM's line
             self.counters.data_misses += 1
             if line is None:
                 if line_addr in self._walk_memo.lines:
@@ -256,7 +257,7 @@ class CoherentInterconnect:
                         self._writeback(line)
                     line.tag = line_addr
                     ways[line_addr] = line
-            line.payload = bytearray(payload)
+            line.payload = payload
             line.state = state
         else:
             self.counters.data_hits += 1
@@ -302,7 +303,8 @@ class CoherentInterconnect:
         if allocate:
             if line_addr in self._walk_memo.lines:
                 self._walk_memo.forget()
-            evicted = self.cache.fill(line_addr, bytearray(payload), state)
+            payload = bytearray(payload)  # before a writeback can write DRAM's line
+            evicted = self.cache.fill(line_addr, payload, state)
             if evicted is not None and evicted.state is _MODIFIED:
                 self._writeback(evicted)
         return payload

@@ -79,10 +79,10 @@ class Dram:
     must be 8-byte aligned, so it lies in one line).
 
     `_frames` maps a frame number to its stored lines' addresses, each added
-    when its line is created (no line is ever deleted).  A whole-frame
-    `read_bytes` costs what the frame holds: an empty frame is one shared
-    zero frame (safe, as `bytes` is immutable), a full one a join of its 64
-    lines, any other a copy of its stored lines into a zeroed frame.
+    when `_store`, the one maker of a line, creates it (none is deleted).
+    A whole-frame `read_bytes` costs what the frame holds: an empty frame is
+    one shared zero frame (safe, as `bytes` is immutable), a full one a join
+    of its 64 lines, any other a copy of its stored lines into a zeroed frame.
     """
 
     def __init__(self, base: int, size: int):
@@ -102,8 +102,9 @@ class Dram:
         self.writes = 0
         # The share of `reads` that `dma_copy` made; nothing prices them.
         self.dma_reads = 0
-        # The walks `Mmu.translate` replays; writing a line one of them
-        # read, or the fabric filling it into the PE cache, drops them all.
+        # The walks `Mmu.translate` replays; a write to a line one of them
+        # read (in `_store`), or the fabric filling it into the PE cache,
+        # drops them all.
         self.walk_memo = WalkMemo()
         # While a walk is recorded, the list each line read is appended to.
         self.read_log = None
@@ -114,8 +115,9 @@ class Dram:
 
     def read_line(self, line_addr: int):
         """The stored line itself, not a copy (a shared zero line when
-        unwritten): callers must not mutate it, and one that keeps or
-        edits the content copies it."""
+        unwritten): callers must not mutate it, and one that keeps or edits
+        the content, or holds it across a DRAM write, which writes the
+        stored line in place, copies it."""
         if not self.base <= line_addr <= self._last_line:
             raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
         self.reads += 1
@@ -123,17 +125,26 @@ class Dram:
             self.read_log.append(line_addr)
         return self._lines.get(line_addr, _ZERO_LINE)
 
+    def _store(self, line_addr: int) -> bytearray:
+        """The stored line at `line_addr`, for a write port to write into:
+        made zeroed and added to `_frames` on its first write.  Every DRAM
+        write comes here, so this is where a write to a line a stored walk
+        read drops the walk memo."""
+        if line_addr in self.walk_memo.lines:
+            self.walk_memo.forget()
+        line = self._lines.get(line_addr)
+        if line is None:
+            line = self._lines[line_addr] = bytearray(LINE_BYTES)
+            self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
+        return line
+
     def write_line(self, line_addr: int, payload):
         if not self.base <= line_addr <= self._last_line:
             raise ValueError(f"address outside DRAM aperture: {line_addr:#x}")
-        if len(payload) != LINE_BYTES:
+        if len(payload) != LINE_BYTES:  # first: a slice assignment would resize the line
             raise ValueError("line payload must be 64 bytes")
         self.writes += 1
-        if line_addr in self.walk_memo.lines:
-            self.walk_memo.forget()
-        if line_addr not in self._lines:
-            self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
-        self._lines[line_addr] = bytearray(payload)
+        self._store(line_addr)[:] = payload
 
     def dma_copy(self, dst: int, src: int, n: int):
         """Copy the `n` lines from `src` to the `n` from `dst`, as a DMA
@@ -160,15 +171,8 @@ class Dram:
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         if addr & 7:
             raise ValueError(f"qword address not 8-byte aligned: {addr:#x}")
-        line_addr = addr & ~_LINE_MASK
-        if line_addr in self.walk_memo.lines:
-            self.walk_memo.forget()
-        line = self._lines.get(line_addr)
-        if line is None:
-            line = self._lines[line_addr] = bytearray(LINE_BYTES)
-            self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
         off = addr & _LINE_MASK
-        line[off : off + 8] = value.to_bytes(8, "little")
+        self._store(addr - off)[off : off + 8] = value.to_bytes(8, "little")
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         if not self.contains(addr, n):
@@ -193,19 +197,11 @@ class Dram:
         if not self.contains(addr, len(data)):
             raise ValueError(f"address outside DRAM aperture: {addr:#x}")
         end = addr + len(data)
-        spanned = range(addr & ~_LINE_MASK, end, LINE_BYTES)
-        if not self.walk_memo.lines.isdisjoint(spanned):
-            self.walk_memo.forget()
-        lines = self._lines
         view = memoryview(data)  # slices of a view copy nothing
-        for line_addr in spanned:
-            line = lines.get(line_addr)
-            if line is None:
-                line = lines[line_addr] = bytearray(LINE_BYTES)
-                self._frames[line_addr >> PAGE_SHIFT].append(line_addr)
+        for line_addr in range(addr & ~_LINE_MASK, end, LINE_BYTES):
             lo = addr if addr > line_addr else line_addr
             hi = end if end < line_addr + LINE_BYTES else line_addr + LINE_BYTES
-            line[lo - line_addr : hi - line_addr] = view[lo - addr : hi - addr]
+            self._store(line_addr)[lo - line_addr : hi - line_addr] = view[lo - addr : hi - addr]
 
     def content_digest(self) -> str:
         h = hashlib.sha256()
@@ -293,7 +289,9 @@ class MachineConfig:
         return window
 
     def to_dict(self) -> dict:
-        d = {
+        """Every field but `mode`, which the CLI sets for each machine it
+        builds (`with_mode`), so a config file has no `mode` key."""
+        return {
             "dram_base": hex(self.dram_base),
             "dram_size": hex(self.dram_size),
             "watermark_base_pfn": hex(self.watermark_base_pfn),
@@ -304,13 +302,11 @@ class MachineConfig:
             },
             "tlb_entries": self.tlb_entries,
             "latencies": vars(self.latencies).copy(),
-            "mode": self.mode,
             "cache_ptes": self.cache_ptes,
             "fault_policy": self.fault_policy,
             "strict_isolation": self.strict_isolation,
             "debug_tlb_check": self.debug_tlb_check,
         }
-        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
@@ -359,9 +355,8 @@ class MachineConfig:
                     raise ConfigError(f"latencies.{k}: unknown latency")
                 lat[k] = num(v, f"latencies.{k}")
             cfg.latencies = LatencyConfig(**lat)
-        for key in ("mode", "fault_policy"):
-            if key in data:
-                setattr(cfg, key, data[key])
+        if "fault_policy" in data:
+            cfg.fault_policy = data["fault_policy"]
         for key in ("cache_ptes", "strict_isolation", "debug_tlb_check"):
             if key in data:
                 if not isinstance(data[key], bool):
@@ -467,8 +462,8 @@ def _trace_access(fields):
         raise ValueError("a read takes no data byte")
     if not 0 <= asid < 1 << 32:
         raise ValueError(f"asid {fields[0]} outside 32 bits")
-    if not 0 <= va < 1 << 64:
-        raise ValueError(f"va {fields[2]} outside 64 bits")
+    if not 0 <= va < 1 << addressing.VA_BITS:
+        raise ValueError(f"va {fields[2]} outside {addressing.VA_BITS} bits")
     if value is not None and not 0 <= value <= 0xFF:
         raise ValueError(f"data {fields[3]} outside 8 bits")
     return asid, op, va, value

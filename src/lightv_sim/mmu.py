@@ -31,7 +31,8 @@ event that changes a stored walk's inputs, as a hardware MMU cache is:
   * `Dram` holds the memo (`WalkMemo`) with every line a stored walk read:
     its three fabric lines and the real lines LightV built a served chunk
     from.  These drop the whole memo:
-      - a DRAM write to one of those lines;
+      - a DRAM write to one of those lines, in `Dram._store`, the one
+        hook on the DRAM side: every write port writes through it;
       - a fill of one of them into the PE cache (the fabric's data fill or
         allocating walk fill).  A stored walk had no walk hit and filled
         nothing, so its fabric lines were absent when it was stored, and
@@ -103,6 +104,8 @@ class Tlb:
         self._entries = OrderedDict()
 
     def lookup(self, asid: int, va_page: int):
+        if va_page >> ASID_SHIFT:  # past the page field, or negative: another asid's key
+            raise ValueError(f"virtual page out of range: {va_page:#x}")
         hit = self._entries.get(key := asid << ASID_SHIFT | va_page)
         if hit is not None:
             self._entries.move_to_end(key)

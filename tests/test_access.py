@@ -813,6 +813,47 @@ def test_an_allocating_walk_fill_of_a_walked_line_drops_the_memo(mode, level):
     assert cache_lru(memo) == cache_lru(twin)
 
 
+def _write_through(m, port, addr, value):
+    """Store the qword `value` at `addr` through one DRAM write port."""
+    data = value.to_bytes(8, "little")
+    if port == "write_line":
+        line_addr, off = addr & ~63, addr & 63
+        line = bytearray(m.dram.read_bytes(line_addr, 64))
+        line[off : off + 8] = data
+        m.dram.write_line(line_addr, line)
+    elif port == "write_qword":
+        m.dram.write_qword(addr, value)
+    else:
+        m.dram.write_bytes(addr, data)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("port", ["write_line", "write_qword", "write_bytes"])
+def test_a_dram_write_to_a_walked_line_drops_the_memo(port, level):
+    """Every DRAM write port stores through `Dram._store`, which drops the
+    memo when a stored walk read the line it writes.  Clearing the present
+    bit of a descriptor of a stored walk must make a sibling page fault as
+    it does on a twin whose memo is emptied.  The machine is active, so the
+    walk's level-0 line is a served one, built from the line written."""
+    (memo, pages), (twin, _) = leaf_runs_machine("active"), leaf_runs_machine("active")
+    walked, sibling = pages[8], pages[11]  # one leaf line, outside every rule
+    for m in (memo, twin):
+        m.mmu.translate(0, walked)
+    assert memo.dram.walk_memo.walks
+    addr = descriptor(memo, sibling, level)  # in a line the walk of `walked` read
+    assert addr & ~63 == descriptor(memo, walked, level) & ~63
+    outcomes = []
+    for m in (memo, twin):
+        twin.dram.walk_memo.forget()
+        _write_through(m, port, addr, m.dram.read_qword(addr) & ~PTE_PRESENT)
+        try:
+            outcomes.append(m.mmu.translate(0, sibling))
+        except TranslationFault as fault:
+            outcomes.append((fault.level, fault.pte_address))
+    assert outcomes[0] == outcomes[1] == (level, addr)
+    assert simulated_state(memo) == simulated_state(twin)
+
+
 def leaf_runs_machine(mode, runs=4, holes=()):
     """A machine on a 4x2 cache and a 2-entry TLB mapping `runs` runs of 8
     pages, each run aligned on one leaf line, but for the pages in `holes`;

@@ -38,7 +38,7 @@ NUMBERS = [("dram_base",), ("dram_size",), ("watermark_base_pfn",), ("tlb_entrie
            ("geometry", "cache_sets"), ("geometry", "cache_ways"), ("geometry", "line_bytes")]
 NUMBERS += [("latencies", name) for name in LATENCIES]
 BOOLS = [(name,) for name in FLAGS]
-NAMES = [("mode",), ("fault_policy",)]
+NAMES = [("fault_policy",)]
 KEYS = {(): [p[0] for p in OBJECTS[1:] + NUMBERS + BOOLS + NAMES],
         ("geometry",): ["cache_sets", "cache_ways", "line_bytes"],
         ("latencies",): list(LATENCIES)}
@@ -74,10 +74,8 @@ def _valid_document(rng):
         doc["tlb_entries"] = rng.choice((0, 1, 64, 1 << 40))
     if _coin(rng):
         doc["latencies"] = {k: rng.choice((1, 7, 100, 1 << 64)) for k in LATENCIES if _coin(rng)}
-    for key, values in (("mode", ("absent", "passive", "active")),
-                        ("fault_policy", ("abort", "record"))):
-        if _coin(rng):
-            doc[key] = rng.choice(values)
+    if _coin(rng):
+        doc["fault_policy"] = rng.choice(("abort", "record"))
     for key in FLAGS:
         if _coin(rng):
             doc[key] = _coin(rng)
@@ -143,7 +141,7 @@ def _wrong_type(doc, path, rng):
 
 
 def _unknown_key(doc, path, rng):
-    key = rng.choice(("x", "seed", "cache_size", "Mode", "cycles", "sets"))
+    key = rng.choice(("x", "seed", "cache_size", "mode", "Mode", "cycles", "sets"))
     return _dump(_set(doc, path + (key,), rng.choice((1, True, "x"))), rng), key
 
 

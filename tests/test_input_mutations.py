@@ -26,7 +26,7 @@ MAX_FIELDS = {"mappings": 3, "rules": 5, "trace": 4}  # the last one optional
 OUT_OF_RANGE = {
     "mappings": ("0x8000000000", "0x10000000"),
     "rules": ("0x100000000", "0x8000000000", "0x8000001000", "0x10000000"),
-    "trace": ("0x100000000", None, "0x10000000000000000", "0x100"),
+    "trace": ("0x100000000", None, "0x8000000000", "0x100"),
 }
 
 CASES = 240

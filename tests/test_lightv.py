@@ -647,6 +647,25 @@ def test_failed_capture_leaves_no_trace():
     assert m.lightv.handle_snoop(0x9100_0000) is None  # not served from 0x92000000
 
 
+@pytest.mark.parametrize("port", ["access", "walk_read"])
+def test_a_mirrored_writeback_inside_a_fill_keeps_what_the_fill_read(port):
+    """A fill that evicts a Modified captured line writes it back, and the
+    mirror then writes its source line in DRAM, in place.  When the fill's
+    own line is that source line, it is cached (and a walk read returns
+    it) as DRAM held it before the writeback."""
+    src, dst = 0x90000 << 12, 0x90001 << 12
+    m = make_machine("active", cache_sets=1, cache_ways=1)
+    m.dram.write_bytes(src, bytes(range(64)))
+    m.lightv.begin_page_capture({dst: src})
+    m.cci.access(dst + 1, True, 0xA5)  # served from src, then Modified
+    if port == "access":
+        assert m.cci.access(src + 1, False) == 1
+    else:
+        assert m.cci.walk_read(src, allocate=True) == bytes(range(64))
+    assert m.cache.lookup(src).payload == bytes(range(64))
+    assert m.dram.read_bytes(src, 3) == bytes([0, 0xA5, 2])  # the mirrored writeback
+
+
 def test_capture_rejects_a_watched_table_line():
     # a capture window on the rule's level-0 line would replace its watch
     m, rule, repl = one_rule_machine()

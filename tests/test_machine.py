@@ -79,12 +79,16 @@ def test_bad_geometry_and_mode_rejected():
 
 
 def test_config_dict_roundtrip(tmp_path):
-    cfg = MachineConfig(mode="active", tlb_entries=16, cache_ptes=True)
+    cfg = MachineConfig(tlb_entries=16, cache_ptes=True, fault_policy="record")
     clone = MachineConfig.from_dict(cfg.to_dict())
     assert clone == cfg
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert load_config(str(path)) == cfg
+    # the CLI's --mode sets every machine's mode, so a file may not name one
+    assert "mode" not in cfg.to_dict()
+    with pytest.raises(ConfigError, match="^mode: unknown config key$"):
+        MachineConfig.from_dict({"mode": "active"})
 
 
 def test_config_file_errors(tmp_path):
@@ -250,7 +254,9 @@ def mixed_cache_machine(seed):
 
 
 def machine_after(m):
-    return m.log, m.counters.writebacks, m.dram.writes, sorted(m.dram._lines.items()), cache_snapshot(m.cache)
+    # each DRAM line copied: a write port writes the stored line in place
+    lines = sorted((addr, bytes(line)) for addr, line in m.dram._lines.items())
+    return m.log, m.counters.writebacks, m.dram.writes, lines, cache_snapshot(m.cache)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -292,10 +298,13 @@ def test_dram_zero_fill_and_bounds():
 def test_dram_write_line_rejects_a_short_payload():
     dram = Dram(0x8000_0000, 1 << 20)
     dram.write_line(0x8000_0040, bytes(range(64)))
-    lines, writes = dict(dram._lines), dram.writes
-    with pytest.raises(ValueError, match="line payload must be 64 bytes"):
-        dram.write_line(0x8000_0000, bytes(63))
-    assert (dram._lines, dram.writes) == (lines, writes)
+    before = {a: bytes(line) for a, line in dram._lines.items()}, dram.writes
+    # a new line and a stored one, which a slice assignment would resize
+    for addr in (0x8000_0000, 0x8000_0040):
+        for n in (63, 65):
+            with pytest.raises(ValueError, match="line payload must be 64 bytes"):
+                dram.write_line(addr, bytes(n))
+    assert ({a: bytes(line) for a, line in dram._lines.items()}, dram.writes) == before
 
 
 def test_dram_qword_ports_reject_an_address_off_the_qword_grid():
@@ -304,13 +313,17 @@ def test_dram_qword_ports_reject_an_address_off_the_qword_grid():
     base = 0x8000_0000
     dram = Dram(base, 1 << 20)
     dram.write_qword(base + 56, 0x1122_3344_5566_7788)
-    before = {a: bytes(line) for a, line in dram._lines.items()}, dict(dram._frames)
+    def state():
+        lines = {a: bytes(line) for a, line in dram._lines.items()}
+        return lines, {frame: list(stored) for frame, stored in dram._frames.items()}
+
+    before = state()
     for addr in (base + 60, base + 4, base + 0x1FFC):
         with pytest.raises(ValueError, match=f"^qword address not 8-byte aligned: {addr:#x}$"):
             dram.write_qword(addr, 0x1122_3344_5566_7788)
         with pytest.raises(ValueError, match=f"^qword address not 8-byte aligned: {addr:#x}$"):
             dram.read_qword(addr)
-    assert ({a: bytes(line) for a, line in dram._lines.items()}, dict(dram._frames)) == before
+    assert state() == before
     assert len(dram.read_line(base)) == 64
     assert dram.read_qword(base + 56) == 0x1122_3344_5566_7788
 
@@ -589,12 +602,13 @@ def test_trace_parse_errors():
     with pytest.raises(TraceError, match="^line 2: a read takes no data byte$"):
         list(iter_trace(["0 W 0x5 0x7\n", "0 R 0x5 0x7\n"]))
     assert list(iter_trace(["# empty\n", "\n"])) == []
-    # a trace's asid must fit 32 bits, its va 64 bits and its data 8 bits
+    # a trace's asid must fit 32 bits, its va 39 bits and its data 8 bits
     for line, field in [("0x100000000 R 0x0", "asid"), ("-1 R 0x0", "asid"),
+                        ("0 R 0x8000000000", "va"), ("0 R 0xffffffffffffffff", "va"),
                         ("0 R 0x10000000000000000", "va"), ("0 W -0x1 0x5", "va"),
                         ("0 W 0x5 0x100", "data"), ("0 W 0x5 -0x1", "data")]:
         with pytest.raises(TraceError, match=f"line 2: {field} "):
-            list(iter_trace(["0xffffffff W 0xffffffffffffffff 0xff\n", f"{line}\n"]))
+            list(iter_trace(["0xffffffff W 0x7fffffffff 0xff\n", f"{line}\n"]))
 
 
 def test_stats_text_rendering():

@@ -181,6 +181,8 @@ def test_a_page_past_the_va_range_does_not_alias_another_asid():
             m.run_trace([(0, "R", va, None)])
         with pytest.raises(ValueError, match="out of range"):
             m.mmu.translate(0, va)
+        with pytest.raises(ValueError, match="out of range"):
+            m.tlb.lookup(0, va >> 12)
     for end in (1 << 39, (1 << 39) + 4096, 1 << 41):
         m.tlb.invalidate_range(0, 0, end)
         assert list(m.tlb._entries) == [1 << ASID_SHIFT]
